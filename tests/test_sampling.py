@@ -9,6 +9,7 @@ from polar_olct import (
     OffsetParams,
     ReconstructionReport,
     SampleGrid,
+    SampleSet,
     ZeroTable,
     default_m_sum,
     random_spectrum,
@@ -389,6 +390,96 @@ def test_reconstruct_spectrum_zero_input(lct):
     out = reconstruct_spectrum(samples, "corollary1", lct, 0,
                                np.array([0.4]), np.array([0.1]))
     assert np.max(np.abs(out)) == 0.0
+
+
+# --------------------------------------------------------------------------
+# reconstruction: the side-order (m_sum > 0) series
+# --------------------------------------------------------------------------
+
+def _printed_series(sample_set, params, m_sum, r, theta, prefactor, inner_rate,
+                    outer_rate, mu_r, mu_om, jv):
+    """The printed reconstruction series summed term by term.
+
+    Field modes pass (inner, outer) = (a, -a) and (mu_r, mu_om) = (mu1, mu2);
+    spectrum modes (-d or -a, d) and (mu2, mu1).  The radial kernel carries
+    mu2 in both domains.  Every Bessel value comes from `jv`.
+    """
+    grid = sample_set.grid
+    k, b, omega, mu2 = grid.k_max, params.b, grid.omega, params.mu2
+    az = 2 * k + 1
+    nodes = grid.thetas
+    out = np.zeros(r.size, dtype=complex)
+    for p in range(r.size):
+        rp, tp = r[p], theta[p]
+        for n in range(-k, k + 1):
+            v = grid.radial_orders[n]
+            alphas, zeros = grid.alphas(n), grid.order_zeros(n)
+            slab = sample_set.slab(n)
+            pre = 1.0 if prefactor == "unit" else (-1.0) ** v * params.sigma
+            if grid.per_order:
+                # the DFT coefficient of order n times e^{in theta}
+                ang = [np.sum(slab[j] * np.exp(-1j * n * nodes)) / az * np.exp(1j * n * tp)
+                       for j in range(alphas.size)]
+            elif n == 0:
+                # fixed order: the periodic sinc interpolant, counted once
+                u = tp - nodes
+                sinc = np.sin(az * u / 2.0) / (az * np.sin(u / 2.0))
+                ang = [np.sum(slab[j] * sinc) for j in range(alphas.size)]
+            else:
+                continue
+            total = 0.0j
+            for m in range(0, m_sum + 1, 2):
+                c_m = (1.0 if m == 0 else 2.0) * jv(m, mu_om * omega / b) ** 2 * jv(m, mu_r * rp / b)
+                for j in range(alphas.size):
+                    al = alphas[j]
+                    kern = 2.0 * b * (mu2 + al) * jv(v, omega * rp / b) / (
+                        omega * jv(v + 1, zeros[j]) * (al * al - rp * rp + 2.0 * mu2 * (al - rp)))
+                    total += (c_m * jv(m, mu_r * al / b) * np.exp(1j * inner_rate * al * al / (2.0 * b))
+                              * ang[j] * kern)
+            out[p] += pre * total
+        out[p] *= np.exp(1j * outer_rate * rp * rp / (2.0 * b))
+    return out
+
+
+def test_offset_series_matches_direct_sum():
+    jv = pytest.importorskip("scipy.special").jv
+    k, m_sum = 2, 27
+    rng = np.random.default_rng(52)
+    r = np.array([0.3, 0.9, 1.7, 2.5])
+    theta = np.array([0.1, -1.2, 2.0, 2.9])
+    # the second bundle has a != d, so the two inner chirps differ
+    for params in (OffsetParams(1, 1, 0, 1, (0.3, 0.4), (0.1, -0.2)),
+                   OffsetParams(1, 2, -0.25, 0.5, (0.3, 0.4), (0.1, -0.2))):
+        _check_offset_series(params, k, m_sum, r, theta, rng, jv)
+
+
+def _check_offset_series(params, k, m_sum, r, theta, rng, jv):
+    a, d = params.a, params.d
+    grids = {
+        "theorem1": SampleGrid.theorem1(params, np.pi, k, 3, zeros_per_order=6),
+        "theorem2": SampleGrid.theorem2(params, np.pi, k, 3, zeros_per_order=6),
+        "corollary1": SampleGrid.corollary1(params, 20.0, k, 1.0),
+        "corollary2": SampleGrid.corollary2(params, 20.0, k, 1.0),
+    }
+    for mode, grid in grids.items():
+        slabs = {n: rng.normal(size=(grid.alphas(n).size, 2 * k + 1))
+                 + 1j * rng.normal(size=(grid.alphas(n).size, 2 * k + 1))
+                 for n in grid.slab_keys}
+        samples = SampleSet(grid, slabs)
+        for prefactor in ("unit", "alternating"):
+            if mode.startswith("theorem"):
+                cases = [(reconstruct_field(samples, mode, params, m_sum, r, theta,
+                                            prefactor=prefactor),
+                          (a, -a, params.mu1, params.mu2))]
+            else:
+                cases = [(reconstruct_spectrum(samples, mode, params, m_sum, r, theta,
+                                               inner_chirp=chirp, prefactor=prefactor),
+                          (-(d if chirp == "spectral" else a), d, params.mu2, params.mu1))
+                         for chirp in ("spectral", "spatial")]
+            for rec, (inner, outer, mu_r, mu_om) in cases:
+                ref = _printed_series(samples, params, m_sum, r, theta, prefactor,
+                                      inner, outer, mu_r, mu_om, jv)
+                assert rel_err(rec, ref) <= 1e-12, (mode, prefactor)
 
 
 # --------------------------------------------------------------------------
