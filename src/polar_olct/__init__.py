@@ -47,7 +47,6 @@ from .sampling import (
     SampleGrid,
     SampleSet,
     default_m_sum,
-    reconstruct_coefficient,
     reconstruct_field,
     reconstruct_isotropic,
     reconstruct_spectrum,

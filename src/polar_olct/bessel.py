@@ -225,13 +225,15 @@ def _bessel_j_core(v: float, x: np.ndarray) -> np.ndarray:
 
 
 def bessel_j(order, x):
-    """J_v(x) for v >= -1/2 and x >= 0.
+    """J_v(x) for v >= -1/2 and finite x >= 0.
 
     Scalar or array `x`; absolute accuracy ~1e-13 for x up to 1e3.
-    Raises ValueError off the supported domain.
+    Raises ValueError off the supported domain, non-finite x included.
     """
     v = _as_order(order)
     arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("bessel_j requires finite x")
     if np.any(arr < 0):
         raise ValueError("bessel_j requires x >= 0")
     scalar = arr.ndim == 0
@@ -268,6 +270,8 @@ def bessel_jn_chain(x, m_max: int) -> np.ndarray:
     Returns shape (m_max+1,) + shape(x).
     """
     arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("bessel_jn_chain requires finite x")
     if np.any(arr < 0):
         raise ValueError("bessel_jn_chain requires x >= 0")
     flat = arr.ravel()

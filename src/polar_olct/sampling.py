@@ -1,11 +1,16 @@
 """Sampling grids and reconstruction series on Bessel-zero abscissae.
 
 Radial samples sit at normalized zeros alpha = b z / omega, azimuthal
-samples at 2K+1 uniform angles.  Reconstruction pairs the radial
-interpolating function with either a per-coefficient DFT in azimuth
-(per-order mode) or the periodic sinc interpolant (fixed-order mode); the
-spectrum-domain variants run the same series on dechirped transform samples
-with the support radius playing the role of the band limit.
+samples at 2K+1 uniform angles.  All four modes run one series engine: per
+distinct radial order, the angular DFT coefficients of the dechirped samples
+are summed against the radial interpolating function (with the optional
+side-order m-sum) and carried by e^{in theta}.  The per-order modes give
+each angular order the zeros of its own radial order; the fixed-order modes
+are the same per-order sum on one radial order, because the periodic sinc
+interpolant of 2K+1 nodes is the degree-K DFT series.  The spectrum-domain
+variants run the series on transform samples with the support radius
+playing the role of the band limit and mu1, mu2 swapped in the side-order
+chains.
 
 The alternating prefactor (-1)^v * sigma that the printed series carries is
 kept as an option; the default "unit" prefactor is the one that actually
@@ -33,7 +38,6 @@ __all__ = [
     "sample_field",
     "sample_count",
     "reconstruct_isotropic",
-    "reconstruct_coefficient",
     "reconstruct_field",
     "reconstruct_spectrum",
     "ReconstructionReport",
@@ -48,24 +52,25 @@ _NEAR_ZERO_SWITCH = 1e-6
 # azimuthal interpolation
 # --------------------------------------------------------------------------
 
+def _angular_coefficients(values, k_max: int) -> np.ndarray:
+    """c_n = (1/(2K+1)) sum_l values_l e^{-i n theta_l} for n = -K..K, along
+    the last axis of `values`; exact for angular degree <= K."""
+    az = 2 * k_max + 1
+    nodes = 2.0 * np.pi * np.arange(az) / az
+    return values @ (np.exp(-1j * np.outer(nodes, np.arange(-k_max, k_max + 1))) / az)
+
+
 def stark_kernel(theta, l: int, k_max: int):
     """Periodic interpolating function o_l for 2K+1 uniform azimuth nodes.
 
     o_l(theta) = sin((2K+1)u/2) / ((2K+1) sin(u/2)) with u = theta - theta_l,
     equal to 1 at its own node and 0 at the others.  Evaluated through the
-    identical finite cosine sum (1 + 2 sum_{n<=K} cos(n u)) / (2K+1), which
-    has no removable singularity to lose digits near the nodes.
+    identical finite sum (1/(2K+1)) sum_{|n|<=K} e^{i n u}, which has no
+    removable singularity to lose digits near the nodes.
     """
     if not 0 <= l <= 2 * k_max:
         raise ValueError("node index out of range")
-    theta = np.asarray(theta, dtype=float)
-    scalar = theta.ndim == 0
-    u = np.atleast_1d(theta) - 2.0 * np.pi * l / (2 * k_max + 1)
-    acc = np.ones(u.shape)
-    for n in range(1, k_max + 1):
-        acc += 2.0 * np.cos(n * u)
-    out = acc / (2 * k_max + 1)
-    return float(out[0]) if scalar else out.reshape(theta.shape)
+    return stark_interpolate(np.eye(2 * k_max + 1)[l], theta, k_max).real
 
 
 def stark_interpolate(values, theta, k_max: int):
@@ -75,38 +80,39 @@ def stark_interpolate(values, theta, k_max: int):
     if values.shape != (2 * k_max + 1,):
         raise ValueError(f"need exactly {2 * k_max + 1} node values, got {values.shape}")
     theta = np.asarray(theta, dtype=float)
-    scalar = theta.ndim == 0
-    th = np.atleast_1d(theta)
-    out = np.zeros(th.shape, dtype=complex)
-    for l in range(2 * k_max + 1):
-        out += values[l] * stark_kernel(th, l, k_max)
-    return complex(out[0]) if scalar else out.reshape(theta.shape)
+    out = np.exp(1j * theta[..., None] * np.arange(-k_max, k_max + 1)) \
+        @ _angular_coefficients(values, k_max)
+    return complex(out) if theta.ndim == 0 else out
 
 
 # --------------------------------------------------------------------------
 # radial interpolation
 # --------------------------------------------------------------------------
 
-def theta_kernel(r, alpha: float, z: float, order, params: OffsetParams, omega: float):
+def theta_kernel(r, alpha, z, order, params: OffsetParams, omega: float):
     """Radial interpolating function for the sample at alpha = b z / omega.
 
-    Within 1e-6*alpha of the sample point the 0/0 form is replaced by its
-    limit, which is 1 for every mu2 (numerator and denominator share the
-    (mu2 + alpha) factor under l'Hopital with J_v' = -J_{v+1} at zeros).
+    Scalar or array `alpha` and `z` (one sample each); the result has shape
+    alpha.shape + r.shape.  Within 1e-6*alpha of the sample point the 0/0
+    form is replaced by its limit, which is 1 for every mu2 (numerator and
+    denominator share the (mu2 + alpha) factor under l'Hopital with
+    J_v' = -J_{v+1} at zeros).
     """
-    if abs(alpha - params.b * z / omega) > 1e-9 * alpha:
+    alpha = np.asarray(alpha, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if np.any(np.abs(alpha - params.b * z / omega) > 1e-9 * alpha):
         raise ValueError("alpha is not the normalized zero of z")
     r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    rr = np.atleast_1d(r)
-    mu2 = params.mu2
-    b = params.b
-    num = 2.0 * b * (mu2 + alpha) * bessel_j(order, omega * rr / b)
-    den = omega * bessel_j(float(order) + 1.0, z) * (
-        alpha * alpha - rr * rr + 2.0 * mu2 * (alpha - rr))
-    near = np.abs(rr - alpha) < _NEAR_ZERO_SWITCH * alpha
+    mu2, b = params.mu2, params.b
+    al = np.atleast_1d(alpha).ravel()[:, None]
+    rr = np.atleast_1d(r).ravel()
+    jnext = bessel_j(float(order) + 1.0, np.atleast_1d(z).ravel())[:, None]
+    num = 2.0 * b * (mu2 + al) * bessel_j(order, omega * rr / b)
+    den = omega * jnext * (al * al - rr * rr + 2.0 * mu2 * (al - rr))
+    near = np.abs(rr - al) < _NEAR_ZERO_SWITCH * al
     out = np.where(near, 1.0, num / np.where(den == 0.0, 1.0, den))
-    return float(out[0]) if scalar else out.reshape(r.shape)
+    out = out.reshape(alpha.shape + r.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def default_m_sum(params: OffsetParams, omega: float, r_max: float) -> int:
@@ -117,36 +123,24 @@ def default_m_sum(params: OffsetParams, omega: float, r_max: float) -> int:
     return int(math.ceil(mu * max(r_max, omega) / params.b)) + 20
 
 
-def _theta_matrix(r, alphas, zeros, order, params, omega):
-    """theta_kernel stacked over samples: shape (len(alphas), len(r))."""
-    b, mu2 = params.b, params.mu2
-    jw = bessel_j(order, omega * r / b)[None, :]
-    jnext = np.array([bessel_j(float(order) + 1.0, z) for z in zeros])[:, None]
-    al = alphas[:, None]
-    num = 2.0 * b * (mu2 + al) * jw
-    den = omega * jnext * (al * al - r[None, :] ** 2 + 2.0 * mu2 * (al - r[None, :]))
-    near = np.abs(r[None, :] - al) < _NEAR_ZERO_SWITCH * al
-    return np.where(near, 1.0, num / np.where(den == 0.0, 1.0, den))
-
-
-def _radial_series(weights, alphas, zeros, order, params, omega, m_sum, r):
-    """sum_m J_m(mu1 r/b) J_m(mu2 omega/b)^2 sum_j J_m(mu1 a_j/b) w_j theta_j(r).
+def _zero_series(coeffs, alphas, zeros, order, params, omega, m_sum, r, mu_r, mu_om):
+    """sum_m J_m(mu_r r/b) J_m(mu_om omega/b)^2 sum_j J_m(mu_r a_j/b) c_j theta_j(r)
+    for each row of `coeffs`: shape (rows, r.size).
 
     Odd side orders cancel in +-m pairs; m_sum = 0 keeps the bare j-sum.
     The chirp factors are applied by the callers.
     """
-    theta_mat = _theta_matrix(r, alphas, zeros, order, params, omega)
+    theta_mat = theta_kernel(r, alphas, zeros, order, params, omega)
     if m_sum == 0 or not params.has_offsets:
-        return weights @ theta_mat
+        return coeffs @ theta_mat
     b = params.b
-    chain_r = bessel_jn_chain(params.mu1 * r / b, m_sum)
-    chain_om = bessel_jn_chain(np.array([params.mu2 * omega / b]), m_sum)[:, 0]
-    chain_al = bessel_jn_chain(params.mu1 * alphas / b, m_sum)
-    out = np.zeros(r.shape, dtype=complex)
+    chain_r = bessel_jn_chain(mu_r * r / b, m_sum)
+    chain_om = bessel_jn_chain(np.array([mu_om * omega / b]), m_sum)[:, 0]
+    chain_al = bessel_jn_chain(mu_r * alphas / b, m_sum)
+    out = np.zeros((coeffs.shape[0], r.size), dtype=complex)
     for m in range(0, m_sum + 1, 2):
         factor = 1.0 if m == 0 else 2.0
-        inner = (weights * chain_al[m]) @ theta_mat
-        out += factor * chain_om[m] ** 2 * chain_r[m] * inner
+        out += factor * chain_om[m] ** 2 * chain_r[m] * ((coeffs * chain_al[m]) @ theta_mat)
     return out
 
 
@@ -161,11 +155,10 @@ def _series_prefactor(order, params, prefactor: str) -> complex:
 def reconstruct_isotropic(samples, order, params: OffsetParams, omega: float,
                           m_sum: int, r, *, zeros=None,
                           prefactor: str = "unit") -> np.ndarray:
-    """Recover a transform-bandlimited radial profile from its values at the
-    normalized zeros of `order`."""
+    """Recover a transform-bandlimited radial profile (or one angular
+    coefficient) from its values at the normalized zeros of `order`."""
     samples = np.asarray(samples, dtype=complex)
     r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
     rr = np.atleast_1d(r).ravel()
     if zeros is None:
         zeros = ZeroTable.for_order(order, samples.size).zeros[: samples.size]
@@ -173,19 +166,11 @@ def reconstruct_isotropic(samples, order, params: OffsetParams, omega: float,
     alphas = params.b * zeros / omega
     a, b = params.a, params.b
     weights = np.exp(1j * (a / (2.0 * b)) * alphas ** 2) * samples
-    series = _radial_series(weights, alphas, zeros, order, params, omega, m_sum, rr)
+    series = _zero_series(weights[None, :], alphas, zeros, order, params, omega, m_sum, rr,
+                          params.mu1, params.mu2)[0]
     out = _series_prefactor(order, params, prefactor) \
         * np.exp(-1j * (a / (2.0 * b)) * rr ** 2) * series
-    return complex(out[0]) if scalar else out.reshape(r.shape)
-
-
-def reconstruct_coefficient(samples, order, params: OffsetParams, omega: float,
-                            m_sum: int, r, *, zeros=None,
-                            prefactor: str = "unit") -> np.ndarray:
-    """Same series as reconstruct_isotropic, applied to one angular
-    coefficient's samples."""
-    return reconstruct_isotropic(samples, order, params, omega, m_sum, r,
-                                 zeros=zeros, prefactor=prefactor)
+    return complex(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
 
 # --------------------------------------------------------------------------
@@ -352,12 +337,44 @@ def sample_count(k_max: int, resolution: int, mode: str) -> int:
 # field and spectrum reconstruction
 # --------------------------------------------------------------------------
 
-def _coefficient_samples(sample_set: SampleSet, n: int) -> np.ndarray:
-    # (1/(2K+1)) sum_l f(alpha_j, theta_l) e^{-i n theta_l}: exact for
-    # angular degree <= K
+def _reconstruct(sample_set: SampleSet, params: OffsetParams, m_sum: int, r, theta,
+                 inner_rate: float, outer_rate: float, mu_r: float, mu_om: float,
+                 prefactor: str):
+    """The zero-grid series shared by the four modes.
+
+    Per distinct radial order: the angular DFT coefficients of the samples,
+    dechirped by e^{i inner_rate alpha^2/2b}, go through the radial series on
+    the unique probe radii, times e^{in theta}.  The fixed-order modes are
+    this per-order sum on one radial order, because the periodic sinc of
+    2K+1 nodes is the degree-K DFT series.
+    """
     grid = sample_set.grid
-    th = grid.thetas
-    return sample_set.slab(n) @ (np.exp(-1j * n * th) / th.size)
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    shape = np.broadcast(r, theta).shape
+    rb = np.broadcast_to(r, shape).ravel()
+    tb = np.broadcast_to(theta, shape).ravel()
+    uniq, inv = np.unique(rb, return_inverse=True)
+    k, b = grid.k_max, params.b
+    out = np.zeros(rb.size, dtype=complex)
+    for w in sorted(set(grid.radial_orders.values())):
+        ns = [n for n in range(-k, k + 1) if grid.radial_orders[n] == w]
+        alphas = grid.alphas(ns[0])
+        coeffs = np.stack([_angular_coefficients(sample_set.slab(n), k)[:, n + k] for n in ns])
+        coeffs *= np.exp(1j * (inner_rate / (2.0 * b)) * alphas ** 2)
+        series = _zero_series(coeffs, alphas, grid.order_zeros(ns[0]), w, params,
+                              grid.omega, m_sum, uniq, mu_r, mu_om)
+        out += _series_prefactor(w, params, prefactor) \
+            * np.sum(series[:, inv] * np.exp(1j * np.outer(ns, tb)), axis=0)
+    res = (out * np.exp(1j * (outer_rate / (2.0 * b)) * rb ** 2)).reshape(shape)
+    return complex(res[()]) if shape == () else res
+
+
+def _check_mode(grid: SampleGrid, mode: str, allowed: tuple, caller: str):
+    if mode != grid.mode:
+        raise ValueError(f"grid was built for {grid.mode!r}, not {mode!r}")
+    if mode not in allowed:
+        raise ValueError(f"{caller} handles {allowed[0]!r} and {allowed[1]!r}")
 
 
 def reconstruct_field(sample_set: SampleSet, mode: str, params: OffsetParams,
@@ -367,56 +384,9 @@ def reconstruct_field(sample_set: SampleSet, mode: str, params: OffsetParams,
     theorem1: per-order zeros, azimuthal DFT factor e^{in(theta-theta_l)};
     theorem2: one fixed order, azimuthal periodic-sinc interpolation.
     """
-    grid = sample_set.grid
-    if mode != grid.mode:
-        raise ValueError(f"grid was built for {grid.mode!r}, not {mode!r}")
-    if mode not in ("theorem1", "theorem2"):
-        raise ValueError("reconstruct_field handles 'theorem1' and 'theorem2'")
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    shape = np.broadcast(r, theta).shape
-    rb = np.broadcast_to(r, shape).ravel()
-    tb = np.broadcast_to(theta, shape).ravel()
-    uniq, inv = np.unique(rb, return_inverse=True)
-    a, b = params.a, params.b
-    out = np.zeros(rb.size, dtype=complex)
-
-    if mode == "theorem1":
-        for n in range(-grid.k_max, grid.k_max + 1):
-            fn = _coefficient_samples(sample_set, n)
-            rec = reconstruct_coefficient(
-                fn, grid.radial_orders[n], params, grid.omega, m_sum, uniq,
-                zeros=grid.order_zeros(n), prefactor=prefactor)
-            out += np.atleast_1d(rec)[inv] * np.exp(1j * n * tb)
-    else:
-        v = grid.radial_orders[0]
-        zeros = grid.order_zeros(0)
-        alphas = grid.alphas(0)
-        slab = sample_set.slab(0)
-        # azimuthal interpolant of each radial slab row at the probe angles
-        o = np.stack([stark_kernel(tb, l, grid.k_max) for l in range(2 * grid.k_max + 1)])
-        s_probe = slab @ o  # (n_zeros, n_probes)
-        weights = np.exp(1j * (a / (2.0 * b)) * alphas ** 2)
-        theta_mat = _theta_matrix(uniq, alphas, zeros, v, params, grid.omega)
-        if m_sum == 0 or not params.has_offsets:
-            series = (weights[:, None] * s_probe) * theta_mat[:, inv]
-            out = series.sum(axis=0)
-        else:
-            chain_r = bessel_jn_chain(params.mu1 * uniq / b, m_sum)
-            chain_om = bessel_jn_chain(np.array([params.mu2 * grid.omega / b]), m_sum)[:, 0]
-            chain_al = bessel_jn_chain(params.mu1 * alphas / b, m_sum)
-            out = np.zeros(rb.size, dtype=complex)
-            for m in range(0, m_sum + 1, 2):
-                factor = 1.0 if m == 0 else 2.0
-                term = ((weights * chain_al[m])[:, None] * s_probe) * theta_mat[:, inv]
-                out += factor * chain_om[m] ** 2 * chain_r[m][inv] * term.sum(axis=0)
-        out = _series_prefactor(v, params, prefactor) * out
-        out = out * np.exp(-1j * (a / (2.0 * b)) * rb ** 2)
-        res = out.reshape(shape)
-        return complex(res[()]) if shape == () else res
-
-    res = out.reshape(shape)
-    return complex(res[()]) if shape == () else res
+    _check_mode(sample_set.grid, mode, ("theorem1", "theorem2"), "reconstruct_field")
+    return _reconstruct(sample_set, params, m_sum, r, theta, params.a, -params.a,
+                        params.mu1, params.mu2, prefactor)
 
 
 def reconstruct_spectrum(sample_set: SampleSet, mode: str, params: OffsetParams,
@@ -425,81 +395,18 @@ def reconstruct_spectrum(sample_set: SampleSet, mode: str, params: OffsetParams,
     """Transform values from spectrum samples at normalized zeros.
 
     The support radius stored in the grid acts as the band limit of the
-    inverse-domain series.  `inner_chirp` selects which printed convention
-    dechirps the samples: "spectral" uses e^{-i d alpha^2 / 2b} (mirror of
-    the outer factor), "spatial" the e^{-i a alpha^2 / 2b} variant; the
-    offset-free oracle identifies the self-consistent one.
+    inverse-domain series, and mu1, mu2 trade places in the side-order
+    chains.  `inner_chirp` selects which printed convention dechirps the
+    samples: "spectral" uses e^{-i d alpha^2 / 2b} (mirror of the outer
+    factor), "spatial" the e^{-i a alpha^2 / 2b} variant; the offset-free
+    oracle identifies the self-consistent one.
     """
-    grid = sample_set.grid
-    if mode != grid.mode:
-        raise ValueError(f"grid was built for {grid.mode!r}, not {mode!r}")
-    if mode not in ("corollary1", "corollary2"):
-        raise ValueError("reconstruct_spectrum handles 'corollary1' and 'corollary2'")
+    _check_mode(sample_set.grid, mode, ("corollary1", "corollary2"), "reconstruct_spectrum")
     if inner_chirp not in _INNER_CHIRPS:
         raise ValueError(f"inner_chirp must be one of {_INNER_CHIRPS}")
-    rho = np.asarray(rho, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    shape = np.broadcast(rho, phi).shape
-    pb = np.broadcast_to(rho, shape).ravel()
-    fb = np.broadcast_to(phi, shape).ravel()
-    uniq, inv = np.unique(pb, return_inverse=True)
-    b, d = params.b, params.d
-    inner_rate = d if inner_chirp == "spectral" else params.a
-    support = grid.omega
-    out = np.zeros(pb.size, dtype=complex)
-
-    def dechirp(alphas):
-        return np.exp(-1j * (inner_rate / (2.0 * b)) * alphas ** 2)
-
-    if mode == "corollary1":
-        for n in range(-grid.k_max, grid.k_max + 1):
-            w = grid.radial_orders[n]
-            zeros = grid.order_zeros(n)
-            alphas = grid.alphas(n)
-            hn = _coefficient_samples(sample_set, n) * dechirp(alphas)
-            series = _spectral_series(hn, alphas, zeros, w, params, support, m_sum, uniq)
-            out += _series_prefactor(w, params, prefactor) * series[inv] * np.exp(1j * n * fb)
-    else:
-        v = grid.radial_orders[0]
-        zeros = grid.order_zeros(0)
-        alphas = grid.alphas(0)
-        slab = sample_set.slab(0)
-        o = np.stack([stark_kernel(fb, l, grid.k_max) for l in range(2 * grid.k_max + 1)])
-        s_probe = slab @ o
-        hw = dechirp(alphas)[:, None] * s_probe
-        theta_mat = _theta_matrix(uniq, alphas, zeros, v, params, support)
-        if m_sum == 0 or not params.has_offsets:
-            out = (hw * theta_mat[:, inv]).sum(axis=0)
-        else:
-            chain_r = bessel_jn_chain(params.mu2 * uniq / b, m_sum)
-            chain_om = bessel_jn_chain(np.array([params.mu1 * support / b]), m_sum)[:, 0]
-            chain_al = bessel_jn_chain(params.mu2 * alphas / b, m_sum)
-            out = np.zeros(pb.size, dtype=complex)
-            for m in range(0, m_sum + 1, 2):
-                factor = 1.0 if m == 0 else 2.0
-                term = (chain_al[m][:, None] * hw) * theta_mat[:, inv]
-                out += factor * chain_om[m] ** 2 * chain_r[m][inv] * term.sum(axis=0)
-        out = _series_prefactor(v, params, prefactor) * out
-    out = out * np.exp(1j * (d / (2.0 * b)) * pb ** 2)
-    res = out.reshape(shape)
-    return complex(res[()]) if shape == () else res
-
-
-def _spectral_series(weights, alphas, zeros, order, params, support, m_sum, rho):
-    """Radial series in the transform domain: mu roles swap relative to the
-    field-domain series."""
-    theta_mat = _theta_matrix(rho, alphas, zeros, order, params, support)
-    if m_sum == 0 or not params.has_offsets:
-        return weights @ theta_mat
-    b = params.b
-    chain_r = bessel_jn_chain(params.mu2 * rho / b, m_sum)
-    chain_om = bessel_jn_chain(np.array([params.mu1 * support / b]), m_sum)[:, 0]
-    chain_al = bessel_jn_chain(params.mu2 * alphas / b, m_sum)
-    out = np.zeros(rho.shape, dtype=complex)
-    for m in range(0, m_sum + 1, 2):
-        factor = 1.0 if m == 0 else 2.0
-        out += factor * chain_om[m] ** 2 * chain_r[m] * ((weights * chain_al[m]) @ theta_mat)
-    return out
+    inner_rate = params.d if inner_chirp == "spectral" else params.a
+    return _reconstruct(sample_set, params, m_sum, rho, phi, -inner_rate, params.d,
+                        params.mu2, params.mu1, prefactor)
 
 
 # --------------------------------------------------------------------------

@@ -146,6 +146,11 @@ def test_domain_errors():
         bessel_j(-0.75, 1.0)
     with pytest.raises(ValueError):
         bessel_j(0, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            bessel_j(0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            bessel_jn_chain(np.array([1.0, bad]), 4)
     with pytest.raises(ValueError):
         bessel_zero(0, 0)
     with pytest.raises(ValueError):

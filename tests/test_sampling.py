@@ -13,7 +13,6 @@ from polar_olct import (
     ZeroTable,
     default_m_sum,
     random_spectrum,
-    reconstruct_coefficient,
     reconstruct_field,
     reconstruct_isotropic,
     reconstruct_spectrum,
@@ -76,6 +75,10 @@ def test_stark_interpolate_basics():
     assert abs(probe - cmath.exp(1j * K * 0.37)) < 1e-12
     reproduced = stark_interpolate(vals, nodes, K)
     assert np.max(np.abs(reproduced - vals)) < 1e-12
+    grid_th = np.linspace(-np.pi, np.pi, 12).reshape(3, 4)
+    on_grid = stark_interpolate(vals, grid_th, K)
+    assert on_grid.shape == (3, 4)
+    assert np.max(np.abs(on_grid - np.exp(1j * K * grid_th))) < 1e-12
     with pytest.raises(ValueError):
         stark_interpolate(np.ones(4), 0.0, K)
     with pytest.raises(ValueError):
@@ -132,6 +135,22 @@ def test_theta_kernel_matches_direct_formula():
     assert abs(0.5 * (lo + hi) - 1.0) < 1e-8
     with pytest.raises(ValueError):
         theta_kernel(r, 1.1 * alpha, z[0], 0, params, omega)
+
+
+def test_theta_kernel_array_samples(offset_params):
+    order, omega = 1, np.pi
+    z = ZeroTable.for_order(order, 6).zeros[:6].reshape(2, 3)
+    alpha = offset_params.b * z / omega
+    r = np.linspace(0.05, 2.5, 8).reshape(2, 4)
+    mat = theta_kernel(r, alpha, z, order, offset_params, omega)
+    assert mat.shape == (2, 3, 2, 4)
+    for idx in np.ndindex(alpha.shape):
+        row = theta_kernel(r, alpha[idx], z[idx], order, offset_params, omega)
+        assert np.max(np.abs(mat[idx] - row)) <= 1e-14
+    bad = alpha.copy()
+    bad[1, 2] *= 1.1
+    with pytest.raises(ValueError):
+        theta_kernel(r, bad, z, order, offset_params, omega)
 
 
 def test_default_m_sum(rot, offset_params):
@@ -226,7 +245,7 @@ def test_alternating_prefactor_flips_odd_orders(lct):
     assert np.max(np.abs(alt + unit)) < 1e-12 * max(np.max(np.abs(unit)), 1e-30)
 
 
-def test_reconstruct_coefficient_order_one(rot):
+def test_reconstruct_isotropic_order_one(rot):
     omega = np.pi
     spec = random_spectrum(omega, 1, 3, seed=44)
     field = synthesize(spec, rot)
@@ -234,9 +253,9 @@ def test_reconstruct_coefficient_order_one(rot):
     alphas = rot.b * zeros / omega
     samples = field.coefficient(1)(alphas)
     r = np.linspace(0.05, 0.9 * alphas[-1], 150)
-    rec = reconstruct_coefficient(samples, 1, rot, omega, 0, r)
+    rec = reconstruct_isotropic(samples, 1, rot, omega, 0, r)
     assert rel_err(rec, field.coefficient(1)(r)) <= 1e-6
-    rec_at = reconstruct_coefficient(samples, 1, rot, omega, 0, alphas[7])
+    rec_at = reconstruct_isotropic(samples, 1, rot, omega, 0, alphas[7])
     assert abs(rec_at - samples[7]) <= 1e-9 * max(np.max(np.abs(samples)), 1e-30)
 
 
