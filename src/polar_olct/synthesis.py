@@ -121,17 +121,14 @@ class PolarField:
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
         shape = np.broadcast(r, theta).shape
-        rb = np.broadcast_to(r, shape)
-        tb = np.broadcast_to(theta, shape)
-        flat_r = rb.ravel()
-        # profile evaluation is vectorized over unique radii
-        uniq, inv = np.unique(flat_r, return_inverse=True)
-        out = np.zeros(flat_r.size, dtype=complex)
+        # profiles on the unique radii of r and phases on theta, each as
+        # passed, so a tensor grid costs one profile call per radius
+        uniq, inv = np.unique(r.ravel(), return_inverse=True)
+        out = np.zeros(shape, dtype=complex)
         for n in sorted(self.coefficients):
-            prof = np.asarray(self.coefficients[n](uniq), dtype=complex)[inv]
-            out += prof * np.exp(1j * n * tb.ravel())
-        res = out.reshape(shape)
-        return complex(res[()]) if shape == () else res
+            prof = np.asarray(self.coefficients[n](uniq), dtype=complex)[inv].reshape(r.shape)
+            out += prof * np.exp(1j * n * theta)
+        return complex(out[()]) if shape == () else out
 
     __call__ = evaluate
 

@@ -1,10 +1,13 @@
 """Polar offset canonical transforms by direct quadrature.
 
 The forward map is the double integral with the full oscillatory kernel; it
-is the module's ground truth.  The radial direction uses composite
-Gauss-Legendre panels sized to the local chirp rate, the azimuthal direction
-a uniform trapezoid rule evaluated as a circular convolution (the FFT only
-reorders the trapezoid arithmetic).  Everything else here - the FT route,
+is the module's ground truth.  The radial direction uses composite 16-node
+Gauss-Legendre panels under error control: each panel is compared with its
+two halves and only the panels that disagree by more than 1e-11 of max|F|
+are split, so nodes go where the integrand oscillates (a refinement that
+does not converge raises QuadratureAccuracyError).  The azimuthal direction
+is a uniform trapezoid rule evaluated as a circular convolution (the FFT
+only reorders the trapezoid arithmetic).  Everything else here - the FT route,
 the Hankel-type radial transforms, the angular series - is an algebraic
 rearrangement of the same integral and serves as a cross-check oracle.
 """
@@ -41,10 +44,22 @@ __all__ = [
 _NODES_PER_PANEL = 16
 _DEFAULT_RADIAL_NODES = 256
 _DEFAULT_AZIMUTH_NODES = 512
+# adaptive radial rule of olct_forward: initial uniform panels, the accepted
+# halves-vs-whole deviation relative to max|F|, and the most halvings of an
+# initial panel
+_INITIAL_PANELS = 16
+_PANEL_RTOL = 1e-11
+_MAX_DEPTH = 12
+# elements (rows x azimuths) in one batch of kernel work arrays
+_CHUNK = 8e6
 
 
 class QuadratureAccuracyError(RuntimeError):
-    """Node-doubled refinement disagreed with the base result."""
+    """A refined quadrature disagreed with the base result beyond tolerance.
+
+    `value` is the base result and `refined` the refined one; their
+    difference is the error estimate quoted in the message.
+    """
 
     def __init__(self, message: str, value, refined):
         super().__init__(message)
@@ -57,16 +72,28 @@ def _panel_rule():
     return np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
 
 
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray):
+    """Gauss-Legendre nodes/weights of the panels [lo[p], hi[p]], panel-major."""
+    xg, wg = _panel_rule()
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return (mid[:, None] + half[:, None] * xg[None, :]).ravel(), (half[:, None] * wg[None, :]).ravel()
+
+
+def _halve(lo: np.ndarray, hi: np.ndarray):
+    """Both halves of each panel [lo[p], hi[p]]: all left halves, then all right."""
+    mid = 0.5 * (lo + hi)
+    return np.concatenate([lo, mid]), np.concatenate([mid, hi])
+
+
+def _uniform_edges(r_max: float, n_nodes: int) -> np.ndarray:
+    return np.linspace(0.0, r_max, max(1, int(math.ceil(n_nodes / _NODES_PER_PANEL))) + 1)
+
+
 def radial_rule(r_max: float, n_nodes: int):
     """Composite Gauss-Legendre nodes/weights on [0, r_max]."""
-    n_panels = max(1, int(math.ceil(n_nodes / _NODES_PER_PANEL)))
-    xg, wg = _panel_rule()
-    edges = np.linspace(0.0, r_max, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    return nodes, weights
+    edges = _uniform_edges(r_max, n_nodes)
+    return _panel_nodes(edges[:-1], edges[1:])
 
 
 def _radial_node_count(bundle: KernelParams, r_max: float, rho_max: float,
@@ -144,38 +171,103 @@ def _as_field_callable(field):
     return field.evaluate
 
 
-def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
-                       r_max: float, n_radial: int, n_azimuth: int) -> np.ndarray:
-    """Transform values on (rho_nodes x uniform azimuth grid of n_azimuth)."""
+def _panel_spectra(field, bundle: KernelParams, rho_nodes: np.ndarray,
+                   lo: np.ndarray, hi: np.ndarray, n_azimuth: int):
+    """Yield, batch by batch, each panel's share of the transform.
+
+    Entry [p, k] is the DFT over the n_azimuth quadrature azimuths of the
+    panel [lo[p], hi[p]]'s contribution at rho_nodes[k], before the output
+    phase and normalization.  A batch's rows x azimuths stay under _CHUNK.
+    """
     a, b = bundle.a, bundle.b
-    mu1, mu2 = bundle.mu1, bundle.mu2
-    r, wr = radial_rule(r_max, n_radial)
+    mu1 = bundle.mu1
     th = -np.pi + 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
     wth = 2.0 * np.pi / n_azimuth
-    norm = bundle.ell1 / (2.0 * np.pi * abs(b))
     # kernel argument lives on the difference-angle grid psi = theta - phi,
-    # even in psi, so the azimuth integral is a circular convolution
-    cos_psi = np.cos(2.0 * np.pi * np.arange(n_azimuth) / n_azimuth)
-
-    out = np.zeros((rho_nodes.size, n_azimuth), dtype=complex)
-    chunk = max(_NODES_PER_PANEL, int(8e6 // n_azimuth))
-    for s in range(0, r.size, chunk):
-        rc = r[s:s + chunk]
-        wc = wr[s:s + chunk]
-        base = np.asarray(field(rc[:, None], th[None, :]), dtype=complex)
-        base = base * np.exp(1j * (a / (2.0 * b)) * rc[:, None] ** 2)
+    # even in psi, so the azimuth integral is a circular convolution and
+    # the kernel need only be evaluated on psi in [0, pi]
+    h = n_azimuth // 2 + 1
+    cos_psi = np.cos(2.0 * np.pi * np.arange(h) / n_azimuth)
+    per_batch = max(1, int(_CHUNK // (_NODES_PER_PANEL * n_azimuth)))
+    for s in range(0, lo.size, per_batch):
+        r, wr = _panel_nodes(lo[s:s + per_batch], hi[s:s + per_batch])
+        base = np.asarray(field(r[:, None], th[None, :]), dtype=complex)
+        if not np.all(np.isfinite(base)):
+            raise ValueError("field returned non-finite values")
+        base = base * np.exp(1j * (a / (2.0 * b)) * r[:, None] ** 2)
         if mu1 != 0.0:
-            base = base * np.exp(1j * (mu1 / b) * rc[:, None] * np.sin(th[None, :] + bundle.phi1))
-        base *= ((rc * wc)[:, None] * wth)
+            base = base * np.exp(1j * (mu1 / b) * r[:, None] * np.sin(th[None, :] + bundle.phi1))
+        base *= ((r * wr)[:, None] * wth)
         base_hat = np.fft.fft(base, axis=1)
-        W = rc[:, None] * cos_psi[None, :]
+        W = r[:, None] * cos_psi[None, :]
+        kk = np.empty((r.size, n_azimuth), dtype=complex)
+        out = np.empty((r.size // _NODES_PER_PANEL, rho_nodes.size, n_azimuth), dtype=complex)
         for k, rho in enumerate(rho_nodes):
-            kern_hat = np.fft.fft(np.exp(-1j * (rho / b) * W), axis=1)
-            out[k] += np.fft.ifft(np.sum(base_hat * kern_hat, axis=0))
-    pref = norm * np.exp(1j * bundle.d * rho_nodes ** 2 / (2.0 * b))[:, None]
-    if mu2 != 0.0:
-        pref = pref * np.exp(-1j * (rho_nodes[:, None] * mu2 / b) * np.sin(th[None, :] + bundle.phi2))
-    return pref * out
+            np.exp(-1j * (rho / b) * W, out=kk[:, :h])
+            kk[:, h:] = kk[:, n_azimuth - h:0:-1]
+            kern_hat = np.fft.fft(kk, axis=1)
+            kern_hat *= base_hat
+            out[:, k] = kern_hat.reshape(-1, _NODES_PER_PANEL, n_azimuth).sum(axis=1)
+        yield out
+
+
+def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
+                       lo: np.ndarray, hi: np.ndarray, n_azimuth: int, refine: bool):
+    """Transform values on (rho_nodes x uniform azimuth grid of n_azimuth),
+    and the panels (lo, hi) of the radial rule that produced them.
+
+    Without `refine` the panels given are the rule.  With it each panel's
+    value is compared with the sum of its two halves; where the two differ
+    by at most _PANEL_RTOL * max|F| over every output point the halves are
+    accepted, otherwise the halves become the panels of the next level.
+    A panel still unresolved after _MAX_DEPTH halvings raises
+    QuadratureAccuracyError.
+    """
+    b = bundle.b
+    th = -np.pi + 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
+    pref = bundle.ell1 / (2.0 * np.pi * abs(b)) * np.exp(1j * bundle.d * rho_nodes ** 2 / (2.0 * b))[:, None]
+    if bundle.mu2 != 0.0:
+        pref = pref * np.exp(-1j * (rho_nodes[:, None] * bundle.mu2 / b) * np.sin(th[None, :] + bundle.phi2))
+
+    def finish(total):
+        return pref * np.fft.ifft(total, axis=-1)
+
+    def spectra(lo, hi):
+        parts = list(_panel_spectra(field, bundle, rho_nodes, lo, hi, n_azimuth))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    if not refine:
+        total = sum(part.sum(axis=0) for part in
+                    _panel_spectra(field, bundle, rho_nodes, lo, hi, n_azimuth))
+        return finish(total), (lo, hi)
+
+    total = np.zeros((rho_nodes.size, n_azimuth), dtype=complex)
+    kept_lo, kept_hi = [], []
+    whole = spectra(lo, hi)
+    for depth in range(1, _MAX_DEPTH + 1):
+        n = lo.size
+        lo, hi = _halve(lo, hi)
+        halves = spectra(lo, hi)
+        if depth == 1:
+            scale = np.max(np.abs(np.fft.ifft(halves.sum(axis=0), axis=-1)), initial=0.0)
+        # whole minus halves, in place and then in the phi domain
+        whole -= halves[:n]
+        whole -= halves[n:]
+        diff = np.fft.ifft(whole, axis=-1, out=whole)
+        dev = np.max(np.abs(diff), axis=(1, 2), initial=0.0)
+        ok = np.tile(dev <= _PANEL_RTOL * scale, 2)
+        total += halves[ok].sum(axis=0)
+        kept_lo.append(lo[ok])
+        kept_hi.append(hi[ok])
+        if ok.all():
+            return finish(total), (np.concatenate(kept_lo), np.concatenate(kept_hi))
+        if depth == _MAX_DEPTH:
+            refined = finish(total + halves[~ok].sum(axis=0))
+            raise QuadratureAccuracyError(
+                f"olct_forward: radial panels unresolved after {depth} halvings; "
+                f"halves differ by {dev.max() / scale:.3e} of max|F| (> {_PANEL_RTOL:.0e})",
+                refined + pref * diff[~ok[:n]].sum(axis=0), refined)
+        lo, hi, whole = lo[~ok], hi[~ok], halves[~ok]
 
 
 def _subsample(values: np.ndarray, n_azimuth: int, n_phi: int) -> np.ndarray:
@@ -184,17 +276,9 @@ def _subsample(values: np.ndarray, n_azimuth: int, n_phi: int) -> np.ndarray:
     return values[:, :: n_azimuth // n_phi]
 
 
-def _verify(label, run, base_args, tol):
-    value = run(*base_args)
-    n_radial, n_azimuth = base_args[-2], base_args[-1]
-    refined = run(*base_args[:-2], 2 * n_radial, 2 * n_azimuth)
-    scale = float(np.max(np.abs(refined))) or 1.0
-    dev = float(np.max(np.abs(value - refined))) / scale
-    if dev > 10.0 * tol:
-        raise QuadratureAccuracyError(
-            f"{label}: node-doubled result differs by {dev:.3e} (> 10 x {tol:.1e})",
-            value, refined)
-    return value
+def _check_r_max(r_max: float) -> None:
+    if not (math.isfinite(r_max) and r_max > 0.0):
+        raise ValueError(f"r_max must be finite and positive, got {r_max!r}")
 
 
 def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
@@ -204,24 +288,40 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
 
     `field` is a callable f(r, theta) accepting broadcast arrays, or an
     object with such an `evaluate` method; it must be negligible beyond
-    `r_max`.  When `verify_tol` is given the quadrature is repeated with
-    doubled nodes and a QuadratureAccuracyError raised on disagreement.
+    `r_max` and finite on [0, r_max] (non-finite values raise ValueError).
+
+    With `n_radial` the radial rule is `n_radial` nodes of uniform 16-node
+    Gauss-Legendre panels.  Without it the rule is chosen by error control:
+    starting from 16 uniform panels, each panel is compared with its two
+    halves and split until the two agree to 1e-11 of max|F| at every output
+    point; a panel still unresolved after 12 halvings (a jump or an
+    unresolvable oscillation) raises QuadratureAccuracyError with the
+    estimate.  When `verify_tol` is given the quadrature is repeated with
+    every panel of the rule split once more and twice the azimuth nodes,
+    and a QuadratureAccuracyError raised if the two differ by more than
+    10 x verify_tol relative.
     """
+    _check_r_max(r_max)
     f = _as_field_callable(field)
     rho_max = float(grid.rho.max()) if grid.rho.size else 0.0
-    nr = n_radial or _radial_node_count(params, r_max, rho_max)
     na = n_azimuth or _azimuth_node_count(params, r_max, rho_max)
     if na % grid.n_phi:
         na = grid.n_phi * int(math.ceil(na / grid.n_phi))
-
-    def run(f, bundle, rho, r_max, nr, na):
-        return _subsample(_kernel_quadrature(f, bundle, rho, r_max, nr, na), na, grid.n_phi)
-
-    args = (f, params, grid.rho, r_max, nr, na)
-    if verify_tol is None:
-        values = run(*args)
-    else:
-        values = _verify("olct_forward", run, args, verify_tol)
+    edges = _uniform_edges(r_max, n_radial) if n_radial else \
+        np.linspace(0.0, r_max, _INITIAL_PANELS + 1)
+    full, (lo, hi) = _kernel_quadrature(f, params, grid.rho, edges[:-1], edges[1:], na,
+                                        refine=not n_radial)
+    values = _subsample(full, na, grid.n_phi)
+    if verify_tol is not None:
+        refined, _ = _kernel_quadrature(f, params, grid.rho, *_halve(lo, hi), 2 * na,
+                                        refine=False)
+        refined = _subsample(refined, 2 * na, grid.n_phi)
+        scale = float(np.max(np.abs(refined))) or 1.0
+        dev = float(np.max(np.abs(values - refined))) / scale
+        if dev > 10.0 * verify_tol:
+            raise QuadratureAccuracyError(
+                f"olct_forward: split-panel result differs by {dev:.3e} (> 10 x {verify_tol:.1e})",
+                values, refined)
     return SpectrumField(values, grid, params)
 
 
@@ -314,12 +414,12 @@ def olct_via_ft(field, params: OffsetParams, grid: PolarGrid, *,
             mod = mod * np.exp(1j * (mu1 / b) * r * np.sin(th + params.phi1))
         return f(r, th) * mod
 
+    _check_r_max(r_max)
     ft_params = OffsetParams(0.0, 1.0, -1.0, 0.0)
     inner = PolarGrid(grid.rho / b, grid.n_phi)
     rho_max = float(grid.rho.max()) if grid.rho.size else 0.0
-    nr = n_radial or _radial_node_count(params, r_max, rho_max)
     na = n_azimuth or _azimuth_node_count(params, r_max, rho_max)
-    ft = olct_forward(f_tilde, ft_params, inner, r_max=r_max, n_radial=nr, n_azimuth=na)
+    ft = olct_forward(f_tilde, ft_params, inner, r_max=r_max, n_radial=n_radial, n_azimuth=na)
 
     phase = np.exp(1j * (d / (2.0 * b)) * grid.rho[:, None] ** 2)
     phase = phase * np.exp(-1j * (grid.rho[:, None] * mu2 / b) * np.sin(grid.phi[None, :] + params.phi2))

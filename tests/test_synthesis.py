@@ -121,6 +121,32 @@ def test_evaluate_periodicity_and_spot_value(rot, make_field):
     assert abs(f.evaluate(0.7, 1.1) - manual) < 1e-12
 
 
+def test_evaluate_separable_matches_broadcast_reference(lct, make_field):
+    f = make_field(lct, k_max=2, seed=36)
+
+    def reference(r, theta):
+        # every point broadcast to the full grid, profiles on its unique radii
+        shape = np.broadcast(r, theta).shape
+        flat_r = np.broadcast_to(r, shape).ravel()
+        flat_t = np.broadcast_to(theta, shape).ravel()
+        uniq, inv = np.unique(flat_r, return_inverse=True)
+        out = np.zeros(flat_r.size, dtype=complex)
+        for n in sorted(f.coefficients):
+            out += np.asarray(f.coefficient(n)(uniq), dtype=complex)[inv] * np.exp(1j * n * flat_t)
+        return out.reshape(shape)
+
+    r = np.linspace(0.0, 30.0, 77)
+    t = np.linspace(-np.pi, np.pi, 52, endpoint=False)
+    rng = np.random.default_rng(4)
+    scattered = (rng.uniform(0.0, 30.0, 40), rng.uniform(-np.pi, np.pi, 40))
+    for args in ((r[:, None], t[None, :]), np.meshgrid(r, t, indexing="ij"),
+                 np.meshgrid(r, t), scattered):
+        got = f.evaluate(*args)
+        want = reference(*args)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_angular_bandlimit(rot, make_field):
     f = make_field(rot, k_max=2, seed=34)
     coeffs = fourier_coefficients(f, 5)

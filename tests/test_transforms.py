@@ -16,7 +16,9 @@ from polar_olct import (
     olcht_forward,
     olcht_inverse,
     parseval_residual,
+    random_spectrum,
     spectral_grid,
+    synthesize,
 )
 from polar_olct.transforms import radial_rule
 
@@ -305,3 +307,83 @@ def test_bandlimit_preservation(lct, make_field):
         peak = np.max(np.abs(olcht_forward(prof, abs(n), lct, inside, r_max=400.0)))
         tail = np.max(np.abs(olcht_forward(prof, abs(n), lct, outside, r_max=400.0)))
         assert tail <= 1e-6 * peak
+
+
+def test_non_finite_input_rejected(lct):
+    grid = PolarGrid(np.array([0.5]), 4)
+    nan_field = lambda r, t: np.full(np.broadcast(r, t).shape, np.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        olct_forward(nan_field, lct, grid, r_max=5.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        olct_via_ft(nan_field, lct, grid, r_max=5.0, n_radial=32)
+    gauss = lambda r, t: np.exp(-np.asarray(r) ** 2) + 0.0 * np.asarray(t)
+    for r_max in (np.inf, np.nan, 0.0, -3.0):
+        for transform in (olct_forward, olct_via_ft):
+            with pytest.raises(ValueError, match="r_max"):
+                transform(gauss, lct, grid, r_max=r_max)
+
+
+def chirped_gaussian(s, c0, c1):
+    return lambda r, th: np.exp(-r * r / (2.0 * s * s)) * (c0 + c1 * (r / s) * np.exp(1j * th))
+
+
+def chirped_gaussian_transform(p, s, c0, c1, rho, phi):
+    # angular integrals 2 pi J_0(k r), -2 pi i e^{i phi} J_1(k r) with
+    # k = rho/b, then Gaussian moments in r with q = 1/2s^2 - i a/2b
+    k = rho / p.b
+    q = 1.0 / (2.0 * s * s) - 1j * p.a / (2.0 * p.b)
+    g = np.exp(-k * k / (4.0 * q))
+    body = c0 * g / (2.0 * q) - 1j * c1 * np.exp(1j * phi) * k * g / (4.0 * q * q * s)
+    return (p.ell1 / p.b) * np.exp(1j * p.d * rho * rho / (2.0 * p.b)) * body
+
+
+CHIRP_GRID = PolarGrid(np.linspace(0.1, 2.0, 10), 16)
+CHIRP_COEFFS = (0.6 - 0.3j, -0.4 + 0.5j)
+
+
+def test_adaptive_resolves_chirped_gaussian(lct):
+    s = 10.0
+    truth = chirped_gaussian_transform(lct, s, *CHIRP_COEFFS, CHIRP_GRID.rho[:, None],
+                                       CHIRP_GRID.phi[None, :])
+    got = olct_forward(chirped_gaussian(s, *CHIRP_COEFFS), lct, CHIRP_GRID, r_max=80.0)
+    assert rel_err(got.values, truth) < 1e-12
+
+
+def test_adaptive_matches_fine_uniform_rule(lct):
+    f = synthesize(random_spectrum(4.0, 2, 3, seed=3), lct)
+    grid = PolarGrid(4.0 * np.linspace(0.02, 0.9, 20), 20)
+    # verify_tol re-runs with every accepted panel halved and twice the azimuths
+    auto = olct_forward(f, lct, grid, r_max=60.0, verify_tol=1e-12)
+    uniform = olct_forward(f, lct, grid, r_max=60.0, n_radial=2304)
+    assert rel_err(auto.values, uniform.values) < 1e-12
+
+
+def test_adaptive_jump_hits_depth_cap(lct):
+    step = lambda r, t: np.where(np.asarray(r) < 2.3, 1.0, 0.0) * np.exp(-np.asarray(r) ** 2) \
+        + 0.0 * np.asarray(t)
+    with pytest.raises(QuadratureAccuracyError, match="unresolved") as exc:
+        olct_forward(step, lct, PolarGrid(np.array([0.5, 1.0]), 8), r_max=5.0)
+    assert exc.value.value.shape == exc.value.refined.shape == (2, 512)
+
+
+class PointCounter:
+    """Field wrapper counting the points the quadrature asks for."""
+
+    def __init__(self, field):
+        self.field = field
+        self.points = 0
+
+    def __call__(self, r, theta):
+        self.points += np.broadcast(r, theta).size
+        return self.field(r, theta)
+
+
+def test_adaptive_node_budget(lct):
+    # the chirp-rate heuristic asked for 36,672 x 520 points on the
+    # criterion-8 field and 4,080 x 512 on the chirped Gaussian
+    f = PointCounter(synthesize(random_spectrum(1.0, 2, 3, seed=109), lct))
+    olct_forward(f, lct, PolarGrid(np.linspace(0.02, 0.9, 20), 20), r_max=240.0)
+    assert f.points <= 36672 * 520 // 8
+    g = PointCounter(chirped_gaussian(10.0, *CHIRP_COEFFS))
+    olct_forward(g, lct, CHIRP_GRID, r_max=80.0)
+    assert g.points <= 4080 * 512
