@@ -227,7 +227,10 @@ def _bessel_j_core(v: float, x: np.ndarray) -> np.ndarray:
 def bessel_j(order, x):
     """J_v(x) for v >= -1/2 and finite x >= 0.
 
-    Scalar or array `x`; absolute accuracy ~1e-13 for x up to 1e3.
+    Scalar or array `x`.  Validated against scipy.special.jv on x in
+    [0, 1e3]: absolute error ~1e-13 or better for orders v <= 10 (5e-14 at
+    v = 10).  Above that the error grows with the order, worst near
+    x = 2v: 2.5e-13 at v = 11, 1.3e-12 at 12, 1e-9 at 16, 8e-7 at 20.
     Raises ValueError off the supported domain, non-finite x included.
     """
     v = _as_order(order)
@@ -331,10 +334,7 @@ def _newton_polish(v: float, z: np.ndarray, iters: int = 30) -> np.ndarray:
     z = z.copy()
     for _ in range(iters):
         f = _bessel_j_core(v, z)
-        fp = 0.5 * (
-            (_bessel_j_signed_int(int(round(v)) - 1, z) if _is_integer(v) else _bessel_j_core(v - 1.0, z))
-            - _bessel_j_core(v + 1.0, z)
-        )
+        fp = bessel_j_prime(v, z)
         step = f / np.where(fp == 0.0, 1.0, fp)
         step = np.clip(step, -0.8, 0.8)
         z = z - step
@@ -344,33 +344,32 @@ def _newton_polish(v: float, z: np.ndarray, iters: int = 30) -> np.ndarray:
 
 
 def _scan_low_zeros(v: float, count: int) -> np.ndarray:
-    # Sign-change scan for the first few zeros where McMahon can be off.
+    # Sign-change scan on a 0.15 grid for the first zeros, where McMahon can
+    # be off: the grid up to McMahon(count + 1) + 2 in one call, doubled
+    # while it holds fewer than `count` zeros, then one joint bisection.
     lo = max(0.05, math.sqrt(max(v, 0.0) * (max(v, 0.0) + 2.0)) * 0.98)
-    found = []
-    step = 0.15
-    x_prev = lo
-    f_prev = _bessel_j_core(v, np.array([x_prev]))[0]
-    x = lo
-    guard = 0
-    while len(found) < count and guard < 20000:
-        guard += 1
-        x = x + step
-        f = _bessel_j_core(v, np.array([x]))[0]
-        if f_prev == 0.0:
-            found.append(x_prev)
-        elif f_prev * f < 0:
-            a, b = x_prev, x
-            fa = f_prev
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = _bessel_j_core(v, np.array([mid]))[0]
-                if fa * fm <= 0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            found.append(0.5 * (a + b))
-        x_prev, f_prev = x, f
-    return np.array(found[:count])
+    n = int(math.ceil((_mcmahon(v, np.array([count + 1.0]))[0] + 2.0 - lo) / 0.15)) + 1
+    x = f = np.empty(0)
+    while True:
+        new = lo + 0.15 * np.arange(x.size, min(max(n, x.size + 1), 20001))
+        x, f = np.concatenate([x, new]), np.concatenate([f, _bessel_j_core(v, new)])
+        exact = np.nonzero(f == 0.0)[0]
+        bracket = np.nonzero(f[:-1] * f[1:] < 0)[0]
+        if exact.size + bracket.size >= count or x.size > 20000:
+            break
+        n = 2 * x.size
+    a, b, fa = x[bracket], x[bracket + 1], f[bracket]
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        if np.all((mid == a) | (mid == b)):
+            break  # every bracket is down to adjacent floats
+        fm = _bessel_j_core(v, mid)
+        left = fa * fm <= 0
+        b = np.where(left, mid, b)
+        a, fa = np.where(left, a, mid), np.where(left, fa, fm)
+    # grid order: an exact zero at node i precedes the bracket [i, i+1]
+    order = np.argsort(np.concatenate([exact, bracket + 0.5]), kind="stable")
+    return np.concatenate([x[exact], 0.5 * (a + b)])[order][:count]
 
 
 def bessel_zeros(order, count: int) -> np.ndarray:

@@ -35,8 +35,10 @@ def lommel_kernel(alpha: float, r, c: float, order) -> np.ndarray:
     """Closed form of int_0^c J_v(alpha*rho) J_v(r*rho) rho d(rho) when
     alpha*c is a positive zero of J_v.
 
-    Equals c*alpha*J_{v+1}(alpha*c)*J_v(r*c)/(alpha^2 - r^2); the removable
-    point r = alpha takes its limit (c^2/2)*J_{v+1}(alpha*c)^2.
+    Equals c*alpha*J_{v+1}(alpha*c)*J_v(r*c)/(alpha^2 - r^2).  Within one
+    unit of r*c from the zero alpha*c, J_v(r*c)/(r*c - alpha*c) comes from
+    the Taylor series about the zero, smooth through the removable point
+    r = alpha (limit (c^2/2)*J_{v+1}(alpha*c)^2).
     """
     if alpha <= 0 or c <= 0:
         raise ValueError("alpha and c must be positive")
@@ -47,12 +49,27 @@ def lommel_kernel(alpha: float, r, c: float, order) -> np.ndarray:
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
     jnext = float(bessel_j(float(order) + 1.0, alpha * c))
-    num = c * alpha * jnext * bessel_j(order, r * c)
-    den = alpha * alpha - r * r
-    near = np.abs(r - alpha) < 1e-6 * alpha
-    out = np.where(near, 0.5 * c * c * jnext * jnext,
-                   num / np.where(den == 0.0, 1.0, den))
+    h = c * (r - alpha)
+    near = np.abs(h) < 1.0
+    quotient = np.empty(r.shape)  # J_v(r*c) / h
+    quotient[~near] = bessel_j(order, r[~near] * c) / h[~near]
+    quotient[near] = _zero_quotient(float(order), alpha * c, jnext, h[near])
+    out = -c * c * alpha * jnext * quotient / (alpha + r)
     return float(out[0]) if scalar else out
+
+
+def _zero_quotient(v: float, x: float, jnext: float, h: np.ndarray, terms: int = 24) -> np.ndarray:
+    """J_v(x + h) / h at a zero x of J_v, |h| <= 1, as a Taylor series.
+
+    y(k) = J_v^(k)(x) from Bessel's equation differentiated k times, with
+    y = 0 and y' = -J_{v+1}(x); the recursion's spurious solutions shrink
+    like (h/x)^k in the sum and the truncation error is below 1/24!.
+    """
+    y = [0.0, 0.0, 0.0, -jnext]  # y(k) is y[k + 2]
+    for k in range(terms - 1):
+        y.append(-((2 * k + 1) * x * y[k + 3] + (k * k + x * x - v * v) * y[k + 2]
+                   + 2 * k * x * y[k + 1] + k * (k - 1) * y[k]) / (x * x))
+    return np.polyval([y[k + 2] / math.factorial(k) for k in range(terms, 0, -1)], h)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
 """Polar offset canonical transforms by direct quadrature.
 
 The forward map is the double integral with the full oscillatory kernel; it
-is the module's ground truth.  The radial direction uses composite 16-node
-Gauss-Legendre panels under error control: each panel is compared with its
-two halves and only the panels that disagree by more than 1e-11 of max|F|
-are split, so nodes go where the integrand oscillates (a refinement that
-does not converge raises QuadratureAccuracyError).  The azimuthal direction
-is a uniform trapezoid rule evaluated as a circular convolution (the FFT
-only reorders the trapezoid arithmetic).  Everything else here - the FT route,
-the Hankel-type radial transforms, the angular series - is an algebraic
+is the module's ground truth.  Every radial integral here (kernel, Hankel-
+type transforms and inverse, strict series) uses one rule under error
+control: 16-node Gauss-Legendre panels, each compared with its two halves,
+and only the panels that disagree by more than 1e-11 of the largest output
+are split (a refinement that does not converge raises
+QuadratureAccuracyError).  The azimuthal direction is a uniform trapezoid
+rule evaluated as a circular convolution (the FFT only reorders the
+trapezoid arithmetic).  Everything else here - the FT route, the
+Hankel-type radial transforms, the angular series - is an algebraic
 rearrangement of the same integral and serves as a cross-check oracle.
 """
 
@@ -44,12 +45,15 @@ __all__ = [
 _NODES_PER_PANEL = 16
 _DEFAULT_RADIAL_NODES = 256
 _DEFAULT_AZIMUTH_NODES = 512
-# adaptive radial rule of olct_forward: initial uniform panels, the accepted
-# halves-vs-whole deviation relative to max|F|, and the most halvings of an
+# adaptive radial rule: initial uniform panels, the accepted halves-vs-whole
+# deviation relative to the largest output, and the most halvings of an
 # initial panel
 _INITIAL_PANELS = 16
 _PANEL_RTOL = 1e-11
 _MAX_DEPTH = 12
+# outputs below this share of the summed first-level panel magnitudes are
+# rounding-limited (~1e-16 of those), so they are resolved to 1e-14 of them
+_CANCELLATION = 1e-3
 # elements (rows x azimuths) in one batch of kernel work arrays
 _CHUNK = 8e6
 
@@ -86,23 +90,22 @@ def _halve(lo: np.ndarray, hi: np.ndarray):
     return np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
 
-def _uniform_edges(r_max: float, n_nodes: int) -> np.ndarray:
-    return np.linspace(0.0, r_max, max(1, int(math.ceil(n_nodes / _NODES_PER_PANEL))) + 1)
+def _initial_panels(r_max: float, n_radial: int | None):
+    """Panels (lo, hi) of the uniform rule with `n_radial` nodes, or the
+    first level of the adaptive rule when `n_radial` is None."""
+    n = max(1, int(math.ceil(n_radial / _NODES_PER_PANEL))) if n_radial else _INITIAL_PANELS
+    edges = np.linspace(0.0, r_max, n + 1)
+    return edges[:-1], edges[1:]
+
+
+def _per_panel(x: np.ndarray) -> np.ndarray:
+    """Sums of node-major rows over each panel's 16 consecutive nodes."""
+    return x.reshape((-1, _NODES_PER_PANEL) + x.shape[1:]).sum(axis=1)
 
 
 def radial_rule(r_max: float, n_nodes: int):
     """Composite Gauss-Legendre nodes/weights on [0, r_max]."""
-    edges = _uniform_edges(r_max, n_nodes)
-    return _panel_nodes(edges[:-1], edges[1:])
-
-
-def _radial_node_count(bundle: KernelParams, r_max: float, rho_max: float,
-                       base: int = _DEFAULT_RADIAL_NODES) -> int:
-    # >= ~2.5 nodes per radian of the fastest phase: chirp + kernel + offset.
-    b = abs(bundle.b)
-    chirp = 8.0 * (abs(bundle.a) / (2.0 * b)) * r_max ** 2 / math.pi
-    kernel = 8.0 * r_max * (rho_max + bundle.mu1) / (b * math.pi)
-    return max(base, int(math.ceil(chirp)), int(math.ceil(kernel)))
+    return _panel_nodes(*_initial_panels(r_max, n_nodes))
 
 
 def _azimuth_node_count(bundle: KernelParams, r_max: float, rho_max: float,
@@ -171,13 +174,80 @@ def _as_field_callable(field):
     return field.evaluate
 
 
-def _panel_spectra(field, bundle: KernelParams, rho_nodes: np.ndarray,
-                   lo: np.ndarray, hi: np.ndarray, n_azimuth: int):
-    """Yield, batch by batch, each panel's share of the transform.
+def _panel_quadrature(sums, width: int, lo: np.ndarray, hi: np.ndarray, *, refine: bool,
+                      name: str, measure=lambda x: x, pref=1.0):
+    """pref * measure(sum of the panel sums over the radial rule), and the
+    panels (lo, hi) of that rule.
 
-    Entry [p, k] is the DFT over the n_azimuth quadrature azimuths of the
-    panel [lo[p], hi[p]]'s contribution at rho_nodes[k], before the output
-    phase and normalization.  A batch's rows x azimuths stay under _CHUNK.
+    `sums(r, wr)` maps the nodes and weights of a run of panels to their
+    per-panel sums (panel axis first), in batches of at most
+    _CHUNK / (16 * width) panels.  `measure` is a linear map into the output
+    domain (it may work in place) where deviations are taken, relative to
+    the largest output or _CANCELLATION of the summed first-panel
+    magnitudes, whichever is larger.  Without `refine` the panels given are
+    the rule.  With it a panel whose halves agree with it to _PANEL_RTOL of
+    that scale at every output is replaced by them; the others are split
+    again, up to _MAX_DEPTH halvings (then QuadratureAccuracyError).
+    Non-finite sums raise ValueError.
+    """
+    per_batch = max(1, int(_CHUNK // (_NODES_PER_PANEL * width)))
+    non_finite = ValueError(f"{name}: the integrand has non-finite values")
+
+    def batches(lo, hi):
+        for s in range(0, lo.size, per_batch):
+            yield sums(*_panel_nodes(lo[s:s + per_batch], hi[s:s + per_batch]))
+
+    if not refine:
+        total = sum(part.sum(axis=0) for part in batches(lo, hi))
+        if not np.all(np.isfinite(total)):
+            raise non_finite
+        return pref * measure(total), (lo, hi)
+
+    def panel_sums(lo, hi):
+        parts = list(batches(lo, hi))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    total = 0.0
+    kept_lo, kept_hi = [], []
+    whole = panel_sums(lo, hi)
+    mass = np.max(np.abs(measure(whole.copy())).sum(axis=0), initial=0.0)
+    for depth in range(1, _MAX_DEPTH + 1):
+        n = lo.size
+        lo, hi = _halve(lo, hi)
+        halves = panel_sums(lo, hi)
+        if depth == 1:
+            scale = max(np.max(np.abs(measure(halves.sum(axis=0))), initial=0.0),
+                        _CANCELLATION * mass)
+        # whole minus halves, in place and then in the output domain
+        whole -= halves[:n]
+        whole -= halves[n:]
+        diff = measure(whole)
+        dev = np.max(np.abs(diff).reshape(n, -1), axis=1, initial=0.0)
+        if not np.all(np.isfinite(dev)):
+            raise non_finite
+        ok = np.tile(dev <= _PANEL_RTOL * scale, 2)
+        total = total + halves[ok].sum(axis=0)
+        kept_lo.append(lo[ok])
+        kept_hi.append(hi[ok])
+        if ok.all():
+            return pref * measure(total), (np.concatenate(kept_lo), np.concatenate(kept_hi))
+        if depth == _MAX_DEPTH:
+            refined = pref * measure(total + halves[~ok].sum(axis=0))
+            raise QuadratureAccuracyError(
+                f"{name}: radial panels unresolved after {depth} halvings; halves differ "
+                f"by {dev.max() / scale:.3e} of the output scale (> {_PANEL_RTOL:.0e})",
+                refined + pref * diff[~ok[:n]].sum(axis=0), refined)
+        lo, hi, whole = lo[~ok], hi[~ok], halves[~ok]
+
+
+def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
+                       lo: np.ndarray, hi: np.ndarray, n_azimuth: int, refine: bool):
+    """Transform values on (rho_nodes x uniform azimuth grid of n_azimuth),
+    and the panels (lo, hi) of the radial rule that produced them.
+
+    A panel's sum [p, k] is the DFT over the quadrature azimuths of its
+    contribution at rho_nodes[k]; the deviations of the adaptive rule are
+    taken after the inverse DFT, so they are bounded over phi.
     """
     a, b = bundle.a, bundle.b
     mu1 = bundle.mu1
@@ -188,12 +258,9 @@ def _panel_spectra(field, bundle: KernelParams, rho_nodes: np.ndarray,
     # the kernel need only be evaluated on psi in [0, pi]
     h = n_azimuth // 2 + 1
     cos_psi = np.cos(2.0 * np.pi * np.arange(h) / n_azimuth)
-    per_batch = max(1, int(_CHUNK // (_NODES_PER_PANEL * n_azimuth)))
-    for s in range(0, lo.size, per_batch):
-        r, wr = _panel_nodes(lo[s:s + per_batch], hi[s:s + per_batch])
+
+    def sums(r, wr):
         base = np.asarray(field(r[:, None], th[None, :]), dtype=complex)
-        if not np.all(np.isfinite(base)):
-            raise ValueError("field returned non-finite values")
         base = base * np.exp(1j * (a / (2.0 * b)) * r[:, None] ** 2)
         if mu1 != 0.0:
             base = base * np.exp(1j * (mu1 / b) * r[:, None] * np.sin(th[None, :] + bundle.phi1))
@@ -208,66 +275,22 @@ def _panel_spectra(field, bundle: KernelParams, rho_nodes: np.ndarray,
             kern_hat = np.fft.fft(kk, axis=1)
             kern_hat *= base_hat
             out[:, k] = kern_hat.reshape(-1, _NODES_PER_PANEL, n_azimuth).sum(axis=1)
-        yield out
+        return out
 
-
-def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
-                       lo: np.ndarray, hi: np.ndarray, n_azimuth: int, refine: bool):
-    """Transform values on (rho_nodes x uniform azimuth grid of n_azimuth),
-    and the panels (lo, hi) of the radial rule that produced them.
-
-    Without `refine` the panels given are the rule.  With it each panel's
-    value is compared with the sum of its two halves; where the two differ
-    by at most _PANEL_RTOL * max|F| over every output point the halves are
-    accepted, otherwise the halves become the panels of the next level.
-    A panel still unresolved after _MAX_DEPTH halvings raises
-    QuadratureAccuracyError.
-    """
-    b = bundle.b
-    th = -np.pi + 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
     pref = bundle.ell1 / (2.0 * np.pi * abs(b)) * np.exp(1j * bundle.d * rho_nodes ** 2 / (2.0 * b))[:, None]
     if bundle.mu2 != 0.0:
         pref = pref * np.exp(-1j * (rho_nodes[:, None] * bundle.mu2 / b) * np.sin(th[None, :] + bundle.phi2))
+    return _panel_quadrature(sums, n_azimuth, lo, hi, refine=refine, name="olct_forward",
+                             measure=lambda x: np.fft.ifft(x, axis=-1, out=x), pref=pref)
 
-    def finish(total):
-        return pref * np.fft.ifft(total, axis=-1)
 
-    def spectra(lo, hi):
-        parts = list(_panel_spectra(field, bundle, rho_nodes, lo, hi, n_azimuth))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    if not refine:
-        total = sum(part.sum(axis=0) for part in
-                    _panel_spectra(field, bundle, rho_nodes, lo, hi, n_azimuth))
-        return finish(total), (lo, hi)
-
-    total = np.zeros((rho_nodes.size, n_azimuth), dtype=complex)
-    kept_lo, kept_hi = [], []
-    whole = spectra(lo, hi)
-    for depth in range(1, _MAX_DEPTH + 1):
-        n = lo.size
-        lo, hi = _halve(lo, hi)
-        halves = spectra(lo, hi)
-        if depth == 1:
-            scale = np.max(np.abs(np.fft.ifft(halves.sum(axis=0), axis=-1)), initial=0.0)
-        # whole minus halves, in place and then in the phi domain
-        whole -= halves[:n]
-        whole -= halves[n:]
-        diff = np.fft.ifft(whole, axis=-1, out=whole)
-        dev = np.max(np.abs(diff), axis=(1, 2), initial=0.0)
-        ok = np.tile(dev <= _PANEL_RTOL * scale, 2)
-        total += halves[ok].sum(axis=0)
-        kept_lo.append(lo[ok])
-        kept_hi.append(hi[ok])
-        if ok.all():
-            return finish(total), (np.concatenate(kept_lo), np.concatenate(kept_hi))
-        if depth == _MAX_DEPTH:
-            refined = finish(total + halves[~ok].sum(axis=0))
-            raise QuadratureAccuracyError(
-                f"olct_forward: radial panels unresolved after {depth} halvings; "
-                f"halves differ by {dev.max() / scale:.3e} of max|F| (> {_PANEL_RTOL:.0e})",
-                refined + pref * diff[~ok[:n]].sum(axis=0), refined)
-        lo, hi, whole = lo[~ok], hi[~ok], halves[~ok]
+def _check_refined(value, refined, verify_tol: float, what: str) -> None:
+    """Raise QuadratureAccuracyError above 10 x verify_tol relative."""
+    scale = float(np.max(np.abs(refined))) or 1.0
+    dev = float(np.max(np.abs(value - refined))) / scale
+    if dev > 10.0 * verify_tol:
+        raise QuadratureAccuracyError(
+            f"{what} differs by {dev:.3e} (> 10 x {verify_tol:.1e})", value, refined)
 
 
 def _subsample(values: np.ndarray, n_azimuth: int, n_phi: int) -> np.ndarray:
@@ -291,15 +314,14 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     `r_max` and finite on [0, r_max] (non-finite values raise ValueError).
 
     With `n_radial` the radial rule is `n_radial` nodes of uniform 16-node
-    Gauss-Legendre panels.  Without it the rule is chosen by error control:
-    starting from 16 uniform panels, each panel is compared with its two
-    halves and split until the two agree to 1e-11 of max|F| at every output
-    point; a panel still unresolved after 12 halvings (a jump or an
-    unresolvable oscillation) raises QuadratureAccuracyError with the
-    estimate.  When `verify_tol` is given the quadrature is repeated with
-    every panel of the rule split once more and twice the azimuth nodes,
-    and a QuadratureAccuracyError raised if the two differ by more than
-    10 x verify_tol relative.
+    Gauss-Legendre panels.  Without it, starting from 16 uniform panels,
+    each panel is split until it agrees with its two halves to 1e-11 of
+    max|F| at every output point (1e-14 of the summed panel magnitudes
+    where F cancels below 1e-3 of them); a panel unresolved after 12
+    halvings raises QuadratureAccuracyError with the estimate.  With
+    `verify_tol` the quadrature is repeated with every panel split once
+    more and twice the azimuth nodes, raising QuadratureAccuracyError if
+    the two differ by more than 10 x verify_tol relative.
     """
     _check_r_max(r_max)
     f = _as_field_callable(field)
@@ -307,21 +329,14 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     na = n_azimuth or _azimuth_node_count(params, r_max, rho_max)
     if na % grid.n_phi:
         na = grid.n_phi * int(math.ceil(na / grid.n_phi))
-    edges = _uniform_edges(r_max, n_radial) if n_radial else \
-        np.linspace(0.0, r_max, _INITIAL_PANELS + 1)
-    full, (lo, hi) = _kernel_quadrature(f, params, grid.rho, edges[:-1], edges[1:], na,
-                                        refine=not n_radial)
+    full, (lo, hi) = _kernel_quadrature(f, params, grid.rho, *_initial_panels(r_max, n_radial),
+                                        na, refine=not n_radial)
     values = _subsample(full, na, grid.n_phi)
     if verify_tol is not None:
         refined, _ = _kernel_quadrature(f, params, grid.rho, *_halve(lo, hi), 2 * na,
                                         refine=False)
-        refined = _subsample(refined, 2 * na, grid.n_phi)
-        scale = float(np.max(np.abs(refined))) or 1.0
-        dev = float(np.max(np.abs(values - refined))) / scale
-        if dev > 10.0 * verify_tol:
-            raise QuadratureAccuracyError(
-                f"olct_forward: split-panel result differs by {dev:.3e} (> 10 x {verify_tol:.1e})",
-                values, refined)
+        _check_refined(values, _subsample(refined, 2 * na, grid.n_phi), verify_tol,
+                       "olct_forward: split-panel result")
     return SpectrumField(values, grid, params)
 
 
@@ -353,18 +368,15 @@ def olct_inverse(spectrum: SpectrumField, params: OffsetParams, r, theta,
     if wrho is None:
         raise ValueError("olct_inverse needs a quadrature grid (rho_weights); "
                          "build the spectrum on spectral_grid(...)")
+    if not np.all(np.isfinite(spectrum.values)):
+        raise ValueError("olct_inverse: the spectrum has non-finite values")
 
     out = _apply_inverse(spectrum.values, bundle, r, theta, rho, wrho, phi)
     if verify_tol is not None:
         # refinement along azimuth: drop every other node and compare
         coarse = _apply_inverse(spectrum.values[:, ::2], bundle, r, theta,
                                 rho, wrho, phi[::2])
-        scale = float(np.max(np.abs(out))) or 1.0
-        dev = float(np.max(np.abs(out - coarse))) / scale
-        if dev > 10.0 * verify_tol:
-            raise QuadratureAccuracyError(
-                f"olct_inverse: azimuth-halved result differs by {dev:.3e}",
-                out, coarse)
+        _check_refined(coarse, out, verify_tol, "olct_inverse: azimuth-halved result")
     return np.conj(params.sigma) * out
 
 
@@ -431,14 +443,29 @@ def olct_via_ft(field, params: OffsetParams, grid: PolarGrid, *,
 # radial (Hankel-type) transforms
 # --------------------------------------------------------------------------
 
+def _radial_quadrature(integrand, order, b: float, out: np.ndarray, pref, extent: float,
+                       n_radial: int | None, verify_tol: float | None, name: str) -> np.ndarray:
+    """pref * sum over the radial rule on [0, extent] of
+    integrand(s) J_v(s out / b) s ds: adaptive panels unless `n_radial`."""
+
+    def sums(s, ws):
+        g = np.asarray(integrand(s), dtype=complex) * s * ws
+        return _per_panel(bessel_j(order, s[:, None] * out[None, :] / b) * g[:, None])
+
+    value, (lo, hi) = _panel_quadrature(sums, out.size, *_initial_panels(extent, n_radial),
+                                        refine=not n_radial, name=name, pref=pref)
+    if verify_tol is not None:
+        refined, _ = _panel_quadrature(sums, out.size, *_halve(lo, hi), refine=False,
+                                       name=name, pref=pref)
+        _check_refined(value, refined, verify_tol, f"{name}: split-panel result")
+    return value
+
+
 def hankel_transform(radial, order, u, *, r_max: float = 40.0,
                      n_radial: int = _DEFAULT_RADIAL_NODES) -> np.ndarray:
-    """Classical order-v Hankel transform by quadrature."""
+    """Classical order-v Hankel transform by quadrature (uniform rule)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    r, wr = radial_rule(r_max, n_radial)
-    g = np.asarray(radial(r), dtype=complex) * r * wr
-    J = bessel_j(order, r[:, None] * u[None, :])
-    return J.T @ g
+    return _radial_quadrature(radial, order, 1.0, u, 1.0, r_max, n_radial, None, "hankel_transform")
 
 
 def olcht_forward(radial, order, params: OffsetParams, rho, *,
@@ -450,36 +477,26 @@ def olcht_forward(radial, order, params: OffsetParams, rho, *,
     `kernel="reduced"` resolves the normalization sums to their limit value 1
     and drops the order-indexed offset phase (both are exact for tau=eta=0);
     `kernel="strict"` keeps the truncated normalization sums so their effect
-    can be reported.
+    can be reported.  The radial rule, `n_radial`, `verify_tol` and the
+    non-finite check are olct_forward's, with max|H| over rho as the scale.
     """
     if kernel not in ("reduced", "strict"):
         raise ValueError("kernel must be 'reduced' or 'strict'")
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     a, b, d = params.a, params.b, params.d
-    rho_max = float(rho.max()) if rho.size else 0.0
+    strict = kernel == "strict"
 
-    def run(nr):
-        r, wr = radial_rule(r_max, nr)
-        g = np.asarray(radial(r), dtype=complex) * np.exp(1j * (a / (2.0 * b)) * r ** 2) * r * wr
-        if kernel == "strict" and params.mu1 != 0.0:
+    def integrand(r):
+        g = np.asarray(radial(r), dtype=complex) * np.exp(1j * (a / (2.0 * b)) * r ** 2)
+        if strict and params.mu1 != 0.0:
             g = g * lambda_sum(r * params.mu1 / b, lam_truncation)
-        J = bessel_j(order, r[:, None] * rho[None, :] / b)
-        vals = J.T @ g
-        pref = (1j ** float(order)) * params.ell1 / b * np.exp(1j * (d / (2.0 * b)) * rho ** 2)
-        if kernel == "strict" and params.mu2 != 0.0:
-            pref = pref * lambda_sum(rho * params.mu2 / b, lam_truncation)
-        return pref * vals
+        return g
 
-    nr = n_radial or _radial_node_count(params, r_max, rho_max)
-    value = run(nr)
-    if verify_tol is not None:
-        refined = run(2 * nr)
-        scale = float(np.max(np.abs(refined))) or 1.0
-        dev = float(np.max(np.abs(value - refined))) / scale
-        if dev > 10.0 * verify_tol:
-            raise QuadratureAccuracyError(
-                f"olcht_forward: node-doubled result differs by {dev:.3e}", value, refined)
-    return value
+    pref = (1j ** float(order)) * params.ell1 / b * np.exp(1j * (d / (2.0 * b)) * rho ** 2)
+    if strict and params.mu2 != 0.0:
+        pref = pref * lambda_sum(rho * params.mu2 / b, lam_truncation)
+    return _radial_quadrature(integrand, order, b, rho, pref, r_max, n_radial, verify_tol,
+                              "olcht_forward")
 
 
 def olcht_inverse(transform, order, params: OffsetParams, r, *,
@@ -489,31 +506,15 @@ def olcht_inverse(transform, order, params: OffsetParams, r, *,
 
     `transform` is a callable H(rho) evaluable on [0, rho_max].  This is the
     exact algebraic inverse of olcht_forward's reduced kernel: prefactor
-    i^{-v} conj(ell1)/b with both chirps conjugated.
+    i^{-v} conj(ell1)/b with both chirps conjugated.  The rho rule is
+    olcht_forward's, with max|f| over the output radii as the scale.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     a, b, d = params.a, params.b, params.d
-
-    def run(nr):
-        rho, w = radial_rule(rho_max, nr)
-        h = np.asarray(transform(rho), dtype=complex) * np.exp(-1j * (d / (2.0 * b)) * rho ** 2) * rho * w
-        J = bessel_j(order, rho[:, None] * r[None, :] / b)
-        pref = (1j ** (-float(order))) * np.conj(params.ell1) / b * np.exp(-1j * (a / (2.0 * b)) * r ** 2)
-        return pref * (J.T @ h)
-
-    r_top = float(r.max()) if r.size else 0.0
-    base = n_radial or max(_DEFAULT_RADIAL_NODES,
-                           int(math.ceil(8.0 * (abs(d) / (2 * b)) * rho_max ** 2 / math.pi)),
-                           int(math.ceil(8.0 * rho_max * r_top / (b * math.pi))))
-    value = run(base)
-    if verify_tol is not None:
-        refined = run(2 * base)
-        scale = float(np.max(np.abs(refined))) or 1.0
-        dev = float(np.max(np.abs(value - refined))) / scale
-        if dev > 10.0 * verify_tol:
-            raise QuadratureAccuracyError(
-                f"olcht_inverse: node-doubled result differs by {dev:.3e}", value, refined)
-    return value
+    pref = (1j ** (-float(order))) * np.conj(params.ell1) / b * np.exp(-1j * (a / (2.0 * b)) * r ** 2)
+    return _radial_quadrature(
+        lambda rho: np.asarray(transform(rho), dtype=complex) * np.exp(-1j * (d / (2.0 * b)) * rho ** 2),
+        order, b, r, pref, rho_max, n_radial, verify_tol, "olcht_inverse")
 
 
 # --------------------------------------------------------------------------
@@ -535,7 +536,10 @@ def fourier_coefficients(field, n_max: int, n_theta: int | None = None) -> dict:
 
         def coeff(r):
             r = np.atleast_1d(np.asarray(r, dtype=float))
-            return np.asarray(f(r[:, None], th[None, :]), dtype=complex) @ w
+            vals = np.asarray(f(r[:, None], th[None, :]), dtype=complex)
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("fourier_coefficients: field returned non-finite values")
+            return vals @ w
 
         return coeff
 
@@ -576,30 +580,37 @@ def _olct_series_strict(coefficients, params, grid, *, mode, p_sum, r_max, n_rad
     mu1, mu2 = params.mu1, params.mu2
     rho = grid.rho
     phi = grid.phi
-    nr = n_radial or _radial_node_count(params, r_max, float(rho.max()) if rho.size else 0.0)
-    r, wr = radial_rule(r_max, nr)
     if p_sum is not None:
         M = int(p_sum)
     else:
         M = lambda_truncation(mu1 * r_max / b) if mu1 != 0.0 else 0
     n_max = max(abs(n) for n in coefficients) if coefficients else 0
-    # side factor J_p(r mu1 / b); the p = 0 row is identically 1 when mu1 = 0
-    side = bessel_jn_chain(r * mu1 / b, max(M, n_max))
-
-    values = np.zeros((rho.size, grid.n_phi), dtype=complex)
-    chirp = np.exp(1j * (a / (2.0 * b)) * r ** 2) * r * wr
     order_cap = (2 * n_max if mode == "order_2n" else n_max) + M
-    J_big = bessel_jn_chain(r[:, None] * rho[None, :] / b, order_cap)
-    for n in sorted(coefficients):
-        fn = np.asarray(coefficients[n](r), dtype=complex) * chirp
-        p_range = [n] if mode == "order_2n" else range(-M, M + 1)
-        for p in p_range:
+    # term (n, p): coefficient n times the side factor J_p(r mu1 / b) against
+    # the order-(n + p) kernel; all terms share one radial rule as columns
+    terms = [(n, p) for n in sorted(coefficients)
+             for p in ([n] if mode == "order_2n" else range(-M, M + 1))]
+
+    def sums(r, wr):
+        # the p = 0 row of the side factor is identically 1 when mu1 = 0
+        side = bessel_jn_chain(r * mu1 / b, max(M, n_max))
+        J_big = bessel_jn_chain(r[:, None] * rho[None, :] / b, order_cap)
+        chirp = np.exp(1j * (a / (2.0 * b)) * r ** 2) * r * wr
+        fn = {n: np.asarray(coefficients[n](r), dtype=complex) * chirp for n in coefficients}
+        out = np.empty((r.size // _NODES_PER_PANEL, rho.size, len(terms)), dtype=complex)
+        for t, (n, p) in enumerate(terms):
             jp = side[abs(p)] * ((-1.0) ** p if p < 0 else 1.0)
             w = n + p
             Jw = J_big[abs(w)] * ((-1.0) ** w if w < 0 else 1.0)
-            integral = Jw.T @ (fn * jp)
-            values += ((-1j) ** w) * np.exp(1j * p * params.phi1) \
-                * integral[:, None] * np.exp(1j * w * phi[None, :])
+            out[:, :, t] = _per_panel(Jw * (fn[n] * jp)[:, None])
+        return out
+
+    integrals, _ = _panel_quadrature(sums, (order_cap + 1) * rho.size,
+                                     *_initial_panels(r_max, n_radial),
+                                     refine=not n_radial, name="olct_series")
+    phase = np.array([[((-1j) ** (n + p)) * np.exp(1j * p * params.phi1)] for n, p in terms]) \
+        * np.exp(1j * np.array([n + p for n, p in terms])[:, None] * phi[None, :])
+    values = integrals @ phase
     values *= (params.ell1 / b) * np.exp(1j * (d / (2.0 * b)) * rho[:, None] ** 2)
     if mu2 != 0.0:
         values *= np.exp(-1j * (rho[:, None] * mu2 / b) * np.sin(phi[None, :] + params.phi2))

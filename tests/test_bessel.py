@@ -18,7 +18,7 @@ from polar_olct import (
     normalized_zero,
     normalized_zeros,
 )
-from polar_olct.bessel import _bessel_j_signed_int
+from polar_olct.bessel import _bessel_j_core, _bessel_j_signed_int, _newton_polish, _scan_low_zeros
 
 # frozen from the bisection-on-series oracles below
 Z01 = 2.404825557695773
@@ -73,6 +73,31 @@ def test_zero_residuals_and_monotonicity():
         assert z.shape == (50,)
         assert np.all(np.diff(z) > 0)
         assert np.max(np.abs(bessel_j(v, z))) <= 1e-12
+
+
+def scalar_scan_zeros(v, count):
+    """The one-point-at-a-time sign-change scan and bisection (reference)."""
+    f = lambda x: _bessel_j_core(v, np.array([x]))[0]
+    x_prev = max(0.05, math.sqrt(max(v, 0.0) * (max(v, 0.0) + 2.0)) * 0.98)
+    f_prev = f(x_prev)
+    found = []
+    while len(found) < count:
+        x = x_prev + 0.15
+        fx = f(x)
+        if f_prev == 0.0:
+            found.append(x_prev)
+        elif f_prev * fx < 0:
+            found.append(bisect_zero(f, x_prev, x, iters=80))
+        x_prev, f_prev = x, fx
+    return np.array(found[:count])
+
+
+def test_vectorized_scan_matches_scalar_scan():
+    for v, count in [(0, 9), (1, 4), (3, 4), (8, 4), (0.5, 4), (-0.5, 4)]:
+        got = _newton_polish(v, _scan_low_zeros(v, count))
+        ref = _newton_polish(v, scalar_scan_zeros(v, count))
+        assert got.shape == (count,)
+        assert np.max(np.abs(got - ref)) <= 1e-14
 
 
 def test_zero_spacing_bounds():

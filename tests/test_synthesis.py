@@ -46,6 +46,14 @@ def test_lommel_against_quadrature_oracle():
     oracle = gl_quadrature(lambda u: bessel_j(v, alpha * u) * bessel_j(v, r * u) * u,
                            0.0, c, 2048)
     assert abs(lommel_kernel(alpha, r, c, v) - oracle) < 1e-10
+    # through the removable point r = alpha the kernel stays smooth
+    for v in (0, 1, 3):
+        alpha = ZeroTable.for_order(v, 3).zeros[2] / 0.5
+        for rel in (-1e-3, -1e-5, -3e-7, 5e-7, 2e-6, 1e-4, 0.1):
+            r = alpha * (1.0 + rel)
+            oracle = gl_quadrature(lambda u: bessel_j(v, alpha * u) * bessel_j(v, r * u) * u,
+                                   0.0, 0.5, 256)
+            assert abs(lommel_kernel(alpha, r, 0.5, v) - oracle) < 1e-14
 
 
 def test_lommel_rejects_non_zero_alpha():

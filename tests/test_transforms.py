@@ -7,6 +7,7 @@ from polar_olct import (
     OffsetParams,
     PolarGrid,
     QuadratureAccuracyError,
+    SpectrumField,
     fourier_coefficients,
     hankel_transform,
     olct_forward,
@@ -321,6 +322,21 @@ def test_non_finite_input_rejected(lct):
         for transform in (olct_forward, olct_via_ft):
             with pytest.raises(ValueError, match="r_max"):
                 transform(gauss, lct, grid, r_max=r_max)
+    nan_radial = lambda r: np.full(np.shape(r), np.nan)
+    for n_radial in (None, 32):
+        with pytest.raises(ValueError, match="non-finite"):
+            olcht_forward(nan_radial, 0, lct, [0.3], r_max=5.0, n_radial=n_radial)
+        with pytest.raises(ValueError, match="non-finite"):
+            olcht_inverse(nan_radial, 0, lct, [0.3], rho_max=1.0, n_radial=n_radial)
+        with pytest.raises(ValueError, match="non-finite"):
+            olct_series({0: nan_radial}, lct, grid, mode="order_n", kernel="strict",
+                        r_max=5.0, n_radial=n_radial)
+    sg = spectral_grid(lct, 1.0, n_radial=16, n_phi=4)
+    spec = SpectrumField(np.full((sg.rho.size, 4), np.nan), sg, lct)
+    with pytest.raises(ValueError, match="non-finite"):
+        olct_inverse(spec, lct, np.array([0.5]), np.array([0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        fourier_coefficients(nan_field, 2)[1](np.array([0.5]))
 
 
 def chirped_gaussian(s, c0, c1):
@@ -367,15 +383,18 @@ def test_adaptive_jump_hits_depth_cap(lct):
 
 
 class PointCounter:
-    """Field wrapper counting the points the quadrature asks for."""
+    """Field or profile wrapper counting the calls and the points the
+    quadrature asks for."""
 
     def __init__(self, field):
         self.field = field
+        self.calls = 0
         self.points = 0
 
-    def __call__(self, r, theta):
-        self.points += np.broadcast(r, theta).size
-        return self.field(r, theta)
+    def __call__(self, *args):
+        self.calls += 1
+        self.points += np.broadcast(*args).size
+        return self.field(*args)
 
 
 def test_adaptive_node_budget(lct):
@@ -387,3 +406,59 @@ def test_adaptive_node_budget(lct):
     g = PointCounter(chirped_gaussian(10.0, *CHIRP_COEFFS))
     olct_forward(g, lct, CHIRP_GRID, r_max=80.0)
     assert g.points <= 4080 * 512
+
+
+def chirped_gaussian_profile(s, v):
+    return lambda r: np.asarray(r) ** v * np.exp(-np.asarray(r) ** 2 / (2.0 * s * s))
+
+
+def chirped_gaussian_olcht(p, s, v, rho):
+    # int r^{v+1} e^{-q r^2} J_v(k r) dr = k^v e^{-k^2/4q} / (2q)^{v+1},
+    # k = rho/b, q = 1/2s^2 - i a/2b
+    k = rho / p.b
+    q = 1.0 / (2.0 * s * s) - 1j * p.a / (2.0 * p.b)
+    return (1j ** v) * p.ell1 / p.b * np.exp(1j * p.d * rho ** 2 / (2.0 * p.b)) \
+        * k ** v * np.exp(-k * k / (4.0 * q)) / (2.0 * q) ** (v + 1)
+
+
+def roundtrip_profile(params):
+    # the profile of the roundtrip_olcht check: its chirp cancels the kernel's
+    spec = random_spectrum(1.0, 0, 3, seed=5, order_map="fixed", fixed_order=1)
+    return synthesize(spec, params).coefficient(0)
+
+
+def test_olcht_adaptive_resolves_chirped_gaussian(lct):
+    rho = np.linspace(0.1, 2.0, 10)
+    for v in (0, 1, 3):
+        got = olcht_forward(chirped_gaussian_profile(6.0, v), v, lct, rho, r_max=60.0)
+        assert rel_err(got, chirped_gaussian_olcht(lct, 6.0, v, rho)) < 2e-12
+
+
+def test_olcht_adaptive_matches_fine_uniform_rule(lct):
+    prof = roundtrip_profile(lct)
+    rho = np.linspace(0.0, 1.0, 40)
+    # verify_tol re-runs with every accepted panel halved
+    auto = olcht_forward(prof, 1, lct, rho, r_max=120.0, verify_tol=1e-12)
+    uniform = olcht_forward(prof, 1, lct, rho, r_max=120.0, n_radial=9168)
+    assert rel_err(auto, uniform) < 1e-12
+
+
+def test_olcht_jump_hits_depth_cap(lct):
+    step = lambda r: np.where(np.asarray(r) < 2.3, 1.0, 0.0) * np.exp(-np.asarray(r) ** 2)
+    with pytest.raises(QuadratureAccuracyError, match="unresolved") as exc:
+        olcht_forward(step, 1, lct, np.array([0.5, 1.0]), r_max=5.0)
+    assert exc.value.value.shape == exc.value.refined.shape == (2,)
+
+
+def test_olcht_node_budget(lct):
+    # the chirp-rate heuristic took 9,168 nodes per forward call of the
+    # round trip; its integrand is smooth, so the first level settles it
+    prof = PointCounter(roundtrip_profile(lct))
+    fwd = lambda q: olcht_forward(prof, 1, lct, q, r_max=120.0)
+    olcht_inverse(fwd, 1, lct, np.linspace(0.2, 4.0, 9), rho_max=1.0)
+    assert prof.calls >= 2
+    assert prof.points <= 768 * prof.calls
+    # a chirped Gaussian is refined beyond the first level, within that budget
+    g = PointCounter(chirped_gaussian_profile(6.0, 3))
+    olcht_forward(g, 3, lct, np.linspace(0.1, 2.0, 10), r_max=60.0)
+    assert 768 < g.points <= 9168
