@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,13 +54,15 @@ def lommel_kernel(alpha: float, r, c: float, order) -> np.ndarray:
     near = np.abs(h) < 1.0
     quotient = np.empty(r.shape)  # J_v(r*c) / h
     quotient[~near] = bessel_j(order, r[~near] * c) / h[~near]
-    quotient[near] = _zero_quotient(float(order), alpha * c, jnext, h[near])
+    quotient[near] = np.polyval(_zero_taylor(float(order), alpha * c, jnext), h[near])
     out = -c * c * alpha * jnext * quotient / (alpha + r)
     return float(out[0]) if scalar else out
 
 
-def _zero_quotient(v: float, x: float, jnext: float, h: np.ndarray, terms: int = 24) -> np.ndarray:
-    """J_v(x + h) / h at a zero x of J_v, |h| <= 1, as a Taylor series.
+@lru_cache(maxsize=256)
+def _zero_taylor(v: float, x: float, jnext: float, terms: int = 24) -> tuple:
+    """Coefficients, highest first, of J_v(x + h) / h as a polynomial in h
+    at a zero x of J_v, for |h| <= 1.
 
     y(k) = J_v^(k)(x) from Bessel's equation differentiated k times, with
     y = 0 and y' = -J_{v+1}(x); the recursion's spurious solutions shrink
@@ -69,7 +72,7 @@ def _zero_quotient(v: float, x: float, jnext: float, h: np.ndarray, terms: int =
     for k in range(terms - 1):
         y.append(-((2 * k + 1) * x * y[k + 3] + (k * k + x * x - v * v) * y[k + 2]
                    + 2 * k * x * y[k + 1] + k * (k - 1) * y[k]) / (x * x))
-    return np.polyval([y[k + 2] / math.factorial(k) for k in range(terms, 0, -1)], h)
+    return tuple(y[k + 2] / math.factorial(k) for k in range(terms, 0, -1))
 
 
 @dataclass(frozen=True)

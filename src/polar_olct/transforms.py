@@ -183,7 +183,7 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, hi: np.ndarray, *, refin
     per-panel sums (panel axis first), in batches of at most
     _CHUNK / (16 * width) panels.  `measure` is a linear map into the output
     domain (it may work in place) where deviations are taken, relative to
-    the largest output or _CANCELLATION of the summed first-panel
+    the largest output or _CANCELLATION of the summed first-level panel
     magnitudes, whichever is larger.  Without `refine` the panels given are
     the rule.  With it a panel whose halves agree with it to _PANEL_RTOL of
     that scale at every output is replaced by them; the others are split
@@ -210,14 +210,12 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, hi: np.ndarray, *, refin
     total = 0.0
     kept_lo, kept_hi = [], []
     whole = panel_sums(lo, hi)
-    mass = np.max(np.abs(measure(whole.copy())).sum(axis=0), initial=0.0)
     for depth in range(1, _MAX_DEPTH + 1):
         n = lo.size
         lo, hi = _halve(lo, hi)
         halves = panel_sums(lo, hi)
         if depth == 1:
-            scale = max(np.max(np.abs(measure(halves.sum(axis=0))), initial=0.0),
-                        _CANCELLATION * mass)
+            scale = np.max(np.abs(measure(halves.sum(axis=0))), initial=0.0)
         # whole minus halves, in place and then in the output domain
         whole -= halves[:n]
         whole -= halves[n:]
@@ -225,6 +223,10 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, hi: np.ndarray, *, refin
         dev = np.max(np.abs(diff).reshape(n, -1), axis=1, initial=0.0)
         if not np.all(np.isfinite(dev)):
             raise non_finite
+        if depth == 1 and dev.max() > _PANEL_RTOL * scale:
+            # the cancellation floor only loosens the test: needed once a panel fails
+            mass = np.max(sum(np.abs(measure(part.copy())) for part in halves), initial=0.0)
+            scale = max(scale, _CANCELLATION * mass)
         ok = np.tile(dev <= _PANEL_RTOL * scale, 2)
         total = total + halves[ok].sum(axis=0)
         kept_lo.append(lo[ok])
