@@ -207,7 +207,6 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, hi: np.ndarray, *, refin
         parts = list(batches(lo, hi))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    total = 0.0
     kept_lo, kept_hi = [], []
     whole = panel_sums(lo, hi)
     for depth in range(1, _MAX_DEPTH + 1):
@@ -228,7 +227,10 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, hi: np.ndarray, *, refin
             mass = np.max(sum(np.abs(measure(part.copy())) for part in halves), initial=0.0)
             scale = max(scale, _CANCELLATION * mass)
         ok = np.tile(dev <= _PANEL_RTOL * scale, 2)
-        total = total + halves[ok].sum(axis=0)
+        if depth == 1:
+            total = halves[ok].sum(axis=0)
+        else:
+            total += halves[ok].sum(axis=0)
         kept_lo.append(lo[ok])
         kept_hi.append(hi[ok])
         if ok.all():

@@ -454,10 +454,10 @@ def test_olcht_node_budget(lct):
     # the chirp-rate heuristic took 9,168 nodes per forward call of the
     # round trip; its integrand is smooth, so the first level settles it
     prof = PointCounter(roundtrip_profile(lct))
-    fwd = lambda q: olcht_forward(prof, 1, lct, q, r_max=120.0)
+    fwd = PointCounter(lambda q: olcht_forward(prof, 1, lct, q, r_max=120.0))
     olcht_inverse(fwd, 1, lct, np.linspace(0.2, 4.0, 9), rho_max=1.0)
-    assert prof.calls >= 2
-    assert prof.points <= 768 * prof.calls
+    assert fwd.calls >= 2
+    assert prof.points <= 768 * fwd.calls
     # a chirped Gaussian is refined beyond the first level, within that budget
     g = PointCounter(chirped_gaussian_profile(6.0, 3))
     olcht_forward(g, 3, lct, np.linspace(0.1, 2.0, 10), r_max=60.0)
