@@ -75,6 +75,17 @@ def _zero_taylor(v: float, x: float, jnext: float, terms: int = 24) -> tuple:
     return tuple(y[k + 2] / math.factorial(k) for k in range(terms, 0, -1))
 
 
+def _radial_order(order_map: str, fixed_order: int, n: int) -> int:
+    # the radial order that carries angular coefficient n under `order_map`
+    if order_map == "per_order":
+        return abs(n)
+    if order_map == "double_order":
+        return 2 * abs(n)
+    if order_map == "fixed":
+        return fixed_order
+    raise ValueError(f"unknown order_map {order_map!r}")
+
+
 @dataclass(frozen=True)
 class FourierBesselSpectrum:
     """Finite transform-domain coefficients eps[n][j], |n| <= K, j = 1..J.
@@ -97,8 +108,7 @@ class FourierBesselSpectrum:
             raise ValueError("omega must be positive")
         if self.k_max < 0:
             raise ValueError("k_max must be nonnegative")
-        if self.order_map not in ("per_order", "double_order", "fixed"):
-            raise ValueError(f"unknown order_map {self.order_map!r}")
+        _radial_order(self.order_map, self.fixed_order, 0)  # rejects an unknown map
         coeffs = {}
         for n, eps in self.coefficients.items():
             n = int(n)
@@ -113,11 +123,7 @@ class FourierBesselSpectrum:
         object.__setattr__(self, "coefficients", coeffs)
 
     def radial_order(self, n: int) -> int:
-        if self.order_map == "per_order":
-            return abs(n)
-        if self.order_map == "double_order":
-            return 2 * abs(n)
-        return self.fixed_order
+        return _radial_order(self.order_map, self.fixed_order, n)
 
     @property
     def j_max(self) -> int:
@@ -282,13 +288,6 @@ def synthesize_sonine(weights: dict, params: OffsetParams, omega: float, *,
     b = params.b
     c = omega / b
 
-    def radial_order(n):
-        if order_map == "per_order":
-            return abs(n)
-        if order_map == "double_order":
-            return 2 * abs(n)
-        return fixed_order
-
     k_max = max((abs(n) for n in weights), default=0)
     profiles = {}
     for n in range(-k_max, k_max + 1):
@@ -296,7 +295,7 @@ def synthesize_sonine(weights: dict, params: OffsetParams, omega: float, *,
         if wgt is None:
             profiles[n] = _zero_profile
             continue
-        g, _ = sonine_profile(radial_order(n), c, s)
+        g, _ = sonine_profile(_radial_order(order_map, fixed_order, n), c, s)
         profiles[n] = _chirped(g, complex(wgt), params)
     return PolarField(profiles, omega, k_max, provenance=f"sonine s={s}")
 
@@ -323,9 +322,6 @@ def random_spectrum(omega: float, k_max: int, j_spec: int, seed: int, *,
     """
     rng = np.random.default_rng(seed)
 
-    def radial_order(n):
-        return {"per_order": abs(n), "double_order": 2 * abs(n)}.get(order_map, fixed_order)
-
     def flatten(eps, w):
         if not flatten_edge or j_spec < 2:
             return eps
@@ -341,7 +337,7 @@ def random_spectrum(omega: float, k_max: int, j_spec: int, seed: int, *,
         eps = (rng.uniform(-1, 1, j_spec) + 1j * rng.uniform(-1, 1, j_spec)) / math.sqrt(2.0)
         if hermitian and n == 0:
             eps = eps.real.astype(complex)
-        coeffs[n] = flatten(eps, radial_order(n))
+        coeffs[n] = flatten(eps, _radial_order(order_map, fixed_order, n))
     if hermitian:
         for n in range(1, k_max + 1):
             coeffs[-n] = np.conj(coeffs[n])

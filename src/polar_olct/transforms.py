@@ -303,9 +303,9 @@ def _subsample(values: np.ndarray, n_azimuth: int, n_phi: int) -> np.ndarray:
     return values[:, :: n_azimuth // n_phi]
 
 
-def _check_r_max(r_max: float) -> None:
+def _check_r_max(r_max: float, name: str = "r_max") -> None:
     if not (math.isfinite(r_max) and r_max > 0.0):
-        raise ValueError(f"r_max must be finite and positive, got {r_max!r}")
+        raise ValueError(f"{name} must be finite and positive, got {r_max!r}")
 
 
 def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
@@ -448,9 +448,11 @@ def olct_via_ft(field, params: OffsetParams, grid: PolarGrid, *,
 # --------------------------------------------------------------------------
 
 def _radial_quadrature(integrand, order, b: float, out: np.ndarray, pref, extent: float,
-                       n_radial: int | None, verify_tol: float | None, name: str) -> np.ndarray:
+                       n_radial: int | None, verify_tol: float | None, name: str,
+                       extent_name: str = "r_max") -> np.ndarray:
     """pref * sum over the radial rule on [0, extent] of
     integrand(s) J_v(s out / b) s ds: adaptive panels unless `n_radial`."""
+    _check_r_max(extent, extent_name)
 
     def sums(s, ws):
         g = np.asarray(integrand(s), dtype=complex) * s * ws
@@ -518,7 +520,7 @@ def olcht_inverse(transform, order, params: OffsetParams, r, *,
     pref = (1j ** (-float(order))) * np.conj(params.ell1) / b * np.exp(-1j * (a / (2.0 * b)) * r ** 2)
     return _radial_quadrature(
         lambda rho: np.asarray(transform(rho), dtype=complex) * np.exp(-1j * (d / (2.0 * b)) * rho ** 2),
-        order, b, r, pref, rho_max, n_radial, verify_tol, "olcht_inverse")
+        order, b, r, pref, rho_max, n_radial, verify_tol, "olcht_inverse", "rho_max")
 
 
 # --------------------------------------------------------------------------
@@ -580,6 +582,7 @@ def olct_series(coefficients: dict, params: OffsetParams, grid: PolarGrid, *,
 
 
 def _olct_series_strict(coefficients, params, grid, *, mode, p_sum, r_max, n_radial):
+    _check_r_max(r_max)
     a, b, d = params.a, params.b, params.d
     mu1, mu2 = params.mu1, params.mu2
     rho = grid.rho

@@ -18,7 +18,7 @@ from polar_olct import (
     normalized_zero,
     normalized_zeros,
 )
-from polar_olct.bessel import _bessel_j_core, _bessel_j_signed_int, _newton_polish, _scan_low_zeros
+from polar_olct.bessel import _bessel_j_core, _newton_polish, _scan_low_zeros
 
 # frozen from the bisection-on-series oracles below
 Z01 = 2.404825557695773
@@ -118,7 +118,7 @@ def test_mcmahon_asymptotic_regime():
 def test_integer_reflection():
     x = np.linspace(0.0, 50.0, 277)
     for m in range(0, 7):
-        lhs = _bessel_j_signed_int(-m, x)
+        lhs = _bessel_j_core(float(-m), x)
         rhs = (-1.0) ** m * bessel_j(m, x)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -133,12 +133,46 @@ def test_integral_representation_cross_check():
             assert abs(quad.imag) < 1e-12
 
 
-def test_integer_and_real_order_paths_agree():
-    from polar_olct.bessel import _miller_real
+# integer, half-integer and irrational orders up to 100; the recurrence and
+# the series meet at x = 12 and the worst errors used to sit near x = 2v
+ORACLE_ORDERS = (0, 1, 2, 5, 7, 10, 11, 12, 16, 20, 25, 30, 40, 50, 75, 100,
+                 0.5, 11.5, 49.5, 99.5, math.pi, 10 * math.e, 50 * math.sqrt(2), 100 / 3)
+ORACLE_X = np.unique(np.concatenate([np.linspace(0.0, 1e3, 4001), np.linspace(0.0, 250.0, 2501)]))
 
-    x = np.linspace(13.0, 150.0, 101)
-    for v in (1.0, 3.0, 6.0):
-        assert np.max(np.abs(_miller_real(v, x) - bessel_j(v, x))) < 1e-12
+
+def test_bessel_j_against_scipy_jv():
+    jv = pytest.importorskip("scipy.special").jv
+    for v in ORACLE_ORDERS:
+        assert np.max(np.abs(bessel_j(v, ORACLE_X) - jv(v, ORACLE_X))) <= 1e-13, v
+
+
+def test_bessel_j_property_against_scipy_jv():
+    jv = pytest.importorskip("scipy.special").jv
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # scipy's jv returns 0 below x ~ 1e-307, where J_v is still ~1e-10 at
+    # small orders, so the oracle is asked for x = 0 or x >= 1e-300 only
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.floats(0.0, 100.0), st.just(0.0) | st.floats(1e-300, 1e3))
+    def check(v, x):
+        assert abs(bessel_j(v, x) - jv(v, x)) <= 1e-13
+
+    check()
+
+
+def test_bessel_j_against_mpmath_near_twice_the_order():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for v in (20, 30, 50):
+            for x in (2 * v - 0.7, 2 * v, 2 * v + 0.3):
+                assert abs(bessel_j(v, x) - float(mpmath.besselj(v, x))) <= 1e-14, (v, x)
+
+
+def test_zeros_against_scipy_jn_zeros():
+    jn_zeros = pytest.importorskip("scipy.special").jn_zeros
+    for v, count in [(0, 50), (7, 50), (13, 50), (25, 50), (64, 50), (100, 50), (40, 200)]:
+        assert np.max(np.abs(bessel_zeros(v, count) - jn_zeros(v, count))) <= 1e-12, v
 
 
 def test_half_integer_closed_forms():
@@ -164,18 +198,25 @@ def test_chain_consistent_with_scalar_evaluation():
     chain = bessel_jn_chain(x, 12)
     for m in range(13):
         assert np.max(np.abs(chain[m] - bessel_j(m, x))) < 1e-13
+    # near x = 1 a step grows a row by ~2 m_start = 7,500 here; the
+    # rescaling has to keep pace or the rows overflow
+    wide = np.array([1.0001, 3000.0])
+    chain = bessel_jn_chain(wide, 500)
+    for m in range(0, 151, 25):
+        assert np.max(np.abs(chain[m] - bessel_j(m, wide))) < 1e-13
 
 
 def test_domain_errors():
     with pytest.raises(ValueError):
         bessel_j(-0.75, 1.0)
-    with pytest.raises(ValueError):
-        bessel_j(0, -1.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            bessel_j(0, bad)
-        with pytest.raises(ValueError, match="finite"):
-            bessel_jn_chain(np.array([1.0, bad]), 4)
+    checked = (lambda x: bessel_j(0, x), lambda x: bessel_j_prime(0, x),
+               lambda x: bessel_jn_chain(np.array([1.0, x]), 4), lambda_sum)
+    for fn in checked:
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                fn(bad)
+        with pytest.raises(ValueError, match="x >= 0"):
+            fn(-1.0)
     with pytest.raises(ValueError):
         bessel_zero(0, 0)
     with pytest.raises(ValueError):

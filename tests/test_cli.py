@@ -36,6 +36,17 @@ def test_zeros_csv(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_zeros_high_order_against_scipy(tmp_path):
+    jn_zeros = pytest.importorskip("scipy.special").jn_zeros
+    out = tmp_path / "z40.csv"
+    assert main(["zeros", "--order", "40", "--count", "200", "--format", "csv",
+                 "--out", str(out)]) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    z = np.array([float(row.split(",")[1]) for row in rows])
+    assert z.shape == (200,)
+    assert np.max(np.abs(z - jn_zeros(40, 200))) <= 1e-12
+
+
 def test_zeros_stdout(capsys):
     assert main(["zeros", "--order", "1", "--count", "1"]) == 0
     captured = capsys.readouterr().out

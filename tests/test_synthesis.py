@@ -86,6 +86,14 @@ def test_spectrum_validation():
         FourierBesselSpectrum(1.0, 1, {0: np.array([1.0 + 0j])}, order_map="bogus")
 
 
+def test_unknown_order_map_rejected(rot):
+    # a misspelt map used to build the fixed-order field silently
+    with pytest.raises(ValueError, match="order_map"):
+        synthesize_sonine({0: 1.0, 1: 0.5}, rot, 1.0, order_map="per_ordr")
+    with pytest.raises(ValueError, match="order_map"):
+        random_spectrum(1.0, 1, 2, seed=1, order_map="per_ordr")
+
+
 def test_zero_spectrum_gives_zero_field(rot):
     spec = FourierBesselSpectrum(1.0, 1, {})
     f = synthesize(spec, rot)

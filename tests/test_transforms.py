@@ -322,6 +322,17 @@ def test_non_finite_input_rejected(lct):
         for transform in (olct_forward, olct_via_ft):
             with pytest.raises(ValueError, match="r_max"):
                 transform(gauss, lct, grid, r_max=r_max)
+    gauss_radial = lambda r: np.exp(-np.asarray(r) ** 2)
+    for extent in (np.inf, np.nan, 0.0, -5.0):
+        with pytest.raises(ValueError, match="r_max"):
+            olcht_forward(gauss_radial, 0, lct, [0.3], r_max=extent)
+        with pytest.raises(ValueError, match="rho_max"):
+            olcht_inverse(gauss_radial, 0, lct, [0.3], rho_max=extent)
+        with pytest.raises(ValueError, match="r_max"):
+            hankel_transform(gauss_radial, 0, [0.3], r_max=extent)
+        with pytest.raises(ValueError, match="r_max"):
+            olct_series({0: gauss_radial}, lct, grid, mode="order_n", kernel="strict",
+                        r_max=extent)
     nan_radial = lambda r: np.full(np.shape(r), np.nan)
     for n_radial in (None, 32):
         with pytest.raises(ValueError, match="non-finite"):
