@@ -63,8 +63,7 @@ def _cmd_transform(args) -> int:
         values = result.values
     else:
         coeffs = {n: field.coefficient(n) for n in spectrum.coefficients}
-        values = tr.olct_series(coeffs, params, grid, mode=args.route,
-                                r_max=args.r_max).values
+        values = tr.olct_series(coeffs, params, grid, r_max=args.r_max).values
     RH, PH = np.meshgrid(grid.rho, grid.phi, indexing="ij")
     out = args.out or "transform.csv"
     files.write_transform_csv(out, RH, PH, values)
@@ -203,8 +202,7 @@ def main(argv=None) -> int:
     p.add_argument("--n-rho", type=int, default=16)
     p.add_argument("--n-phi", type=int, default=16)
     p.add_argument("--r-max", type=float, default=40.0)
-    p.add_argument("--route", choices=("quadrature", "order_n", "order_2n"),
-                   default="quadrature")
+    p.add_argument("--route", choices=("quadrature", "order_n"), default="quadrature")
     _add_common(p)
     p.set_defaults(fn=_cmd_transform)
 

@@ -207,7 +207,7 @@ class SynthesizedField(PolarField):
 
 
 def synthesize(spectrum: FourierBesselSpectrum, params: OffsetParams) -> SynthesizedField:
-    """Materialize the field whose reduced-kernel transforms equal the given
+    """Materialize the field whose olcht_forward transforms equal the given
     finite coefficient sets on [0, omega).
 
     Each profile is f_n(r) = e^{-i a r^2 / 2b} * sum_j eps_nj *

@@ -2,7 +2,7 @@
 
 The forward map is the double integral with the full oscillatory kernel; it
 is the module's ground truth.  Every radial integral here (kernel, Hankel-
-type transforms and inverse, strict series) uses one rule under error
+type transforms and inverse, angular series) uses one rule under error
 control: 16-node Gauss-Legendre panels, each compared with its two halves,
 and only the panels that disagree by more than 1e-11 of the largest output
 are split (a refinement that does not converge raises
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_jn_chain, lambda_sum, lambda_truncation
+from .bessel import bessel_j, bessel_jn_chain, lambda_truncation
 from .params import InverseParams, KernelParams, OffsetParams
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 _NODES_PER_PANEL = 16
-_DEFAULT_RADIAL_NODES = 256
 _DEFAULT_AZIMUTH_NODES = 512
 # adaptive radial rule: initial uniform panels, the accepted halves-vs-whole
 # deviation relative to the largest output, and the most halvings of an
@@ -468,39 +467,31 @@ def _radial_quadrature(integrand, order, b: float, out: np.ndarray, pref, extent
 
 
 def hankel_transform(radial, order, u, *, r_max: float = 40.0,
-                     n_radial: int = _DEFAULT_RADIAL_NODES) -> np.ndarray:
-    """Classical order-v Hankel transform by quadrature (uniform rule)."""
+                     n_radial: int | None = None) -> np.ndarray:
+    """Classical order-v Hankel transform by quadrature (olct_forward's radial rule)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     return _radial_quadrature(radial, order, 1.0, u, 1.0, r_max, n_radial, None, "hankel_transform")
 
 
 def olcht_forward(radial, order, params: OffsetParams, rho, *,
                   r_max: float = 40.0, n_radial: int | None = None,
-                  kernel: str = "reduced", lam_truncation: int | None = None,
                   verify_tol: float | None = None) -> np.ndarray:
-    """Order-v radial transform of the polar kernel.
+    """Order-v radial transform of the polar kernel without its offset phases,
 
-    `kernel="reduced"` resolves the normalization sums to their limit value 1
-    and drops the order-indexed offset phase (both are exact for tau=eta=0);
-    `kernel="strict"` keeps the truncated normalization sums so their effect
-    can be reported.  The radial rule, `n_radial`, `verify_tol` and the
-    non-finite check are olct_forward's, with max|H| over rho as the scale.
+        i^v ell1/b e^{i d rho^2/2b} int f(r) e^{i a r^2/2b} J_v(r rho/b) r dr,
+
+    so it is one term of the angular series only for tau = eta = 0
+    (olct_series carries the offset phases).  The radial rule, `n_radial`,
+    `verify_tol` and the non-finite check are olct_forward's, with max|H|
+    over rho as the scale.
     """
-    if kernel not in ("reduced", "strict"):
-        raise ValueError("kernel must be 'reduced' or 'strict'")
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     a, b, d = params.a, params.b, params.d
-    strict = kernel == "strict"
 
     def integrand(r):
-        g = np.asarray(radial(r), dtype=complex) * np.exp(1j * (a / (2.0 * b)) * r ** 2)
-        if strict and params.mu1 != 0.0:
-            g = g * lambda_sum(r * params.mu1 / b, lam_truncation)
-        return g
+        return np.asarray(radial(r), dtype=complex) * np.exp(1j * (a / (2.0 * b)) * r ** 2)
 
     pref = (1j ** float(order)) * params.ell1 / b * np.exp(1j * (d / (2.0 * b)) * rho ** 2)
-    if strict and params.mu2 != 0.0:
-        pref = pref * lambda_sum(rho * params.mu2 / b, lam_truncation)
     return _radial_quadrature(integrand, order, b, rho, pref, r_max, n_radial, verify_tol,
                               "olcht_forward")
 
@@ -508,10 +499,10 @@ def olcht_forward(radial, order, params: OffsetParams, rho, *,
 def olcht_inverse(transform, order, params: OffsetParams, r, *,
                   rho_max: float, n_radial: int | None = None,
                   verify_tol: float | None = None) -> np.ndarray:
-    """Inverse of the reduced-kernel radial transform.
+    """Inverse of olcht_forward.
 
     `transform` is a callable H(rho) evaluable on [0, rho_max].  This is the
-    exact algebraic inverse of olcht_forward's reduced kernel: prefactor
+    exact algebraic inverse of olcht_forward's kernel: prefactor
     i^{-v} conj(ell1)/b with both chirps conjugated.  The rho rule is
     olcht_forward's, with max|f| over the output radii as the scale.
     """
@@ -553,66 +544,46 @@ def fourier_coefficients(field, n_max: int, n_theta: int | None = None) -> dict:
 
 
 def olct_series(coefficients: dict, params: OffsetParams, grid: PolarGrid, *,
-                mode: str, kernel: str = "reduced", p_sum: int | None = None,
                 r_max: float = 40.0, n_radial: int | None = None) -> SpectrumField:
-    """Assemble the transform from angular coefficients, one radial
-    transform per term.
+    """Assemble the transform from the angular coefficients f_n by the
+    order-coupled expansion of the kernel,
 
-    mode "order_n" pairs coefficient n with the order-n radial transform,
-    "order_2n" with order 2n.  Each term carries the angular phase
-    (-1)^order demanded by the kernel's plane-wave expansion; with that
-    phase the order_n series reproduces olct_forward in the offset-free
-    regime and the order_2n series does not (the harness records which).
-    kernel="strict" evaluates the full order-coupled expansion of the
-    offset phases, truncated at `p_sum` side orders.
+        F(rho, phi) = ell1/b e^{i d rho^2/2b} e^{-i (mu2/b) rho sin(phi + phi2)}
+            sum_{n, |p| <= M} (-i)^{n+p} e^{i p phi1} e^{i (n+p) phi}
+            int f_n(r) e^{i a r^2/2b} J_p(r mu1/b) J_{n+p}(r rho/b) r dr,
+
+    with M = lambda_truncation(mu1 r_max / b), or M = 0 without a spatial
+    offset, where only the order-n terms remain.  It reproduces olct_forward
+    with and without offsets.  All terms share one radial rule, olct_forward's
+    with the largest term integral as the scale.
     """
-    if mode not in ("order_n", "order_2n"):
-        raise ValueError("mode must be 'order_n' or 'order_2n'")
-    if kernel == "strict":
-        return _olct_series_strict(coefficients, params, grid, mode=mode,
-                                   p_sum=p_sum, r_max=r_max, n_radial=n_radial)
-    values = np.zeros((grid.rho.size, grid.n_phi), dtype=complex)
-    phi = grid.phi
-    for n in sorted(coefficients):
-        w = 2 * n if mode == "order_2n" else n
-        H = olcht_forward(coefficients[n], abs(w), params, grid.rho,
-                          r_max=r_max, n_radial=n_radial)
-        values += ((-1.0) ** w) * H[:, None] * np.exp(1j * n * phi[None, :])
-    return SpectrumField(values, grid, params)
-
-
-def _olct_series_strict(coefficients, params, grid, *, mode, p_sum, r_max, n_radial):
     _check_r_max(r_max)
     a, b, d = params.a, params.b, params.d
     mu1, mu2 = params.mu1, params.mu2
     rho = grid.rho
     phi = grid.phi
-    if p_sum is not None:
-        M = int(p_sum)
-    else:
-        M = lambda_truncation(mu1 * r_max / b) if mu1 != 0.0 else 0
-    n_max = max(abs(n) for n in coefficients) if coefficients else 0
-    order_cap = (2 * n_max if mode == "order_2n" else n_max) + M
+    M = lambda_truncation(mu1 * r_max / b) if mu1 != 0.0 else 0
+    n_max = max((abs(n) for n in coefficients), default=0)
     # term (n, p): coefficient n times the side factor J_p(r mu1 / b) against
     # the order-(n + p) kernel; all terms share one radial rule as columns
-    terms = [(n, p) for n in sorted(coefficients)
-             for p in ([n] if mode == "order_2n" else range(-M, M + 1))]
+    terms = [(n, p) for n in sorted(coefficients) for p in range(-M, M + 1)]
+
+    def signed(chain, m):
+        # J_{-m} = (-1)^m J_m
+        return chain[abs(m)] * ((-1.0) ** m if m < 0 else 1.0)
 
     def sums(r, wr):
         # the p = 0 row of the side factor is identically 1 when mu1 = 0
-        side = bessel_jn_chain(r * mu1 / b, max(M, n_max))
-        J_big = bessel_jn_chain(r[:, None] * rho[None, :] / b, order_cap)
+        side = bessel_jn_chain(r * mu1 / b, M)
+        J_big = bessel_jn_chain(r[:, None] * rho[None, :] / b, n_max + M)
         chirp = np.exp(1j * (a / (2.0 * b)) * r ** 2) * r * wr
         fn = {n: np.asarray(coefficients[n](r), dtype=complex) * chirp for n in coefficients}
         out = np.empty((r.size // _NODES_PER_PANEL, rho.size, len(terms)), dtype=complex)
         for t, (n, p) in enumerate(terms):
-            jp = side[abs(p)] * ((-1.0) ** p if p < 0 else 1.0)
-            w = n + p
-            Jw = J_big[abs(w)] * ((-1.0) ** w if w < 0 else 1.0)
-            out[:, :, t] = _per_panel(Jw * (fn[n] * jp)[:, None])
+            out[:, :, t] = _per_panel(signed(J_big, n + p) * (fn[n] * signed(side, p))[:, None])
         return out
 
-    integrals, _ = _panel_quadrature(sums, (order_cap + 1) * rho.size,
+    integrals, _ = _panel_quadrature(sums, (n_max + M + 1) * rho.size,
                                      *_initial_panels(r_max, n_radial),
                                      refine=not n_radial, name="olct_series")
     phase = np.array([[((-1j) ** (n + p)) * np.exp(1j * p * params.phi1)] for n, p in terms]) \

@@ -263,6 +263,9 @@ def test_lambda_sum_default_truncation():
     rng = np.random.default_rng(11)
     x = rng.uniform(0.0, 30.0, 50)
     assert np.max(np.abs(lambda_sum(x) - 1.0)) <= 1e-10
+    # the default truncation follows the Bessel decay out to x = 1e3
+    for xv in np.concatenate([np.linspace(0.0, 30.0, 31), np.geomspace(30.0, 1e3, 25)]):
+        assert abs(lambda_sum(xv) - 1.0) <= 1e-13
     # explicit M >= x + 30 keeps the identity everywhere on the range
     for xv in np.linspace(0.0, 30.0, 13):
         assert abs(lambda_sum(xv, int(xv) + 30) - 1.0) <= 1e-10

@@ -79,6 +79,26 @@ def test_transform_series_route(tmp_path, inputs):
     assert len(out.read_text().strip().splitlines()) == 25
 
 
+def test_transform_series_route_with_offsets(tmp_path, inputs):
+    _, spectrum, _ = inputs
+    params = tmp_path / "offset_params.txt"
+    params.write_text("a = 1\nb = 1\nc = 0\nd = 1\ntau1 = 0.3\ntau2 = 0.4\n"
+                      "eta1 = 0.1\neta2 = -0.2\n")
+    values = {}
+    for route in ("quadrature", "order_n"):
+        out = tmp_path / f"F_{route}.csv"
+        assert main(["transform", "--params", str(params), "--spectrum", str(spectrum),
+                     "--n-rho", "4", "--n-phi", "8", "--r-max", "30",
+                     "--route", route, "--out", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        values[route] = data[:, 2] + 1j * data[:, 3]
+    truth = values["quadrature"]
+    assert np.max(np.abs(values["order_n"] - truth)) <= 1e-6 * np.max(np.abs(truth))
+    with pytest.raises(SystemExit):
+        main(["transform", "--params", str(params), "--spectrum", str(spectrum),
+              "--route", "order_2n"])
+
+
 def test_reconstruct_field_mode(tmp_path, inputs, capsys):
     params, _, spectrum = inputs
     out = tmp_path / "report.csv"

@@ -21,6 +21,7 @@ from polar_olct import (
     spectral_grid,
     synthesize,
 )
+from polar_olct.harness import _per_order_series
 from polar_olct.transforms import radial_rule
 
 
@@ -238,22 +239,14 @@ def test_fourier_coefficients_symmetries():
         assert np.max(np.abs(cf[-n](r) - np.conj(cf[n](r)))) < 1e-12
 
 
-def test_series_modes_coincide_for_isotropic_input(rot, make_field):
-    f0 = make_field(rot, k_max=0, seed=10)
-    grid = PolarGrid(np.linspace(0.1, 0.9, 5), 8)
-    coeffs = {0: f0.coefficient(0)}
-    s1 = olct_series(coeffs, rot, grid, mode="order_n", r_max=60.0)
-    s2 = olct_series(coeffs, rot, grid, mode="order_2n", r_max=60.0)
-    assert rel_err(s1.values, s2.values) < 1e-12
-
-
 def test_series_adjudication_single_mode(rot, make_field):
     f = make_field(rot, k_max=1, seed=12)
     grid = PolarGrid(np.linspace(0.1, 0.9, 5), 16)
     fw = olct_forward(f, rot, grid, r_max=60.0)
     coeffs = {n: f.coefficient(n) for n in (-1, 0, 1)}
-    err_n = rel_err(olct_series(coeffs, rot, grid, mode="order_n", r_max=60.0).values, fw.values)
-    err_2n = rel_err(olct_series(coeffs, rot, grid, mode="order_2n", r_max=60.0).values, fw.values)
+    err_n = rel_err(olct_series(coeffs, rot, grid, r_max=60.0).values, fw.values)
+    # the order-doubling pairing of the printed series
+    err_2n = rel_err(_per_order_series(coeffs, rot, grid, 2, 60.0), fw.values)
     assert err_n < 1e-6
     assert err_2n > 1e-3
 
@@ -261,22 +254,37 @@ def test_series_adjudication_single_mode(rot, make_field):
 def test_series_zero_input(rot):
     grid = PolarGrid(np.linspace(0.1, 0.9, 4), 8)
     zero = lambda r: np.zeros_like(np.atleast_1d(r), dtype=complex)
-    for mode in ("order_n", "order_2n"):
-        out = olct_series({0: zero, 1: zero}, rot, grid, mode=mode, r_max=10.0)
-        assert np.max(np.abs(out.values)) == 0.0
+    out = olct_series({0: zero, 1: zero}, rot, grid, r_max=10.0)
+    assert np.max(np.abs(out.values)) == 0.0
 
 
-def test_strict_kernel_matches_quadrature_with_offsets(offset_params, make_field):
-    p = offset_params
+def test_series_matches_quadrature_with_chirps(lct, make_field):
+    f = make_field(lct, seed=3)
+    grid = PolarGrid(np.linspace(0.1, 0.9, 5), 16)
+    fw = olct_forward(f, lct, grid, r_max=40.0)
+    coeffs = {n: f.coefficient(n) for n in (-1, 0, 1)}
+    assert rel_err(olct_series(coeffs, lct, grid, r_max=40.0).values, fw.values) < 1e-6
+
+
+@pytest.mark.parametrize("params", [
+    # the offset_params fixture: both offset phases
+    OffsetParams(1.0, 1.0, 0.0, 1.0, (0.3, 0.4), (0.1, -0.2)),
+    # mu1 = 0, mu2 != 0: M = 0 and only the output offset phase
+    OffsetParams(1.0, 1.0, 0.0, 1.0, (0.0, 0.0), (0.1, -0.2)),
+    # mu1 != 0, mu2 = 0 (eta = d tau / b): only the input offset phase
+    OffsetParams(1.0, 2.0, -0.25, 0.5, (0.3, 0.4), (0.075, 0.1)),
+], ids=["tau_eta", "eta_only", "tau_only"])
+def test_series_matches_quadrature_with_offsets(params, make_field):
+    p = params
     f = make_field(p, seed=3)
     grid = PolarGrid(np.linspace(0.1, 0.9, 5), 16)
     fw = olct_forward(f, p, grid, r_max=40.0)
     coeffs = {n: f.coefficient(n) for n in (-1, 0, 1)}
-    strict = olct_series(coeffs, p, grid, mode="order_n", kernel="strict", r_max=40.0)
-    assert rel_err(strict.values, fw.values) < 1e-8
-    reduced = olct_series(coeffs, p, grid, mode="order_n", kernel="reduced", r_max=40.0)
-    # the reduced shortcut is not exact once offsets are on; report-only regime
-    assert rel_err(reduced.values, fw.values) > 1e-3
+    series = olct_series(coeffs, p, grid, r_max=40.0)
+    assert rel_err(series.values, fw.values) < 1e-8
+    # the per-order series drops the offset phases, so it is not exact here
+    reduced = _per_order_series(coeffs, p, grid, 1, 40.0)
+    assert rel_err(reduced, fw.values) > 1e-3
 
 
 def test_parseval(rot, make_field):
@@ -331,8 +339,7 @@ def test_non_finite_input_rejected(lct):
         with pytest.raises(ValueError, match="r_max"):
             hankel_transform(gauss_radial, 0, [0.3], r_max=extent)
         with pytest.raises(ValueError, match="r_max"):
-            olct_series({0: gauss_radial}, lct, grid, mode="order_n", kernel="strict",
-                        r_max=extent)
+            olct_series({0: gauss_radial}, lct, grid, r_max=extent)
     nan_radial = lambda r: np.full(np.shape(r), np.nan)
     for n_radial in (None, 32):
         with pytest.raises(ValueError, match="non-finite"):
@@ -340,8 +347,7 @@ def test_non_finite_input_rejected(lct):
         with pytest.raises(ValueError, match="non-finite"):
             olcht_inverse(nan_radial, 0, lct, [0.3], rho_max=1.0, n_radial=n_radial)
         with pytest.raises(ValueError, match="non-finite"):
-            olct_series({0: nan_radial}, lct, grid, mode="order_n", kernel="strict",
-                        r_max=5.0, n_radial=n_radial)
+            olct_series({0: nan_radial}, lct, grid, r_max=5.0, n_radial=n_radial)
     sg = spectral_grid(lct, 1.0, n_radial=16, n_phi=4)
     spec = SpectrumField(np.full((sg.rho.size, 4), np.nan), sg, lct)
     with pytest.raises(ValueError, match="non-finite"):
