@@ -7,10 +7,14 @@ control: 16-node Gauss-Legendre panels, each compared with its two halves,
 and only the panels that disagree by more than 1e-11 of the largest output
 are split (a refinement that does not converge raises
 QuadratureAccuracyError).  The azimuthal direction is a uniform trapezoid
-rule evaluated as a circular convolution (the FFT only reorders the
-trapezoid arithmetic).  Everything else here - the FT route, the
-Hankel-type radial transforms, the angular series - is an algebraic
-rearrangement of the same integral and serves as a cross-check oracle.
+rule on an even number of nodes, evaluated as a circular convolution: the
+kernel's spectrum is real and even up to a fixed phase, so each output
+radius costs one real FFT, and its exponentials are taken on a quarter turn
+and factored over each panel.  This is the trapezoid sum up to rounding,
+checked against a point-by-point double sum.  Everything else here - the
+FT route, the Hankel-type radial transforms, the angular series - is an
+algebraic rearrangement of the same integral and serves as a cross-check
+oracle.
 """
 
 from __future__ import annotations
@@ -128,6 +132,8 @@ class PolarGrid:
 
     def __post_init__(self):
         rho = np.atleast_1d(np.asarray(self.rho, dtype=float))
+        if not np.all(np.isfinite(rho)):
+            raise ValueError(f"PolarGrid: rho must be finite, got {rho[~np.isfinite(rho)][0]!r}")
         if rho.size and np.any(np.diff(rho) <= 0):
             raise ValueError("radial nodes must be strictly increasing")
         object.__setattr__(self, "rho", rho)
@@ -178,8 +184,8 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, hi: np.ndarray, *, refin
     """pref * measure(sum of the panel sums over the radial rule), and the
     panels (lo, hi) of that rule.
 
-    `sums(r, wr)` maps the nodes and weights of a run of panels to their
-    per-panel sums (panel axis first), in batches of at most
+    `sums(lo, hi)` maps a run of panels [lo[p], hi[p]] to their per-panel
+    sums (panel axis first), in batches of at most
     _CHUNK / (16 * width) panels.  `measure` is a linear map into the output
     domain (it may work in place) where deviations are taken, relative to
     the largest output or _CANCELLATION of the summed first-level panel
@@ -194,7 +200,7 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, hi: np.ndarray, *, refin
 
     def batches(lo, hi):
         for s in range(0, lo.size, per_batch):
-            yield sums(*_panel_nodes(lo[s:s + per_batch], hi[s:s + per_batch]))
+            yield sums(lo[s:s + per_batch], hi[s:s + per_batch])
 
     if not refine:
         total = sum(part.sum(axis=0) for part in batches(lo, hi))
@@ -245,39 +251,66 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, hi: np.ndarray, *, refin
 
 def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
                        lo: np.ndarray, hi: np.ndarray, n_azimuth: int, refine: bool):
-    """Transform values on (rho_nodes x uniform azimuth grid of n_azimuth),
-    and the panels (lo, hi) of the radial rule that produced them.
+    """Transform values on (rho_nodes x uniform azimuth grid of an even
+    n_azimuth), and the panels (lo, hi) of the radial rule that produced them.
 
-    A panel's sum [p, k] is the DFT over the quadrature azimuths of its
-    contribution at rho_nodes[k]; the deviations of the adaptive rule are
-    taken after the inverse DFT, so they are bounded over phi.
+    The azimuth integral is a circular convolution with the kernel e^{-i t},
+    t = (rho/b) r cos psi on the difference angle psi = theta - phi.  t
+    changes sign at psi + pi, so the kernel's DFT is i^{m mod 2} G[m] with
+    G = rfft(cos t - sin t) real and even; i^{m mod 2} is folded into the
+    field's spectrum once per batch.  As cos(pi - psi) = -cos psi, t is only
+    evaluated on psi in [0, pi/2], and there per panel as
+    e^{-i (rho/b) mid cos psi} e^{-i (rho/b) half x cos psi} for the nodes
+    mid + half x: one exponential row per panel and 16 per distinct
+    half-width.  A panel's sum [p, k] is the DFT over the quadrature azimuths
+    of its contribution at rho_nodes[k]; the deviations of the adaptive rule
+    are taken after the inverse DFT, so they are bounded over phi.
     """
     a, b = bundle.a, bundle.b
     mu1 = bundle.mu1
-    th = -np.pi + 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-    wth = 2.0 * np.pi / n_azimuth
-    # kernel argument lives on the difference-angle grid psi = theta - phi,
-    # even in psi, so the azimuth integral is a circular convolution and
-    # the kernel need only be evaluated on psi in [0, pi]
-    h = n_azimuth // 2 + 1
-    cos_psi = np.cos(2.0 * np.pi * np.arange(h) / n_azimuth)
+    n = n_azimuth
+    th = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    wth = 2.0 * np.pi / n
+    h = n // 2
+    q = n // 4 + 1
+    # cos psi for psi = 2 pi m / n, m <= n/4; exactly 0 at psi = pi/2
+    cos_psi = np.sin(np.pi * (n - 4 * np.arange(q)) / (2 * n))
+    parity = np.where(np.arange(n) % 2, 1j, 1.0)
+    mirror = np.array([np.arange(h + 1), (n - np.arange(h + 1)) % n])
+    xg = _panel_rule()[0]
 
-    def sums(r, wr):
+    def sums(lo, hi):
+        r, wr = _panel_nodes(lo, hi)
         base = np.asarray(field(r[:, None], th[None, :]), dtype=complex)
         base = base * np.exp(1j * (a / (2.0 * b)) * r[:, None] ** 2)
         if mu1 != 0.0:
             base = base * np.exp(1j * (mu1 / b) * r[:, None] * np.sin(th[None, :] + bundle.phi1))
         base *= ((r * wr)[:, None] * wth)
         base_hat = np.fft.fft(base, axis=1)
-        W = r[:, None] * cos_psi[None, :]
-        kk = np.empty((r.size, n_azimuth), dtype=complex)
-        out = np.empty((r.size // _NODES_PER_PANEL, rho_nodes.size, n_azimuth), dtype=complex)
+        base_hat *= parity
+        # G is even: pair each column m <= n/2 with its mirror n - m, and keep
+        # real and imaginary planes, so the products with G are real and unit-stride
+        folded = base_hat.reshape(lo.size, _NODES_PER_PANEL, n)[..., mirror]
+        spec = np.stack([folded.real, folded.imag], axis=2)
+        del base, base_hat, folded
+        mid = 0.5 * (lo + hi)
+        widths, which = np.unique(0.5 * (hi - lo), return_inverse=True)
+        offsets = widths[:, None, None] * xg[None, :, None]
+        e = np.empty((lo.size, _NODES_PER_PANEL, q), dtype=complex)
+        g = np.empty((lo.size, _NODES_PER_PANEL, n))
+        res = np.empty((lo.size, 2, 2, h + 1))
+        out = np.empty((lo.size, rho_nodes.size, n), dtype=complex)
         for k, rho in enumerate(rho_nodes):
-            np.exp(-1j * (rho / b) * W, out=kk[:, :h])
-            kk[:, h:] = kk[:, n_azimuth - h:0:-1]
-            kern_hat = np.fft.fft(kk, axis=1)
-            kern_hat *= base_hat
-            out[:, k] = kern_hat.reshape(-1, _NODES_PER_PANEL, n_azimuth).sum(axis=1)
+            arg = (-rho / b) * cos_psi
+            np.multiply(np.exp(1j * mid[:, None, None] * arg), np.exp(1j * offsets * arg)[which],
+                        out=e)
+            # cos t - sin t on [0, pi/2], cos t + sin t mirrored onto [pi/2, pi], even in psi
+            np.add(e.real, e.imag, out=g[..., :q])
+            np.subtract(e.real, e.imag, out=g[..., h:h - q:-1])
+            g[..., h + 1:] = g[..., h - 1:0:-1]
+            np.einsum("pncsm,pnm->pcsm", spec, np.fft.rfft(g, axis=-1).real, out=res)
+            out[:, k, :h + 1] = res[:, 0, 0] + 1j * res[:, 1, 0]
+            out[:, k, h + 1:] = res[:, 0, 1, h - 1:0:-1] + 1j * res[:, 1, 1, h - 1:0:-1]
         return out
 
     pref = bundle.ell1 / (2.0 * np.pi * abs(b)) * np.exp(1j * bundle.d * rho_nodes ** 2 / (2.0 * b))[:, None]
@@ -325,13 +358,17 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     `verify_tol` the quadrature is repeated with every panel split once
     more and twice the azimuth nodes, raising QuadratureAccuracyError if
     the two differ by more than 10 x verify_tol relative.
+
+    The azimuth rule has `n_azimuth` nodes, by default a power of two set by
+    the kernel's oscillation rate; either is rounded up to a multiple of
+    lcm(2, grid.n_phi), so the output azimuths are quadrature nodes and the
+    kernel's half-turn symmetry holds on the rule.
     """
     _check_r_max(r_max)
     f = _as_field_callable(field)
     rho_max = float(grid.rho.max()) if grid.rho.size else 0.0
-    na = n_azimuth or _azimuth_node_count(params, r_max, rho_max)
-    if na % grid.n_phi:
-        na = grid.n_phi * int(math.ceil(na / grid.n_phi))
+    step = math.lcm(2, grid.n_phi)
+    na = step * math.ceil((n_azimuth or _azimuth_node_count(params, r_max, rho_max)) / step)
     full, (lo, hi) = _kernel_quadrature(f, params, grid.rho, *_initial_panels(r_max, n_radial),
                                         na, refine=not n_radial)
     values = _subsample(full, na, grid.n_phi)
@@ -356,7 +393,10 @@ def olct_inverse(spectrum: SpectrumField, params: OffsetParams, r, theta,
     Applies the kernel quadrature with the inverse bundle (d,-b;-c,a) and
     offsets (xi, gamma) over the spectrum's own grid.  Two corrections to
     the bundle-substitution recipe are required for an exact round trip:
-    the normalization uses |b| and the result carries conj(sigma).
+    the normalization uses |b| and the result carries conj(sigma).  With
+    `verify_tol` the sum is repeated on every other azimuth, so the grid's
+    n_phi must be even, raising QuadratureAccuracyError if the two differ by
+    more than 10 x verify_tol relative.
     """
     bundle = InverseParams(params).bundle()
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -373,6 +413,9 @@ def olct_inverse(spectrum: SpectrumField, params: OffsetParams, r, theta,
                          "build the spectrum on spectral_grid(...)")
     if not np.all(np.isfinite(spectrum.values)):
         raise ValueError("olct_inverse: the spectrum has non-finite values")
+    if verify_tol is not None and grid.n_phi % 2:
+        # every other node of an odd uniform grid is not a uniform rule
+        raise ValueError(f"olct_inverse: verify_tol needs an even n_phi, got {grid.n_phi}")
 
     out = _apply_inverse(spectrum.values, bundle, r, theta, rho, wrho, phi)
     if verify_tol is not None:
@@ -417,7 +460,8 @@ def olct_via_ft(field, params: OffsetParams, grid: PolarGrid, *,
 
     Multiplies the field by the input chirp and spatial-offset phase, takes
     the plain polar Fourier transform, and restores the output phases.
-    Serves as the independent route against olct_forward.
+    Serves as the independent route against olct_forward, whose azimuth
+    rounding `n_azimuth` follows.
     """
     f = _as_field_callable(field)
     a, b, d = params.a, params.b, params.d
@@ -453,7 +497,8 @@ def _radial_quadrature(integrand, order, b: float, out: np.ndarray, pref, extent
     integrand(s) J_v(s out / b) s ds: adaptive panels unless `n_radial`."""
     _check_r_max(extent, extent_name)
 
-    def sums(s, ws):
+    def sums(lo, hi):
+        s, ws = _panel_nodes(lo, hi)
         g = np.asarray(integrand(s), dtype=complex) * s * ws
         return _per_panel(bessel_j(order, s[:, None] * out[None, :] / b) * g[:, None])
 
@@ -572,7 +617,8 @@ def olct_series(coefficients: dict, params: OffsetParams, grid: PolarGrid, *,
         # J_{-m} = (-1)^m J_m
         return chain[abs(m)] * ((-1.0) ** m if m < 0 else 1.0)
 
-    def sums(r, wr):
+    def sums(lo, hi):
+        r, wr = _panel_nodes(lo, hi)
         # the p = 0 row of the side factor is identically 1 when mu1 = 0
         side = bessel_jn_chain(r * mu1 / b, M)
         J_big = bessel_jn_chain(r[:, None] * rho[None, :] / b, n_max + M)

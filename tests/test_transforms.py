@@ -29,31 +29,38 @@ def rel_err(x, truth):
     return float(np.max(np.abs(x - truth))) / (float(np.max(np.abs(truth))) or 1.0)
 
 
-def naive_olct(field, p, rho, phi, r_max, n_r, n_t):
-    """Direct double-loop quadrature of the full kernel (oracle)."""
-    r, wr = radial_rule(r_max, n_r)
-    th = -np.pi + 2.0 * np.pi * np.arange(n_t) / n_t
-    wth = 2.0 * np.pi / n_t
-    total = 0.0 + 0.0j
-    for i, (ri, wi) in enumerate(zip(r, wr)):
-        for tj in th:
-            phase = (p.a / (2 * p.b)) * ri ** 2 \
-                - (ri * rho / p.b) * np.cos(tj - phi) \
-                + (p.d / (2 * p.b)) * rho ** 2 \
-                + (ri * p.mu1 / p.b) * np.sin(tj + p.phi1) \
-                - (rho * p.mu2 / p.b) * np.sin(phi + p.phi2)
-            total += field(ri, tj) * np.exp(1j * phase) * ri * wi * wth
-    return p.ell1 / (2.0 * np.pi * p.b) * total
+def direct_kernel_sum(field, p, grid, r_max, n_radial, n_azimuth):
+    """The forward double sum with the kernel evaluated at every (r, theta)
+    for every output point: radial_rule nodes, trapezoid azimuths, no FFT."""
+    r, wr = radial_rule(r_max, n_radial)
+    th = -np.pi + 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
+    R, TH = r[:, None], th[None, :]
+    g = field(R, TH) * np.exp(1j * (p.a / (2 * p.b)) * R ** 2 + 1j * (p.mu1 / p.b) * R * np.sin(TH + p.phi1)) \
+        * (r * wr)[:, None] * (2.0 * np.pi / n_azimuth)
+    out = np.empty((grid.rho.size, grid.n_phi), dtype=complex)
+    for k, rho in enumerate(grid.rho):
+        for j, phi in enumerate(grid.phi):
+            total = np.sum(g * np.exp(-1j * R * rho * np.cos(TH - phi) / p.b))
+            out[k, j] = total * np.exp(1j * (p.d / (2 * p.b)) * rho ** 2
+                                       - 1j * (rho * p.mu2 / p.b) * np.sin(phi + p.phi2))
+    return p.ell1 / (2.0 * np.pi * abs(p.b)) * out
 
 
 def test_engine_matches_direct_double_loop(offset_params):
-    p = offset_params
-    field = lambda r, th: np.exp(-0.4 * np.asarray(r) ** 2) * (1.0 + 0.5 * np.exp(1j * np.asarray(th)))
-    grid = PolarGrid(np.array([0.45]), 16)
-    engine = olct_forward(field, p, grid, r_max=8.0, n_radial=48, n_azimuth=16)
-    phi = grid.phi[5]
-    oracle = naive_olct(field, p, 0.45, phi, 8.0, 48, 16)
-    assert abs(engine.values[0, 5] - oracle) < 1e-12 * abs(oracle)
+    field = lambda r, th: np.exp(-0.3 * r ** 2) * (1.0 + 0.5 * r * np.exp(1j * th)
+                                                   + 0.2 * np.exp(-2j * th))
+    # LCT (1, 2; -0.25, 0.5) with both offsets, on 32 azimuths (a multiple
+    # of four) and on 30 (n_phi = 5, rounded to an even multiple)
+    lct_offsets = OffsetParams(1.0, 2.0, -0.25, 0.5, (0.3, 0.4), (0.1, -0.2))
+    rho = np.array([0.3, 1.1, 2.0])
+    for p, n_phi, n_azimuth in ((offset_params, 16, 16), (lct_offsets, 8, 32), (lct_offsets, 5, 30)):
+        grid = PolarGrid(rho, n_phi)
+        got = olct_forward(field, p, grid, r_max=8.0, n_radial=64, n_azimuth=n_azimuth)
+        assert rel_err(got.values, direct_kernel_sum(field, p, grid, 8.0, 64, n_azimuth)) < 1e-13
+    # a chirped Gaussian settles on panels of two widths; the verify_tol
+    # re-run halves them all, so one batch mixes widths
+    olct_forward(chirped_gaussian(6.0, *CHIRP_COEFFS), lct_offsets,
+                 PolarGrid(np.linspace(0.1, 2.0, 4), 8), r_max=48.0, verify_tol=1e-10)
 
 
 def test_zero_field_and_linearity(rot, make_field):
@@ -207,6 +214,22 @@ def test_accuracy_failure_reported(lct, make_field):
     olct_forward(f, lct, grid, r_max=40.0, verify_tol=1e-4)
 
 
+def test_inverse_verify_needs_even_azimuths(rot, make_field):
+    # the azimuth-halved check is a uniform rule only on an even grid; on an
+    # odd one it reported a 2e-2 difference for a 2e-6 reconstruction
+    f = make_field(rot, seed=3)
+    rr = np.linspace(0.2, 4.0, 7)
+    tt = np.linspace(-2.5, 2.5, 7)
+    for n_phi in (64, 63, 65):
+        spec = olct_forward(f, rot, spectral_grid(rot, 1.0, n_radial=96, n_phi=n_phi), r_max=60.0)
+        assert rel_err(olct_inverse(spec, rot, rr, tt), f.evaluate(rr, tt)) < 1e-5
+        if n_phi % 2:
+            with pytest.raises(ValueError, match="even n_phi"):
+                olct_inverse(spec, rot, rr, tt, verify_tol=1e-6)
+        else:
+            olct_inverse(spec, rot, rr, tt, verify_tol=1e-6)
+
+
 def test_inverse_requires_quadrature_grid(rot, make_field):
     f = make_field(rot, seed=3)
     grid = PolarGrid(np.linspace(0.05, 1.0, 12), 16)  # no weights
@@ -354,6 +377,9 @@ def test_non_finite_input_rejected(lct):
         olct_inverse(spec, lct, np.array([0.5]), np.array([0.0]))
     with pytest.raises(ValueError, match="non-finite"):
         fourier_coefficients(nan_field, 2)[1](np.array([0.5]))
+    for rho in ([np.nan, 1.0], [np.inf], [0.5, -np.inf]):
+        with pytest.raises(ValueError, match="rho must be finite"):
+            PolarGrid(rho, 8)
 
 
 def chirped_gaussian(s, c0, c1):
@@ -376,10 +402,12 @@ CHIRP_COEFFS = (0.6 - 0.3j, -0.4 + 0.5j)
 
 def test_adaptive_resolves_chirped_gaussian(lct):
     s = 10.0
-    truth = chirped_gaussian_transform(lct, s, *CHIRP_COEFFS, CHIRP_GRID.rho[:, None],
-                                       CHIRP_GRID.phi[None, :])
-    got = olct_forward(chirped_gaussian(s, *CHIRP_COEFFS), lct, CHIRP_GRID, r_max=80.0)
-    assert rel_err(got.values, truth) < 1e-12
+    # an odd n_phi rounds the azimuth rule up to an even multiple of it
+    for grid in (CHIRP_GRID, PolarGrid(CHIRP_GRID.rho, 9)):
+        truth = chirped_gaussian_transform(lct, s, *CHIRP_COEFFS, grid.rho[:, None],
+                                           grid.phi[None, :])
+        got = olct_forward(chirped_gaussian(s, *CHIRP_COEFFS), lct, grid, r_max=80.0)
+        assert rel_err(got.values, truth) < 1e-12
 
 
 def test_adaptive_matches_fine_uniform_rule(lct):
