@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .bessel import ZeroTable, bessel_j, bessel_jn_chain
+from .bessel import ZeroTable, _zero_quotient, bessel_j, bessel_jn_chain
 from .params import OffsetParams
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
 
 _PREFACTORS = ("unit", "alternating")
 _INNER_CHIRPS = ("spectral", "spatial")
-_NEAR_ZERO_SWITCH = 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -92,25 +91,23 @@ def stark_interpolate(values, theta, k_max: int):
 def theta_kernel(r, alpha, z, order, params: OffsetParams, omega: float):
     """Radial interpolating function for the sample at alpha = b z / omega.
 
-    Scalar or array `alpha` and `z` (one sample each); the result has shape
-    alpha.shape + r.shape.  Within 1e-6*alpha of the sample point the 0/0
-    form is replaced by its limit, which is 1 for every mu2 (numerator and
-    denominator share the (mu2 + alpha) factor under l'Hopital with
-    J_v' = -J_{v+1} at zeros).
+    2 b (mu2 + alpha) J_v(omega r / b) / (omega J_{v+1}(z) (alpha^2 - r^2
+    + 2 mu2 (alpha - r))), evaluated as
+    -2 (mu2 + alpha) Q / (J_{v+1}(z) (alpha + r + 2 mu2)) with the
+    removable-point quotient Q = J_v(omega r / b) / (omega r / b - z), so it
+    is smooth through r = alpha, where it is 1 for every mu2.  Scalar or
+    array `alpha` and `z` (one sample each); the result has shape
+    alpha.shape + r.shape.
     """
     alpha = np.asarray(alpha, dtype=float)
     z = np.asarray(z, dtype=float)
     if np.any(np.abs(alpha - params.b * z / omega) > 1e-9 * alpha):
         raise ValueError("alpha is not the normalized zero of z")
     r = np.asarray(r, dtype=float)
-    mu2, b = params.mu2, params.b
-    al = np.atleast_1d(alpha).ravel()[:, None]
-    rr = np.atleast_1d(r).ravel()
-    jnext = bessel_j(float(order) + 1.0, np.atleast_1d(z).ravel())[:, None]
-    num = 2.0 * b * (mu2 + al) * bessel_j(order, omega * rr / b)
-    den = omega * jnext * (al * al - rr * rr + 2.0 * mu2 * (al - rr))
-    near = np.abs(rr - al) < _NEAR_ZERO_SWITCH * al
-    out = np.where(near, 1.0, num / np.where(den == 0.0, 1.0, den))
+    mu2, al, rr = params.mu2, alpha.ravel()[:, None], r.ravel()
+    jnext = bessel_j(float(order) + 1.0, z.ravel())
+    quotient = _zero_quotient(order, omega * rr / params.b, z.ravel(), jnext)
+    out = -2.0 * (mu2 + al) * quotient / (jnext[:, None] * (al + rr + 2.0 * mu2))
     out = out.reshape(alpha.shape + r.shape)
     return float(out) if out.ndim == 0 else out
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 import numpy as np
 
-from .bessel import ZeroTable, bessel_j
+from .bessel import ZeroTable, _zero_quotient, bessel_j
 from .params import OffsetParams
 
 __all__ = [
@@ -32,47 +31,29 @@ __all__ = [
 _COEFF_BOUND = 1e6
 
 
-def lommel_kernel(alpha: float, r, c: float, order) -> np.ndarray:
+def lommel_kernel(alpha, r, c: float, order):
     """Closed form of int_0^c J_v(alpha*rho) J_v(r*rho) rho d(rho) when
     alpha*c is a positive zero of J_v.
 
-    Equals c*alpha*J_{v+1}(alpha*c)*J_v(r*c)/(alpha^2 - r^2).  Within one
-    unit of r*c from the zero alpha*c, J_v(r*c)/(r*c - alpha*c) comes from
-    the Taylor series about the zero, smooth through the removable point
-    r = alpha (limit (c^2/2)*J_{v+1}(alpha*c)^2).
+    Equals c*alpha*J_{v+1}(alpha*c)*J_v(r*c)/(alpha^2 - r^2), evaluated as
+    -c^2*alpha*J_{v+1}(alpha*c)*Q/(alpha + r) with the removable-point
+    quotient Q = J_v(r*c)/(r*c - alpha*c), so it is smooth through r = alpha
+    (limit (c^2/2)*J_{v+1}(alpha*c)^2).  Scalar or array `alpha` (one zero
+    each); the result has shape alpha.shape + r.shape.
     """
-    if alpha <= 0 or c <= 0:
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha <= 0) or c <= 0:
         raise ValueError("alpha and c must be positive")
-    edge = float(bessel_j(order, alpha * c))
-    if abs(edge) > 1e-10:
-        raise ValueError(f"alpha*c = {alpha * c!r} is not a zero of the order-{order} function")
+    z = alpha.ravel() * c
+    edge = np.abs(bessel_j(order, z))
+    if np.any(edge > 1e-10):
+        raise ValueError(f"alpha*c = {z[np.argmax(edge)]!r} is not a zero of the order-{order} function")
     r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    jnext = float(bessel_j(float(order) + 1.0, alpha * c))
-    h = c * (r - alpha)
-    near = np.abs(h) < 1.0
-    quotient = np.empty(r.shape)  # J_v(r*c) / h
-    quotient[~near] = bessel_j(order, r[~near] * c) / h[~near]
-    quotient[near] = np.polyval(_zero_taylor(float(order), alpha * c, jnext), h[near])
-    out = -c * c * alpha * jnext * quotient / (alpha + r)
-    return float(out[0]) if scalar else out
-
-
-@lru_cache(maxsize=256)
-def _zero_taylor(v: float, x: float, jnext: float, terms: int = 24) -> tuple:
-    """Coefficients, highest first, of J_v(x + h) / h as a polynomial in h
-    at a zero x of J_v, for |h| <= 1.
-
-    y(k) = J_v^(k)(x) from Bessel's equation differentiated k times, with
-    y = 0 and y' = -J_{v+1}(x); the recursion's spurious solutions shrink
-    like (h/x)^k in the sum and the truncation error is below 1/24!.
-    """
-    y = [0.0, 0.0, 0.0, -jnext]  # y(k) is y[k + 2]
-    for k in range(terms - 1):
-        y.append(-((2 * k + 1) * x * y[k + 3] + (k * k + x * x - v * v) * y[k + 2]
-                   + 2 * k * x * y[k + 1] + k * (k - 1) * y[k]) / (x * x))
-    return tuple(y[k + 2] / math.factorial(k) for k in range(terms, 0, -1))
+    al, rr = alpha.ravel()[:, None], r.ravel()
+    jnext = bessel_j(float(order) + 1.0, z)
+    out = -c * c * al * jnext[:, None] * _zero_quotient(order, rr * c, z, jnext) / (al + rr)
+    out = out.reshape(alpha.shape + r.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def _radial_order(order_map: str, fixed_order: int, n: int) -> int:
@@ -183,9 +164,7 @@ class SynthesizedField(PolarField):
         zeros = ZeroTable.for_order(w, eps.size).zeros[: eps.size]
         inside = rho < spec.omega
         if np.any(inside):
-            acc = np.zeros(inside.sum(), dtype=complex)
-            for zj, e in zip(zeros, eps):
-                acc += e * bessel_j(w, zj * rho[inside] / spec.omega)
+            acc = eps @ bessel_j(w, np.outer(zeros, rho[inside] / spec.omega))
             pref = (1j ** w) * p.ell1 / p.b * np.exp(1j * p.d * rho[inside] ** 2 / (2.0 * p.b))
             out[inside] = pref * acc
         return out
@@ -240,10 +219,7 @@ def _make_profile(alphas, eps, c, w, params):
 
     def profile(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        acc = np.zeros(r.shape, dtype=complex)
-        for al, e in zip(alphas, eps):
-            acc = acc + e * lommel_kernel(al, r, c, w)
-        return np.exp(-1j * (a / (2.0 * b)) * r ** 2) * acc
+        return np.exp(-1j * (a / (2.0 * b)) * r ** 2) * (eps @ lommel_kernel(alphas, r, c, w))
 
     return profile
 
@@ -326,7 +302,7 @@ def random_spectrum(omega: float, k_max: int, j_spec: int, seed: int, *,
         if not flatten_edge or j_spec < 2:
             return eps
         zeros = ZeroTable.for_order(w, eps.size).zeros[: eps.size]
-        slope = zeros * np.array([bessel_j(w + 1, z) for z in zeros])
+        slope = zeros * bessel_j(w + 1, zeros)
         eps = eps.copy()
         eps[-1] = -np.dot(eps[:-1], slope[:-1]) / slope[-1]
         return eps

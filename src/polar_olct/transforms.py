@@ -79,26 +79,26 @@ def _panel_rule():
     return np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
 
 
-def _panel_nodes(lo: np.ndarray, hi: np.ndarray):
-    """Gauss-Legendre nodes/weights of the panels [lo[p], hi[p]], panel-major."""
+def _panel_nodes(lo: np.ndarray, half: np.ndarray):
+    """Gauss-Legendre nodes/weights of the panels [lo, lo + 2 half], panel-major."""
     xg, wg = _panel_rule()
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return (mid[:, None] + half[:, None] * xg[None, :]).ravel(), (half[:, None] * wg[None, :]).ravel()
+    return ((lo + half)[:, None] + half[:, None] * xg[None, :]).ravel(), (half[:, None] * wg[None, :]).ravel()
 
 
-def _halve(lo: np.ndarray, hi: np.ndarray):
-    """Both halves of each panel [lo[p], hi[p]]: all left halves, then all right."""
-    mid = 0.5 * (lo + hi)
-    return np.concatenate([lo, mid]), np.concatenate([mid, hi])
+def _halve(lo: np.ndarray, half: np.ndarray):
+    """Both halves of each panel (lo, half): all left halves, then all right.
+    Halving a half-width is exact, so the panels of one depth share it to the bit."""
+    quarter = 0.5 * half
+    return np.concatenate([lo, lo + half]), np.concatenate([quarter, quarter])
 
 
 def _initial_panels(r_max: float, n_radial: int | None):
-    """Panels (lo, hi) of the uniform rule with `n_radial` nodes, or the
-    first level of the adaptive rule when `n_radial` is None."""
+    """Panels (lo, half), each [lo, lo + 2 half], of the uniform rule with
+    `n_radial` nodes, or the first level of the adaptive rule when
+    `n_radial` is None."""
     n = max(1, int(math.ceil(n_radial / _NODES_PER_PANEL))) if n_radial else _INITIAL_PANELS
-    edges = np.linspace(0.0, r_max, n + 1)
-    return edges[:-1], edges[1:]
+    width = r_max / n
+    return width * np.arange(n), np.full(n, 0.5 * width)
 
 
 def _per_panel(x: np.ndarray) -> np.ndarray:
@@ -179,12 +179,12 @@ def _as_field_callable(field):
     return field.evaluate
 
 
-def _panel_quadrature(sums, width: int, lo: np.ndarray, hi: np.ndarray, *, refine: bool,
+def _panel_quadrature(sums, width: int, lo: np.ndarray, half: np.ndarray, *, refine: bool,
                       name: str, measure=lambda x: x, pref=1.0):
     """pref * measure(sum of the panel sums over the radial rule), and the
-    panels (lo, hi) of that rule.
+    panels (lo, half) of that rule.
 
-    `sums(lo, hi)` maps a run of panels [lo[p], hi[p]] to their per-panel
+    `sums(lo, half)` maps a run of panels (lo[p], half[p]) to their per-panel
     sums (panel axis first), in batches of at most
     _CHUNK / (16 * width) panels.  `measure` is a linear map into the output
     domain (it may work in place) where deviations are taken, relative to
@@ -198,26 +198,26 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, hi: np.ndarray, *, refin
     per_batch = max(1, int(_CHUNK // (_NODES_PER_PANEL * width)))
     non_finite = ValueError(f"{name}: the integrand has non-finite values")
 
-    def batches(lo, hi):
+    def batches(lo, half):
         for s in range(0, lo.size, per_batch):
-            yield sums(lo[s:s + per_batch], hi[s:s + per_batch])
+            yield sums(lo[s:s + per_batch], half[s:s + per_batch])
 
     if not refine:
-        total = sum(part.sum(axis=0) for part in batches(lo, hi))
+        total = sum(part.sum(axis=0) for part in batches(lo, half))
         if not np.all(np.isfinite(total)):
             raise non_finite
-        return pref * measure(total), (lo, hi)
+        return pref * measure(total), (lo, half)
 
-    def panel_sums(lo, hi):
-        parts = list(batches(lo, hi))
+    def panel_sums(lo, half):
+        parts = list(batches(lo, half))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    kept_lo, kept_hi = [], []
-    whole = panel_sums(lo, hi)
+    kept_lo, kept_half = [], []
+    whole = panel_sums(lo, half)
     for depth in range(1, _MAX_DEPTH + 1):
         n = lo.size
-        lo, hi = _halve(lo, hi)
-        halves = panel_sums(lo, hi)
+        lo, half = _halve(lo, half)
+        halves = panel_sums(lo, half)
         if depth == 1:
             scale = np.max(np.abs(measure(halves.sum(axis=0))), initial=0.0)
         # whole minus halves, in place and then in the output domain
@@ -237,22 +237,22 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, hi: np.ndarray, *, refin
         else:
             total += halves[ok].sum(axis=0)
         kept_lo.append(lo[ok])
-        kept_hi.append(hi[ok])
+        kept_half.append(half[ok])
         if ok.all():
-            return pref * measure(total), (np.concatenate(kept_lo), np.concatenate(kept_hi))
+            return pref * measure(total), (np.concatenate(kept_lo), np.concatenate(kept_half))
         if depth == _MAX_DEPTH:
             refined = pref * measure(total + halves[~ok].sum(axis=0))
             raise QuadratureAccuracyError(
                 f"{name}: radial panels unresolved after {depth} halvings; halves differ "
                 f"by {dev.max() / scale:.3e} of the output scale (> {_PANEL_RTOL:.0e})",
                 refined + pref * diff[~ok[:n]].sum(axis=0), refined)
-        lo, hi, whole = lo[~ok], hi[~ok], halves[~ok]
+        lo, half, whole = lo[~ok], half[~ok], halves[~ok]
 
 
 def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
-                       lo: np.ndarray, hi: np.ndarray, n_azimuth: int, refine: bool):
+                       lo: np.ndarray, half: np.ndarray, n_azimuth: int, refine: bool):
     """Transform values on (rho_nodes x uniform azimuth grid of an even
-    n_azimuth), and the panels (lo, hi) of the radial rule that produced them.
+    n_azimuth), and the panels (lo, half) of the radial rule that produced them.
 
     The azimuth integral is a circular convolution with the kernel e^{-i t},
     t = (rho/b) r cos psi on the difference angle psi = theta - phi.  t
@@ -262,9 +262,10 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     evaluated on psi in [0, pi/2], and there per panel as
     e^{-i (rho/b) mid cos psi} e^{-i (rho/b) half x cos psi} for the nodes
     mid + half x: one exponential row per panel and 16 per distinct
-    half-width.  A panel's sum [p, k] is the DFT over the quadrature azimuths
-    of its contribution at rho_nodes[k]; the deviations of the adaptive rule
-    are taken after the inverse DFT, so they are bounded over phi.
+    half-width, of which each depth of the rule has one.  A panel's sum
+    [p, k] is the DFT over the quadrature azimuths of its contribution at
+    rho_nodes[k]; the deviations of the adaptive rule are taken after the
+    inverse DFT, so they are bounded over phi.
     """
     a, b = bundle.a, bundle.b
     mu1 = bundle.mu1
@@ -279,8 +280,8 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     mirror = np.array([np.arange(h + 1), (n - np.arange(h + 1)) % n])
     xg = _panel_rule()[0]
 
-    def sums(lo, hi):
-        r, wr = _panel_nodes(lo, hi)
+    def sums(lo, half):
+        r, wr = _panel_nodes(lo, half)
         base = np.asarray(field(r[:, None], th[None, :]), dtype=complex)
         base = base * np.exp(1j * (a / (2.0 * b)) * r[:, None] ** 2)
         if mu1 != 0.0:
@@ -293,8 +294,8 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
         folded = base_hat.reshape(lo.size, _NODES_PER_PANEL, n)[..., mirror]
         spec = np.stack([folded.real, folded.imag], axis=2)
         del base, base_hat, folded
-        mid = 0.5 * (lo + hi)
-        widths, which = np.unique(0.5 * (hi - lo), return_inverse=True)
+        mid = lo + half
+        widths, which = np.unique(half, return_inverse=True)
         offsets = widths[:, None, None] * xg[None, :, None]
         e = np.empty((lo.size, _NODES_PER_PANEL, q), dtype=complex)
         g = np.empty((lo.size, _NODES_PER_PANEL, n))
@@ -316,7 +317,7 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     pref = bundle.ell1 / (2.0 * np.pi * abs(b)) * np.exp(1j * bundle.d * rho_nodes ** 2 / (2.0 * b))[:, None]
     if bundle.mu2 != 0.0:
         pref = pref * np.exp(-1j * (rho_nodes[:, None] * bundle.mu2 / b) * np.sin(th[None, :] + bundle.phi2))
-    return _panel_quadrature(sums, n_azimuth, lo, hi, refine=refine, name="olct_forward",
+    return _panel_quadrature(sums, n_azimuth, lo, half, refine=refine, name="olct_forward",
                              measure=lambda x: np.fft.ifft(x, axis=-1, out=x), pref=pref)
 
 
@@ -369,11 +370,11 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     rho_max = float(grid.rho.max()) if grid.rho.size else 0.0
     step = math.lcm(2, grid.n_phi)
     na = step * math.ceil((n_azimuth or _azimuth_node_count(params, r_max, rho_max)) / step)
-    full, (lo, hi) = _kernel_quadrature(f, params, grid.rho, *_initial_panels(r_max, n_radial),
-                                        na, refine=not n_radial)
+    full, panels = _kernel_quadrature(f, params, grid.rho, *_initial_panels(r_max, n_radial),
+                                      na, refine=not n_radial)
     values = _subsample(full, na, grid.n_phi)
     if verify_tol is not None:
-        refined, _ = _kernel_quadrature(f, params, grid.rho, *_halve(lo, hi), 2 * na,
+        refined, _ = _kernel_quadrature(f, params, grid.rho, *_halve(*panels), 2 * na,
                                         refine=False)
         _check_refined(values, _subsample(refined, 2 * na, grid.n_phi), verify_tol,
                        "olct_forward: split-panel result")
@@ -497,15 +498,15 @@ def _radial_quadrature(integrand, order, b: float, out: np.ndarray, pref, extent
     integrand(s) J_v(s out / b) s ds: adaptive panels unless `n_radial`."""
     _check_r_max(extent, extent_name)
 
-    def sums(lo, hi):
-        s, ws = _panel_nodes(lo, hi)
+    def sums(lo, half):
+        s, ws = _panel_nodes(lo, half)
         g = np.asarray(integrand(s), dtype=complex) * s * ws
         return _per_panel(bessel_j(order, s[:, None] * out[None, :] / b) * g[:, None])
 
-    value, (lo, hi) = _panel_quadrature(sums, out.size, *_initial_panels(extent, n_radial),
-                                        refine=not n_radial, name=name, pref=pref)
+    value, panels = _panel_quadrature(sums, out.size, *_initial_panels(extent, n_radial),
+                                      refine=not n_radial, name=name, pref=pref)
     if verify_tol is not None:
-        refined, _ = _panel_quadrature(sums, out.size, *_halve(lo, hi), refine=False,
+        refined, _ = _panel_quadrature(sums, out.size, *_halve(*panels), refine=False,
                                        name=name, pref=pref)
         _check_refined(value, refined, verify_tol, f"{name}: split-panel result")
     return value
@@ -617,8 +618,8 @@ def olct_series(coefficients: dict, params: OffsetParams, grid: PolarGrid, *,
         # J_{-m} = (-1)^m J_m
         return chain[abs(m)] * ((-1.0) ** m if m < 0 else 1.0)
 
-    def sums(lo, hi):
-        r, wr = _panel_nodes(lo, hi)
+    def sums(lo, half):
+        r, wr = _panel_nodes(lo, half)
         # the p = 0 row of the side factor is identically 1 when mu1 = 0
         side = bessel_jn_chain(r * mu1 / b, M)
         J_big = bessel_jn_chain(r[:, None] * rho[None, :] / b, n_max + M)

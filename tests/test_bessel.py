@@ -133,8 +133,8 @@ def test_integral_representation_cross_check():
             assert abs(quad.imag) < 1e-12
 
 
-# integer, half-integer and irrational orders up to 100; the recurrence and
-# the series meet at x = 12 and the worst errors used to sit near x = 2v
+# integer, half-integer and irrational orders up to 100; the worst errors
+# used to sit near x = 2v
 ORACLE_ORDERS = (0, 1, 2, 5, 7, 10, 11, 12, 16, 20, 25, 30, 40, 50, 75, 100,
                  0.5, 11.5, 49.5, 99.5, math.pi, 10 * math.e, 50 * math.sqrt(2), 100 / 3)
 ORACLE_X = np.unique(np.concatenate([np.linspace(0.0, 1e3, 4001), np.linspace(0.0, 250.0, 2501)]))
@@ -161,12 +161,32 @@ def test_bessel_j_property_against_scipy_jv():
     check()
 
 
-def test_bessel_j_against_mpmath_near_twice_the_order():
+def test_bessel_j_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
+    with mpmath.workdps(40):
+        # around x = 2v, where the recurrence once lost digits
         for v in (20, 30, 50):
             for x in (2 * v - 0.7, 2 * v, 2 * v + 0.3):
                 assert abs(bessel_j(v, x) - float(mpmath.besselj(v, x))) <= 1e-14, (v, x)
+        # far below the turning point, where the series stopped on an
+        # absolute floor and lost the value
+        for v, x in ((30, 0.5), (60, 5.0), (100, 11.9), (150, 11.9)):
+            ref = mpmath.besselj(v, x)
+            assert abs(bessel_j(v, x) - ref) <= 1e-13 * abs(ref), (v, x)
+        # relative error on x <= 12, away from zeros (Newton distance
+        # |J_v / J_v'| >= 1e-3) and wherever J_v is a normal float
+        rng = np.random.default_rng(8)
+        xs = np.concatenate([np.geomspace(1e-6, 12.0, 30), [1e-3, 1.001e-3], rng.uniform(0.0, 12.0, 30)])
+        for v in (-0.5, 0, 0.1, 1, math.pi, 7, 11.9, 20, 30.3, 45, 60, 77.7, 100):
+            for x, got in zip(xs, bessel_j(v, xs)):
+                ref = mpmath.besselj(v, x)
+                slope = mpmath.besselj(v - 1, x) - v / x * ref
+                if abs(ref) > 1e-290 and abs(ref) >= 1e-3 * abs(slope):
+                    assert abs(got - ref) <= 1e-13 * abs(ref), (v, x)
+    # above order ~170 Gamma(v+1) overflows a float, the value underflows
+    assert bessel_j(500, 1.0001) == 0.0
+    wide = bessel_j(1000, np.linspace(0.0, 2000.0, 4001))
+    assert np.all(np.isfinite(wide)) and np.max(np.abs(wide)) < 0.07
 
 
 def test_zeros_against_scipy_jn_zeros():
@@ -194,7 +214,7 @@ def test_derivative_matches_finite_differences():
 
 
 def test_chain_consistent_with_scalar_evaluation():
-    x = np.array([0.05, 0.7, 3.3, 40.0, 300.0])
+    x = np.array([1e-30, 1e-3, 0.05, 0.7, 3.3, 40.0, 300.0])
     chain = bessel_jn_chain(x, 12)
     for m in range(13):
         assert np.max(np.abs(chain[m] - bessel_j(m, x))) < 1e-13

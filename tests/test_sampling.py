@@ -99,15 +99,27 @@ def test_stark_moment_identity_by_quadrature():
 # --------------------------------------------------------------------------
 
 def test_theta_kernel_at_its_sample(rot, offset_params):
-    z = ZeroTable.for_order(0, 3).zeros
-    for params in (rot, offset_params):
-        omega = np.pi
-        alpha = params.b * z[0] / omega
-        assert theta_kernel(alpha, alpha, z[0], 0, params, omega) == 1.0
-        # two-sided probes just outside the switch radius extrapolate to 1
-        lo = theta_kernel(alpha * (1 - 1e-5), alpha, z[0], 0, params, omega)
-        hi = theta_kernel(alpha * (1 + 1e-5), alpha, z[0], 0, params, omega)
-        assert abs(0.5 * (lo + hi) - 1.0) < 1e-8
+    mpmath = pytest.importorskip("mpmath")
+    omega = np.pi
+    # at the sample, inside 1e-6 alpha of it, just outside, and where the
+    # Taylor series about the zero of a half-integer order converges slowly
+    offsets = (0.0, 1e-12, -3e-9, 4e-7, -9e-7, 1.1e-6, -2e-6, 1e-5, 0.2, -0.3)
+    with mpmath.workdps(40):
+        for order in (-0.5, 0, 1):
+            zeros = ZeroTable.for_order(order, 3).zeros[:3]
+            for z in zeros:
+                z_mp = mpmath.findroot(lambda t: mpmath.besselj(order, t), z)
+                for params in (rot, offset_params):
+                    b, mu2 = mpmath.mpf(params.b), mpmath.mpf(params.mu2)
+                    al = b * z_mp / omega
+                    alpha = params.b * z / omega
+                    for rel in offsets:
+                        r = alpha * (1.0 + rel)
+                        rm = mpmath.mpf(r)
+                        ref = 2 * b * (mu2 + al) * mpmath.besselj(order, omega * rm / b) / (
+                            omega * mpmath.besselj(order + 1, z_mp) * (al * al - rm * rm + 2 * mu2 * (al - rm)))
+                        got = theta_kernel(r, alpha, z, order, params, omega)
+                        assert abs(got - float(ref)) <= 1e-14, (order, z, rel)
 
 
 def test_theta_kernel_vanishes_at_other_zeros(rot):

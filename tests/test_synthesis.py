@@ -59,6 +59,20 @@ def test_lommel_against_quadrature_oracle():
 def test_lommel_rejects_non_zero_alpha():
     with pytest.raises(ValueError):
         lommel_kernel(2.0, 0.5, 1.0, 0)  # J_0(2) != 0
+    with pytest.raises(ValueError):
+        lommel_kernel(np.array([Z0[0], 2.0]), 0.5, 1.0, 0)
+
+
+def test_lommel_array_alpha_matches_scalar_calls():
+    c, v = 0.5, 1
+    alphas = ZeroTable.for_order(v, 6).zeros[:6].reshape(2, 3) / c
+    # probes far from the zeros and within 1e-6 alpha of each of them
+    r = np.concatenate([np.linspace(0.0, 40.0, 9), alphas.ravel() * (1.0 + 3e-7)])
+    mat = lommel_kernel(alphas, r, c, v)
+    assert mat.shape == (2, 3, r.size)
+    for idx in np.ndindex(alphas.shape):
+        assert np.max(np.abs(mat[idx] - lommel_kernel(alphas[idx], r, c, v))) <= 1e-15
+    assert lommel_kernel(alphas, 0.3, c, v).shape == (2, 3)
 
 
 def test_gram_matrix_diagonal():

@@ -22,7 +22,7 @@ from polar_olct import (
     synthesize,
 )
 from polar_olct.harness import _per_order_series
-from polar_olct.transforms import radial_rule
+from polar_olct.transforms import _initial_panels, _kernel_quadrature, radial_rule
 
 
 def rel_err(x, truth):
@@ -416,6 +416,22 @@ def test_adaptive_matches_fine_uniform_rule(lct):
     # verify_tol re-runs with every accepted panel halved and twice the azimuths
     auto = olct_forward(f, lct, grid, r_max=60.0, verify_tol=1e-12)
     uniform = olct_forward(f, lct, grid, r_max=60.0, n_radial=2304)
+    assert rel_err(auto.values, uniform.values) < 1e-12
+
+
+def test_adaptive_panels_share_one_width_per_depth(lct):
+    # 37.3 / 16 is no binary fraction; equal-width edges used to give 5-9
+    # half-widths per depth that differed in their last bits
+    r_max, f = 37.3, chirped_gaussian(6.0, *CHIRP_COEFFS)
+    _, (lo, half) = _kernel_quadrature(f, lct, CHIRP_GRID.rho, *_initial_panels(r_max, None),
+                                       512, refine=True)
+    depth = np.round(np.log2(r_max / 32.0 / half))
+    assert np.unique(depth).size >= 2
+    assert np.array_equal(half, (r_max / 32.0) / 2.0 ** depth)
+    # the panels tile [0, r_max], up to rounding of their edges
+    assert np.max(np.abs(np.sort(lo)[1:] - np.sort(lo + 2.0 * half)[:-1])) <= 1e-14 * r_max
+    auto = olct_forward(f, lct, CHIRP_GRID, r_max=r_max)
+    uniform = olct_forward(f, lct, CHIRP_GRID, r_max=r_max, n_radial=8192)
     assert rel_err(auto.values, uniform.values) < 1e-12
 
 
