@@ -42,18 +42,27 @@ def lommel_kernel(alpha, r, c: float, order):
     each); the result has shape alpha.shape + r.shape.
     """
     alpha = np.asarray(alpha, dtype=float)
+    out = _lommel_values(alpha, np.asarray(r, dtype=float), c, order, *_lommel_edge(alpha, c, order))
+    return float(out) if out.ndim == 0 else out
+
+
+def _lommel_edge(alpha: np.ndarray, c: float, order):
+    """The zeros z = alpha*c of J_v, checked, and J_{v+1}(z)."""
     if np.any(alpha <= 0) or c <= 0:
         raise ValueError("alpha and c must be positive")
     z = alpha.ravel() * c
     edge = np.abs(bessel_j(order, z))
     if np.any(edge > 1e-10):
         raise ValueError(f"alpha*c = {z[np.argmax(edge)]!r} is not a zero of the order-{order} function")
-    r = np.asarray(r, dtype=float)
+    return z, bessel_j(float(order) + 1.0, z)
+
+
+def _lommel_values(alpha: np.ndarray, r: np.ndarray, c: float, order, z, jnext) -> np.ndarray:
+    """lommel_kernel's values, shape alpha.shape + r.shape, from the
+    _lommel_edge values of `alpha`."""
     al, rr = alpha.ravel()[:, None], r.ravel()
-    jnext = bessel_j(float(order) + 1.0, z)
     out = -c * c * al * jnext[:, None] * _zero_quotient(order, rr * c, z, jnext) / (al + rr)
-    out = out.reshape(alpha.shape + r.shape)
-    return float(out) if out.ndim == 0 else out
+    return out.reshape(alpha.shape + r.shape)
 
 
 def _radial_order(order_map: str, fixed_order: int, n: int) -> int:
@@ -215,11 +224,13 @@ def _zero_profile(r):
 
 
 def _make_profile(alphas, eps, c, w, params):
+    # the zeros are checked and J_{w+1} taken there once, not on every call
     a, b = params.a, params.b
+    edge = _lommel_edge(alphas, c, w)
 
     def profile(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        return np.exp(-1j * (a / (2.0 * b)) * r ** 2) * (eps @ lommel_kernel(alphas, r, c, w))
+        return np.exp(-1j * (a / (2.0 * b)) * r ** 2) * (eps @ _lommel_values(alphas, r, c, w, *edge))
 
     return profile
 

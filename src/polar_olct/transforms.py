@@ -10,16 +10,21 @@ QuadratureAccuracyError).  The azimuthal direction is a uniform trapezoid
 rule on an even number of nodes, evaluated as a circular convolution: the
 kernel's spectrum is real and even up to a fixed phase, so each output
 radius costs one real FFT, and its exponentials are taken on a quarter turn
-and factored over each panel.  This is the trapezoid sum up to rounding,
-checked against a point-by-point double sum.  Everything else here - the
-FT route, the Hankel-type radial transforms, the angular series - is an
-algebraic rearrangement of the same integral and serves as a cross-check
-oracle.
+and factored over each panel.  That per-radius loop runs on every usable
+CPU, one thread per contiguous block of panels (the calling thread takes
+the first); the field is evaluated on the calling thread, and the result
+is identical to the bit for any number of blocks.  This is the trapezoid
+sum up to rounding, checked against a point-by-point double sum.
+Everything else here - the FT route, the Hankel-type radial transforms,
+the angular series - is an algebraic rearrangement of the same integral
+and serves as a cross-check oracle.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,6 +104,14 @@ def _initial_panels(r_max: float, n_radial: int | None):
     n = max(1, int(math.ceil(n_radial / _NODES_PER_PANEL))) if n_radial else _INITIAL_PANELS
     width = r_max / n
     return width * np.arange(n), np.full(n, 0.5 * width)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
 
 def _per_panel(x: np.ndarray) -> np.ndarray:
@@ -232,10 +245,12 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, half: np.ndarray, *, ref
             mass = np.max(sum(np.abs(measure(part.copy())) for part in halves), initial=0.0)
             scale = max(scale, _CANCELLATION * mass)
         ok = np.tile(dev <= _PANEL_RTOL * scale, 2)
+        # a masked sum: indexing halves[ok] would copy every accepted half first
+        accepted = halves.sum(axis=0, where=ok.reshape((-1,) + (1,) * (halves.ndim - 1)))
         if depth == 1:
-            total = halves[ok].sum(axis=0)
+            total = accepted
         else:
-            total += halves[ok].sum(axis=0)
+            total += accepted
         kept_lo.append(lo[ok])
         kept_half.append(half[ok])
         if ok.all():
@@ -262,10 +277,12 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     evaluated on psi in [0, pi/2], and there per panel as
     e^{-i (rho/b) mid cos psi} e^{-i (rho/b) half x cos psi} for the nodes
     mid + half x: one exponential row per panel and 16 per distinct
-    half-width, of which each depth of the rule has one.  A panel's sum
-    [p, k] is the DFT over the quadrature azimuths of its contribution at
-    rho_nodes[k]; the deviations of the adaptive rule are taken after the
-    inverse DFT, so they are bounded over phi.
+    half-width in a block of panels, of which each depth of the rule has
+    one.  A panel's sum [p, k] is the DFT over the quadrature azimuths of
+    its contribution at rho_nodes[k]; the deviations of the adaptive rule
+    are taken after the inverse DFT, so they are bounded over phi.  The loop
+    over rho_nodes runs on one thread per contiguous block of panels, on
+    work arrays the calling thread allocates.
     """
     a, b = bundle.a, bundle.b
     mu1 = bundle.mu1
@@ -295,23 +312,70 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
         spec = np.stack([folded.real, folded.imag], axis=2)
         del base, base_hat, folded
         mid = lo + half
-        widths, which = np.unique(half, return_inverse=True)
-        offsets = widths[:, None, None] * xg[None, :, None]
-        e = np.empty((lo.size, _NODES_PER_PANEL, q), dtype=complex)
-        g = np.empty((lo.size, _NODES_PER_PANEL, n))
-        res = np.empty((lo.size, 2, 2, h + 1))
         out = np.empty((lo.size, rho_nodes.size, n), dtype=complex)
-        for k, rho in enumerate(rho_nodes):
-            arg = (-rho / b) * cos_psi
-            np.multiply(np.exp(1j * mid[:, None, None] * arg), np.exp(1j * offsets * arg)[which],
-                        out=e)
-            # cos t - sin t on [0, pi/2], cos t + sin t mirrored onto [pi/2, pi], even in psi
-            np.add(e.real, e.imag, out=g[..., :q])
-            np.subtract(e.real, e.imag, out=g[..., h:h - q:-1])
-            g[..., h + 1:] = g[..., h - 1:0:-1]
-            np.einsum("pncsm,pnm->pcsm", spec, np.fft.rfft(g, axis=-1).real, out=res)
-            out[:, k, :h + 1] = res[:, 0, 0] + 1j * res[:, 1, 0]
-            out[:, k, h + 1:] = res[:, 0, 1, h - 1:0:-1] + 1j * res[:, 1, 1, h - 1:0:-1]
+
+        def radius_loop(p, offs, which, work):
+            # panels p at every output radius.  Exponents go into the imaginary
+            # parts of zeroed buffers, so e^{i x} is taken in place.
+            arg, e_off, e_mid, e, g, g_hat, res = work
+            out_p = out[p]
+            for k, rho in enumerate(rho_nodes):
+                np.multiply(-rho / b, cos_psi, out=arg)
+                e_off.real = 0.0
+                np.multiply(offs, arg, out=e_off.imag)
+                np.exp(e_off, out=e_off)
+                e_mid.real = 0.0
+                np.multiply(mid[p, None, None], arg, out=e_mid.imag)
+                np.exp(e_mid, out=e_mid)
+                np.take(e_off, which, axis=0, out=e, mode="clip")
+                np.multiply(e_mid, e, out=e)
+                # cos t - sin t on [0, pi/2], cos t + sin t mirrored onto [pi/2, pi],
+                # even in psi; each written at m and n - m, as a copy within g
+                # would take a temporary
+                np.add(e.real, e.imag, out=g[..., :q])
+                np.add(e.real[..., 1:], e.imag[..., 1:], out=g[..., n - 1:n - q:-1])
+                np.subtract(e.real, e.imag, out=g[..., h:h - q:-1])
+                np.subtract(e.real[..., 1:], e.imag[..., 1:], out=g[..., h + 1:h + q])
+                np.fft.rfft(g, axis=-1, out=g_hat)
+                np.einsum("pncsm,pnm->pcsm", spec[p], g_hat.real, out=res)
+                ring = out_p[:, k]
+                ring.real[:, :h + 1] = res[:, 0, 0]
+                ring.imag[:, :h + 1] = res[:, 1, 0]
+                ring.real[:, h + 1:] = res[:, 0, 1, h - 1:0:-1]
+                ring.imag[:, h + 1:] = res[:, 1, 1, h - 1:0:-1]
+
+        # contiguous panel blocks, one per usable CPU; rows are independent,
+        # so the result is the same to the bit for any number of blocks
+        n_blocks = min(_usable_cpus(), lo.size)
+        blocks = []
+        for i in range(n_blocks):
+            p = slice(lo.size * i // n_blocks, lo.size * (i + 1) // n_blocks)
+            m = p.stop - p.start
+            widths, which = np.unique(half[p], return_inverse=True)
+            # allocated here: large allocations in worker threads would land
+            # in per-thread malloc arenas and raise peak memory
+            work = (np.empty(q), np.empty((widths.size, _NODES_PER_PANEL, q), dtype=complex),
+                    np.empty((m, 1, q), dtype=complex), np.empty((m, _NODES_PER_PANEL, q), dtype=complex),
+                    np.empty((m, _NODES_PER_PANEL, n)), np.empty((m, _NODES_PER_PANEL, h + 1), dtype=complex),
+                    np.empty((m, 2, 2, h + 1)))
+            blocks.append((p, widths[:, None, None] * xg[None, :, None], which, work))
+        failures = []
+
+        def run(block):
+            try:
+                radius_loop(*block)
+            except BaseException as exc:  # raised again on the calling thread
+                failures.append(exc)
+
+        # the calling thread takes the first block, a thread each the others
+        workers = [threading.Thread(target=run, args=(block,)) for block in blocks[1:]]
+        for worker in workers:
+            worker.start()
+        run(blocks[0])
+        for worker in workers:
+            worker.join()
+        if failures:
+            raise failures[0]
         return out
 
     pref = bundle.ell1 / (2.0 * np.pi * abs(b)) * np.exp(1j * bundle.d * rho_nodes ** 2 / (2.0 * b))[:, None]
@@ -364,6 +428,11 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     the kernel's oscillation rate; either is rounded up to a multiple of
     lcm(2, grid.n_phi), so the output azimuths are quadrature nodes and the
     kernel's half-turn symmetry holds on the rule.
+
+    `field` is called on the calling thread only.  The loop over output radii
+    runs on one thread per usable CPU (os.sched_getaffinity), the calling
+    thread included, each over its own block of radial panels; the result is
+    identical to the bit for any CPU count.
     """
     _check_r_max(r_max)
     f = _as_field_callable(field)

@@ -183,6 +183,21 @@ def test_bessel_j_against_mpmath():
                 slope = mpmath.besselj(v - 1, x) - v / x * ref
                 if abs(ref) > 1e-290 and abs(ref) >= 1e-3 * abs(slope):
                     assert abs(got - ref) <= 1e-13 * abs(ref), (v, x)
+        # 1.16e-3 past a zero of J_12 near 787.66: the asymptotic form used to
+        # round its phase x - c, 1.5e-11 off here (scipy's jv: 3.7e-15)
+        x = float(mpmath.besseljzero(12, 245)) + 1.16e-3
+        ref = mpmath.besselj(12, x)
+        assert abs(bessel_j(12, x) - ref) <= 1e-12 * abs(ref)
+        # near zeros above x = 12 the relative error is an absolute floor over
+        # the distance d to the zero: ~6e-17 x / d for the recurrence, below
+        # max(220, 4 v^2), and ~3e-16 / d for the asymptotic form above it
+        for v, first, last in ((0, 5, 40), (7.3, 10, 60), (2.5, 80, 600), (12, 90, 600), (30.5, 330, 900)):
+            for k in range(first, last, max(1, (last - first) // 4)):
+                z = mpmath.besseljzero(v, k)
+                floor = 1e-16 * float(z) if z < max(220.0, 4 * v * v) else 5e-16
+                for d in (1e-4, -1.16e-3, 3e-2, -0.4):
+                    ref = mpmath.besselj(v, float(z) + d)
+                    assert abs(bessel_j(v, float(z) + d) - ref) * abs(d) <= floor * abs(ref), (v, k, d)
     # above order ~170 Gamma(v+1) overflows a float, the value underflows
     assert bessel_j(500, 1.0001) == 0.0
     wide = bessel_j(1000, np.linspace(0.0, 2000.0, 4001))

@@ -1,5 +1,8 @@
 """Transform quadratures against independent oracles and round trips."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from polar_olct import (
     spectral_grid,
     synthesize,
 )
+from polar_olct import transforms
 from polar_olct.harness import _per_order_series
 from polar_olct.transforms import _initial_panels, _kernel_quadrature, radial_rule
 
@@ -467,6 +471,62 @@ def test_adaptive_node_budget(lct):
     g = PointCounter(chirped_gaussian(10.0, *CHIRP_COEFFS))
     olct_forward(g, lct, CHIRP_GRID, r_max=80.0)
     assert g.points <= 4080 * 512
+
+
+def test_panel_blocks_give_identical_results(offset_params, monkeypatch):
+    # s = 4 at r_max = 30 keeps panels of two depths, and verify_tol halves
+    # them again, so blocks hold mixed panel widths; a frequent thread
+    # switch interleaves the blocks' numpy calls
+    f = chirped_gaussian(4.0, *CHIRP_COEFFS)
+    grid = PolarGrid(np.linspace(0.1, 2.0, 7), 12)
+    results = {}
+
+    def run():
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n_blocks in (1, 2, 7):
+                monkeypatch.setattr(transforms, "_usable_cpus", lambda n=n_blocks: n)
+                results[n_blocks] = olct_forward(f, offset_params, grid, r_max=30.0,
+                                                 verify_tol=1e-9).values
+        finally:
+            sys.setswitchinterval(interval)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=300.0)
+    assert not worker.is_alive()
+    assert sorted(results) == [1, 2, 7]
+    assert np.array_equal(results[1], results[2])
+    assert np.array_equal(results[1], results[7])
+
+
+def test_field_is_evaluated_on_the_calling_thread(offset_params, monkeypatch):
+    monkeypatch.setattr(transforms, "_usable_cpus", lambda: 4)
+    callers = set()
+
+    def field(r, th):
+        callers.add(threading.get_ident())
+        return chirped_gaussian(4.0, *CHIRP_COEFFS)(r, th)
+
+    olct_forward(field, offset_params, PolarGrid(np.linspace(0.1, 2.0, 7), 12), r_max=30.0,
+                 verify_tol=1e-9)
+    assert callers == {threading.get_ident()}
+
+
+def test_failure_in_a_worker_thread_is_raised(offset_params, monkeypatch):
+    monkeypatch.setattr(transforms, "_usable_cpus", lambda: 3)
+    einsum, caller = np.einsum, threading.get_ident()
+
+    def failing_off_the_caller(*args, **kwargs):
+        if threading.get_ident() != caller:
+            raise FloatingPointError("worker failed")
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", failing_off_the_caller)
+    with pytest.raises(FloatingPointError, match="worker failed"):
+        olct_forward(chirped_gaussian(4.0, *CHIRP_COEFFS), offset_params,
+                     PolarGrid(np.linspace(0.1, 2.0, 7), 12), r_max=30.0)
 
 
 def chirped_gaussian_profile(s, v):
