@@ -10,11 +10,13 @@ QuadratureAccuracyError).  The azimuthal direction is a uniform trapezoid
 rule on an even number of nodes, evaluated as a circular convolution: the
 kernel's spectrum is real and even up to a fixed phase, so each output
 radius costs one real FFT, and its exponentials are taken on a quarter turn
-and factored over each panel.  That per-radius loop runs on every usable
-CPU, one thread per contiguous block of panels (the calling thread takes
-the first); the field is evaluated on the calling thread, and the result
-is identical to the bit for any number of blocks.  This is the trapezoid
-sum up to rounding, checked against a point-by-point double sum.
+and factored over each panel.  Everything but field evaluation runs on
+every usable CPU, one thread per contiguous block of panels (the calling
+thread takes the first): the input phases, the azimuth FFT and its fold,
+then the per-radius loop.  The field is evaluated on the calling thread,
+and the result is identical to the bit for any number of blocks.  This is
+the trapezoid sum up to rounding, checked against a point-by-point double
+sum.
 Everything else here - the FT route, the Hankel-type radial transforms,
 the angular series - is an algebraic rearrangement of the same integral
 and serves as a cross-check oracle.
@@ -114,6 +116,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _on_blocks(task, blocks) -> None:
+    """task(block) for every block: the calling thread takes the first and
+    one thread each the others.  All are joined before a failure in any of
+    them is raised again here."""
+    failures = []
+
+    def run(block):
+        try:
+            task(block)
+        except BaseException as exc:  # raised again on the calling thread
+            failures.append(exc)
+
+    workers = [threading.Thread(target=run, args=(block,)) for block in blocks[1:]]
+    for worker in workers:
+        worker.start()
+    run(blocks[0])
+    for worker in workers:
+        worker.join()
+    if failures:
+        raise failures[0]
+
+
 def _per_panel(x: np.ndarray) -> np.ndarray:
     """Sums of node-major rows over each panel's 16 consecutive nodes."""
     return x.reshape((-1, _NODES_PER_PANEL) + x.shape[1:]).sum(axis=1)
@@ -184,6 +208,18 @@ class SpectrumField:
         if v.shape != (self.grid.rho.size, self.grid.n_phi):
             raise ValueError("values shape does not match grid")
         object.__setattr__(self, "values", v)
+
+
+def _field_values(f, r, th, name: str) -> np.ndarray:
+    """f(r, th), broadcast to the shape of r and th together; a result that
+    does not broadcast to it raises ValueError."""
+    values = np.asarray(f(r, th))
+    shape = np.broadcast_shapes(np.shape(r), np.shape(th))
+    try:
+        return np.broadcast_to(values, shape)
+    except ValueError:
+        raise ValueError(f"{name}: the field returned shape {values.shape}, "
+                         f"which does not broadcast to {shape}") from None
 
 
 def _as_field_callable(field):
@@ -280,9 +316,13 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     half-width in a block of panels, of which each depth of the rule has
     one.  A panel's sum [p, k] is the DFT over the quadrature azimuths of
     its contribution at rho_nodes[k]; the deviations of the adaptive rule
-    are taken after the inverse DFT, so they are bounded over phi.  The loop
-    over rho_nodes runs on one thread per contiguous block of panels, on
-    work arrays the calling thread allocates.
+    are taken after the inverse DFT, so they are bounded over phi.
+
+    The calling thread evaluates the field on a batch of panels.  Then one
+    thread per contiguous block of panels takes its rows' spectra in place
+    and folds them into `spec`, and, once the batch is freed, runs the loop
+    over rho_nodes.  The arrays they fill are allocated by the calling
+    thread; a worker allocates nothing larger than one panel's rows.
     """
     a, b = bundle.a, bundle.b
     mu1 = bundle.mu1
@@ -294,30 +334,55 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     # cos psi for psi = 2 pi m / n, m <= n/4; exactly 0 at psi = pi/2
     cos_psi = np.sin(np.pi * (n - 4 * np.arange(q)) / (2 * n))
     parity = np.where(np.arange(n) % 2, 1j, 1.0)
+    sin_th = np.sin(th[None, :] + bundle.phi1)
+    # columns m and n - m, m <= n/2, of the real and of the imaginary plane,
+    # as indices into a row of complex values seen as float pairs
     mirror = np.array([np.arange(h + 1), (n - np.arange(h + 1)) % n])
+    fold = 2 * mirror + np.arange(2)[:, None, None]
     xg = _panel_rule()[0]
 
     def sums(lo, half):
         r, wr = _panel_nodes(lo, half)
-        base = np.asarray(field(r[:, None], th[None, :]), dtype=complex)
-        base = base * np.exp(1j * (a / (2.0 * b)) * r[:, None] ** 2)
-        if mu1 != 0.0:
-            base = base * np.exp(1j * (mu1 / b) * r[:, None] * np.sin(th[None, :] + bundle.phi1))
-        base *= ((r * wr)[:, None] * wth)
-        base_hat = np.fft.fft(base, axis=1)
-        base_hat *= parity
-        # G is even: pair each column m <= n/2 with its mirror n - m, and keep
-        # real and imaginary planes, so the products with G are real and unit-stride
-        folded = base_hat.reshape(lo.size, _NODES_PER_PANEL, n)[..., mirror]
-        spec = np.stack([folded.real, folded.imag], axis=2)
-        del base, base_hat, folded
+        base = np.empty((r.size, n), dtype=complex)
+        base[...] = _field_values(field, r[:, None], th[None, :], "olct_forward")
+        spec = np.empty((lo.size, _NODES_PER_PANEL, 2, 2, h + 1))
+        # contiguous panel blocks, one per usable CPU; rows are independent,
+        # so the result is the same to the bit for any number of blocks
+        n_blocks = min(_usable_cpus(), lo.size)
+        blocks = [slice(lo.size * i // n_blocks, lo.size * (i + 1) // n_blocks)
+                  for i in range(n_blocks)]
+
+        def spectrum(p):
+            # rows of panels p, in place: input phases, weights, azimuth DFT
+            # and parity, then folded into spec[p]
+            rows = slice(_NODES_PER_PANEL * p.start, _NODES_PER_PANEL * p.stop)
+            f, rr = base[rows], r[rows, None]
+            f *= np.exp(1j * (a / (2.0 * b)) * rr ** 2)
+            if mu1 != 0.0:
+                # a panel at a time: the phase over every row would be a
+                # work array as large as the block.  The phase is the first
+                # factor, as numpy's complex product is not symmetric to the bit
+                for s in range(0, f.shape[0], _NODES_PER_PANEL):
+                    panel = f[s:s + _NODES_PER_PANEL]
+                    np.multiply(np.exp(1j * (mu1 / b) * rr[s:s + _NODES_PER_PANEL] * sin_th),
+                                panel, out=panel)
+            f *= ((r[rows] * wr[rows])[:, None] * wth)
+            np.fft.fft(f, axis=1, out=f)
+            f *= parity
+            # G is even: pair each column m <= n/2 with its mirror n - m, and keep
+            # real and imaginary planes, so the products with G are real and
+            # unit-stride.  mode="clip" takes into `out` without a temporary
+            np.take(f.view(float), fold, axis=1, out=spec[p].reshape(-1, 2, 2, h + 1), mode="clip")
+
+        _on_blocks(spectrum, blocks)
+        del base
         mid = lo + half
         out = np.empty((lo.size, rho_nodes.size, n), dtype=complex)
 
-        def radius_loop(p, offs, which, work):
+        def radius_loop(block):
             # panels p at every output radius.  Exponents go into the imaginary
             # parts of zeroed buffers, so e^{i x} is taken in place.
-            arg, e_off, e_mid, e, g, g_hat, res = work
+            p, offs, which, (arg, e_off, e_mid, e, g, g_hat, res) = block
             out_p = out[p]
             for k, rho in enumerate(rho_nodes):
                 np.multiply(-rho / b, cos_psi, out=arg)
@@ -344,12 +409,8 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
                 ring.real[:, h + 1:] = res[:, 0, 1, h - 1:0:-1]
                 ring.imag[:, h + 1:] = res[:, 1, 1, h - 1:0:-1]
 
-        # contiguous panel blocks, one per usable CPU; rows are independent,
-        # so the result is the same to the bit for any number of blocks
-        n_blocks = min(_usable_cpus(), lo.size)
-        blocks = []
-        for i in range(n_blocks):
-            p = slice(lo.size * i // n_blocks, lo.size * (i + 1) // n_blocks)
+        loops = []
+        for p in blocks:
             m = p.stop - p.start
             widths, which = np.unique(half[p], return_inverse=True)
             # allocated here: large allocations in worker threads would land
@@ -358,24 +419,8 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
                     np.empty((m, 1, q), dtype=complex), np.empty((m, _NODES_PER_PANEL, q), dtype=complex),
                     np.empty((m, _NODES_PER_PANEL, n)), np.empty((m, _NODES_PER_PANEL, h + 1), dtype=complex),
                     np.empty((m, 2, 2, h + 1)))
-            blocks.append((p, widths[:, None, None] * xg[None, :, None], which, work))
-        failures = []
-
-        def run(block):
-            try:
-                radius_loop(*block)
-            except BaseException as exc:  # raised again on the calling thread
-                failures.append(exc)
-
-        # the calling thread takes the first block, a thread each the others
-        workers = [threading.Thread(target=run, args=(block,)) for block in blocks[1:]]
-        for worker in workers:
-            worker.start()
-        run(blocks[0])
-        for worker in workers:
-            worker.join()
-        if failures:
-            raise failures[0]
+            loops.append((p, widths[:, None, None] * xg[None, :, None], which, work))
+        _on_blocks(radius_loop, loops)
         return out
 
     pref = bundle.ell1 / (2.0 * np.pi * abs(b)) * np.exp(1j * bundle.d * rho_nodes ** 2 / (2.0 * b))[:, None]
@@ -411,8 +456,10 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     """Forward transform of an evaluable field by full-kernel quadrature.
 
     `field` is a callable f(r, theta) accepting broadcast arrays, or an
-    object with such an `evaluate` method; it must be negligible beyond
-    `r_max` and finite on [0, r_max] (non-finite values raise ValueError).
+    object with such an `evaluate` method; its values may have any shape
+    that broadcasts to that of r and theta together (a radial-only field
+    is one), others raise ValueError.  It must be negligible beyond `r_max`
+    and finite on [0, r_max] (non-finite values raise ValueError).
 
     With `n_radial` the radial rule is `n_radial` nodes of uniform 16-node
     Gauss-Legendre panels.  Without it, starting from 16 uniform panels,
@@ -429,10 +476,11 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     lcm(2, grid.n_phi), so the output azimuths are quadrature nodes and the
     kernel's half-turn symmetry holds on the rule.
 
-    `field` is called on the calling thread only.  The loop over output radii
-    runs on one thread per usable CPU (os.sched_getaffinity), the calling
-    thread included, each over its own block of radial panels; the result is
-    identical to the bit for any CPU count.
+    `field` is called on the calling thread only.  Everything else - input
+    phases, azimuth FFT and the loop over output radii - runs on one thread
+    per usable CPU (os.sched_getaffinity), the calling thread included, each
+    over its own block of radial panels; the result is identical to the bit
+    for any CPU count.
     """
     _check_r_max(r_max)
     f = _as_field_callable(field)
@@ -541,7 +589,7 @@ def olct_via_ft(field, params: OffsetParams, grid: PolarGrid, *,
         mod = np.exp(1j * (a / (2.0 * b)) * r ** 2)
         if mu1 != 0.0:
             mod = mod * np.exp(1j * (mu1 / b) * r * np.sin(th + params.phi1))
-        return f(r, th) * mod
+        return _field_values(f, r, th, "olct_via_ft") * mod
 
     _check_r_max(r_max)
     ft_params = OffsetParams(0.0, 1.0, -1.0, 0.0)
@@ -637,7 +685,8 @@ def fourier_coefficients(field, n_max: int, n_theta: int | None = None) -> dict:
     """Angular Fourier coefficients f_n as radial callables, |n| <= n_max.
 
     Uniform trapezoid in theta; exact for angular polynomials of degree up
-    to n_max once n_theta >= 2*n_max + 1 (default 4*n_max + 8).
+    to n_max once n_theta >= 2*n_max + 1 (default 4*n_max + 8).  The field
+    values broadcast over theta as in olct_forward.
     """
     f = _as_field_callable(field)
     nt = n_theta or (4 * n_max + 8)
@@ -648,7 +697,10 @@ def fourier_coefficients(field, n_max: int, n_theta: int | None = None) -> dict:
 
         def coeff(r):
             r = np.atleast_1d(np.asarray(r, dtype=float))
-            vals = np.asarray(f(r[:, None], th[None, :]), dtype=complex)
+            # copied where broadcast: the product then sums as it does over
+            # full-shape values, to the bit
+            vals = np.ascontiguousarray(
+                _field_values(f, r[:, None], th[None, :], "fourier_coefficients"), dtype=complex)
             if not np.all(np.isfinite(vals)):
                 raise ValueError("fourier_coefficients: field returned non-finite values")
             return vals @ w

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -515,18 +516,60 @@ def test_field_is_evaluated_on_the_calling_thread(offset_params, monkeypatch):
 
 
 def test_failure_in_a_worker_thread_is_raised(offset_params, monkeypatch):
+    # einsum runs in the per-radius loop, fft in the batch's spectra before it
     monkeypatch.setattr(transforms, "_usable_cpus", lambda: 3)
-    einsum, caller = np.einsum, threading.get_ident()
+    caller = threading.get_ident()
+    for module, name in ((np, "einsum"), (np.fft, "fft")):
+        with monkeypatch.context() as patch:
+            real = getattr(module, name)
 
-    def failing_off_the_caller(*args, **kwargs):
-        if threading.get_ident() != caller:
-            raise FloatingPointError("worker failed")
-        return einsum(*args, **kwargs)
+            def failing_off_the_caller(*args, **kwargs):
+                if threading.get_ident() != caller:
+                    raise FloatingPointError("worker failed")
+                return real(*args, **kwargs)
 
-    monkeypatch.setattr(np, "einsum", failing_off_the_caller)
-    with pytest.raises(FloatingPointError, match="worker failed"):
-        olct_forward(chirped_gaussian(4.0, *CHIRP_COEFFS), offset_params,
-                     PolarGrid(np.linspace(0.1, 2.0, 7), 12), r_max=30.0)
+            patch.setattr(module, name, failing_off_the_caller)
+            threads = threading.active_count()
+            with pytest.raises(FloatingPointError, match="worker failed"):
+                olct_forward(chirped_gaussian(4.0, *CHIRP_COEFFS), offset_params,
+                             PolarGrid(np.linspace(0.1, 2.0, 7), 12), r_max=30.0)
+            assert threading.active_count() == threads
+
+
+def test_kernel_allocation_peak(lct, monkeypatch):
+    # the batch's spectra are folded in place into one array, and the batch
+    # is freed before the per-radius work arrays exist: 47.1 MiB traced on
+    # two blocks, where whole-batch copies of the spectra took 59.1 MiB
+    monkeypatch.setattr(transforms, "_usable_cpus", lambda: 2)
+    f = chirped_gaussian(10.0, *CHIRP_COEFFS)
+    olct_forward(f, lct, CHIRP_GRID, r_max=80.0)
+    tracemalloc.start()
+    try:
+        olct_forward(f, lct, CHIRP_GRID, r_max=80.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20
+
+
+def test_radial_only_field_broadcasts(lct, offset_params):
+    radial = lambda r, th: np.exp(-r ** 2)
+    full = lambda r, th: np.exp(-r ** 2) + 0 * th
+    grid = PolarGrid(np.linspace(0.1, 2.0, 5), 8)
+    for params in (lct, offset_params):
+        for transform in (olct_forward, olct_via_ft):
+            assert np.array_equal(transform(radial, params, grid, r_max=6.0).values,
+                                  transform(full, params, grid, r_max=6.0).values)
+    r = np.linspace(0.0, 3.0, 7)
+    got, want = fourier_coefficients(radial, 2), fourier_coefficients(full, 2)
+    for n in range(-2, 3):
+        assert np.array_equal(got[n](r), want[n](r))
+    wrong = lambda r, th: np.ones(3)
+    for name, call in (("olct_forward", lambda: olct_forward(wrong, lct, grid, r_max=6.0)),
+                       ("olct_via_ft", lambda: olct_via_ft(wrong, lct, grid, r_max=6.0)),
+                       ("fourier_coefficients", lambda: fourier_coefficients(wrong, 2)[0](r))):
+        with pytest.raises(ValueError, match=f"{name}: the field returned shape \\(3,\\)"):
+            call()
 
 
 def chirped_gaussian_profile(s, v):
