@@ -236,10 +236,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for interface stability and ignored; the "
-                            "kernel quadrature uses every usable CPU, with "
-                            "results identical to the bit for any count")
         if name == "sweep":
             p.add_argument("--suite", choices=("all", "reduction", "complexity", "offsets"),
                            default="all")

@@ -245,6 +245,7 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
     prof = sy.synthesize(sy.random_spectrum(1.0, 0, 3, seed=config.seed + 2), lct).coefficient(0)
     rho = np.linspace(0.05, 0.95, 12)
     lhs = tr.olcht_forward(prof, 1, lct, rho, r_max=config.r_max)
+    # chirps written out, not taken from KernelParams: the oracle must not share what it checks
     chirped = lambda rr: np.exp(1j * lct.a * rr ** 2 / (2.0 * lct.b)) * prof(rr)
     cl = tr.hankel_transform(chirped, 1, rho / lct.b, r_max=config.r_max, n_radial=4096)
     rhs = (1j) * lct.ell1 / lct.b * np.exp(1j * lct.d * rho ** 2 / (2.0 * lct.b)) * cl

@@ -2,7 +2,8 @@
 
 A bundle is the matrix (a, b; c, d) with det = 1 plus the spatial offset tau
 and the modulation offset eta.  All angle/magnitude/phase quantities the
-kernels need are derived here once.
+kernels need are derived here once, and the kernel's input and output
+phases are written here only.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = ["KernelParams", "OffsetParams", "InverseParams"]
 
@@ -82,6 +85,26 @@ class KernelParams:
     def has_offsets(self) -> bool:
         return self.mu1 != 0.0 or self.mu2 != 0.0
 
+    # -- kernel phases: the offset kernel is ell1/(2 pi b) input_phase(r, theta)
+    # e^{-i (r rho/b) cos(theta - phi)} output_phase(rho, phi).  Without the
+    # angle or the offset, each phase is its bare chirp.
+
+    def input_phase(self, r, theta=None):
+        """e^{i a r^2/2b} e^{i (mu1/b) r sin(theta + phi1)}; it broadcasts
+        with r and theta."""
+        phase = np.exp(1j * (self.a / (2.0 * self.b)) * r ** 2)
+        if theta is None or self.mu1 == 0.0:
+            return phase
+        return phase * np.exp(1j * (self.mu1 / self.b) * r * np.sin(theta + self.phi1))
+
+    def output_phase(self, rho, phi=None):
+        """e^{i d rho^2/2b} e^{-i (mu2/b) rho sin(phi + phi2)}; it broadcasts
+        with rho and phi."""
+        phase = np.exp(1j * (self.d / (2.0 * self.b)) * rho ** 2)
+        if phi is None or self.mu2 == 0.0:
+            return phase
+        return phase * np.exp(-1j * (self.mu2 / self.b) * rho * np.sin(phi + self.phi2))
+
 
 @dataclass(frozen=True)
 class OffsetParams(KernelParams):
@@ -91,9 +114,6 @@ class OffsetParams(KernelParams):
         super().__post_init__()
         if self.b <= 0.0:
             raise ValueError("forward transform requires b > 0")
-
-    def inverse(self) -> "InverseParams":
-        return InverseParams(self)
 
 
 @dataclass(frozen=True)

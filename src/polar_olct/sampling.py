@@ -161,12 +161,10 @@ def reconstruct_isotropic(samples, order, params: OffsetParams, omega: float,
         zeros = ZeroTable.for_order(order, samples.size).zeros[: samples.size]
     zeros = np.asarray(zeros, dtype=float)
     alphas = params.b * zeros / omega
-    a, b = params.a, params.b
-    weights = np.exp(1j * (a / (2.0 * b)) * alphas ** 2) * samples
+    weights = params.input_phase(alphas) * samples
     series = _zero_series(weights[None, :], alphas, zeros, order, params, omega, m_sum, rr,
                           params.mu1, params.mu2)[0]
-    out = _series_prefactor(order, params, prefactor) \
-        * np.exp(-1j * (a / (2.0 * b)) * rr ** 2) * series
+    out = _series_prefactor(order, params, prefactor) * np.conj(params.input_phase(rr)) * series
     return complex(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
 
@@ -335,15 +333,15 @@ def sample_count(k_max: int, resolution: int, mode: str) -> int:
 # --------------------------------------------------------------------------
 
 def _reconstruct(sample_set: SampleSet, params: OffsetParams, m_sum: int, r, theta,
-                 inner_rate: float, outer_rate: float, mu_r: float, mu_om: float,
-                 prefactor: str):
+                 inner, outer, mu_r: float, mu_om: float, prefactor: str):
     """The zero-grid series shared by the four modes.
 
     Per distinct radial order: the angular DFT coefficients of the samples,
-    dechirped by e^{i inner_rate alpha^2/2b}, go through the radial series on
-    the unique probe radii, times e^{in theta}.  The fixed-order modes are
-    this per-order sum on one radial order, because the periodic sinc of
-    2K+1 nodes is the degree-K DFT series.
+    times the chirp inner(alpha), go through the radial series on the unique
+    probe radii, times e^{in theta}; the sum carries the chirp outer(r).  The
+    callers take both chirps from params.input_phase and .output_phase.  The
+    fixed-order modes are this per-order sum on one radial order, because
+    the periodic sinc of 2K+1 nodes is the degree-K DFT series.
     """
     grid = sample_set.grid
     r = np.asarray(r, dtype=float)
@@ -351,19 +349,21 @@ def _reconstruct(sample_set: SampleSet, params: OffsetParams, m_sum: int, r, the
     shape = np.broadcast(r, theta).shape
     rb = np.broadcast_to(r, shape).ravel()
     tb = np.broadcast_to(theta, shape).ravel()
+    if not (np.all(np.isfinite(rb)) and np.all(np.isfinite(tb))):
+        raise ValueError("reconstruction: the probe points must be finite")
     uniq, inv = np.unique(rb, return_inverse=True)
-    k, b = grid.k_max, params.b
+    k = grid.k_max
     out = np.zeros(rb.size, dtype=complex)
     for w in sorted(set(grid.radial_orders.values())):
         ns = [n for n in range(-k, k + 1) if grid.radial_orders[n] == w]
         alphas = grid.alphas(ns[0])
         coeffs = np.stack([_angular_coefficients(sample_set.slab(n), k)[:, n + k] for n in ns])
-        coeffs *= np.exp(1j * (inner_rate / (2.0 * b)) * alphas ** 2)
+        coeffs *= inner(alphas)
         series = _zero_series(coeffs, alphas, grid.order_zeros(ns[0]), w, params,
                               grid.omega, m_sum, uniq, mu_r, mu_om)
         out += _series_prefactor(w, params, prefactor) \
             * np.sum(series[:, inv] * np.exp(1j * np.outer(ns, tb)), axis=0)
-    res = (out * np.exp(1j * (outer_rate / (2.0 * b)) * rb ** 2)).reshape(shape)
+    res = (out * outer(rb)).reshape(shape)
     return complex(res[()]) if shape == () else res
 
 
@@ -380,10 +380,11 @@ def reconstruct_field(sample_set: SampleSet, mode: str, params: OffsetParams,
 
     theorem1: per-order zeros, azimuthal DFT factor e^{in(theta-theta_l)};
     theorem2: one fixed order, azimuthal periodic-sinc interpolation.
+    Non-finite probe points raise ValueError.
     """
     _check_mode(sample_set.grid, mode, ("theorem1", "theorem2"), "reconstruct_field")
-    return _reconstruct(sample_set, params, m_sum, r, theta, params.a, -params.a,
-                        params.mu1, params.mu2, prefactor)
+    return _reconstruct(sample_set, params, m_sum, r, theta, params.input_phase,
+                        lambda x: np.conj(params.input_phase(x)), params.mu1, params.mu2, prefactor)
 
 
 def reconstruct_spectrum(sample_set: SampleSet, mode: str, params: OffsetParams,
@@ -396,14 +397,15 @@ def reconstruct_spectrum(sample_set: SampleSet, mode: str, params: OffsetParams,
     chains.  `inner_chirp` selects which printed convention dechirps the
     samples: "spectral" uses e^{-i d alpha^2 / 2b} (mirror of the outer
     factor), "spatial" the e^{-i a alpha^2 / 2b} variant; the offset-free
-    oracle identifies the self-consistent one.
+    oracle identifies the self-consistent one.  Non-finite probe points
+    raise ValueError.
     """
     _check_mode(sample_set.grid, mode, ("corollary1", "corollary2"), "reconstruct_spectrum")
     if inner_chirp not in _INNER_CHIRPS:
         raise ValueError(f"inner_chirp must be one of {_INNER_CHIRPS}")
-    inner_rate = params.d if inner_chirp == "spectral" else params.a
-    return _reconstruct(sample_set, params, m_sum, rho, phi, -inner_rate, params.d,
-                        params.mu2, params.mu1, prefactor)
+    chirp = params.output_phase if inner_chirp == "spectral" else params.input_phase
+    return _reconstruct(sample_set, params, m_sum, rho, phi, lambda x: np.conj(chirp(x)),
+                        params.output_phase, params.mu2, params.mu1, prefactor)
 
 
 # --------------------------------------------------------------------------

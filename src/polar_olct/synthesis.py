@@ -174,7 +174,7 @@ class SynthesizedField(PolarField):
         inside = rho < spec.omega
         if np.any(inside):
             acc = eps @ bessel_j(w, np.outer(zeros, rho[inside] / spec.omega))
-            pref = (1j ** w) * p.ell1 / p.b * np.exp(1j * p.d * rho[inside] ** 2 / (2.0 * p.b))
+            pref = (1j ** w) * p.ell1 / p.b * p.output_phase(rho[inside])
             out[inside] = pref * acc
         return out
 
@@ -225,12 +225,11 @@ def _zero_profile(r):
 
 def _make_profile(alphas, eps, c, w, params):
     # the zeros are checked and J_{w+1} taken there once, not on every call
-    a, b = params.a, params.b
     edge = _lommel_edge(alphas, c, w)
 
     def profile(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        return np.exp(-1j * (a / (2.0 * b)) * r ** 2) * (eps @ _lommel_values(alphas, r, c, w, *edge))
+        return np.conj(params.input_phase(r)) * (eps @ _lommel_values(alphas, r, c, w, *edge))
 
     return profile
 
@@ -288,11 +287,9 @@ def synthesize_sonine(weights: dict, params: OffsetParams, omega: float, *,
 
 
 def _chirped(g, weight, params):
-    a, b = params.a, params.b
-
     def profile(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        return weight * np.exp(-1j * (a / (2.0 * b)) * r ** 2) * g(r)
+        return weight * np.conj(params.input_phase(r)) * g(r)
 
     return profile
 

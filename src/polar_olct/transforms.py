@@ -305,7 +305,10 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     """Transform values on (rho_nodes x uniform azimuth grid of an even
     n_azimuth), and the panels (lo, half) of the radial rule that produced them.
 
-    The azimuth integral is a circular convolution with the kernel e^{-i t},
+    The field is multiplied by `bundle.input_phase`, one panel at a time,
+    and the sum by ell1/(2 pi |b|) times `bundle.output_phase`; between them
+    is the plain Fourier kernel.  Its azimuth integral is a circular
+    convolution with e^{-i t},
     t = (rho/b) r cos psi on the difference angle psi = theta - phi.  t
     changes sign at psi + pi, so the kernel's DFT is i^{m mod 2} G[m] with
     G = rfft(cos t - sin t) real and even; i^{m mod 2} is folded into the
@@ -324,8 +327,7 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     over rho_nodes.  The arrays they fill are allocated by the calling
     thread; a worker allocates nothing larger than one panel's rows.
     """
-    a, b = bundle.a, bundle.b
-    mu1 = bundle.mu1
+    b = bundle.b
     n = n_azimuth
     th = -np.pi + 2.0 * np.pi * np.arange(n) / n
     wth = 2.0 * np.pi / n
@@ -334,7 +336,6 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     # cos psi for psi = 2 pi m / n, m <= n/4; exactly 0 at psi = pi/2
     cos_psi = np.sin(np.pi * (n - 4 * np.arange(q)) / (2 * n))
     parity = np.where(np.arange(n) % 2, 1j, 1.0)
-    sin_th = np.sin(th[None, :] + bundle.phi1)
     # columns m and n - m, m <= n/2, of the real and of the imaginary plane,
     # as indices into a row of complex values seen as float pairs
     mirror = np.array([np.arange(h + 1), (n - np.arange(h + 1)) % n])
@@ -357,15 +358,10 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
             # and parity, then folded into spec[p]
             rows = slice(_NODES_PER_PANEL * p.start, _NODES_PER_PANEL * p.stop)
             f, rr = base[rows], r[rows, None]
-            f *= np.exp(1j * (a / (2.0 * b)) * rr ** 2)
-            if mu1 != 0.0:
-                # a panel at a time: the phase over every row would be a
-                # work array as large as the block.  The phase is the first
-                # factor, as numpy's complex product is not symmetric to the bit
-                for s in range(0, f.shape[0], _NODES_PER_PANEL):
-                    panel = f[s:s + _NODES_PER_PANEL]
-                    np.multiply(np.exp(1j * (mu1 / b) * rr[s:s + _NODES_PER_PANEL] * sin_th),
-                                panel, out=panel)
+            # the input phase a panel at a time: over every row it would be
+            # a work array as large as the block
+            for s in range(0, f.shape[0], _NODES_PER_PANEL):
+                f[s:s + _NODES_PER_PANEL] *= bundle.input_phase(rr[s:s + _NODES_PER_PANEL], th)
             f *= ((r[rows] * wr[rows])[:, None] * wth)
             np.fft.fft(f, axis=1, out=f)
             f *= parity
@@ -423,9 +419,7 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
         _on_blocks(radius_loop, loops)
         return out
 
-    pref = bundle.ell1 / (2.0 * np.pi * abs(b)) * np.exp(1j * bundle.d * rho_nodes ** 2 / (2.0 * b))[:, None]
-    if bundle.mu2 != 0.0:
-        pref = pref * np.exp(-1j * (rho_nodes[:, None] * bundle.mu2 / b) * np.sin(th[None, :] + bundle.phi2))
+    pref = bundle.ell1 / (2.0 * np.pi * abs(b)) * bundle.output_phase(rho_nodes[:, None], th)
     return _panel_quadrature(sums, n_azimuth, lo, half, refine=refine, name="olct_forward",
                              measure=lambda x: np.fft.ifft(x, axis=-1, out=x), pref=pref)
 
@@ -514,13 +508,16 @@ def olct_inverse(spectrum: SpectrumField, params: OffsetParams, r, theta,
     the normalization uses |b| and the result carries conj(sigma).  With
     `verify_tol` the sum is repeated on every other azimuth, so the grid's
     n_phi must be even, raising QuadratureAccuracyError if the two differ by
-    more than 10 x verify_tol relative.
+    more than 10 x verify_tol relative.  Non-finite r or theta raise
+    ValueError.
     """
     bundle = InverseParams(params).bundle()
     r = np.atleast_1d(np.asarray(r, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if r.shape != theta.shape:
         raise ValueError("r and theta must have matching shapes")
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(theta))):
+        raise ValueError("olct_inverse: r and theta must be finite")
 
     grid = spectrum.grid
     rho = grid.rho
@@ -545,15 +542,10 @@ def olct_inverse(spectrum: SpectrumField, params: OffsetParams, r, theta,
 
 
 def _apply_inverse(values, bundle, r_out, th_out, rho, wrho, phi):
-    a, b = bundle.a, bundle.b
-    mu1, mu2 = bundle.mu1, bundle.mu2
+    b = bundle.b
     wphi = 2.0 * np.pi / phi.size
-    base = values * np.exp(1j * (a / (2.0 * b)) * rho[:, None] ** 2)
-    if mu1 != 0.0:
-        base = base * np.exp(1j * (rho[:, None] * mu1 / b) * np.sin(phi[None, :] + bundle.phi1))
-    base = base * (rho * wrho)[:, None] * wphi
+    base = values * bundle.input_phase(rho[:, None], phi) * (rho * wrho)[:, None] * wphi
     norm = bundle.ell1 / (2.0 * np.pi * abs(b))
-    out = np.empty(r_out.shape, dtype=complex)
     chunk = max(1, int(2e6 // (rho.size * phi.size)) or 1)
     flat_r = r_out.ravel()
     flat_t = th_out.ravel()
@@ -564,10 +556,7 @@ def _apply_inverse(values, bundle, r_out, th_out, rho, wrho, phi):
         kern = np.exp(-1j * (rho[None, :, None] * rr[:, None, None] / b)
                       * np.cos(phi[None, None, :] - tt[:, None, None]))
         vals = np.einsum("ij,pij->p", base, kern)
-        pref = norm * np.exp(1j * bundle.d * rr ** 2 / (2.0 * b))
-        if mu2 != 0.0:
-            pref = pref * np.exp(-1j * (rr * mu2 / b) * np.sin(tt + bundle.phi2))
-        res[s:s + chunk] = pref * vals
+        res[s:s + chunk] = norm * bundle.output_phase(rr, tt) * vals
     return res.reshape(r_out.shape)
 
 
@@ -582,25 +571,18 @@ def olct_via_ft(field, params: OffsetParams, grid: PolarGrid, *,
     rounding `n_azimuth` follows.
     """
     f = _as_field_callable(field)
-    a, b, d = params.a, params.b, params.d
-    mu1, mu2 = params.mu1, params.mu2
 
     def f_tilde(r, th):
-        mod = np.exp(1j * (a / (2.0 * b)) * r ** 2)
-        if mu1 != 0.0:
-            mod = mod * np.exp(1j * (mu1 / b) * r * np.sin(th + params.phi1))
-        return _field_values(f, r, th, "olct_via_ft") * mod
+        return _field_values(f, r, th, "olct_via_ft") * params.input_phase(r, th)
 
     _check_r_max(r_max)
     ft_params = OffsetParams(0.0, 1.0, -1.0, 0.0)
-    inner = PolarGrid(grid.rho / b, grid.n_phi)
+    inner = PolarGrid(grid.rho / params.b, grid.n_phi)
     rho_max = float(grid.rho.max()) if grid.rho.size else 0.0
     na = n_azimuth or _azimuth_node_count(params, r_max, rho_max)
     ft = olct_forward(f_tilde, ft_params, inner, r_max=r_max, n_radial=n_radial, n_azimuth=na)
 
-    phase = np.exp(1j * (d / (2.0 * b)) * grid.rho[:, None] ** 2)
-    phase = phase * np.exp(-1j * (grid.rho[:, None] * mu2 / b) * np.sin(grid.phi[None, :] + params.phi2))
-    values = (params.ell1 / b) * phase * ft.values
+    values = (params.ell1 / params.b) * params.output_phase(grid.rho[:, None], grid.phi) * ft.values
     return SpectrumField(values, grid, params)
 
 
@@ -649,12 +631,12 @@ def olcht_forward(radial, order, params: OffsetParams, rho, *,
     over rho as the scale.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    a, b, d = params.a, params.b, params.d
+    b = params.b
 
     def integrand(r):
-        return np.asarray(radial(r), dtype=complex) * np.exp(1j * (a / (2.0 * b)) * r ** 2)
+        return np.asarray(radial(r), dtype=complex) * params.input_phase(r)
 
-    pref = (1j ** float(order)) * params.ell1 / b * np.exp(1j * (d / (2.0 * b)) * rho ** 2)
+    pref = (1j ** float(order)) * params.ell1 / b * params.output_phase(rho)
     return _radial_quadrature(integrand, order, b, rho, pref, r_max, n_radial, verify_tol,
                               "olcht_forward")
 
@@ -670,10 +652,10 @@ def olcht_inverse(transform, order, params: OffsetParams, r, *,
     olcht_forward's, with max|f| over the output radii as the scale.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    a, b, d = params.a, params.b, params.d
-    pref = (1j ** (-float(order))) * np.conj(params.ell1) / b * np.exp(-1j * (a / (2.0 * b)) * r ** 2)
+    b = params.b
+    pref = (1j ** (-float(order))) * np.conj(params.ell1) / b * np.conj(params.input_phase(r))
     return _radial_quadrature(
-        lambda rho: np.asarray(transform(rho), dtype=complex) * np.exp(-1j * (d / (2.0 * b)) * rho ** 2),
+        lambda rho: np.asarray(transform(rho), dtype=complex) * np.conj(params.output_phase(rho)),
         order, b, r, pref, rho_max, n_radial, verify_tol, "olcht_inverse", "rho_max")
 
 
@@ -725,8 +707,7 @@ def olct_series(coefficients: dict, params: OffsetParams, grid: PolarGrid, *,
     with the largest term integral as the scale.
     """
     _check_r_max(r_max)
-    a, b, d = params.a, params.b, params.d
-    mu1, mu2 = params.mu1, params.mu2
+    b, mu1 = params.b, params.mu1
     rho = grid.rho
     phi = grid.phi
     M = lambda_truncation(mu1 * r_max / b) if mu1 != 0.0 else 0
@@ -744,7 +725,7 @@ def olct_series(coefficients: dict, params: OffsetParams, grid: PolarGrid, *,
         # the p = 0 row of the side factor is identically 1 when mu1 = 0
         side = bessel_jn_chain(r * mu1 / b, M)
         J_big = bessel_jn_chain(r[:, None] * rho[None, :] / b, n_max + M)
-        chirp = np.exp(1j * (a / (2.0 * b)) * r ** 2) * r * wr
+        chirp = params.input_phase(r) * r * wr
         fn = {n: np.asarray(coefficients[n](r), dtype=complex) * chirp for n in coefficients}
         out = np.empty((r.size // _NODES_PER_PANEL, rho.size, len(terms)), dtype=complex)
         for t, (n, p) in enumerate(terms):
@@ -757,9 +738,7 @@ def olct_series(coefficients: dict, params: OffsetParams, grid: PolarGrid, *,
     phase = np.array([[((-1j) ** (n + p)) * np.exp(1j * p * params.phi1)] for n, p in terms]) \
         * np.exp(1j * np.array([n + p for n, p in terms])[:, None] * phi[None, :])
     values = integrals @ phase
-    values *= (params.ell1 / b) * np.exp(1j * (d / (2.0 * b)) * rho[:, None] ** 2)
-    if mu2 != 0.0:
-        values *= np.exp(-1j * (rho[:, None] * mu2 / b) * np.sin(phi[None, :] + params.phi2))
+    values *= (params.ell1 / b) * params.output_phase(rho[:, None], phi)
     return SpectrumField(values, grid, params)
 
 

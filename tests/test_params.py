@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from polar_olct import InverseParams, KernelParams, OffsetParams
@@ -69,3 +70,54 @@ def test_inverse_applied_twice_recovers_forward():
     assert back.d == pytest.approx(p.d, abs=1e-15)
     assert back.tau == pytest.approx(p.tau, abs=1e-15)
     assert back.eta == pytest.approx(p.eta, abs=1e-15)
+
+
+# the bundles the phase helpers serve: a chirp without offsets, offsets, and
+# an inverse bundle (b < 0)
+_OFFSET = OffsetParams(0.7, 1.3, -0.1, (1.0 + 1.3 * -0.1) / 0.7, (0.2, -0.6), (0.15, 0.05))
+_BUNDLES = {
+    "lct": OffsetParams(1.0, 2.0, -0.25, 0.5),
+    "offset_params": _OFFSET,
+    "inverse": InverseParams(_OFFSET).bundle(),
+}
+
+
+def _phases_by_hand(p, r, theta):
+    """Both kernel phases at one point, in Cartesian form: mu1 sin(theta +
+    phi1) is tau . (cos theta, sin theta), and mu2 sin(phi + phi2) is
+    (d tau - b eta) . (cos phi, sin phi)."""
+    c, s = math.cos(theta), math.sin(theta)
+    shift = (p.d * p.tau[0] - p.b * p.eta[0], p.d * p.tau[1] - p.b * p.eta[1])
+    inp = cmath.exp(1j * p.a * r * r / (2.0 * p.b) + 1j * r * (p.tau[0] * c + p.tau[1] * s) / p.b)
+    out = cmath.exp(1j * p.d * r * r / (2.0 * p.b) - 1j * r * (shift[0] * c + shift[1] * s) / p.b)
+    return inp, out
+
+
+@pytest.mark.parametrize("name", sorted(_BUNDLES))
+def test_kernel_phases_against_scalar_transcription(name):
+    p = _BUNDLES[name]
+    r = np.linspace(0.0, 7.5, 16)[:, None]
+    theta = np.linspace(-math.pi, math.pi, 9)[None, :]
+    # without the offset the phase is the chirp of r alone, which broadcasts
+    inp = np.broadcast_to(p.input_phase(r, theta), (16, 9))
+    out = np.broadcast_to(p.output_phase(r, theta), (16, 9))
+    for i in range(16):
+        for j in range(9):
+            want_in, want_out = _phases_by_hand(p, float(r[i, 0]), float(theta[0, j]))
+            assert abs(inp[i, j] - want_in) <= 1e-14
+            assert abs(out[i, j] - want_out) <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(_BUNDLES))
+def test_kernel_phase_identities_are_exact(name):
+    p = _BUNDLES[name]
+    x = np.linspace(0.0, 9.0, 101)
+    # without an angle each phase is its bare chirp
+    assert np.array_equal(p.input_phase(x), np.exp(1j * (p.a / (2.0 * p.b)) * x ** 2))
+    assert np.array_equal(p.output_phase(x), np.exp(1j * (p.d / (2.0 * p.b)) * x ** 2))
+    if isinstance(p, OffsetParams):
+        # the inverse bundle's chirps are the forward ones conjugated and
+        # swapped: why the spectrum-domain modes dechirp with conj(output_phase)
+        inv = InverseParams(p).bundle()
+        assert np.array_equal(inv.input_phase(x), np.conj(p.output_phase(x)))
+        assert np.array_equal(inv.output_phase(x), np.conj(p.input_phase(x)))

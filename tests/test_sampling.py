@@ -10,14 +10,17 @@ from polar_olct import (
     ReconstructionReport,
     SampleGrid,
     SampleSet,
+    SpectrumField,
     ZeroTable,
     default_m_sum,
+    olct_inverse,
     random_spectrum,
     reconstruct_field,
     reconstruct_isotropic,
     reconstruct_spectrum,
     sample_count,
     sample_field,
+    spectral_grid,
     stark_interpolate,
     stark_kernel,
     synthesize,
@@ -291,6 +294,25 @@ def test_reconstruct_field_mode_mismatch(rot):
         reconstruct_field(samples, "theorem2", rot, 0, np.array([0.4]), np.array([0.2]))
     with pytest.raises(ValueError):
         reconstruct_spectrum(samples, "corollary1", rot, 0, np.array([0.4]), np.array([0.2]))
+
+
+@pytest.mark.parametrize("entry", ["olct_inverse", "reconstruct_field", "reconstruct_spectrum"])
+@pytest.mark.parametrize("r, theta", [([np.nan], [0.2]), ([np.inf], [0.2]), ([0.4], [np.nan]),
+                                      ([0.4], [np.inf]), ([0.4, 0.5], [0.2, -np.inf])])
+def test_non_finite_probe_points_rejected(lct, entry, r, theta):
+    ones = lambda r, t: np.ones(np.broadcast(r, t).shape, complex)
+    if entry == "olct_inverse":
+        sg = spectral_grid(lct, 1.0, n_radial=16, n_phi=4)
+        spectrum = SpectrumField(np.ones((sg.rho.size, 4)), sg, lct)
+        call = lambda: olct_inverse(spectrum, lct, np.array(r), np.array(theta))
+    elif entry == "reconstruct_field":
+        samples = sample_field(ones, SampleGrid.theorem1(lct, 1.0, 1, 2))
+        call = lambda: reconstruct_field(samples, "theorem1", lct, 0, r, theta)
+    else:
+        samples = sample_field(ones, SampleGrid.corollary1(lct, 20.0, 1, 1.0))
+        call = lambda: reconstruct_spectrum(samples, "corollary1", lct, 0, r, theta)
+    with pytest.raises(ValueError, match="finite"):
+        call()
 
 
 def test_reconstruct_field_both_modes_reduction(rot, probe_mesh):
