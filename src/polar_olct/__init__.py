@@ -8,12 +8,9 @@ from .bessel import (
     bessel_j,
     bessel_j_prime,
     bessel_jn_chain,
-    bessel_zero,
     bessel_zeros,
     lambda_sum,
     lambda_truncation,
-    normalized_zero,
-    normalized_zeros,
 )
 from .params import InverseParams, KernelParams, OffsetParams
 from .transforms import (

@@ -1,4 +1,4 @@
-"""Bessel functions of the first kind: evaluation, zeros, sampling abscissae.
+"""Bessel functions of the first kind: evaluation, zeros, the lambda sums.
 
 Self-contained J_v machinery for orders v >= -1/2 (the range the polar
 transforms need) in two regimes: the large-argument cosine asymptotics for
@@ -6,8 +6,8 @@ x >= max(220, 4 v^2), and below it one Miller-style downward recurrence
 that serves every order and the J_0..J_M chain, with a few terms of the
 ascending series only at x <= 1e-3, where a recurrence step can overflow.
 One removable-point quotient J_v(x) / (x - z) at zeros z serves both
-sampling kernels.  Positive zeros are located from McMahon estimates and
-polished by Newton.
+sampling kernels.  Positive zeros are bracketed by the sign changes of J_v
+on a unit-step grid and found by Newton steps kept inside their brackets.
 """
 
 from __future__ import annotations
@@ -23,10 +23,7 @@ __all__ = [
     "bessel_j",
     "bessel_j_prime",
     "bessel_jn_chain",
-    "bessel_zero",
     "bessel_zeros",
-    "normalized_zero",
-    "normalized_zeros",
     "lambda_sum",
     "lambda_truncation",
 ]
@@ -298,7 +295,7 @@ def _zero_quotient(order, x: np.ndarray, z: np.ndarray, jnext: np.ndarray) -> np
 # zeros
 # --------------------------------------------------------------------------
 
-def _mcmahon(v: float, j: np.ndarray) -> np.ndarray:
+def _mcmahon(v: float, j: float) -> float:
     mu = 4.0 * v * v
     beta = (j + 0.5 * v - 0.25) * math.pi
     b8 = 8.0 * beta
@@ -308,78 +305,45 @@ def _mcmahon(v: float, j: np.ndarray) -> np.ndarray:
     return z
 
 
-def _newton_polish(v: float, z: np.ndarray, iters: int = 30) -> np.ndarray:
-    z = z.copy()
-    for _ in range(iters):
-        f = _bessel_j_core(v, z)
-        fp = bessel_j_prime(v, z)
-        step = f / np.where(fp == 0.0, 1.0, fp)
-        step = np.clip(step, -0.8, 0.8)
-        z = z - step
-        if np.all(np.abs(f) < 1e-13):
-            break
-    return z
-
-
-def _scan_low_zeros(v: float, count: int) -> np.ndarray:
-    # Sign-change scan on a 0.15 grid for the first zeros, where McMahon can
-    # be off: the grid up to McMahon(count + 1) + 2 in one call, doubled
-    # while it holds fewer than `count` zeros, then one joint bisection.
-    lo = max(0.05, math.sqrt(max(v, 0.0) * (max(v, 0.0) + 2.0)) * 0.98)
-    n = int(math.ceil((_mcmahon(v, np.array([count + 1.0]))[0] + 2.0 - lo) / 0.15)) + 1
-    x = f = np.empty(0)
-    while True:
-        new = lo + 0.15 * np.arange(x.size, min(max(n, x.size + 1), 20001))
-        x, f = np.concatenate([x, new]), np.concatenate([f, _bessel_j_core(v, new)])
-        exact = np.nonzero(f == 0.0)[0]
-        bracket = np.nonzero(f[:-1] * f[1:] < 0)[0]
-        if exact.size + bracket.size >= count or x.size > 20000:
-            break
-        n = 2 * x.size
-    a, b, fa = x[bracket], x[bracket + 1], f[bracket]
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if np.all((mid == a) | (mid == b)):
-            break  # every bracket is down to adjacent floats
-        fm = _bessel_j_core(v, mid)
-        left = fa * fm <= 0
-        b = np.where(left, mid, b)
-        a, fa = np.where(left, a, mid), np.where(left, fa, fm)
-    # grid order: an exact zero at node i precedes the bracket [i, i+1]
-    order = np.argsort(np.concatenate([exact, bracket + 0.5]), kind="stable")
-    return np.concatenate([x[exact], 0.5 * (a + b)])[order][:count]
-
-
 def bessel_zeros(order, count: int) -> np.ndarray:
-    """First `count` positive zeros of J_v, ascending, |J_v(z)| <= 1e-12."""
+    """First `count` positive zeros of J_v, ascending, |J_v(z)| <= 1e-12.
+
+    The sign changes of J_v on a unit-step grid bracket the zeros: the grid
+    starts below the first zero, j_{v,1} > sqrt(v (v + 2)), and consecutive
+    zeros are more than 3.1 apart for v >= -1/2.  Newton steps with
+    J_v' = (v/x) J_v - J_{v+1} shrink every bracket, bisecting wherever a
+    step would leave it.  McMahon's expansion only sizes the grid.
+    """
     v = _as_order(order)
     if count < 1:
         return np.zeros(0)
-    n_scan = min(count, 4)
-    low = _scan_low_zeros(v, n_scan)
-    low = _newton_polish(v, low)
-    if count > n_scan:
-        idx = np.arange(n_scan + 1, count + 1, dtype=float)
-        z = _newton_polish(v, _mcmahon(v, idx))
-        zeros = np.concatenate([low, z])
+    lo = max(0.05, math.sqrt(max(v, 0.0) * (max(v, 0.0) + 2.0)) * 0.98)
+    n = int(math.ceil(_mcmahon(v, count + 1.0) + 2.0 - lo)) + 1
+    x = f = np.empty(0)
+    while True:  # grown while it holds fewer than `count` zeros
+        new = lo + np.arange(x.size, max(n, x.size + 1), dtype=float)
+        x, f = np.concatenate([x, new]), np.concatenate([f, _bessel_j_core(v, new)])
+        exact = np.nonzero(f == 0.0)[0]
+        bracket = np.nonzero(f[:-1] * f[1:] < 0)[0]
+        if exact.size + bracket.size >= count:
+            break
+        n = 2 * x.size
+    a, b, fa = x[bracket], x[bracket + 1], f[bracket]
+    z = a - fa / (f[bracket + 1] - fa)  # the secant root of the unit bracket
+    for _ in range(40):
+        fz = _bessel_j_core(v, z)
+        same = fa * fz > 0
+        a, fa, b = np.where(same, z, a), np.where(same, fz, fa), np.where(same, b, z)
+        step = fz / ((v / z) * fz - _bessel_j_core(v + 1.0, z))
+        z = z - step
+        z = np.where((a <= z) & (z <= b), z, 0.5 * (a + b))
+        if np.all(np.abs(step) <= 1e-13 * z):
+            break
     else:
-        zeros = low
-    # Polished zeros must interlace correctly; re-derive any stragglers.
-    bad = np.nonzero(
-        (np.abs(_bessel_j_core(v, zeros)) > 1e-12)
-        | np.concatenate([[False], np.diff(zeros) < 1.5])
-    )[0]
-    if bad.size:
-        full = _scan_low_zeros(v, count)
-        zeros = _newton_polish(v, full)
-    return zeros
-
-
-def bessel_zero(order, index: int) -> float:
-    """The index-th positive zero (index >= 1) of J_v."""
-    if index < 1:
-        raise ValueError("zero index must be >= 1")
-    return float(ZeroTable.for_order(order, index).zeros[index - 1])
+        raise RuntimeError(f"zeros of the order-{v} Bessel function did not converge")
+    # grid order: an exact zero at node i precedes the bracket [i, i+1]
+    order = np.argsort(np.concatenate([exact, bracket + 0.5]), kind="stable")
+    return np.concatenate([x[exact], z])[order][:count]
 
 
 @dataclass(frozen=True)
@@ -409,19 +373,6 @@ class ZeroTable:
 
 
 _ZERO_CACHE: dict = {}
-
-
-def normalized_zero(params, omega: float, order, index: int) -> float:
-    """Sampling abscissa b * z_{v,index} / omega."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    return params.b * bessel_zero(order, index) / omega
-
-
-def normalized_zeros(params, omega: float, order, count: int) -> np.ndarray:
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    return params.b * ZeroTable.for_order(order, count).zeros[:count] / omega
 
 
 # --------------------------------------------------------------------------

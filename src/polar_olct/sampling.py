@@ -79,6 +79,8 @@ def stark_interpolate(values, theta, k_max: int):
     if values.shape != (2 * k_max + 1,):
         raise ValueError(f"need exactly {2 * k_max + 1} node values, got {values.shape}")
     theta = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("stark_interpolate: theta must be finite")
     out = np.exp(1j * theta[..., None] * np.arange(-k_max, k_max + 1)) \
         @ _angular_coefficients(values, k_max)
     return complex(out) if theta.ndim == 0 else out
@@ -192,6 +194,7 @@ class SampleGrid:
     def __post_init__(self):
         if self.mode not in ("theorem1", "theorem2", "corollary1", "corollary2"):
             raise ValueError(f"unknown grid mode {self.mode!r}")
+        _check_positive("omega", self.omega)
         for w, z in self.zeros.items():
             z = np.asarray(z, dtype=float)
             if np.any(z <= 0) or np.any(np.diff(z) <= 0):
@@ -260,8 +263,16 @@ class SampleGrid:
         return cls("corollary2", params, support_radius, k_max, orders, zeros)
 
 
+def _check_positive(name, value):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _zeros_below(order, b, scale, rho_cap):
-    # all zeros whose normalized abscissa b z / scale stays under rho_cap
+    # all zeros whose normalized abscissa b z / scale stays under rho_cap;
+    # checked first, or a bad bound doubles the zero count without end
+    _check_positive("support_radius", scale)
+    _check_positive("band_limit * coverage", rho_cap)
     count = max(8, int(scale * rho_cap / (b * math.pi)) + 4)
     while True:
         z = ZeroTable.for_order(order, count).zeros[:count]

@@ -65,6 +65,13 @@ def _lommel_values(alpha: np.ndarray, r: np.ndarray, c: float, order, z, jnext) 
     return out.reshape(alpha.shape + r.shape)
 
 
+def _check_finite(name: str, *points):
+    # on the points as passed, before broadcasting, so a tensor grid costs
+    # its rows plus its columns
+    if not all(np.all(np.isfinite(p)) for p in points):
+        raise ValueError(f"{name}: the points must be finite")
+
+
 def _radial_order(order_map: str, fixed_order: int, n: int) -> int:
     # the radial order that carries angular coefficient n under `order_map`
     if order_map == "per_order":
@@ -136,6 +143,7 @@ class PolarField:
         """f(r, theta) = sum_n f_n(r) e^{i n theta}, broadcast over inputs."""
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
+        _check_finite("evaluate", r, theta)
         shape = np.broadcast(r, theta).shape
         # profiles on the unique radii of r and phases on theta, each as
         # passed, so a tensor grid costs one profile call per radius
@@ -163,6 +171,7 @@ class SynthesizedField(PolarField):
     def spectral_coefficient(self, n: int, rho) -> np.ndarray:
         """Reduced-kernel radial transform of f_n: supported on [0, omega)."""
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
+        _check_finite("spectral_coefficient", rho)
         spec = self.spectrum
         p = self.params
         w = spec.radial_order(n)
@@ -184,6 +193,7 @@ class SynthesizedField(PolarField):
         offset-free regime."""
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
+        _check_finite("spectrum_values", rho, phi)
         shape = np.broadcast(rho, phi).shape
         rb = np.broadcast_to(rho, shape).ravel()
         pb = np.broadcast_to(phi, shape).ravel()

@@ -8,17 +8,16 @@ import pytest
 from polar_olct import (
     BesselOrder,
     OffsetParams,
+    SampleGrid,
     ZeroTable,
     bessel_j,
     bessel_j_prime,
     bessel_jn_chain,
-    bessel_zero,
     bessel_zeros,
     lambda_sum,
-    normalized_zero,
-    normalized_zeros,
 )
-from polar_olct.bessel import _bessel_j_core, _newton_polish, _scan_low_zeros
+from polar_olct import bessel
+from polar_olct.bessel import _bessel_j_core
 
 # frozen from the bisection-on-series oracles below
 Z01 = 2.404825557695773
@@ -58,13 +57,13 @@ def test_first_zero_of_j0_against_series_bisection():
     oracle = bisect_zero(lambda x: series_j(0, x), 2.0, 3.0)
     assert abs(oracle - Z01) < 1e-12
     assert abs(bessel_j(0, Z01)) < 1e-12
-    assert abs(bessel_zero(0, 1) - oracle) < 1e-12
+    assert abs(ZeroTable.for_order(0, 1).zeros[0] - oracle) < 1e-12
 
 
 def test_first_zero_of_j1_against_series_bisection():
     oracle = bisect_zero(lambda x: series_j(1, x), 3.0, 4.0)
     assert abs(oracle - Z11) < 1e-12
-    assert abs(bessel_zero(1, 1) - oracle) < 1e-12
+    assert abs(ZeroTable.for_order(1, 1).zeros[0] - oracle) < 1e-12
 
 
 def test_zero_residuals_and_monotonicity():
@@ -93,20 +92,55 @@ def scalar_scan_zeros(v, count):
 
 
 def test_vectorized_scan_matches_scalar_scan():
+    # bracketed Newton on a unit grid against bisection on a 0.15 grid
     for v, count in [(0, 9), (1, 4), (3, 4), (8, 4), (0.5, 4), (-0.5, 4)]:
-        got = _newton_polish(v, _scan_low_zeros(v, count))
-        ref = _newton_polish(v, scalar_scan_zeros(v, count))
+        got = bessel_zeros(v, count)
         assert got.shape == (count,)
-        assert np.max(np.abs(got - ref)) <= 1e-14
+        assert np.max(np.abs(got - scalar_scan_zeros(v, count))) <= 1e-14, v
+    for v, count in [(0.3, 9), (25, 6), (100, 4)]:
+        ref = scalar_scan_zeros(v, count)
+        assert np.max(np.abs(bessel_zeros(v, count) - ref) / ref) <= 1e-15, v
 
 
 def test_zero_spacing_bounds():
-    for v in [0, 1, 4, 8, 0.5, -0.5]:
+    for v in [-0.5, -0.3, 0, 0.2, 0.5, 1, 4, 8]:
         z = bessel_zeros(v, 40)
         gaps = np.diff(z)
+        # more than 3.1 apart: a unit-step grid holds at most one zero a step
+        assert np.all(gaps > 3.1), v
         assert np.all(gaps < np.pi + 1.0)
         # far out the spacing settles to pi
         assert np.all(np.abs(gaps[20:] - np.pi) < 0.5)
+
+
+def test_high_order_zeros_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    ref = [float(mpmath.besseljzero(170.5, k)) for k in (1, 2, 3)]
+    assert np.max(np.abs(bessel_zeros(170.5, 3) - ref) / ref) <= 1e-15
+    # besseljzero takes minutes at v = 1000: the first three sign changes of
+    # mpmath's besselj on a unit grid from x = v (below the first zero),
+    # each refined by mpmath's own root finder
+    f = lambda x: mpmath.besselj(1000, x)
+    grid = [1000.0 + k for k in range(50)]
+    signs = [mpmath.sign(f(x)) for x in grid]
+    brackets = [(grid[k], grid[k + 1]) for k in range(49) if signs[k] != signs[k + 1]][:3]
+    ref = [float(mpmath.findroot(f, br, solver="anderson")) for br in brackets]
+    assert len(ref) == 3
+    assert np.max(np.abs(bessel_zeros(1000, 3) - ref) / ref) <= 1e-15
+
+
+@pytest.mark.parametrize("v, count", [(0, 50), (3, 1600), (40, 200), (100, 50)])
+def test_zero_finder_work_bound(monkeypatch, v, count):
+    # one grid evaluation, then two evaluations a Newton step for all zeros
+    calls = []
+
+    def counted(order, x):
+        calls.append(x.size)
+        return _bessel_j_core(order, x)
+
+    monkeypatch.setattr(bessel, "_bessel_j_core", counted)
+    assert bessel_zeros(v, count).size == count
+    assert len(calls) <= 16
 
 
 def test_mcmahon_asymptotic_regime():
@@ -252,8 +286,9 @@ def test_domain_errors():
                 fn(bad)
         with pytest.raises(ValueError, match="x >= 0"):
             fn(-1.0)
+    assert bessel_zeros(0, 0).size == 0
     with pytest.raises(ValueError):
-        bessel_zero(0, 0)
+        ZeroTable.for_order(-0.75, 3)
     with pytest.raises(ValueError):
         BesselOrder(-1.0)
 
@@ -275,16 +310,16 @@ def test_zero_table_cached_and_immutable():
 
 
 def test_normalized_zeros():
+    # the sampling abscissae b z / omega, as the sampling grids lay them out
     p1 = OffsetParams(0.0, 1.0, -1.0, 0.0)
     p2 = OffsetParams(0.0, 2.0, -0.5, 0.0)
-    assert abs(normalized_zero(p1, 1.0, 0, 1) - Z01) < 1e-12
-    assert abs(normalized_zero(p2, 1.0, 0, 1) - 2.0 * Z01) < 1e-12
-    assert abs(normalized_zero(p1, np.pi, 1, 1) - Z11 / np.pi) < 1e-12
-    arr = normalized_zeros(p1, np.pi, 1, 5)
+    assert abs(ZeroTable.for_order(0, 1).zeros[0] - Z01) < 1e-12
+    assert abs(SampleGrid.theorem2(p2, 1.0, 0, 1, zeros_per_order=1).alphas(0)[0] - 2.0 * Z01) < 1e-12
+    arr = SampleGrid.theorem2(p1, np.pi, 0, 1, order=1, zeros_per_order=5).alphas(0)
     assert arr.shape == (5,)
     assert abs(arr[0] - Z11 / np.pi) < 1e-12
     with pytest.raises(ValueError):
-        normalized_zero(p1, 0.0, 0, 1)
+        SampleGrid.theorem2(p1, 0.0, 0, 1)
 
 
 def test_lambda_sum_values():

@@ -210,6 +210,25 @@ def test_grid_validation(rot):
         SampleGrid("bogus", rot, 1.0, 1, {0: 0}, {0: np.array([1.0])})
 
 
+# omega is the band limit of the theorem grids and the support radius of the
+# corollary grids, whose band limit sizes the zero count
+BAD_OMEGA_GRIDS = {
+    "theorem1": lambda p, w: SampleGrid.theorem1(p, w, 1, 2),
+    "theorem2": lambda p, w: SampleGrid.theorem2(p, w, 1, 2),
+    "corollary1": lambda p, w: SampleGrid.corollary1(p, w, 1, 1.0),
+    "corollary2": lambda p, w: SampleGrid.corollary2(p, w, 1, 1.0),
+    "corollary1_band_limit": lambda p, w: SampleGrid.corollary1(p, 1.0, 1, w),
+    "corollary2_band_limit": lambda p, w: SampleGrid.corollary2(p, 1.0, 1, w),
+}
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("factory", sorted(BAD_OMEGA_GRIDS))
+def test_grid_rejects_bad_omega(rot, factory, bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        BAD_OMEGA_GRIDS[factory](rot, bad)
+
+
 # --------------------------------------------------------------------------
 # reconstruction: isotropic and coefficients
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from polar_olct import (
     olcht_forward,
     random_spectrum,
     sonine_profile,
+    stark_interpolate,
     synthesize,
     synthesize_sonine,
 )
@@ -219,6 +220,19 @@ def test_spectral_coefficient_closed_form(lct, make_field):
         quad = olcht_forward(f.coefficient(n), abs(n), lct, rho, r_max=240.0)
         assert np.max(np.abs(closed - quad)) < 1e-5 * max(np.max(np.abs(closed)), 1e-30)
     assert np.max(np.abs(f.spectral_coefficient(0, np.array([1.0, 1.5])))) == 0.0
+
+
+@pytest.mark.parametrize("entry, args", [
+    ("spectrum_values", (np.nan, 0.0)), ("spectrum_values", (np.inf, 0.0)),
+    ("spectrum_values", (0.5, np.nan)), ("spectral_coefficient", (0, np.nan)),
+    ("evaluate", (0.5, np.nan)), ("evaluate", (np.inf, 0.0)),
+    ("evaluate", (np.array([[0.5], [np.nan]]), np.zeros((1, 3)))),
+    ("stark_interpolate", (np.ones(3), np.nan, 1)),
+])
+def test_non_finite_points_rejected(lct, make_field, entry, args):
+    call = stark_interpolate if entry == "stark_interpolate" else getattr(make_field(lct, j_spec=2), entry)
+    with pytest.raises(ValueError, match="finite"):
+        call(*args)
 
 
 def test_sonine_profile_closed_form_vs_quadrature():
