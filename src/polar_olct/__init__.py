@@ -6,7 +6,6 @@ from .bessel import (
     BesselOrder,
     ZeroTable,
     bessel_j,
-    bessel_j_prime,
     bessel_jn_chain,
     bessel_zeros,
     lambda_sum,

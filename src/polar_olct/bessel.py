@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,6 @@ __all__ = [
     "BesselOrder",
     "ZeroTable",
     "bessel_j",
-    "bessel_j_prime",
     "bessel_jn_chain",
     "bessel_zeros",
     "lambda_sum",
@@ -187,8 +187,8 @@ def _asymptotic_threshold(v: float) -> float:
 
 
 def _bessel_j_core(v: float, x: np.ndarray) -> np.ndarray:
-    """J_v on nonnegative x, any real v >= -3/2 (wider than the public range
-    so that derivative formulas can reach one order below -1/2)."""
+    """J_v on nonnegative x, any real v >= -3/2 (wider than the public
+    range; negative integer orders by reflection)."""
     if v < 0 and _is_integer(v):
         n = int(round(-v))
         return (-1.0) ** n * _bessel_j_core(float(n), x)  # J_{-n} = (-1)^n J_n
@@ -231,15 +231,6 @@ def bessel_j(order, x):
     v = _as_order(order)
     arr = _checked_x(x, "bessel_j")
     res = _bessel_j_core(v, np.atleast_1d(arr).ravel())
-    return float(res[0]) if arr.ndim == 0 else res.reshape(arr.shape)
-
-
-def bessel_j_prime(order, x):
-    """dJ_v/dx via the two-sided recurrence (J_{v-1} - J_{v+1})/2."""
-    v = _as_order(order)
-    arr = _checked_x(x, "bessel_j_prime")
-    flat = np.atleast_1d(arr).ravel()
-    res = 0.5 * (_bessel_j_core(v - 1.0, flat) - _bessel_j_core(v + 1.0, flat))
     return float(res[0]) if arr.ndim == 0 else res.reshape(arr.shape)
 
 
@@ -348,7 +339,7 @@ def bessel_zeros(order, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ZeroTable:
-    """Cached ascending positive zeros of one order."""
+    """Cached ascending positive zeros of one order, and J_{v+1} there."""
 
     order: BesselOrder
     zeros: np.ndarray = field(repr=False)
@@ -359,6 +350,13 @@ class ZeroTable:
             raise ValueError("zeros must be positive and strictly increasing")
         object.__setattr__(self, "zeros", z)
         self.zeros.setflags(write=False)
+
+    @cached_property
+    def jnext(self) -> np.ndarray:
+        """J_{v+1} at the zeros (read-only), taken on first use."""
+        out = _bessel_j_core(self.order.value + 1.0, self.zeros)
+        out.setflags(write=False)
+        return out
 
     @classmethod
     def for_order(cls, order, count: int) -> "ZeroTable":

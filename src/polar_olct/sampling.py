@@ -106,12 +106,26 @@ def theta_kernel(r, alpha, z, order, params: OffsetParams, omega: float):
     if np.any(np.abs(alpha - params.b * z / omega) > 1e-9 * alpha):
         raise ValueError("alpha is not the normalized zero of z")
     r = np.asarray(r, dtype=float)
-    mu2, al, rr = params.mu2, alpha.ravel()[:, None], r.ravel()
-    jnext = bessel_j(float(order) + 1.0, z.ravel())
-    quotient = _zero_quotient(order, omega * rr / params.b, z.ravel(), jnext)
-    out = -2.0 * (mu2 + al) * quotient / (jnext[:, None] * (al + rr + 2.0 * mu2))
+    out = _theta_matrix(r.ravel(), alpha.ravel(), z.ravel(), order, params, omega,
+                        bessel_j(float(order) + 1.0, z.ravel()))
     out = out.reshape(alpha.shape + r.shape)
     return float(out) if out.ndim == 0 else out
+
+
+def _theta_matrix(r, alphas, zeros, order, params, omega, jnext):
+    # theta_kernel on 1-d r and samples, given jnext = J_{v+1}(zeros)
+    mu2, al = params.mu2, alphas[:, None]
+    quotient = _zero_quotient(order, omega * r / params.b, zeros, jnext)
+    return -2.0 * (mu2 + al) * quotient / (jnext[:, None] * (al + r + 2.0 * mu2))
+
+
+def _table_jnext(order, zeros):
+    # J_{v+1} at the zeros: the zero table's when they are its leading
+    # zeros, as on every grid, so a warm table pays nothing
+    table = ZeroTable.for_order(order, zeros.size)
+    if np.array_equal(table.zeros[: zeros.size], zeros):
+        return table.jnext[: zeros.size]
+    return bessel_j(float(order) + 1.0, zeros)
 
 
 def default_m_sum(params: OffsetParams, omega: float, r_max: float) -> int:
@@ -129,7 +143,7 @@ def _zero_series(coeffs, alphas, zeros, order, params, omega, m_sum, r, mu_r, mu
     Odd side orders cancel in +-m pairs; m_sum = 0 keeps the bare j-sum.
     The chirp factors are applied by the callers.
     """
-    theta_mat = theta_kernel(r, alphas, zeros, order, params, omega)
+    theta_mat = _theta_matrix(r, alphas, zeros, order, params, omega, _table_jnext(order, zeros))
     if m_sum == 0 or not params.has_offsets:
         return coeffs @ theta_mat
     b = params.b
@@ -312,18 +326,16 @@ class SampleSet:
 
 def sample_field(source, grid: SampleGrid) -> SampleSet:
     """Evaluate a field (or, for the spectrum-domain grids, a spectrum) on
-    every grid point; duplicate-radius slabs are evaluated once."""
+    every grid point in one call: the radii of every distinct radial order
+    are concatenated, and slabs sharing a radial order share their values."""
     f = source if callable(source) else source.evaluate
-    th = grid.thetas
-    cache = {}
-    slabs = {}
+    first = {}
     for n in grid.slab_keys:
-        w = grid.radial_orders[n]
-        if w not in cache:
-            radii = grid.alphas(n)
-            cache[w] = np.asarray(f(radii[:, None], th[None, :]), dtype=complex)
-        slabs[n] = cache[w]
-    return SampleSet(grid, slabs)
+        first.setdefault(grid.radial_orders[n], n)
+    radii = [grid.alphas(n) for n in first.values()]
+    values = np.asarray(f(np.concatenate(radii)[:, None], grid.thetas[None, :]), dtype=complex)
+    parts = dict(zip(first, np.split(values, np.cumsum([a.size for a in radii])[:-1])))
+    return SampleSet(grid, {n: parts[grid.radial_orders[n]] for n in grid.slab_keys})
 
 
 def sample_count(k_max: int, resolution: int, mode: str) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def lommel_kernel(alpha, r, c: float, order):
     each); the result has shape alpha.shape + r.shape.
     """
     alpha = np.asarray(alpha, dtype=float)
-    out = _lommel_values(alpha, np.asarray(r, dtype=float), c, order, *_lommel_edge(alpha, c, order))
+    out = _lommel_values(alpha, c, order, *_lommel_edge(alpha, c, order), np.asarray(r, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -57,7 +58,7 @@ def _lommel_edge(alpha: np.ndarray, c: float, order):
     return z, bessel_j(float(order) + 1.0, z)
 
 
-def _lommel_values(alpha: np.ndarray, r: np.ndarray, c: float, order, z, jnext) -> np.ndarray:
+def _lommel_values(alpha: np.ndarray, c: float, order, z, jnext, r: np.ndarray) -> np.ndarray:
     """lommel_kernel's values, shape alpha.shape + r.shape, from the
     _lommel_edge values of `alpha`."""
     al, rr = alpha.ravel()[:, None], r.ravel()
@@ -101,8 +102,8 @@ class FourierBesselSpectrum:
     fixed_order: int = 0
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"omega must be finite and positive, got {self.omega!r}")
         if self.k_max < 0:
             raise ValueError("k_max must be nonnegative")
         _radial_order(self.order_map, self.fixed_order, 0)  # rejects an unknown map
@@ -146,12 +147,15 @@ class PolarField:
         _check_finite("evaluate", r, theta)
         shape = np.broadcast(r, theta).shape
         # profiles on the unique radii of r and phases on theta, each as
-        # passed, so a tensor grid costs one profile call per radius
+        # passed, so a tensor grid costs one profile call per radius; the
+        # memo holds each shared radial basis and chirp, taken once
         uniq, inv = np.unique(r.ravel(), return_inverse=True)
+        memo = {}
         out = np.zeros(shape, dtype=complex)
         for n in sorted(self.coefficients):
-            prof = np.asarray(self.coefficients[n](uniq), dtype=complex)[inv].reshape(r.shape)
-            out += prof * np.exp(1j * n * theta)
+            p = self.coefficients[n]
+            prof = p.at(uniq, memo) if isinstance(p, _Profile) else np.asarray(p(uniq), dtype=complex)
+            out += prof[inv].reshape(r.shape) * np.exp(1j * n * theta)
         return complex(out[()]) if shape == () else out
 
     __call__ = evaluate
@@ -172,20 +176,7 @@ class SynthesizedField(PolarField):
         """Reduced-kernel radial transform of f_n: supported on [0, omega)."""
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         _check_finite("spectral_coefficient", rho)
-        spec = self.spectrum
-        p = self.params
-        w = spec.radial_order(n)
-        eps = spec.coefficients.get(n)
-        out = np.zeros(rho.shape, dtype=complex)
-        if eps is None or eps.size == 0:
-            return out
-        zeros = ZeroTable.for_order(w, eps.size).zeros[: eps.size]
-        inside = rho < spec.omega
-        if np.any(inside):
-            acc = eps @ bessel_j(w, np.outer(zeros, rho[inside] / spec.omega))
-            pref = (1j ** w) * p.ell1 / p.b * p.output_phase(rho[inside])
-            out[inside] = pref * acc
-        return out
+        return self._spectral(rho, (n,))[n]
 
     def spectrum_values(self, rho, phi) -> np.ndarray:
         """Transform values assembled from the spectral coefficients with the
@@ -197,11 +188,32 @@ class SynthesizedField(PolarField):
         shape = np.broadcast(rho, phi).shape
         rb = np.broadcast_to(rho, shape).ravel()
         pb = np.broadcast_to(phi, shape).ravel()
+        ns = sorted(self.spectrum.coefficients)
+        coeffs = self._spectral(rb, ns)
         out = np.zeros(rb.size, dtype=complex)
-        for n in sorted(self.spectrum.coefficients):
-            w = self.spectrum.radial_order(n)
-            out += ((-1.0) ** w) * self.spectral_coefficient(n, rb) * np.exp(1j * n * pb)
+        for n in ns:
+            out += ((-1.0) ** self.spectrum.radial_order(n)) * coeffs[n] * np.exp(1j * n * pb)
         return out.reshape(shape)
+
+    def _spectral(self, rho, ns) -> dict:
+        # spectral coefficients of the angular orders ns on 1-d rho; orders
+        # of one radial order and coefficient count share one Bessel matrix
+        spec, p = self.spectrum, self.params
+        inside = rho < spec.omega
+        shared, out = {}, {}
+        for n in ns:
+            eps = spec.coefficients.get(n)
+            out[n] = np.zeros(rho.shape, dtype=complex)
+            if eps is None or eps.size == 0 or not np.any(inside):
+                continue
+            w = spec.radial_order(n)
+            if (w, eps.size) not in shared:
+                zeros = ZeroTable.for_order(w, eps.size).zeros[: eps.size]
+                shared[w, eps.size] = ((1j ** w) * p.ell1 / p.b * p.output_phase(rho[inside]),
+                                       bessel_j(w, np.outer(zeros, rho[inside] / spec.omega)))
+            pref, mat = shared[w, eps.size]
+            out[n][inside] = pref * (eps @ mat)
+        return out
 
 
 def synthesize(spectrum: FourierBesselSpectrum, params: OffsetParams) -> SynthesizedField:
@@ -210,20 +222,23 @@ def synthesize(spectrum: FourierBesselSpectrum, params: OffsetParams) -> Synthes
 
     Each profile is f_n(r) = e^{-i a r^2 / 2b} * sum_j eps_nj *
     lommel_kernel(alpha_wj, r, omega/b, w), the closed-form inverse of the
-    boxed spectrum, so membership in the bandlimited class is exact.
+    boxed spectrum, so membership in the bandlimited class is exact.  The
+    profiles of one radial order and coefficient count share their Lommel
+    rows: the zeros are checked and J_{w+1} taken there once, when built.
     """
     b = params.b
     c = spectrum.omega / b
-    profiles = {}
+    bases, profiles = {}, {}
     for n in range(-spectrum.k_max, spectrum.k_max + 1):
         eps = spectrum.coefficients.get(n)
-        w = spectrum.radial_order(n)
         if eps is None or eps.size == 0:
             profiles[n] = _zero_profile
             continue
-        zeros = ZeroTable.for_order(w, eps.size).zeros[: eps.size]
-        alphas = b * zeros / spectrum.omega
-        profiles[n] = _make_profile(alphas, eps, c, w, params)
+        w = spectrum.radial_order(n)
+        if (w, eps.size) not in bases:
+            alphas = b * ZeroTable.for_order(w, eps.size).zeros[: eps.size] / spectrum.omega
+            bases[w, eps.size] = partial(_lommel_values, alphas, c, w, *_lommel_edge(alphas, c, w))
+        profiles[n] = _Profile(bases[w, eps.size], eps, params)
     return SynthesizedField(profiles, spectrum.omega, spectrum.k_max,
                             provenance=f"fb-spectrum order_map={spectrum.order_map}",
                             spectrum=spectrum, params=params)
@@ -233,15 +248,35 @@ def _zero_profile(r):
     return np.zeros(np.shape(np.atleast_1d(r)), dtype=complex)
 
 
-def _make_profile(alphas, eps, c, w, params):
-    # the zeros are checked and J_{w+1} taken there once, not on every call
-    edge = _lommel_edge(alphas, c, w)
+class _Profile:
+    """f_n(r) = conj(input chirp) * (weights @ basis(r)), a plain callable.
 
-    def profile(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        return np.conj(params.input_phase(r)) * (eps @ _lommel_values(alphas, r, c, w, *edge))
+    Profiles of one radial order share `basis`; PolarField.evaluate passes
+    them one memo, so each basis and the chirp are taken once per call.
+    """
 
-    return profile
+    def __init__(self, basis, weights, params):
+        self.basis, self.weights, self.params = basis, weights, params
+
+    def __call__(self, r):
+        return self.at(np.atleast_1d(np.asarray(r, dtype=float)), {})
+
+    def at(self, r, memo):
+        # values on the 1-d radii r, from memo where already taken there
+        if self.basis not in memo:
+            memo[self.basis] = self.basis(r)
+        if self.params not in memo:
+            memo[self.params] = np.conj(self.params.input_phase(r))
+        return self._combine(memo[self.params], memo[self.basis])
+
+    def _combine(self, chirp, values):
+        return chirp * (self.weights @ values)
+
+
+class _ScaledProfile(_Profile):
+    # one radial function times a complex weight
+    def _combine(self, chirp, values):
+        return self.weights * chirp * values
 
 
 # --------------------------------------------------------------------------
@@ -285,23 +320,17 @@ def synthesize_sonine(weights: dict, params: OffsetParams, omega: float, *,
     c = omega / b
 
     k_max = max((abs(n) for n in weights), default=0)
-    profiles = {}
+    bases, profiles = {}, {}
     for n in range(-k_max, k_max + 1):
         wgt = weights.get(n)
         if wgt is None:
             profiles[n] = _zero_profile
             continue
-        g, _ = sonine_profile(_radial_order(order_map, fixed_order, n), c, s)
-        profiles[n] = _chirped(g, complex(wgt), params)
+        w = _radial_order(order_map, fixed_order, n)
+        if w not in bases:
+            bases[w] = sonine_profile(w, c, s)[0]
+        profiles[n] = _ScaledProfile(bases[w], complex(wgt), params)
     return PolarField(profiles, omega, k_max, provenance=f"sonine s={s}")
-
-
-def _chirped(g, weight, params):
-    def profile(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        return weight * np.conj(params.input_phase(r)) * g(r)
-
-    return profile
 
 
 def random_spectrum(omega: float, k_max: int, j_spec: int, seed: int, *,

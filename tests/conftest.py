@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polar_olct import OffsetParams, synthesize, random_spectrum
+from polar_olct import OffsetParams, bessel, synthesize, random_spectrum
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +38,17 @@ def probe_mesh():
         t = np.linspace(-np.pi, np.pi, n, endpoint=False)
         return np.meshgrid(r, t, indexing="ij")
     return factory
+
+
+@pytest.fixture
+def bessel_core_calls(monkeypatch):
+    """The orders of the _bessel_j_core calls the test makes, in call order."""
+    calls = []
+    core = bessel._bessel_j_core
+
+    def counted(order, x):
+        calls.append(order)
+        return core(order, x)
+
+    monkeypatch.setattr(bessel, "_bessel_j_core", counted)
+    return calls

@@ -11,7 +11,6 @@ from polar_olct import (
     SampleGrid,
     ZeroTable,
     bessel_j,
-    bessel_j_prime,
     bessel_jn_chain,
     bessel_zeros,
     lambda_sum,
@@ -254,14 +253,6 @@ def test_half_integer_closed_forms():
     assert np.max(np.abs(zc - (np.arange(1, 31) - 0.5) * np.pi)) < 1e-12
 
 
-def test_derivative_matches_finite_differences():
-    x = np.linspace(0.5, 30.0, 50)
-    h = 1e-6
-    for v in (0, 1, 2.5):
-        fd = (bessel_j(v, x + h) - bessel_j(v, x - h)) / (2.0 * h)
-        assert np.max(np.abs(bessel_j_prime(v, x) - fd)) < 1e-8
-
-
 def test_chain_consistent_with_scalar_evaluation():
     x = np.array([1e-30, 1e-3, 0.05, 0.7, 3.3, 40.0, 300.0])
     chain = bessel_jn_chain(x, 12)
@@ -278,8 +269,7 @@ def test_chain_consistent_with_scalar_evaluation():
 def test_domain_errors():
     with pytest.raises(ValueError):
         bessel_j(-0.75, 1.0)
-    checked = (lambda x: bessel_j(0, x), lambda x: bessel_j_prime(0, x),
-               lambda x: bessel_jn_chain(np.array([1.0, x]), 4), lambda_sum)
+    checked = (lambda x: bessel_j(0, x), lambda x: bessel_jn_chain(np.array([1.0, x]), 4), lambda_sum)
     for fn in checked:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
@@ -307,6 +297,17 @@ def test_zero_table_cached_and_immutable():
         ZeroTable(BesselOrder(0), np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
         t1.zeros[0] = 0.0
+    assert t1.jnext is t1.jnext
+    with pytest.raises(ValueError):
+        t1.jnext[0] = 0.0
+
+
+@pytest.mark.parametrize("v", [0, 1, 2.5, 40])
+def test_zero_table_jnext_against_scipy_jv(v):
+    jv = pytest.importorskip("scipy.special").jv
+    table = ZeroTable.for_order(v, 200)
+    assert table.jnext.shape == table.zeros.shape
+    assert np.max(np.abs(table.jnext - jv(v + 1.0, table.zeros))) <= 3.2e-14
 
 
 def test_normalized_zeros():

@@ -205,6 +205,38 @@ def test_sample_field_counts_and_zero_field(rot):
     assert g1.thetas.size == 5 and g2.thetas.size == 5
 
 
+def test_sample_field_calls_its_source_once_per_grid(rot, bessel_core_calls):
+    # theorem 1 at K = 2 has three radial orders; their radii go to the
+    # source in one call, and each radial basis is taken once there
+    grid = SampleGrid.theorem1(rot, np.pi, 2, 6)
+    f = synthesize(random_spectrum(np.pi, 2, 3, seed=47), rot)
+    shapes = []
+
+    def source(r, t):
+        shapes.append(np.broadcast(r, t).shape)
+        return f.evaluate(r, t)
+
+    bessel_core_calls.clear()
+    samples = sample_field(source, grid)
+    assert shapes == [(sum(z.size for z in grid.zeros.values()), 5)]
+    assert len(bessel_core_calls) == 3
+    for n in range(-2, 3):
+        alone = f.evaluate(grid.alphas(n)[:, None], grid.thetas[None, :])
+        assert rel_err(samples.slab(n), alone) <= 1e-14
+
+
+def test_warm_table_reconstruction_takes_no_jnext(rot, bessel_core_calls):
+    # J_{v+1} at the zeros comes from the zero tables: a second run takes
+    # J_v at the probes once per radial order and nothing else
+    f = synthesize(random_spectrum(np.pi, 2, 3, seed=45), rot)
+    samples = sample_field(f, SampleGrid.theorem1(rot, np.pi, 2, 6))
+    r, t = np.linspace(0.05, 5.0, 20), np.linspace(-np.pi, np.pi, 20)
+    warm = reconstruct_field(samples, "theorem1", rot, 0, r, t)
+    bessel_core_calls.clear()
+    assert np.array_equal(reconstruct_field(samples, "theorem1", rot, 0, r, t), warm)
+    assert sorted(bessel_core_calls) == [0.0, 1.0, 2.0]
+
+
 def test_grid_validation(rot):
     with pytest.raises(ValueError):
         SampleGrid("bogus", rot, 1.0, 1, {0: 0}, {0: np.array([1.0])})

@@ -91,8 +91,9 @@ def test_gram_matrix_diagonal():
 
 
 def test_spectrum_validation():
-    with pytest.raises(ValueError):
-        FourierBesselSpectrum(0.0, 1, {0: np.array([1.0 + 0j])})
+    for omega in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="omega"):
+            FourierBesselSpectrum(omega, 1, {0: np.array([1.0 + 0j])})
     with pytest.raises(ValueError):
         FourierBesselSpectrum(1.0, 1, {2: np.array([1.0 + 0j])})
     with pytest.raises(ValueError):
@@ -168,9 +169,13 @@ def test_evaluate_periodicity_and_spot_value(rot, make_field):
 
 
 def test_evaluate_separable_matches_broadcast_reference(lct, make_field):
-    f = make_field(lct, k_max=2, seed=36)
+    # the fixed-order fields share one radial basis across all five profiles
+    weights = {n: 0.5 - 0.3j * n for n in range(-2, 3)}
+    fields = [make_field(lct, k_max=2, seed=36, order_map=m) for m in ("per_order", "fixed")]
+    fields += [synthesize_sonine(weights, lct, 1.0, order_map=m, fixed_order=1)
+               for m in ("per_order", "fixed")]
 
-    def reference(r, theta):
+    def reference(f, r, theta):
         # every point broadcast to the full grid, profiles on its unique radii
         shape = np.broadcast(r, theta).shape
         flat_r = np.broadcast_to(r, shape).ravel()
@@ -185,12 +190,13 @@ def test_evaluate_separable_matches_broadcast_reference(lct, make_field):
     t = np.linspace(-np.pi, np.pi, 52, endpoint=False)
     rng = np.random.default_rng(4)
     scattered = (rng.uniform(0.0, 30.0, 40), rng.uniform(-np.pi, np.pi, 40))
-    for args in ((r[:, None], t[None, :]), np.meshgrid(r, t, indexing="ij"),
-                 np.meshgrid(r, t), scattered):
-        got = f.evaluate(*args)
-        want = reference(*args)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    for f in fields:
+        for args in ((r[:, None], t[None, :]), np.meshgrid(r, t, indexing="ij"),
+                     np.meshgrid(r, t), scattered):
+            got = f.evaluate(*args)
+            want = reference(f, *args)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), f.provenance
 
 
 def test_angular_bandlimit(rot, make_field):
@@ -233,6 +239,18 @@ def test_non_finite_points_rejected(lct, make_field, entry, args):
     call = stark_interpolate if entry == "stark_interpolate" else getattr(make_field(lct, j_spec=2), entry)
     with pytest.raises(ValueError, match="finite"):
         call(*args)
+
+
+def test_fixed_order_field_evaluates_its_basis_once(lct, bessel_core_calls):
+    # theorem-2 fields: all 2K+1 profiles share one radial basis, so one
+    # evaluate call makes one Bessel evaluation, not one per angular order
+    fields = (synthesize(random_spectrum(1.0, 2, 3, seed=8, order_map="fixed"), lct),
+              synthesize_sonine({n: 1.0 for n in range(-2, 3)}, lct, 1.0, order_map="fixed"))
+    r, t = np.meshgrid(np.linspace(0.0, 9.0, 30), np.linspace(-np.pi, np.pi, 12), indexing="ij")
+    for f in fields:
+        bessel_core_calls.clear()
+        f.evaluate(r, t)
+        assert len(bessel_core_calls) == 1, f.provenance
 
 
 def test_sonine_profile_closed_form_vs_quadrature():
