@@ -2,7 +2,7 @@
 
 Self-contained J_v machinery for orders v >= -1/2 (the range the polar
 transforms need) in two regimes: the large-argument cosine asymptotics for
-x >= max(220, 4 v^2), and below it one Miller-style downward recurrence
+x >= max(25, 4 v^2), and below it one Miller-style downward recurrence
 that serves every order and the J_0..J_M chain, with a few terms of the
 ascending series only at x <= 1e-3, where a recurrence step can overflow.
 One removable-point quotient J_v(x) / (x - z) at zeros z serves both
@@ -130,7 +130,9 @@ def _miller(v0: float, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     every = max(1, min(16, int(50.0 / growth)))
     coeffs = _neumann_coeffs(v0, m_start // 2 + 1)
     for m in range(m_start, 0, -1):
-        jm = (2.0 * (v0 + m) / x) * jc - jp
+        jm = 2.0 * (v0 + m) / x  # in place from here: one new array a step
+        jm *= jc
+        jm -= jp
         jp = jc
         jc = jm
         k = m - 1
@@ -164,26 +166,31 @@ def _asymptotic(v: float, x: np.ndarray) -> np.ndarray:
     # The phase x - c, c = (v/2 + 1/4) pi, is never formed: rounding it would
     # cost up to ulp(x)/2, which near a zero of J_v is a large relative error.
     # cos and sin of x itself are reduced exactly and combined with those of c.
+    # |term| peaks at the smallest x (rounding is monotone): t is that term, the stop test.
     mu = 4.0 * v * v
     cos_c, sin_c = _cos_sin_pi(0.5 * v + 0.25)
     cos_x, sin_x = np.cos(x), np.sin(x)
     p = np.ones_like(x)
     q = np.zeros_like(x)
     term = np.ones_like(x)
+    t, xmin = 1.0, float(np.min(x))
     for k in range(1, 40):
-        term = term * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if k % 2 == 1:
-            q += term * (-1) ** ((k - 1) // 2)
+        term *= mu - (2 * k - 1) ** 2
+        term /= 8.0 * k * x
+        acc = q if k % 2 else p  # odd terms build q, even ones p, signs (-1)^(k//2)
+        if k // 2 % 2:
+            acc -= term
         else:
-            p += term * (-1) ** (k // 2)
-        if np.all(np.abs(term) < 1e-18):
+            acc += term
+        t = t * (mu - (2 * k - 1) ** 2) / (8.0 * k * xmin)
+        if abs(t) < 1e-18:
             break
     return np.sqrt(2.0 / (math.pi * x)) * (p * (cos_x * cos_c + sin_x * sin_c)
                                           - q * (sin_x * cos_c - cos_x * sin_c))
 
 
 def _asymptotic_threshold(v: float) -> float:
-    return max(220.0, 4.0 * v * v)
+    return max(25.0, 4.0 * v * v)
 
 
 def _bessel_j_core(v: float, x: np.ndarray) -> np.ndarray:
@@ -222,8 +229,9 @@ def bessel_j(order, x):
     relative error <= 1e-13 on x <= 12 wherever |J_v| > 1e-290, except
     within 1e-3 of a zero.  Above x = 12, near a zero at distance d, the
     relative error is an absolute floor over d: ~6e-17 x / d where the
-    recurrence serves (x < max(220, 4 v^2)) and ~3e-16 / d where the
-    asymptotic form does.  Against scipy.special.jv on x in [0, 1e3]:
+    recurrence serves (x < max(25, 4 v^2)) and ~2e-16 / d where the
+    asymptotic form does; there a value does not depend on the other
+    arguments of the call.  Against scipy.special.jv on x in [0, 1e3]:
     absolute error <= 3.2e-14.  Any order returns, underflowing to 0 where
     J_v is below the float range (v = 1000 on [0, 2000] raises nothing).
     Raises ValueError off the supported domain, non-finite x included.
@@ -249,18 +257,27 @@ def bessel_jn_chain(x, m_max: int) -> np.ndarray:
     return out.reshape((m_max + 1,) + arr.shape)
 
 
-def _zero_quotient(order, x: np.ndarray, z: np.ndarray, jnext: np.ndarray) -> np.ndarray:
+def _zero_taylor(v: float, z: np.ndarray, jnext: np.ndarray) -> np.ndarray:
+    """J_v^(k)(z) / k!, k = 1..24 (rows), at zeros z of J_v, jnext = J_{v+1}(z):
+    Bessel's equation differentiated k times, from y(0) = 0, y(1) = -jnext."""
+    terms, zz = 24, z * z
+    y = [0.0, 0.0, 0.0, -jnext]  # y(k) is y[k + 2]
+    for k in range(terms - 1):
+        y.append(-((2 * k + 1) * z * y[k + 3] + (k * k + zz - v * v) * y[k + 2]
+                   + 2 * k * z * y[k + 1] + k * (k - 1) * y[k]) / zz)
+    return np.stack([y[k + 2] / math.factorial(k) for k in range(1, terms + 1)])
+
+
+def _zero_quotient(order, x: np.ndarray, z: np.ndarray, taylor: np.ndarray) -> np.ndarray:
     """J_v(x) / (x - z) for zeros z of J_v (rows) and finite x >= 0 (columns,
-    1-d), with jnext = J_{v+1}(z); smooth through x = z, where it is
-    J_v'(z) = -J_{v+1}(z).
+    1-d), with taylor = _zero_taylor(v, z, J_{v+1}(z)); smooth through
+    x = z, where it is J_v'(z) = -J_{v+1}(z).
 
     J_v is evaluated once per argument.  Where |x - z| < min(1, z/5) the
-    quotient is the Taylor polynomial of J_v(z + h) / h in h = x - z: the
-    derivatives y(k) = J_v^(k)(z) follow from Bessel's equation
-    differentiated k times, with y(0) = 0 and y(1) = -jnext.  The series
-    converges like (h/z)^k for non-integer v (a branch point at 0) and the
-    recursion's spurious solutions shrink alike, so 24 terms leave below
-    5^-24 ~ 1e-17 and below 1/24!.
+    quotient is the Taylor polynomial of J_v(z + h) / h in h = x - z.  The
+    series converges like (h/z)^k for non-integer v (a branch point at 0)
+    and the derivative recursion's spurious solutions shrink alike, so 24
+    terms leave below 5^-24 ~ 1e-17 and below 1/24!.
     """
     v = _as_order(order)
     x = _checked_x(x, "bessel_j")
@@ -268,16 +285,10 @@ def _zero_quotient(order, x: np.ndarray, z: np.ndarray, jnext: np.ndarray) -> np
     near = np.abs(h) < np.minimum(1.0, z / 5.0)[:, None]
     out = _bessel_j_core(v, x)[None, :] / np.where(near, 1.0, h)
     if np.any(near):
-        terms, zz = 24, z * z
-        y = [0.0, 0.0, 0.0, -jnext]  # y(k) is y[k + 2]
-        for k in range(terms - 1):
-            y.append(-((2 * k + 1) * z * y[k + 3] + (k * k + zz - v * v) * y[k + 2]
-                       + 2 * k * z * y[k + 1] + k * (k - 1) * y[k]) / zz)
-        row = np.nonzero(near)[0]
-        hn = h[near]
-        acc = y[terms + 2][row] / math.factorial(terms)
-        for k in range(terms - 1, 0, -1):
-            acc = acc * hn + y[k + 2][row] / math.factorial(k)
+        coeffs, hn = taylor[:, np.nonzero(near)[0]], h[near]
+        acc = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            acc = acc * hn + c
         out[near] = acc
     return out
 
@@ -339,7 +350,7 @@ def bessel_zeros(order, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ZeroTable:
-    """Cached ascending positive zeros of one order, and J_{v+1} there."""
+    """Cached ascending positive zeros of one order, J_{v+1} and the Taylor coefficients there."""
 
     order: BesselOrder
     zeros: np.ndarray = field(repr=False)
@@ -355,6 +366,13 @@ class ZeroTable:
     def jnext(self) -> np.ndarray:
         """J_{v+1} at the zeros (read-only), taken on first use."""
         out = _bessel_j_core(self.order.value + 1.0, self.zeros)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def taylor(self) -> np.ndarray:
+        """_zero_taylor's coefficients at the zeros (read-only), taken on first use."""
+        out = _zero_taylor(self.order.value, self.zeros, self.jnext)
         out.setflags(write=False)
         return out
 

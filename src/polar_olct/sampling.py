@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .bessel import ZeroTable, _zero_quotient, bessel_j, bessel_jn_chain
+from .bessel import ZeroTable, _zero_quotient, _zero_taylor, bessel_j, bessel_jn_chain
 from .params import OffsetParams
 
 __all__ = [
@@ -106,26 +106,27 @@ def theta_kernel(r, alpha, z, order, params: OffsetParams, omega: float):
     if np.any(np.abs(alpha - params.b * z / omega) > 1e-9 * alpha):
         raise ValueError("alpha is not the normalized zero of z")
     r = np.asarray(r, dtype=float)
-    out = _theta_matrix(r.ravel(), alpha.ravel(), z.ravel(), order, params, omega,
-                        bessel_j(float(order) + 1.0, z.ravel()))
+    taylor = _zero_taylor(float(order), z.ravel(), bessel_j(float(order) + 1.0, z.ravel()))
+    out = _theta_matrix(r.ravel(), alpha.ravel(), z.ravel(), order, params, omega, taylor)
     out = out.reshape(alpha.shape + r.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def _theta_matrix(r, alphas, zeros, order, params, omega, jnext):
-    # theta_kernel on 1-d r and samples, given jnext = J_{v+1}(zeros)
-    mu2, al = params.mu2, alphas[:, None]
-    quotient = _zero_quotient(order, omega * r / params.b, zeros, jnext)
+def _theta_matrix(r, alphas, zeros, order, params, omega, taylor):
+    # theta_kernel on 1-d r and samples, given the zeros' _zero_taylor
+    # coefficients, whose first row is -J_{v+1}(zeros)
+    mu2, al, jnext = params.mu2, alphas[:, None], -taylor[0]
+    quotient = _zero_quotient(order, omega * r / params.b, zeros, taylor)
     return -2.0 * (mu2 + al) * quotient / (jnext[:, None] * (al + r + 2.0 * mu2))
 
 
-def _table_jnext(order, zeros):
-    # J_{v+1} at the zeros: the zero table's when they are its leading
-    # zeros, as on every grid, so a warm table pays nothing
+def _table_taylor(order, zeros):
+    # the zeros' Taylor coefficients: the zero table's when they are its
+    # leading zeros, as on every grid, so a warm table pays nothing
     table = ZeroTable.for_order(order, zeros.size)
     if np.array_equal(table.zeros[: zeros.size], zeros):
-        return table.jnext[: zeros.size]
-    return bessel_j(float(order) + 1.0, zeros)
+        return table.taylor[:, : zeros.size]
+    return _zero_taylor(float(order), zeros, bessel_j(float(order) + 1.0, zeros))
 
 
 def default_m_sum(params: OffsetParams, omega: float, r_max: float) -> int:
@@ -143,7 +144,7 @@ def _zero_series(coeffs, alphas, zeros, order, params, omega, m_sum, r, mu_r, mu
     Odd side orders cancel in +-m pairs; m_sum = 0 keeps the bare j-sum.
     The chirp factors are applied by the callers.
     """
-    theta_mat = _theta_matrix(r, alphas, zeros, order, params, omega, _table_jnext(order, zeros))
+    theta_mat = _theta_matrix(r, alphas, zeros, order, params, omega, _table_taylor(order, zeros))
     if m_sum == 0 or not params.has_offsets:
         return coeffs @ theta_mat
     b = params.b

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .bessel import ZeroTable, _zero_quotient, bessel_j
+from .bessel import ZeroTable, _zero_quotient, _zero_taylor, bessel_j
 from .params import OffsetParams
 
 __all__ = [
@@ -48,21 +48,21 @@ def lommel_kernel(alpha, r, c: float, order):
 
 
 def _lommel_edge(alpha: np.ndarray, c: float, order):
-    """The zeros z = alpha*c of J_v, checked, and J_{v+1}(z)."""
+    """The zeros z = alpha*c of J_v, checked, and their Taylor coefficients."""
     if np.any(alpha <= 0) or c <= 0:
         raise ValueError("alpha and c must be positive")
     z = alpha.ravel() * c
     edge = np.abs(bessel_j(order, z))
     if np.any(edge > 1e-10):
         raise ValueError(f"alpha*c = {z[np.argmax(edge)]!r} is not a zero of the order-{order} function")
-    return z, bessel_j(float(order) + 1.0, z)
+    return z, _zero_taylor(float(order), z, bessel_j(float(order) + 1.0, z))
 
 
-def _lommel_values(alpha: np.ndarray, c: float, order, z, jnext, r: np.ndarray) -> np.ndarray:
+def _lommel_values(alpha: np.ndarray, c: float, order, z, taylor, r: np.ndarray) -> np.ndarray:
     """lommel_kernel's values, shape alpha.shape + r.shape, from the
     _lommel_edge values of `alpha`."""
-    al, rr = alpha.ravel()[:, None], r.ravel()
-    out = -c * c * al * jnext[:, None] * _zero_quotient(order, rr * c, z, jnext) / (al + rr)
+    al, rr, jnext = alpha.ravel()[:, None], r.ravel(), -taylor[0]
+    out = -c * c * al * jnext[:, None] * _zero_quotient(order, rr * c, z, taylor) / (al + rr)
     return out.reshape(alpha.shape + r.shape)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polar_olct import OffsetParams, bessel, synthesize, random_spectrum
+from polar_olct import OffsetParams, bessel, sampling, synthesis, synthesize, random_spectrum
 
 
 @pytest.fixture(scope="session")
@@ -51,4 +51,19 @@ def bessel_core_calls(monkeypatch):
         return core(order, x)
 
     monkeypatch.setattr(bessel, "_bessel_j_core", counted)
+    return calls
+
+
+@pytest.fixture
+def zero_taylor_calls(monkeypatch):
+    """The orders of the _zero_taylor calls the test makes, in call order."""
+    calls = []
+    taylor = bessel._zero_taylor
+
+    def counted(v, z, jnext):
+        calls.append(v)
+        return taylor(v, z, jnext)
+
+    for module in (bessel, sampling, synthesis):
+        monkeypatch.setattr(module, "_zero_taylor", counted)
     return calls

@@ -16,7 +16,7 @@ from polar_olct import (
     lambda_sum,
 )
 from polar_olct import bessel
-from polar_olct.bessel import _bessel_j_core
+from polar_olct.bessel import _asymptotic_threshold, _bessel_j_core
 
 # frozen from the bisection-on-series oracles below
 Z01 = 2.404825557695773
@@ -223,11 +223,12 @@ def test_bessel_j_against_mpmath():
         assert abs(bessel_j(12, x) - ref) <= 1e-12 * abs(ref)
         # near zeros above x = 12 the relative error is an absolute floor over
         # the distance d to the zero: ~6e-17 x / d for the recurrence, below
-        # max(220, 4 v^2), and ~3e-16 / d for the asymptotic form above it
-        for v, first, last in ((0, 5, 40), (7.3, 10, 60), (2.5, 80, 600), (12, 90, 600), (30.5, 330, 900)):
+        # max(25, 4 v^2), and ~2e-16 / d for the asymptotic form above it
+        for v, first, last in ((0, 5, 40), (1, 5, 70), (3, 5, 70), (7.3, 10, 60), (2.5, 80, 600),
+                               (12, 90, 600), (30.5, 330, 900)):
             for k in range(first, last, max(1, (last - first) // 4)):
                 z = mpmath.besseljzero(v, k)
-                floor = 1e-16 * float(z) if z < max(220.0, 4 * v * v) else 5e-16
+                floor = 1e-16 * float(z) if z < _asymptotic_threshold(v) else 5e-16
                 for d in (1e-4, -1.16e-3, 3e-2, -0.4):
                     ref = mpmath.besselj(v, float(z) + d)
                     assert abs(bessel_j(v, float(z) + d) - ref) * abs(d) <= floor * abs(ref), (v, k, d)
@@ -235,6 +236,28 @@ def test_bessel_j_against_mpmath():
     assert bessel_j(500, 1.0001) == 0.0
     wide = bessel_j(1000, np.linspace(0.0, 2000.0, 4001))
     assert np.all(np.isfinite(wide)) and np.max(np.abs(wide)) < 0.07
+
+
+def test_asymptotic_regime_from_its_threshold_against_mpmath():
+    # the Hankel expansion serves low orders from x = 25 (7e-17 measured)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for v in (-0.5, 0, 0.5, 1, 2, 2.5, 3, 5, 7):
+            xs = np.linspace(_asymptotic_threshold(v), 220.0, 120)
+            for x, got in zip(xs, bessel_j(v, xs)):
+                assert abs(got - mpmath.besselj(v, x)) <= 2e-16, (v, x)
+
+
+def test_asymptotic_values_independent_of_call_mates():
+    # above the threshold a value is the same alone and beside any other
+    # arguments; below it the largest argument of a call sizes the recurrence
+    x = np.linspace(0.5, 30.0, 200)
+    assert np.array_equal(bessel_j(0, np.append(x, 200.0))[:-1], bessel_j(0, x))
+    rng = np.random.default_rng(15)
+    for v in (-0.5, 0, 1, 2.5, 3, 7, 12.5):
+        far = rng.uniform(_asymptotic_threshold(v), 1e3, 150)
+        mates = rng.uniform(0.0, 1e3, 150)
+        assert np.array_equal(bessel_j(v, np.concatenate([mates, far]))[150:], bessel_j(v, far)), v
 
 
 def test_zeros_against_scipy_jn_zeros():
@@ -300,6 +323,11 @@ def test_zero_table_cached_and_immutable():
     assert t1.jnext is t1.jnext
     with pytest.raises(ValueError):
         t1.jnext[0] = 0.0
+    assert t1.taylor is t1.taylor
+    assert t1.taylor.shape == (24, t1.zeros.size)
+    assert np.array_equal(t1.taylor[0], -t1.jnext)
+    with pytest.raises(ValueError):
+        t1.taylor[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("v", [0, 1, 2.5, 40])

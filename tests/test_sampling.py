@@ -225,16 +225,19 @@ def test_sample_field_calls_its_source_once_per_grid(rot, bessel_core_calls):
         assert rel_err(samples.slab(n), alone) <= 1e-14
 
 
-def test_warm_table_reconstruction_takes_no_jnext(rot, bessel_core_calls):
-    # J_{v+1} at the zeros comes from the zero tables: a second run takes
-    # J_v at the probes once per radial order and nothing else
+def test_warm_table_reconstruction_takes_no_jnext(rot, bessel_core_calls, zero_taylor_calls):
+    # J_{v+1} at the zeros and the Taylor coefficients there come from the
+    # zero tables: a second run takes J_v at the probes once per radial
+    # order and nothing else
     f = synthesize(random_spectrum(np.pi, 2, 3, seed=45), rot)
     samples = sample_field(f, SampleGrid.theorem1(rot, np.pi, 2, 6))
     r, t = np.linspace(0.05, 5.0, 20), np.linspace(-np.pi, np.pi, 20)
     warm = reconstruct_field(samples, "theorem1", rot, 0, r, t)
     bessel_core_calls.clear()
+    zero_taylor_calls.clear()
     assert np.array_equal(reconstruct_field(samples, "theorem1", rot, 0, r, t), warm)
     assert sorted(bessel_core_calls) == [0.0, 1.0, 2.0]
+    assert zero_taylor_calls == []
 
 
 def test_grid_validation(rot):
