@@ -39,12 +39,10 @@ from .synthesis import (
     synthesize_sonine,
 )
 from .sampling import (
-    ReconstructionReport,
     SampleGrid,
     SampleSet,
     default_m_sum,
     reconstruct_field,
-    reconstruct_isotropic,
     reconstruct_spectrum,
     sample_count,
     sample_field,

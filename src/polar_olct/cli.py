@@ -49,13 +49,13 @@ def _cmd_zeros(args) -> int:
 
 
 def _load(args):
-    params, extras = files.read_params_file(args.params)
+    params = files.read_params_file(args.params)
     spectrum = files.read_spectrum_csv(args.spectrum)
-    return params, extras, spectrum, sy.synthesize(spectrum, params)
+    return params, spectrum, sy.synthesize(spectrum, params)
 
 
 def _cmd_transform(args) -> int:
-    params, _, spectrum, field = _load(args)
+    params, spectrum, field = _load(args)
     rho = np.linspace(args.rho_max / args.n_rho, args.rho_max, args.n_rho)
     grid = tr.PolarGrid(rho, args.n_phi)
     if args.route == "quadrature":
@@ -72,7 +72,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    _, _, _, field = _load(args)
+    _, _, field = _load(args)
     r = np.linspace(0.0, args.r_max, args.n_r)
     theta = np.linspace(-np.pi, np.pi, args.n_theta, endpoint=False)
     R, TH = np.meshgrid(r, theta, indexing="ij")
@@ -83,7 +83,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    params, extras, spectrum, field = _load(args)
+    params, spectrum, field = _load(args)
     omega = spectrum.omega
     k_max = spectrum.k_max
     m_sum = args.msum if args.msum >= 0 else sp.default_m_sum(params, omega, 10.0)
@@ -140,14 +140,19 @@ def _run_sweeps(config, which):
     return results
 
 
-def _cmd_sweep(args) -> int:
-    config = _config_from_args(args)
-    results = _run_sweeps(config, args.suite)
+def _merged(config, results):
+    # one result whose check and timing names carry their suite's name
     merged = harness.SweepResult(config.seed)
     for name, res in results:
         for row in res.rows:
             merged.rows.append({**row, "check": f"{name}.{row['check']}"})
         merged.timings.extend((f"{name}.{n}", s) for n, s in res.timings)
+    return merged
+
+
+def _cmd_sweep(args) -> int:
+    config = _config_from_args(args)
+    merged = _merged(config, _run_sweeps(config, args.suite))
     harness.emit_report(merged, args.out)
     print(f"{len(merged.rows)} checks, {len(merged.failures())} failures -> {args.out}")
     return 0
@@ -155,20 +160,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _config_from_args(args)
-    results = _run_sweeps(config, "all")
-    failures = 0
-    for name, res in results:
-        for row in res.rows:
-            status = "pass" if row["passed"] else "FAIL"
-            print(f"[{status}] {name}.{row['check']}: {row['value']:.3e} {row['note']}")
-        failures += len(res.failures())
+    merged = _merged(config, _run_sweeps(config, "all"))
+    for row in merged.rows:
+        status = "pass" if row["passed"] else "FAIL"
+        print(f"[{status}] {row['check']}: {row['value']:.3e} {row['note']}")
     if args.out:
-        merged = harness.SweepResult(config.seed)
-        for name, res in results:
-            for row in res.rows:
-                merged.rows.append({**row, "check": f"{name}.{row['check']}"})
-            merged.timings.extend((f"{name}.{n}", s) for n, s in res.timings)
         harness.emit_report(merged, args.out)
+    failures = len(merged.failures())
     print(f"verify: {failures} failing checks")
     return 0 if failures == 0 else 1
 

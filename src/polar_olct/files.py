@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 _FLOAT_FMT = "{:.15g}"
+_PARAMS_KEYS = ("a", "b", "c", "d", "tau1", "tau2", "eta1", "eta2")
 
 
 def parse_keyvalue(text: str) -> dict:
@@ -37,23 +38,18 @@ def parse_keyvalue(text: str) -> dict:
     return out
 
 
-def read_params_file(path) -> tuple[OffsetParams, dict]:
-    """Parameter file with keys a,b,c,d,tau1,tau2,eta1,eta2 and optional
-    Omega, K, mode; returns the bundle plus the extras."""
+def read_params_file(path) -> OffsetParams:
+    """Parameter file with keys a, b, c, d, tau1, tau2, eta1, eta2; any other
+    key raises ValueError, so a misspelt one is not silently ignored."""
     with open(path, "r", encoding="utf-8") as fh:
         kv = parse_keyvalue(fh.read())
+    unknown = sorted(set(kv) - set(_PARAMS_KEYS))
+    if unknown:
+        raise ValueError(f"unknown params key(s) {unknown}; expected {', '.join(_PARAMS_KEYS)}")
     def f(key, default=0.0):
         return float(kv.get(key, default))
-    params = OffsetParams(f("a"), f("b", 1.0), f("c"), f("d"),
-                          (f("tau1"), f("tau2")), (f("eta1"), f("eta2")))
-    extras = {}
-    if "Omega" in kv or "omega" in kv:
-        extras["omega"] = float(kv.get("Omega", kv.get("omega")))
-    if "K" in kv or "k" in kv:
-        extras["k_max"] = int(kv.get("K", kv.get("k")))
-    if "mode" in kv:
-        extras["mode"] = kv["mode"]
-    return params, extras
+    return OffsetParams(f("a"), f("b", 1.0), f("c"), f("d"),
+                        (f("tau1"), f("tau2")), (f("eta1"), f("eta2")))
 
 
 def write_spectrum_csv(path, spectrum: FourierBesselSpectrum) -> None:

@@ -140,10 +140,6 @@ class SweepResult:
         return [r for r in self.rows if not r["passed"]]
 
 
-def _asserted(sweep, name, value, tol, note=""):
-    sweep.add(name, value, tol, note=note)
-
-
 def _probe_mesh(r_lo, r_hi, n):
     r = np.linspace(r_lo, r_hi, n)
     t = np.linspace(-np.pi, np.pi, n, endpoint=False)
@@ -187,13 +183,13 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
     for v in range(9):
         z = ZeroTable.for_order(v, 50).zeros[:50]
         residual = max(residual, float(np.max(np.abs(bessel_j(v, z)))))
-    _asserted(sweep, "bessel_zero_residual", residual, config.tolerance("bessel_zero_residual"))
+    sweep.add("bessel_zero_residual", residual, config.tolerance("bessel_zero_residual"))
     sweep.time("bessel_zero_residual", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     xs = rng.uniform(0.0, 30.0, 50)
     dev = float(np.max(np.abs(lambda_sum(xs) - 1.0)))
-    _asserted(sweep, "lambda_identity", dev, config.tolerance("lambda_identity"))
+    sweep.add("lambda_identity", dev, config.tolerance("lambda_identity"))
     sweep.time("lambda_identity", time.perf_counter() - t0)
 
     # 2. azimuthal interpolation
@@ -213,12 +209,12 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
         node_vals = np.exp(1j * deg * nodes)
         worst = max(worst, float(np.max(np.abs(
             sp.stark_interpolate(node_vals, probes, k) - np.exp(1j * deg * probes)))))
-    _asserted(sweep, "stark_nodes", worst, config.tolerance("stark_nodes"))
+    sweep.add("stark_nodes", worst, config.tolerance("stark_nodes"))
     k, l, n = 2, 1, -1
     th = -np.pi + 2.0 * np.pi * np.arange(8192) / 8192
     quad = np.sum(sp.stark_kernel(th, l, k) * np.exp(-1j * n * th)) * (2.0 * np.pi / 8192)
     target = 2.0 * np.pi / (2 * k + 1) * np.exp(-1j * n * 2.0 * np.pi * l / (2 * k + 1))
-    _asserted(sweep, "stark_integral", abs(quad - target), config.tolerance("stark_integral"))
+    sweep.add("stark_integral", abs(quad - target), config.tolerance("stark_integral"))
     sweep.time("stark", time.perf_counter() - t0)
 
     # 3. transform oracles on random draws
@@ -238,7 +234,7 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
         fw = tr.olct_forward(f, p, grid, r_max=30.0)
         via = tr.olct_via_ft(f, p, grid, r_max=30.0)
         worst = max(worst, _rel_err(via.values, fw.values))
-    _asserted(sweep, "oracle_agreement", worst, config.tolerance("oracle_agreement"))
+    sweep.add("oracle_agreement", worst, config.tolerance("oracle_agreement"))
     sweep.time("oracle_agreement", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
@@ -249,7 +245,7 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
     chirped = lambda rr: np.exp(1j * lct.a * rr ** 2 / (2.0 * lct.b)) * prof(rr)
     cl = tr.hankel_transform(chirped, 1, rho / lct.b, r_max=config.r_max, n_radial=4096)
     rhs = (1j) * lct.ell1 / lct.b * np.exp(1j * lct.d * rho ** 2 / (2.0 * lct.b)) * cl
-    _asserted(sweep, "chirp_factorization", _rel_err(lhs, rhs), config.tolerance("chirp_factorization"))
+    sweep.add("chirp_factorization", _rel_err(lhs, rhs), config.tolerance("chirp_factorization"))
     sweep.time("chirp_factorization", time.perf_counter() - t0)
 
     # 4. round trips (r_max matched to the tolerance, not the sweep default)
@@ -261,7 +257,7 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
     rr = np.linspace(0.2, 4.0, 7)
     tt = np.linspace(-2.5, 2.5, 7)
     rec = tr.olct_inverse(spec_f, rot, rr, tt)
-    _asserted(sweep, "roundtrip_olct", _rel_err(rec, fld.evaluate(rr, tt)),
+    sweep.add("roundtrip_olct", _rel_err(rec, fld.evaluate(rr, tt)),
               config.tolerance("roundtrip"))
     prof2 = sy.synthesize(sy.random_spectrum(1.0, 0, 3, seed=config.seed + 4,
                                              order_map="fixed", fixed_order=1),
@@ -269,7 +265,7 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
     fwd = lambda q: tr.olcht_forward(prof2, 1, lct, q, r_max=2.0 * rt_r_max)
     probes_r = np.linspace(0.2, 4.0, 9)
     rec2 = tr.olcht_inverse(fwd, 1, lct, probes_r, rho_max=1.0)
-    _asserted(sweep, "roundtrip_olcht", _rel_err(rec2, prof2(probes_r)),
+    sweep.add("roundtrip_olcht", _rel_err(rec2, prof2(probes_r)),
               config.tolerance("roundtrip"))
     sweep.time("roundtrips", time.perf_counter() - t0)
 
@@ -294,9 +290,9 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
     ring = fldK.spectrum_values(0.5, phi64)
     terms = np.array([((-1.0) ** abs(n)) * fldK.spectral_coefficient(n, np.array([0.5]))[0]
                       for n in range(-2, 3)])
-    _asserted(sweep, "parseval_residual",
-              tr.parseval_residual(ring, terms) / max(float(np.max(np.abs(ring))) ** 2, 1e-30),
-              config.tolerance("parseval"))
+    sweep.add("parseval_residual",
+                tr.parseval_residual(ring, terms) / max(float(np.max(np.abs(ring))) ** 2, 1e-30),
+                config.tolerance("parseval"))
     sweep.time("series_adjudication", time.perf_counter() - t0)
 
     # 6. sampling theorems: terminating and non-terminating spectra

@@ -19,6 +19,11 @@ __all__ = ["KernelParams", "OffsetParams", "InverseParams"]
 _DET_TOL = 1e-12
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class KernelParams:
     """Raw kernel bundle; b may have either sign (internal inverse use)."""

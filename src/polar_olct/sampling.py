@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bessel import ZeroTable, _zero_quotient, _zero_taylor, bessel_j, bessel_jn_chain
-from .params import OffsetParams
+from .params import OffsetParams, _check_positive
 
 __all__ = [
     "stark_kernel",
@@ -37,10 +37,8 @@ __all__ = [
     "SampleSet",
     "sample_field",
     "sample_count",
-    "reconstruct_isotropic",
     "reconstruct_field",
     "reconstruct_spectrum",
-    "ReconstructionReport",
 ]
 
 _PREFACTORS = ("unit", "alternating")
@@ -106,7 +104,7 @@ def theta_kernel(r, alpha, z, order, params: OffsetParams, omega: float):
     if np.any(np.abs(alpha - params.b * z / omega) > 1e-9 * alpha):
         raise ValueError("alpha is not the normalized zero of z")
     r = np.asarray(r, dtype=float)
-    taylor = _zero_taylor(float(order), z.ravel(), bessel_j(float(order) + 1.0, z.ravel()))
+    taylor = _table_taylor(order, z.ravel())
     out = _theta_matrix(r.ravel(), alpha.ravel(), z.ravel(), order, params, omega, taylor)
     out = out.reshape(alpha.shape + r.shape)
     return float(out) if out.ndim == 0 else out
@@ -166,25 +164,6 @@ def _series_prefactor(order, params, prefactor: str) -> complex:
     return ((-1.0) ** order) * params.sigma
 
 
-def reconstruct_isotropic(samples, order, params: OffsetParams, omega: float,
-                          m_sum: int, r, *, zeros=None,
-                          prefactor: str = "unit") -> np.ndarray:
-    """Recover a transform-bandlimited radial profile (or one angular
-    coefficient) from its values at the normalized zeros of `order`."""
-    samples = np.asarray(samples, dtype=complex)
-    r = np.asarray(r, dtype=float)
-    rr = np.atleast_1d(r).ravel()
-    if zeros is None:
-        zeros = ZeroTable.for_order(order, samples.size).zeros[: samples.size]
-    zeros = np.asarray(zeros, dtype=float)
-    alphas = params.b * zeros / omega
-    weights = params.input_phase(alphas) * samples
-    series = _zero_series(weights[None, :], alphas, zeros, order, params, omega, m_sum, rr,
-                          params.mu1, params.mu2)[0]
-    out = _series_prefactor(order, params, prefactor) * np.conj(params.input_phase(rr)) * series
-    return complex(out[0]) if r.ndim == 0 else out.reshape(r.shape)
-
-
 # --------------------------------------------------------------------------
 # grids and sample sets
 # --------------------------------------------------------------------------
@@ -204,7 +183,6 @@ class SampleGrid:
     k_max: int
     radial_orders: dict
     zeros: dict
-    resolution: int = 0
 
     def __post_init__(self):
         if self.mode not in ("theorem1", "theorem2", "corollary1", "corollary2"):
@@ -254,14 +232,14 @@ class SampleGrid:
         orders = {n: abs(n) for n in range(-k_max, k_max + 1)}
         zeros = {w: ZeroTable.for_order(w, z_count).zeros[:z_count].copy()
                  for w in sorted({abs(n) for n in orders})}
-        return cls("theorem1", params, omega, k_max, orders, zeros, resolution)
+        return cls("theorem1", params, omega, k_max, orders, zeros)
 
     @classmethod
     def theorem2(cls, params, omega, k_max, resolution, order=0, zeros_per_order=None):
         z_count = zeros_per_order or resolution * resolution
         orders = {n: order for n in range(-k_max, k_max + 1)}
         zeros = {order: ZeroTable.for_order(order, z_count).zeros[:z_count].copy()}
-        return cls("theorem2", params, omega, k_max, orders, zeros, resolution)
+        return cls("theorem2", params, omega, k_max, orders, zeros)
 
     @classmethod
     def corollary1(cls, params, support_radius, k_max, band_limit, coverage=0.98):
@@ -276,11 +254,6 @@ class SampleGrid:
         orders = {n: order for n in range(-k_max, k_max + 1)}
         zeros = {order: _zeros_below(order, params.b, support_radius, coverage * band_limit)}
         return cls("corollary2", params, support_radius, k_max, orders, zeros)
-
-
-def _check_positive(name, value):
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _zeros_below(order, b, scale, rho_cap):
@@ -430,54 +403,6 @@ def reconstruct_spectrum(sample_set: SampleSet, mode: str, params: OffsetParams,
     chirp = params.output_phase if inner_chirp == "spectral" else params.input_phase
     return _reconstruct(sample_set, params, m_sum, rho, phi, lambda x: np.conj(chirp(x)),
                         params.output_phase, params.mu2, params.mu1, prefactor)
-
-
-# --------------------------------------------------------------------------
-# reporting
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReconstructionReport:
-    """Error summary of one reconstruction run."""
-
-    mode: str
-    k_max: int
-    n_zeros: int
-    m_sum: int
-    sample_total: int
-    n_probes: int
-    max_abs_error: float
-    mean_abs_error: float
-    max_rel_error: float
-    elapsed_s: float
-    details: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.n_probes < 100:
-            raise ValueError("error statistics need at least 100 probe points")
-
-    @classmethod
-    def from_run(cls, mode, sample_set, m_sum, truth, recon, elapsed_s, details=None):
-        truth = np.asarray(truth).ravel()
-        recon = np.asarray(recon).ravel()
-        if truth.size != recon.size:
-            raise ValueError("truth/reconstruction size mismatch")
-        err = np.abs(recon - truth)
-        scale = float(np.max(np.abs(truth))) or 1.0
-        grid = sample_set.grid
-        return cls(
-            mode=mode,
-            k_max=grid.k_max,
-            n_zeros=max(grid.zeros[w].size for w in grid.zeros),
-            m_sum=m_sum,
-            sample_total=sample_set.total_count,
-            n_probes=truth.size,
-            max_abs_error=float(np.max(err)),
-            mean_abs_error=float(np.mean(err)),
-            max_rel_error=float(np.max(err)) / scale,
-            elapsed_s=float(elapsed_s),
-            details=dict(details or {}),
-        )
 
 
 def timed(fn, *args, **kwargs):

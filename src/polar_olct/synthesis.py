@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .bessel import ZeroTable, _zero_quotient, _zero_taylor, bessel_j
-from .params import OffsetParams
+from .params import OffsetParams, _check_positive
 
 __all__ = [
     "lommel_kernel",
@@ -77,8 +77,6 @@ def _radial_order(order_map: str, fixed_order: int, n: int) -> int:
     # the radial order that carries angular coefficient n under `order_map`
     if order_map == "per_order":
         return abs(n)
-    if order_map == "double_order":
-        return 2 * abs(n)
     if order_map == "fixed":
         return fixed_order
     raise ValueError(f"unknown order_map {order_map!r}")
@@ -90,9 +88,8 @@ class FourierBesselSpectrum:
 
     `order_map` fixes which radial order carries angular coefficient n:
     "per_order" uses |n| (membership in the transform-bandlimited class),
-    "double_order" uses 2|n| (the order-doubling variant kept for the series
-    adjudication), "fixed" uses `fixed_order` for every n (the single-order
-    sampling grids).
+    "fixed" uses `fixed_order` for every n (the single-order sampling
+    grids).
     """
 
     omega: float
@@ -102,8 +99,7 @@ class FourierBesselSpectrum:
     fixed_order: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be finite and positive, got {self.omega!r}")
+        _check_positive("omega", self.omega)
         if self.k_max < 0:
             raise ValueError("k_max must be nonnegative")
         _radial_order(self.order_map, self.fixed_order, 0)  # rejects an unknown map

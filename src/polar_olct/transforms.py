@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bessel import bessel_j, bessel_jn_chain, lambda_truncation
-from .params import InverseParams, KernelParams, OffsetParams
+from .params import InverseParams, KernelParams, OffsetParams, _check_positive
 
 __all__ = [
     "PolarGrid",
@@ -439,11 +439,6 @@ def _subsample(values: np.ndarray, n_azimuth: int, n_phi: int) -> np.ndarray:
     return values[:, :: n_azimuth // n_phi]
 
 
-def _check_r_max(r_max: float, name: str = "r_max") -> None:
-    if not (math.isfinite(r_max) and r_max > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {r_max!r}")
-
-
 def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
                  r_max: float = 40.0, n_radial: int | None = None,
                  n_azimuth: int | None = None, verify_tol: float | None = None) -> SpectrumField:
@@ -476,7 +471,7 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     over its own block of radial panels; the result is identical to the bit
     for any CPU count.
     """
-    _check_r_max(r_max)
+    _check_positive("r_max", r_max)
     f = _as_field_callable(field)
     rho_max = float(grid.rho.max()) if grid.rho.size else 0.0
     step = math.lcm(2, grid.n_phi)
@@ -575,7 +570,7 @@ def olct_via_ft(field, params: OffsetParams, grid: PolarGrid, *,
     def f_tilde(r, th):
         return _field_values(f, r, th, "olct_via_ft") * params.input_phase(r, th)
 
-    _check_r_max(r_max)
+    _check_positive("r_max", r_max)
     ft_params = OffsetParams(0.0, 1.0, -1.0, 0.0)
     inner = PolarGrid(grid.rho / params.b, grid.n_phi)
     rho_max = float(grid.rho.max()) if grid.rho.size else 0.0
@@ -595,7 +590,7 @@ def _radial_quadrature(integrand, order, b: float, out: np.ndarray, pref, extent
                        extent_name: str = "r_max") -> np.ndarray:
     """pref * sum over the radial rule on [0, extent] of
     integrand(s) J_v(s out / b) s ds: adaptive panels unless `n_radial`."""
-    _check_r_max(extent, extent_name)
+    _check_positive(extent_name, extent)
 
     def sums(lo, half):
         s, ws = _panel_nodes(lo, half)
@@ -706,7 +701,7 @@ def olct_series(coefficients: dict, params: OffsetParams, grid: PolarGrid, *,
     with and without offsets.  All terms share one radial rule, olct_forward's
     with the largest term integral as the scale.
     """
-    _check_r_max(r_max)
+    _check_positive("r_max", r_max)
     b, mu1 = params.b, params.mu1
     rho = grid.rho
     phi = grid.phi

@@ -7,7 +7,7 @@ from polar_olct import random_spectrum
 from polar_olct.cli import main
 from polar_olct.files import write_spectrum_csv
 
-PARAMS_ROT = "a = 0\nb = 1\nc = -1\nd = 0\nOmega = 1.0\nK = 1\n"
+PARAMS_ROT = "a = 0\nb = 1\nc = -1\nd = 0\n"
 
 FAST_CONFIG = ("k_max = 1\nj_spec = 2\nn_values = 2, 6\nprobe_grid = 10\n"
                "draws = 1\nr_max = 40.0\nsupport_radius = 150.0\n")

@@ -25,11 +25,18 @@ def test_params_file(tmp_path):
     path = tmp_path / "p.txt"
     path.write_text(
         "a = 1.0\nb = 1.0\nc = 0.0\nd = 1.0\n"
-        "tau1 = 0.3\ntau2 = 0.4\neta1 = 0.1\neta2 = -0.2\n"
-        "Omega = 1.0\nK = 2\nmode = theorem2\n")
-    params, extras = read_params_file(path)
-    assert params.a == 1.0 and params.tau == (0.3, 0.4)
-    assert extras == {"omega": 1.0, "k_max": 2, "mode": "theorem2"}
+        "tau1 = 0.3\ntau2 = 0.4\neta1 = 0.1\neta2 = -0.2\n")
+    params = read_params_file(path)
+    assert params.a == 1.0 and params.tau == (0.3, 0.4) and params.eta == (0.1, -0.2)
+
+
+@pytest.mark.parametrize("line", ["tau = 0.3", "Omega = 1.0", "K = 2", "mode = theorem2"])
+def test_params_file_rejects_unknown_keys(tmp_path, line):
+    # a misspelt or unused key raises instead of being ignored
+    path = tmp_path / "p.txt"
+    path.write_text(f"a = 0\nb = 1\nc = -1\nd = 0\n{line}\n")
+    with pytest.raises(ValueError, match=repr(line.split(" ")[0])):
+        read_params_file(path)
 
 
 def test_spectrum_csv_roundtrip(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from polar_olct import (
     OffsetParams,
-    ReconstructionReport,
     SampleGrid,
     SampleSet,
     SpectrumField,
@@ -16,7 +15,6 @@ from polar_olct import (
     olct_inverse,
     random_spectrum,
     reconstruct_field,
-    reconstruct_isotropic,
     reconstruct_spectrum,
     sample_count,
     sample_field,
@@ -273,6 +271,15 @@ def _fixed_order_profile(params, omega, order, seed):
     return synthesize(spec, params).coefficient(0)
 
 
+def _reconstruct_order(samples, order, params, omega, r, prefactor="unit"):
+    # one OLCHT order from its values at that order's normalized zeros: a
+    # K = 0 theorem-2 grid holding the samples as its one-column slab
+    samples = np.asarray(samples, dtype=complex)
+    grid = SampleGrid.theorem2(params, omega, 0, 1, order=order, zeros_per_order=samples.size)
+    return reconstruct_field(SampleSet(grid, {0: samples[:, None]}), "theorem2", params, 0,
+                             r, 0.0, prefactor=prefactor)
+
+
 def test_reconstruct_isotropic_classical_reduction(rot):
     omega = np.pi
     prof = _fixed_order_profile(rot, omega, 0, seed=41)
@@ -280,7 +287,7 @@ def test_reconstruct_isotropic_classical_reduction(rot):
     alphas = rot.b * zeros / omega
     samples = prof(alphas)
     r = np.linspace(0.05, 0.9 * alphas[-1], 150)
-    rec = reconstruct_isotropic(samples, 0, rot, omega, 0, r)
+    rec = _reconstruct_order(samples, 0, rot, omega, r)
     assert rel_err(rec, prof(r)) <= 1e-6
 
 
@@ -292,12 +299,12 @@ def test_reconstruct_isotropic_kronecker_at_samples(rot, lct):
             zeros = ZeroTable.for_order(order, 25).zeros[:25]
             alphas = params.b * zeros / omega
             samples = prof(alphas)
-            rec = reconstruct_isotropic(samples, order, params, omega, 0, alphas[4])
+            rec = _reconstruct_order(samples, order, params, omega, alphas[4])
             assert abs(rec - samples[4]) <= 1e-9 * max(np.max(np.abs(samples)), 1e-30)
 
 
 def test_reconstruct_isotropic_zero_samples(rot):
-    rec = reconstruct_isotropic(np.zeros(10), 0, rot, 1.0, 0, np.linspace(0.1, 2.0, 5))
+    rec = _reconstruct_order(np.zeros(10), 0, rot, 1.0, np.linspace(0.1, 2.0, 5))
     assert np.max(np.abs(rec)) == 0.0
 
 
@@ -308,8 +315,8 @@ def test_alternating_prefactor_flips_odd_orders(lct):
     alphas = lct.b * zeros / omega
     samples = prof(alphas)
     r = np.linspace(0.05, 0.9 * alphas[-1], 120)
-    unit = reconstruct_isotropic(samples, 1, lct, omega, 0, r)
-    alt = reconstruct_isotropic(samples, 1, lct, omega, 0, r, prefactor="alternating")
+    unit = _reconstruct_order(samples, 1, lct, omega, r)
+    alt = _reconstruct_order(samples, 1, lct, omega, r, prefactor="alternating")
     assert rel_err(unit, prof(r)) <= 1e-6
     assert np.max(np.abs(alt + unit)) < 1e-12 * max(np.max(np.abs(unit)), 1e-30)
 
@@ -322,9 +329,9 @@ def test_reconstruct_isotropic_order_one(rot):
     alphas = rot.b * zeros / omega
     samples = field.coefficient(1)(alphas)
     r = np.linspace(0.05, 0.9 * alphas[-1], 150)
-    rec = reconstruct_isotropic(samples, 1, rot, omega, 0, r)
+    rec = _reconstruct_order(samples, 1, rot, omega, r)
     assert rel_err(rec, field.coefficient(1)(r)) <= 1e-6
-    rec_at = reconstruct_isotropic(samples, 1, rot, omega, 0, alphas[7])
+    rec_at = _reconstruct_order(samples, 1, rot, omega, alphas[7])
     assert abs(rec_at - samples[7]) <= 1e-9 * max(np.max(np.abs(samples)), 1e-30)
 
 
@@ -401,9 +408,6 @@ def test_theorem_modes_agree_for_isotropic_fields(rot):
     rec1 = reconstruct_field(s1, "theorem1", rot, 0, r, th)
     rec2 = reconstruct_field(s2, "theorem2", rot, 0, r, th)
     assert np.max(np.abs(rec1 - rec2)) <= 1e-9 * max(np.max(np.abs(rec1)), 1e-30)
-    # K=0 fixed-order reconstruction degenerates to the isotropic series
-    iso = reconstruct_isotropic(s2.slab(0)[:, 0], 0, rot, omega, 0, r)
-    assert np.max(np.abs(rec2 - iso)) <= 1e-12 * max(np.max(np.abs(iso)), 1e-30)
 
 
 def test_node_consistency_at_grid_points(rot):
@@ -587,22 +591,3 @@ def _check_offset_series(params, k, m_sum, r, theta, rng, jv):
                 ref = _printed_series(samples, params, m_sum, r, theta, prefactor,
                                       inner, outer, mu_r, mu_om, jv)
                 assert rel_err(rec, ref) <= 1e-12, (mode, prefactor)
-
-
-# --------------------------------------------------------------------------
-# reports
-# --------------------------------------------------------------------------
-
-def test_reconstruction_report(rot):
-    grid = SampleGrid.theorem2(rot, np.pi, 1, 4)
-    zero = lambda r, t: np.zeros(np.broadcast(r, t).shape, complex)
-    samples = sample_field(zero, grid)
-    truth = np.zeros(144, complex)
-    recon = np.full(144, 1e-8 + 0j)
-    rep = ReconstructionReport.from_run("theorem2", samples, 0, truth, recon, 0.5,
-                                        details={"note": "zeros"})
-    assert rep.n_probes == 144
-    assert rep.max_abs_error == pytest.approx(1e-8)
-    assert rep.sample_total == samples.total_count
-    with pytest.raises(ValueError):
-        ReconstructionReport.from_run("theorem2", samples, 0, truth[:50], recon[:50], 0.1)
