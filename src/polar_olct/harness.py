@@ -291,8 +291,8 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
     terms = np.array([((-1.0) ** abs(n)) * fldK.spectral_coefficient(n, np.array([0.5]))[0]
                       for n in range(-2, 3)])
     sweep.add("parseval_residual",
-                tr.parseval_residual(ring, terms) / max(float(np.max(np.abs(ring))) ** 2, 1e-30),
-                config.tolerance("parseval"))
+              tr.parseval_residual(ring, terms) / max(float(np.max(np.abs(ring))) ** 2, 1e-30),
+              config.tolerance("parseval"))
     sweep.time("series_adjudication", time.perf_counter() - t0)
 
     # 6. sampling theorems: terminating and non-terminating spectra
