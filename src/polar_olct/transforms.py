@@ -3,20 +3,22 @@
 The forward map is the double integral with the full oscillatory kernel; it
 is the module's ground truth.  Every radial integral here (kernel, Hankel-
 type transforms and inverse, angular series) uses one rule under error
-control: 16-node Gauss-Legendre panels, each compared with its two halves,
-and only the panels that disagree by more than 1e-11 of the largest output
-are split (a refinement that does not converge raises
-QuadratureAccuracyError).  The azimuthal direction is a uniform trapezoid
-rule on an even number of nodes, evaluated as a circular convolution: the
-kernel's spectrum is real and even up to a fixed phase, so each output
-radius costs one real FFT, and its exponentials are taken on a quarter turn
-and factored over each panel.  Everything but field evaluation runs on
-every usable CPU, one thread per contiguous block of panels (the calling
-thread takes the first): the input phases, the azimuth FFT and its fold,
-then the per-radius loop.  The field is evaluated on the calling thread,
-and the result is identical to the bit for any number of blocks.  This is
-the trapezoid sum up to rounding, checked against a point-by-point double
-sum.
+control: 16-node Gauss-Legendre panels, each compared with its two halves.
+A coarse level of 8 panels is taken whole, as its 16 halves, when every
+panel agrees with its halves to 1e-11 of the largest output.  Otherwise
+those halves start the refinement, and only the panels that disagree by
+more than 1e-11 of the largest output are split (a refinement that does
+not converge raises QuadratureAccuracyError).  The azimuthal direction is a
+uniform trapezoid rule on an even number of nodes, evaluated as a circular
+convolution: the kernel's spectrum is real and even up to a fixed phase, so
+each output radius costs one real FFT, and its exponentials are taken on a
+quarter turn and factored over each panel.  Everything but field
+evaluation runs on every usable CPU, one thread per contiguous block of
+panels (the calling thread takes the first): the input phases, the azimuth
+FFT and its fold, then the per-radius loop.  The field is evaluated on the
+calling thread, and the result is identical to the bit for any number of
+blocks.  This is the trapezoid sum up to rounding, checked against a
+point-by-point double sum.
 Everything else here - the FT route, the Hankel-type radial transforms,
 the angular series - is an algebraic rearrangement of the same integral
 and serves as a cross-check oracle.
@@ -55,10 +57,10 @@ __all__ = [
 
 _NODES_PER_PANEL = 16
 _DEFAULT_AZIMUTH_NODES = 512
-# adaptive radial rule: initial uniform panels, the accepted halves-vs-whole
-# deviation relative to the largest output, and the most halvings of an
-# initial panel
-_INITIAL_PANELS = 16
+# adaptive radial rule: coarse uniform panels, the accepted halves-vs-whole
+# deviation relative to the largest output, and the most halvings of a
+# coarse panel's half
+_INITIAL_PANELS = 8
 _PANEL_RTOL = 1e-11
 _MAX_DEPTH = 12
 # outputs below this share of the summed first-level panel magnitudes are
@@ -99,11 +101,21 @@ def _halve(lo: np.ndarray, half: np.ndarray):
     return np.concatenate([lo, lo + half]), np.concatenate([quarter, quarter])
 
 
+def _check_count(name: str, value) -> int:
+    """`value` as an int; anything but a positive integer raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _initial_panels(r_max: float, n_radial: int | None):
     """Panels (lo, half), each [lo, lo + 2 half], of the uniform rule with
-    `n_radial` nodes, or the first level of the adaptive rule when
-    `n_radial` is None."""
-    n = max(1, int(math.ceil(n_radial / _NODES_PER_PANEL))) if n_radial else _INITIAL_PANELS
+    `n_radial` nodes, or the coarse level of the adaptive rule when
+    `n_radial` is None; anything but a positive integer raises ValueError."""
+    if n_radial is None:
+        n = _INITIAL_PANELS
+    else:
+        n = math.ceil(_check_count("n_radial", n_radial) / _NODES_PER_PANEL)
     width = r_max / n
     return width * np.arange(n), np.full(n, 0.5 * width)
 
@@ -145,7 +157,7 @@ def _per_panel(x: np.ndarray) -> np.ndarray:
 
 def radial_rule(r_max: float, n_nodes: int):
     """Composite Gauss-Legendre nodes/weights on [0, r_max]."""
-    return _panel_nodes(*_initial_panels(r_max, n_nodes))
+    return _panel_nodes(*_initial_panels(r_max, _check_count("n_nodes", n_nodes)))
 
 
 def _azimuth_node_count(bundle: KernelParams, r_max: float, rho_max: float,
@@ -191,7 +203,7 @@ def spectral_grid(params: OffsetParams, omega: float, *, n_radial: int = 256,
                   n_phi: int = 64, margin: float = 1.05) -> PolarGrid:
     """Quadrature grid covering the spectral support of an omega-bandlimited
     field under `params` (the offset tau shifts the support disk)."""
-    rho, w = radial_rule(spectral_extent(params, omega, margin), n_radial)
+    rho, w = radial_rule(spectral_extent(params, omega, margin), _check_count("n_radial", n_radial))
     return PolarGrid(rho, n_phi, rho_weights=w)
 
 
@@ -236,13 +248,16 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, half: np.ndarray, *, ref
     `sums(lo, half)` maps a run of panels (lo[p], half[p]) to their per-panel
     sums (panel axis first), in batches of at most
     _CHUNK / (16 * width) panels.  `measure` is a linear map into the output
-    domain (it may work in place) where deviations are taken, relative to
-    the largest output or _CANCELLATION of the summed first-level panel
-    magnitudes, whichever is larger.  Without `refine` the panels given are
-    the rule.  With it a panel whose halves agree with it to _PANEL_RTOL of
-    that scale at every output is replaced by them; the others are split
-    again, up to _MAX_DEPTH halvings (then QuadratureAccuracyError).
-    Non-finite sums raise ValueError.
+    domain (it may work in place) where deviations are taken.  Without
+    `refine` the panels given are the rule.  With it they are a coarse
+    level: if every one agrees with its two halves to _PANEL_RTOL of the
+    largest output at every output, the halves are the rule.  Otherwise
+    the halves are the first level, whose scale is the largest output or
+    _CANCELLATION of the summed panel magnitudes, both from its own halves,
+    whichever is larger.  A panel whose halves agree with it to _PANEL_RTOL
+    of that scale at every output is replaced by them; the others are split
+    again, up to _MAX_DEPTH halvings of the first level (then
+    QuadratureAccuracyError).  Non-finite sums raise ValueError.
     """
     per_batch = max(1, int(_CHUNK // (_NODES_PER_PANEL * width)))
     non_finite = ValueError(f"{name}: the integrand has non-finite values")
@@ -263,11 +278,13 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, half: np.ndarray, *, ref
 
     kept_lo, kept_half = [], []
     whole = panel_sums(lo, half)
-    for depth in range(1, _MAX_DEPTH + 1):
+    # depth 0 is the coarse level, taken whole or not at all; the halvings
+    # of the rule proper are counted from its halves
+    for depth in range(_MAX_DEPTH + 1):
         n = lo.size
         lo, half = _halve(lo, half)
         halves = panel_sums(lo, half)
-        if depth == 1:
+        if depth <= 1:
             scale = np.max(np.abs(measure(halves.sum(axis=0))), initial=0.0)
         # whole minus halves, in place and then in the output domain
         whole -= halves[:n]
@@ -276,6 +293,14 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, half: np.ndarray, *, ref
         dev = np.max(np.abs(diff).reshape(n, -1), axis=1, initial=0.0)
         if not np.all(np.isfinite(dev)):
             raise non_finite
+        if depth == 0:
+            if dev.max() <= _PANEL_RTOL * scale:
+                return pref * measure(halves.sum(axis=0)), (lo, half)
+            # the first level in panel order: the rule then runs, and sums, as
+            # it would from 16 uniform panels
+            order = np.argsort(lo)
+            lo, half, whole = lo[order], half[order], halves[order]
+            continue
         if depth == 1 and dev.max() > _PANEL_RTOL * scale:
             # the cancellation floor only loosens the test: needed once a panel fails
             mass = np.max(sum(np.abs(measure(part.copy())) for part in halves), initial=0.0)
@@ -451,11 +476,14 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     and finite on [0, r_max] (non-finite values raise ValueError).
 
     With `n_radial` the radial rule is `n_radial` nodes of uniform 16-node
-    Gauss-Legendre panels.  Without it, starting from 16 uniform panels,
-    each panel is split until it agrees with its two halves to 1e-11 of
-    max|F| at every output point (1e-14 of the summed panel magnitudes
-    where F cancels below 1e-3 of them); a panel unresolved after 12
-    halvings raises QuadratureAccuracyError with the estimate.  With
+    Gauss-Legendre panels.  Without it, the 16 halves of 8 uniform panels
+    are the rule if each of the 8 agrees with its halves to 1e-11 of max|F|
+    at every output point.  Otherwise each of those halves is split until
+    it agrees with its two halves to that tolerance (1e-14 of the summed
+    panel magnitudes where F cancels below 1e-3 of them); a panel
+    unresolved after 12 halvings raises QuadratureAccuracyError with the
+    estimate.  Other than None, `n_radial` and `n_azimuth` must be positive
+    integers (else ValueError).  With
     `verify_tol` the quadrature is repeated with every panel split once
     more and twice the azimuth nodes, raising QuadratureAccuracyError if
     the two differ by more than 10 x verify_tol relative.
@@ -475,9 +503,11 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     f = _as_field_callable(field)
     rho_max = float(grid.rho.max()) if grid.rho.size else 0.0
     step = math.lcm(2, grid.n_phi)
-    na = step * math.ceil((n_azimuth or _azimuth_node_count(params, r_max, rho_max)) / step)
+    if n_azimuth is None:
+        n_azimuth = _azimuth_node_count(params, r_max, rho_max)
+    na = step * math.ceil(_check_count("n_azimuth", n_azimuth) / step)
     full, panels = _kernel_quadrature(f, params, grid.rho, *_initial_panels(r_max, n_radial),
-                                      na, refine=not n_radial)
+                                      na, refine=n_radial is None)
     values = _subsample(full, na, grid.n_phi)
     if verify_tol is not None:
         refined, _ = _kernel_quadrature(f, params, grid.rho, *_halve(*panels), 2 * na,
@@ -574,7 +604,7 @@ def olct_via_ft(field, params: OffsetParams, grid: PolarGrid, *,
     ft_params = OffsetParams(0.0, 1.0, -1.0, 0.0)
     inner = PolarGrid(grid.rho / params.b, grid.n_phi)
     rho_max = float(grid.rho.max()) if grid.rho.size else 0.0
-    na = n_azimuth or _azimuth_node_count(params, r_max, rho_max)
+    na = _azimuth_node_count(params, r_max, rho_max) if n_azimuth is None else n_azimuth
     ft = olct_forward(f_tilde, ft_params, inner, r_max=r_max, n_radial=n_radial, n_azimuth=na)
 
     values = (params.ell1 / params.b) * params.output_phase(grid.rho[:, None], grid.phi) * ft.values
@@ -598,7 +628,7 @@ def _radial_quadrature(integrand, order, b: float, out: np.ndarray, pref, extent
         return _per_panel(bessel_j(order, s[:, None] * out[None, :] / b) * g[:, None])
 
     value, panels = _panel_quadrature(sums, out.size, *_initial_panels(extent, n_radial),
-                                      refine=not n_radial, name=name, pref=pref)
+                                      refine=n_radial is None, name=name, pref=pref)
     if verify_tol is not None:
         refined, _ = _panel_quadrature(sums, out.size, *_halve(*panels), refine=False,
                                        name=name, pref=pref)
@@ -729,7 +759,7 @@ def olct_series(coefficients: dict, params: OffsetParams, grid: PolarGrid, *,
 
     integrals, _ = _panel_quadrature(sums, (n_max + M + 1) * rho.size,
                                      *_initial_panels(r_max, n_radial),
-                                     refine=not n_radial, name="olct_series")
+                                     refine=n_radial is None, name="olct_series")
     phase = np.array([[((-1j) ** (n + p)) * np.exp(1j * p * params.phi1)] for n, p in terms]) \
         * np.exp(1j * np.array([n + p for n, p in terms])[:, None] * phi[None, :])
     values = integrals @ phase

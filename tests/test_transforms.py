@@ -387,6 +387,41 @@ def test_non_finite_input_rejected(lct):
             PolarGrid(rho, 8)
 
 
+def test_bad_node_counts_rejected(lct):
+    # None means adaptive (n_radial) or automatic (n_azimuth) where the
+    # signature allows it; anything else must be a positive integer
+    grid = PolarGrid(np.array([0.5]), 4)
+    gauss = lambda r, t: np.exp(-np.asarray(r) ** 2) + 0.0 * np.asarray(t)
+    gauss_radial = lambda r: np.exp(-np.asarray(r) ** 2)
+    calls = {
+        "n_radial": [
+            lambda n: olct_forward(gauss, lct, grid, r_max=5.0, n_radial=n),
+            lambda n: olct_via_ft(gauss, lct, grid, r_max=5.0, n_radial=n),
+            lambda n: olcht_forward(gauss_radial, 0, lct, [0.3], r_max=5.0, n_radial=n),
+            lambda n: olcht_inverse(gauss_radial, 0, lct, [0.3], rho_max=1.0, n_radial=n),
+            lambda n: hankel_transform(gauss_radial, 0, [0.3], r_max=5.0, n_radial=n),
+            lambda n: olct_series({0: gauss_radial}, lct, grid, r_max=5.0, n_radial=n),
+            lambda n: spectral_grid(lct, 1.0, n_radial=n),
+        ],
+        "n_azimuth": [
+            lambda n: olct_forward(gauss, lct, grid, r_max=5.0, n_radial=32, n_azimuth=n),
+            lambda n: olct_via_ft(gauss, lct, grid, r_max=5.0, n_radial=32, n_azimuth=n),
+        ],
+        "n_nodes": [lambda n: radial_rule(5.0, n)],
+    }
+    for name, entries in calls.items():
+        for call in entries:
+            for bad in (-5, 0, 3.5, 32.0, True, "32"):
+                with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+                    call(bad)
+            call(np.int64(32))
+    # radial_rule and spectral_grid have no adaptive rule
+    for name, call in (("n_nodes", calls["n_nodes"][0]), ("n_radial", calls["n_radial"][-1])):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got None"):
+            call(None)
+    assert radial_rule(5.0, np.int64(40))[0].size == 48
+
+
 def chirped_gaussian(s, c0, c1):
     return lambda r, th: np.exp(-r * r / (2.0 * s * s)) * (c0 + c1 * (r / s) * np.exp(1j * th))
 
@@ -406,13 +441,16 @@ CHIRP_COEFFS = (0.6 - 0.3j, -0.4 + 0.5j)
 
 
 def test_adaptive_resolves_chirped_gaussian(lct):
-    s = 10.0
-    # an odd n_phi rounds the azimuth rule up to an even multiple of it
-    for grid in (CHIRP_GRID, PolarGrid(CHIRP_GRID.rho, 9)):
-        truth = chirped_gaussian_transform(lct, s, *CHIRP_COEFFS, grid.rho[:, None],
-                                           grid.phi[None, :])
-        got = olct_forward(chirped_gaussian(s, *CHIRP_COEFFS), lct, grid, r_max=80.0)
-        assert rel_err(got.values, truth) < 1e-12
+    # at s = 6, r_max = 60 the coarse tail panels on [45, 60] agree with
+    # their halves below 1e-11 while the chirp is unresolved there, so
+    # taking coarse panels one at a time would give 1.3e-11
+    for s, r_max in ((10.0, 80.0), (6.0, 60.0)):
+        # an odd n_phi rounds the azimuth rule up to an even multiple of it
+        for grid in (CHIRP_GRID, PolarGrid(CHIRP_GRID.rho, 9)):
+            truth = chirped_gaussian_transform(lct, s, *CHIRP_COEFFS, grid.rho[:, None],
+                                               grid.phi[None, :])
+            got = olct_forward(chirped_gaussian(s, *CHIRP_COEFFS), lct, grid, r_max=r_max)
+            assert rel_err(got.values, truth) < 1e-12
 
 
 def test_adaptive_matches_fine_uniform_rule(lct):
@@ -465,13 +503,18 @@ class PointCounter:
 
 def test_adaptive_node_budget(lct):
     # the chirp-rate heuristic asked for 36,672 x 520 points on the
-    # criterion-8 field and 4,080 x 512 on the chirped Gaussian
+    # criterion-8 field and 4,080 x 512 on the chirped Gaussian.  The smooth
+    # criterion-8 integrand settles on the coarse level: 8 panels and their
+    # 16 halves
     f = PointCounter(synthesize(random_spectrum(1.0, 2, 3, seed=109), lct))
     olct_forward(f, lct, PolarGrid(np.linspace(0.02, 0.9, 20), 20), r_max=240.0)
-    assert f.points <= 36672 * 520 // 8
+    assert f.points == 384 * 520
+    # the chirped Gaussian fails the coarse level and then takes the panels
+    # of the rule that starts from 16 panels (3,264 nodes), plus the 128
+    # nodes of the coarse panels
     g = PointCounter(chirped_gaussian(10.0, *CHIRP_COEFFS))
     olct_forward(g, lct, CHIRP_GRID, r_max=80.0)
-    assert g.points <= 4080 * 512
+    assert g.points == (3264 + 128) * 512
 
 
 def test_panel_blocks_give_identical_results(offset_params, monkeypatch):
@@ -616,12 +659,12 @@ def test_olcht_jump_hits_depth_cap(lct):
 
 def test_olcht_node_budget(lct):
     # the chirp-rate heuristic took 9,168 nodes per forward call of the
-    # round trip; its integrand is smooth, so the first level settles it
+    # round trip; its integrand is smooth, so the coarse level settles it
     prof = PointCounter(roundtrip_profile(lct))
     fwd = PointCounter(lambda q: olcht_forward(prof, 1, lct, q, r_max=120.0))
     olcht_inverse(fwd, 1, lct, np.linspace(0.2, 4.0, 9), rho_max=1.0)
     assert fwd.calls >= 2
-    assert prof.points <= 768 * fwd.calls
+    assert prof.points <= 384 * fwd.calls
     # a chirped Gaussian is refined beyond the first level, within that budget
     g = PointCounter(chirped_gaussian_profile(6.0, 3))
     olcht_forward(g, 3, lct, np.linspace(0.1, 2.0, 10), r_max=60.0)
