@@ -17,11 +17,9 @@ from .transforms import (
     QuadratureAccuracyError,
     SpectrumField,
     fourier_coefficients,
-    hankel_transform,
     olct_forward,
     olct_inverse,
     olct_series,
-    olct_via_ft,
     olcht_forward,
     olcht_inverse,
     parseval_residual,

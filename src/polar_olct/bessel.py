@@ -378,6 +378,8 @@ class ZeroTable:
 
     @classmethod
     def for_order(cls, order, count: int) -> "ZeroTable":
+        if count < 0:
+            raise ValueError(f"zero count must be >= 0, got {count!r}")
         v = _as_order(order)
         key = round(v, 12)
         cached = _ZERO_CACHE.get(key)

@@ -71,6 +71,13 @@ class ExperimentConfig:
         # empty n_values is allowed and yields empty sweeps
         if self.probe_grid * self.probe_grid < 100:
             raise ValueError("probe grid too small for error statistics")
+        if any(n < 1 for n in self.n_values):
+            raise ValueError(f"n_values entries must be >= 1, got {self.n_values!r}")
+        if self.draws < 1:
+            raise ValueError(f"draws must be >= 1, got {self.draws!r}")
+        for name in self.tolerances:
+            if name not in _DEFAULT_TOLERANCES:
+                raise ValueError(f"unknown tolerance key 'tol_{name}'")
 
     @property
     def params(self) -> OffsetParams:
@@ -151,6 +158,38 @@ def _rel_err(x, truth):
     return float(np.max(np.abs(x - truth))) / scale
 
 
+def _gaussian_olct(p, s, c0, c1, rho, phi):
+    """Closed-form offset transform of e^{-r^2/2s^2} (c0 + c1 (r/s) e^{i theta}).
+
+    With u = rho (cos phi, sin phi), w = (tau - u)/b and q = 1/2s^2 - i a/2b,
+    the Gaussian moments of e^{-q |x|^2 + i w.x} times ell1/b, the output
+    chirp and e^{-i (d tau - b eta).u/b}.  Every phase is written out from
+    a, b, d, tau and eta: nothing is shared with the kernel quadrature.
+    """
+    a, b, d = p.a, p.b, p.d
+    (t1, t2), (e1, e2) = p.tau, p.eta
+    ux, uy = rho * np.cos(phi), rho * np.sin(phi)
+    wx, wy = (t1 - ux) / b, (t2 - uy) / b
+    q = 1.0 / (2.0 * s * s) - 1j * a / (2.0 * b)
+    phase = np.exp(1j * d * (t1 * t1 + t2 * t2) / b + 1j * d * rho * rho / (2.0 * b)
+                   - 1j * ((d * t1 - b * e1) * ux + (d * t2 - b * e2) * uy) / b)
+    return phase / b * np.exp(-(wx * wx + wy * wy) / (4.0 * q)) \
+        * (c0 / (2.0 * q) + 1j * c1 * (wx + 1j * wy) / (4.0 * q * q * s))
+
+
+def _gaussian_olcht(p, s, v, rho):
+    """Closed-form olcht_forward of r^v e^{-r^2/2s^2}: Weber's integral
+    int r^{v+1} e^{-q r^2} J_v(k r) dr = k^v e^{-k^2/4q} / (2q)^{v+1} at
+    k = rho/b, q = 1/2s^2 - i a/2b, times i^v ell1/b e^{i d rho^2/2b}, with
+    ell1 = e^{i d |tau|^2/b} written out like the chirp."""
+    b, d = p.b, p.d
+    k = rho / b
+    q = 1.0 / (2.0 * s * s) - 1j * p.a / (2.0 * b)
+    ell1 = np.exp(1j * d * (p.tau[0] ** 2 + p.tau[1] ** 2) / b)
+    return (1j ** v) * ell1 / b * np.exp(1j * d * rho * rho / (2.0 * b)) \
+        * k ** v * np.exp(-k * k / (4.0 * q)) / (2.0 * q) ** (v + 1)
+
+
 def _per_order_series(coefficients, params, grid, order_step, r_max):
     """sum_n (-1)^w olcht_forward(f_n, |w|) e^{i n phi} with w = order_step * n.
 
@@ -175,7 +214,6 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
     rng = np.random.default_rng(config.seed)
     rot = OffsetParams(0.0, 1.0, -1.0, 0.0)
     lct = OffsetParams(1.0, 2.0, -0.25, 0.5)
-    omega = config.omega
 
     # 1. special-function substrate
     t0 = time.perf_counter()
@@ -217,35 +255,32 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
     sweep.add("stark_integral", abs(quad - target), config.tolerance("stark_integral"))
     sweep.time("stark", time.perf_counter() - t0)
 
-    # 3. transform oracles on random draws
+    # 3. transform oracles on random draws, against closed forms
     t0 = time.perf_counter()
-    spec = sy.random_spectrum(1.0, 1, 2, seed=config.seed + 1)
+    c0, c1, s = 0.6 - 0.3j, -0.4 + 0.5j, 2.0
+    gauss = lambda r, th: np.exp(-r * r / (2.0 * s * s)) * (c0 + c1 * (r / s) * np.exp(1j * th))
+    grid = tr.PolarGrid(np.linspace(0.05, 1.0, 16), 16)
     worst = 0.0
     for _ in range(config.draws):
         a = rng.uniform(-1.0, 1.0)
         b = rng.uniform(0.5, 2.0)
         d = rng.uniform(-1.0, 1.0)
-        c = (a * d - 1.0) / b
-        p = OffsetParams(a, b, c, d,
+        p = OffsetParams(a, b, (a * d - 1.0) / b, d,
                          (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
                          (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
-        f = sy.synthesize(spec, p)
-        grid = tr.PolarGrid(np.linspace(0.05, 1.0, 16), 16)
-        fw = tr.olct_forward(f, p, grid, r_max=30.0)
-        via = tr.olct_via_ft(f, p, grid, r_max=30.0)
-        worst = max(worst, _rel_err(via.values, fw.values))
+        fw = tr.olct_forward(gauss, p, grid, r_max=30.0)
+        truth = _gaussian_olct(p, s, c0, c1, grid.rho[:, None], grid.phi[None, :])
+        worst = max(worst, _rel_err(fw.values, truth))
     sweep.add("oracle_agreement", worst, config.tolerance("oracle_agreement"))
     sweep.time("oracle_agreement", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    prof = sy.synthesize(sy.random_spectrum(1.0, 0, 3, seed=config.seed + 2), lct).coefficient(0)
     rho = np.linspace(0.05, 0.95, 12)
-    lhs = tr.olcht_forward(prof, 1, lct, rho, r_max=config.r_max)
-    # chirps written out, not taken from KernelParams: the oracle must not share what it checks
-    chirped = lambda rr: np.exp(1j * lct.a * rr ** 2 / (2.0 * lct.b)) * prof(rr)
-    cl = tr.hankel_transform(chirped, 1, rho / lct.b, r_max=config.r_max, n_radial=4096)
-    rhs = (1j) * lct.ell1 / lct.b * np.exp(1j * lct.d * rho ** 2 / (2.0 * lct.b)) * cl
-    sweep.add("chirp_factorization", _rel_err(lhs, rhs), config.tolerance("chirp_factorization"))
+    s_r = 6.0
+    lhs = tr.olcht_forward(lambda r: r * np.exp(-r * r / (2.0 * s_r * s_r)), 1, lct, rho,
+                           r_max=10.0 * s_r)
+    sweep.add("chirp_factorization", _rel_err(lhs, _gaussian_olcht(lct, s_r, 1, rho)),
+              config.tolerance("chirp_factorization"))
     sweep.time("chirp_factorization", time.perf_counter() - t0)
 
     # 4. round trips (r_max matched to the tolerance, not the sweep default)

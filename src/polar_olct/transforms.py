@@ -19,9 +19,9 @@ FFT and its fold, then the per-radius loop.  The field is evaluated on the
 calling thread, and the result is identical to the bit for any number of
 blocks.  This is the trapezoid sum up to rounding, checked against a
 point-by-point double sum.
-Everything else here - the FT route, the Hankel-type radial transforms,
-the angular series - is an algebraic rearrangement of the same integral
-and serves as a cross-check oracle.
+The Hankel-type radial transforms and the angular series are algebraic
+rearrangements of the same integral; they are checked against it and
+against closed forms that share no code with this module.
 """
 
 from __future__ import annotations
@@ -45,10 +45,8 @@ __all__ = [
     "spectral_grid",
     "olct_forward",
     "olct_inverse",
-    "olct_via_ft",
     "olcht_forward",
     "olcht_inverse",
-    "hankel_transform",
     "fourier_coefficients",
     "olct_series",
     "parseval_residual",
@@ -160,11 +158,9 @@ def radial_rule(r_max: float, n_nodes: int):
     return _panel_nodes(*_initial_panels(r_max, _check_count("n_nodes", n_nodes)))
 
 
-def _azimuth_node_count(bundle: KernelParams, r_max: float, rho_max: float,
-                        base: int = _DEFAULT_AZIMUTH_NODES) -> int:
+def _azimuth_node_count(bundle: KernelParams, r_max: float, rho_max: float) -> int:
     rate = r_max * rho_max / abs(bundle.b) + r_max * bundle.mu1 / abs(bundle.b)
-    need = int(2 ** math.ceil(math.log2(max(base, 2.5 * rate + 32))))
-    return need
+    return int(2 ** math.ceil(math.log2(max(_DEFAULT_AZIMUTH_NODES, 2.5 * rate + 32))))
 
 
 @dataclass(frozen=True)
@@ -585,32 +581,6 @@ def _apply_inverse(values, bundle, r_out, th_out, rho, wrho, phi):
     return res.reshape(r_out.shape)
 
 
-def olct_via_ft(field, params: OffsetParams, grid: PolarGrid, *,
-                r_max: float = 40.0, n_radial: int | None = None,
-                n_azimuth: int | None = None) -> SpectrumField:
-    """Forward transform through the chirp/FT factorization.
-
-    Multiplies the field by the input chirp and spatial-offset phase, takes
-    the plain polar Fourier transform, and restores the output phases.
-    Serves as the independent route against olct_forward, whose azimuth
-    rounding `n_azimuth` follows.
-    """
-    f = _as_field_callable(field)
-
-    def f_tilde(r, th):
-        return _field_values(f, r, th, "olct_via_ft") * params.input_phase(r, th)
-
-    _check_positive("r_max", r_max)
-    ft_params = OffsetParams(0.0, 1.0, -1.0, 0.0)
-    inner = PolarGrid(grid.rho / params.b, grid.n_phi)
-    rho_max = float(grid.rho.max()) if grid.rho.size else 0.0
-    na = _azimuth_node_count(params, r_max, rho_max) if n_azimuth is None else n_azimuth
-    ft = olct_forward(f_tilde, ft_params, inner, r_max=r_max, n_radial=n_radial, n_azimuth=na)
-
-    values = (params.ell1 / params.b) * params.output_phase(grid.rho[:, None], grid.phi) * ft.values
-    return SpectrumField(values, grid, params)
-
-
 # --------------------------------------------------------------------------
 # radial (Hankel-type) transforms
 # --------------------------------------------------------------------------
@@ -634,13 +604,6 @@ def _radial_quadrature(integrand, order, b: float, out: np.ndarray, pref, extent
                                        name=name, pref=pref)
         _check_refined(value, refined, verify_tol, f"{name}: split-panel result")
     return value
-
-
-def hankel_transform(radial, order, u, *, r_max: float = 40.0,
-                     n_radial: int | None = None) -> np.ndarray:
-    """Classical order-v Hankel transform by quadrature (olct_forward's radial rule)."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return _radial_quadrature(radial, order, 1.0, u, 1.0, r_max, n_radial, None, "hankel_transform")
 
 
 def olcht_forward(radial, order, params: OffsetParams, rho, *,

@@ -40,6 +40,23 @@ def probe_mesh():
     return factory
 
 
+@pytest.fixture(scope="session")
+def scipy_hankel():
+    """int_0^extent g(r) J_v(u r) r dr for an array of u, by scipy's adaptive
+    quad_vec with scipy.special.jv: a radial oracle that runs none of the
+    library's quadrature or Bessel code."""
+    pytest.importorskip("scipy")
+    from scipy.integrate import quad_vec
+    from scipy.special import jv
+
+    def transform(g, v, u, extent):
+        u = np.asarray(u, dtype=float)
+        value, _ = quad_vec(lambda r: complex(np.ravel(g(np.array([r])))[0]) * jv(v, u * r) * r,
+                            0.0, extent)
+        return value
+    return transform
+
+
 @pytest.fixture
 def bessel_core_calls(monkeypatch):
     """The orders of the _bessel_j_core calls the test makes, in call order."""

@@ -17,12 +17,10 @@ from polar_olct import (
     ZeroTable,
     bessel_j,
     emit_report,
-    hankel_transform,
     lambda_sum,
     olct_forward,
     olct_inverse,
     olct_series,
-    olct_via_ft,
     olcht_forward,
     olcht_inverse,
     random_spectrum,
@@ -37,7 +35,7 @@ from polar_olct import (
     synthesize,
     synthesize_sonine,
 )
-from polar_olct.harness import _per_order_series
+from polar_olct.harness import _gaussian_olct, _gaussian_olcht, _per_order_series
 
 ROT = OffsetParams(0.0, 1.0, -1.0, 0.0)
 LCT = OffsetParams(1.0, 2.0, -0.25, 0.5)
@@ -137,9 +135,14 @@ def test_criterion_3_stark_suite():
 
 
 def test_criterion_4_transform_oracles():
-    with Criterion(4, "kernel quadrature vs FT route; chirp factorization", 120.0):
+    # oracles: harness._gaussian_olct, the closed-form offset transform of a
+    # Gaussian times (c0 + c1 (r/s) e^{i theta}), and harness._gaussian_olcht,
+    # Weber's integral; both write every phase out and call no transform,
+    # Bessel or KernelParams phase code
+    with Criterion(4, "kernel quadrature and chirp factorization vs closed forms", 120.0):
         rng = np.random.default_rng(103)
-        spec = random_spectrum(1.0, 1, 2, seed=103)
+        c0, c1 = 0.6 - 0.3j, -0.4 + 0.5j
+        gauss = lambda r, th: np.exp(-r * r / 8.0) * (c0 + c1 * (r / 2.0) * np.exp(1j * th))
         grid = PolarGrid(np.linspace(0.05, 1.0, 16), 16)
         worst = 0.0
         for _ in range(5):
@@ -149,21 +152,15 @@ def test_criterion_4_transform_oracles():
             p = OffsetParams(a, b, (a * d - 1.0) / b, d,
                              (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
                              (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
-            f = synthesize(spec, p)
-            fw = olct_forward(f, p, grid, r_max=30.0)
-            via = olct_via_ft(f, p, grid, r_max=30.0)
-            worst = max(worst, rel_err(via.values, fw.values))
+            fw = olct_forward(gauss, p, grid, r_max=30.0)
+            truth = _gaussian_olct(p, 2.0, c0, c1, grid.rho[:, None], grid.phi[None, :])
+            worst = max(worst, rel_err(fw.values, truth))
         assert worst <= 1e-6
+        rho = np.linspace(0.05, 0.95, 9)
         for v in (0, 1, 2):
-            prof = synthesize(random_spectrum(1.0, 0, 3, seed=104 + v,
-                                              order_map="fixed", fixed_order=v),
-                              LCT).coefficient(0)
-            rho = np.linspace(0.05, 0.95, 9)
+            prof = lambda r: r ** v * np.exp(-r * r / 72.0)
             lhs = olcht_forward(prof, v, LCT, rho, r_max=60.0)
-            chirped = lambda r: np.exp(1j * LCT.a * r ** 2 / (2 * LCT.b)) * prof(r)
-            cl = hankel_transform(chirped, v, rho / LCT.b, r_max=60.0, n_radial=4096)
-            rhs = (1j ** v) * LCT.ell1 / LCT.b * np.exp(1j * LCT.d * rho ** 2 / (2 * LCT.b)) * cl
-            assert rel_err(lhs, rhs) <= 1e-8
+            assert rel_err(lhs, _gaussian_olcht(LCT, 6.0, v, rho)) <= 1e-8
 
 
 def test_criterion_5_round_trips():

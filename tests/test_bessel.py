@@ -302,6 +302,10 @@ def test_domain_errors():
     assert bessel_zeros(0, 0).size == 0
     with pytest.raises(ValueError):
         ZeroTable.for_order(-0.75, 3)
+    # a negative count must not slice the cached table from its end
+    for bad in (-1, -3):
+        with pytest.raises(ValueError, match="zero count"):
+            ZeroTable.for_order(0, bad)
     with pytest.raises(ValueError):
         BesselOrder(-1.0)
 

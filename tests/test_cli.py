@@ -47,6 +47,12 @@ def test_zeros_high_order_against_scipy(tmp_path):
     assert np.max(np.abs(z - jn_zeros(40, 200))) <= 1e-12
 
 
+def test_zeros_negative_count_rejected(capsys):
+    with pytest.raises(ValueError, match="zero count must be >= 0, got -3"):
+        main(["zeros", "--order", "0", "--count", "-3"])
+    assert capsys.readouterr().out == ""
+
+
 def test_zeros_stdout(capsys):
     assert main(["zeros", "--order", "1", "--count", "1"]) == 0
     captured = capsys.readouterr().out

@@ -28,6 +28,22 @@ def test_config_from_text_and_overrides():
         ExperimentConfig.from_text("bogus_key = 1\n")
 
 
+def test_config_rejects_what_it_cannot_run():
+    # each would run without meaning: an unknown tolerance is never read,
+    # n_values < 1 gives no zero grid, and draws = 0 passes oracle_agreement
+    # without comparing anything
+    for text, key in (("tol_reconstuction = 1e-30\n", "tol_reconstuction"),
+                      ("n_values = 0\n", "n_values"),
+                      ("n_values = 10, -2\n", "n_values"),
+                      ("draws = 0\n", "draws")):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_text(text)
+    with pytest.raises(ValueError, match="tol_bogus"):
+        ExperimentConfig(tolerances={"bogus": 1.0})
+    with pytest.raises(ValueError, match="draws"):
+        ExperimentConfig(draws=-1)
+
+
 def test_empty_range_gives_empty_sweeps():
     cfg = ExperimentConfig(n_values=())
     assert run_reduction_suite(cfg).rows == []

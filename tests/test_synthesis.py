@@ -9,7 +9,6 @@ from polar_olct import (
     ZeroTable,
     bessel_j,
     fourier_coefficients,
-    hankel_transform,
     lommel_kernel,
     olcht_forward,
     random_spectrum,
@@ -139,13 +138,14 @@ def test_profiles_equal_lommel_kernel_sums(lct):
         assert np.array_equal(f.coefficient(n)(r), expected), n
 
 
-def test_single_term_against_inverse_hankel_quadrature(rot):
-    # profile equals the numerical inverse transform of the boxed spectrum
+def test_single_term_against_inverse_hankel_quadrature(rot, scipy_hankel):
+    # profile equals the inverse transform of the boxed spectrum J_0(z_1 u),
+    # u < 1; oracle: scipy quad_vec with scipy.special.jv on both factors
+    jv = pytest.importorskip("scipy.special").jv
     spec = FourierBesselSpectrum(1.0, 0, {0: np.array([1.0 + 0j])})
     f = synthesize(spec, rot)
     r = np.linspace(0.1, 3.0, 7)
-    G = lambda u: np.where(np.atleast_1d(u) < 1.0, bessel_j(0, Z0[0] * np.atleast_1d(u)), 0.0)
-    oracle = hankel_transform(G, 0, r, r_max=1.0, n_radial=2048)
+    oracle = scipy_hankel(lambda u: jv(0, Z0[0] * u), 0, r, 1.0)
     assert np.max(np.abs(f.coefficient(0)(r) - oracle)) < 1e-8
 
 
@@ -252,15 +252,17 @@ def test_fixed_order_field_evaluates_its_basis_once(lct, bessel_core_calls):
         assert len(bessel_core_calls) == 1, f.provenance
 
 
-def test_sonine_profile_closed_form_vs_quadrature():
+def test_sonine_profile_closed_form_vs_quadrature(scipy_hankel):
+    # oracle: the order-w Hankel transform of the spectrum G on [0, c] by
+    # scipy quad_vec with scipy.special.jv
     c, w, s = 0.8, 2, 1
     g, G = sonine_profile(w, c, s)
     r = np.array([0.3, 1.7, 6.0])
-    oracle = hankel_transform(lambda u: G(u), w, r, r_max=c, n_radial=2048)
+    oracle = scipy_hankel(G, w, r, c)
     assert np.max(np.abs(g(r) - oracle)) < 1e-10
     # small-argument branch agrees with the quadrature too
     tiny = np.array([1e-6, 5e-5])
-    oracle_tiny = hankel_transform(lambda u: G(u), w, tiny, r_max=c, n_radial=2048)
+    oracle_tiny = scipy_hankel(G, w, tiny, c)
     assert np.max(np.abs(g(tiny) - oracle_tiny)) < 1e-12
 
 
