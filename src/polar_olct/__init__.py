@@ -9,9 +9,8 @@ from .bessel import (
     bessel_jn_chain,
     bessel_zeros,
     lambda_sum,
-    lambda_truncation,
 )
-from .params import InverseParams, KernelParams, OffsetParams
+from .params import KernelParams, OffsetParams
 from .transforms import (
     PolarGrid,
     QuadratureAccuracyError,
@@ -23,7 +22,6 @@ from .transforms import (
     olcht_forward,
     olcht_inverse,
     parseval_residual,
-    spectral_extent,
     spectral_grid,
 )
 from .synthesis import (

@@ -25,7 +25,6 @@ __all__ = [
     "bessel_jn_chain",
     "bessel_zeros",
     "lambda_sum",
-    "lambda_truncation",
 ]
 
 _MIN_ORDER = -0.5
@@ -397,7 +396,7 @@ _ZERO_CACHE: dict = {}
 # the lambda normalization sums
 # --------------------------------------------------------------------------
 
-def lambda_truncation(x: float) -> int:
+def _lambda_truncation(x: float) -> int:
     """Default truncation for lambda_sum: the dropped tail 2 sum_{m > M} |J_m(x)|
     is below 2e-16 for x <= 1e3, since J_m(x) decays super-exponentially once m
     passes the transition region x + O(x^{1/3})."""
@@ -415,7 +414,7 @@ def lambda_sum(x, truncation: int | None = None):
     arr = _checked_x(x, "lambda_sum")
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).ravel()
-    m = lambda_truncation(float(np.max(flat, initial=0.0))) if truncation is None else int(truncation)
+    m = _lambda_truncation(float(np.max(flat, initial=0.0))) if truncation is None else int(truncation)
     if m < 0:
         raise ValueError("truncation must be >= 0")
     if m == 0:

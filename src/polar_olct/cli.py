@@ -7,7 +7,8 @@
     polar-olct sweep       --config c.txt --out report.csv
     polar-olct verify      [--config c.txt] [--out report.csv]
 
-Exit status 0 means every asserted check passed.
+Exit status 0 means every asserted check passed; input the library rejects
+gives one error line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _cmd_reconstruct(args) -> int:
                 if args.mode == "theorem1" else
                 sp.SampleGrid.theorem2(params, omega, k_max, args.zeros, order=args.order))
         samples = sp.sample_field(field, grid)
-        r_hi = 0.9 * float(min(grid.alphas(n)[-1] for n in grid.orders))
+        r_hi = 0.9 * float(min(grid.alphas(n)[-1] for n in grid.slab_keys))
         r = np.linspace(0.05 * r_hi, r_hi, nr)
         theta = np.linspace(-np.pi, np.pi, nt, endpoint=False)
         R, TH = np.meshgrid(r, theta, indexing="ij")
@@ -244,7 +245,12 @@ def main(argv=None) -> int:
             p.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        # input the library rejects is a usage error, reported as argparse does
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

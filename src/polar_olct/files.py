@@ -71,17 +71,29 @@ def write_spectrum_csv(path, spectrum: FourierBesselSpectrum) -> None:
 
 
 def read_spectrum_csv(path) -> FourierBesselSpectrum:
+    """The write_spectrum_csv format.  An empty file, or a coefficient row
+    without 4 fields, with j < 1 or with a repeated (n, j), raises
+    ValueError naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [ln.split("#", 1)[0].strip() for ln in fh]
-    rows = [r for r in rows if r]
-    head = rows[0].split(",")
+        rows = [(i, ln.split("#", 1)[0].strip()) for i, ln in enumerate(fh, start=1)]
+    rows = [(i, r) for i, r in rows if r]
+    if not rows:
+        raise ValueError(f"{path}: no header line omega,K")
+    head = rows[0][1].split(",")
     omega, k_max = float(head[0]), int(head[1])
     order_map = head[2] if len(head) > 2 else "per_order"
     fixed_order = int(head[3]) if len(head) > 3 else 0
     entries: dict[int, dict[int, complex]] = {}
-    for row in rows[1:]:
-        n_s, j_s, re_s, im_s = row.split(",")
-        entries.setdefault(int(n_s), {})[int(j_s)] = float(re_s) + 1j * float(im_s)
+    for i, row in rows[1:]:
+        fields = row.split(",")
+        if len(fields) != 4:
+            raise ValueError(f"{path}:{i}: need the 4 fields n,j,Re(eps),Im(eps), got {row!r}")
+        n, j = int(fields[0]), int(fields[1])
+        by_j = entries.setdefault(n, {})
+        if j < 1 or j in by_j:
+            why = "j must be >= 1" if j < 1 else f"repeated (n, j) = ({n}, {j})"
+            raise ValueError(f"{path}:{i}: {why}, got {row!r}")
+        by_j[j] = float(fields[2]) + 1j * float(fields[3])
     coeffs = {}
     for n, by_j in entries.items():
         j_top = max(by_j)

@@ -75,6 +75,11 @@ class ExperimentConfig:
             raise ValueError(f"n_values entries must be >= 1, got {self.n_values!r}")
         if self.draws < 1:
             raise ValueError(f"draws must be >= 1, got {self.draws!r}")
+        # j_spec = 0 synthesizes zero fields, whose rows would pass vacuously
+        if self.j_spec < 1:
+            raise ValueError(f"j_spec must be >= 1, got {self.j_spec!r}")
+        if self.k_max < 0:
+            raise ValueError(f"k_max must be >= 0, got {self.k_max!r}")
         for name in self.tolerances:
             if name not in _DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance key 'tol_{name}'")
@@ -139,10 +144,6 @@ class SweepResult:
     def time(self, name: str, seconds: float) -> None:
         self.timings.append((name, float(seconds)))
 
-    @property
-    def all_passed(self) -> bool:
-        return all(r["passed"] for r in self.rows)
-
     def failures(self) -> list:
         return [r for r in self.rows if not r["passed"]]
 
@@ -154,7 +155,10 @@ def _probe_mesh(r_lo, r_hi, n):
 
 
 def _rel_err(x, truth):
-    scale = float(np.max(np.abs(truth))) or 1.0
+    # a zero or non-finite reference would make any x pass or fail alike
+    scale = float(np.max(np.abs(truth)))
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"relative error against a reference of magnitude {scale!r}")
     return float(np.max(np.abs(x - truth))) / scale
 
 
@@ -357,8 +361,8 @@ def _sampling_rows(sweep, config, params):
         weights = {n: 0.5 + 0.4j if n else 1.0 for n in range(-config.k_max, config.k_max + 1)}
         sonine = sy.synthesize_sonine(weights, params, omega, order_map=order_map,
                                       fixed_order=config.theorem2_order)
-        zmin = ZeroTable.for_order(config.theorem2_order if mode == "theorem2" else 0,
-                                   n_min * n_min).zeros[n_min * n_min - 1]
+        # the grid's smallest last zero is that of angular order 0's radial order
+        zmin = ZeroTable.for_order(spec.radial_order(0), n_min * n_min).zeros[n_min * n_min - 1]
         r_hi = 0.9 * params.b * zmin / omega
         R, TH = _probe_mesh(0.05, r_hi, probe_n)
         for label, fld in (("fb", fb_field), ("sonine", sonine)):

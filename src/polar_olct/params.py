@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KernelParams", "OffsetParams", "InverseParams"]
+__all__ = ["KernelParams", "OffsetParams"]
 
 _DET_TOL = 1e-12
 
@@ -90,6 +90,14 @@ class KernelParams:
     def has_offsets(self) -> bool:
         return self.mu1 != 0.0 or self.mu2 != 0.0
 
+    def inverse(self) -> "KernelParams":
+        """The inverse bundle (d, -b; -c, a) with offsets xi = b eta - d tau
+        and gamma = c tau - a eta; inverting it again gives this bundle."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        (t1, t2), (e1, e2) = self.tau, self.eta
+        return KernelParams(d, -b, -c, a, (b * e1 - d * t1, b * e2 - d * t2),
+                            (c * t1 - a * e1, c * t2 - a * e2))
+
     # -- kernel phases: the offset kernel is ell1/(2 pi b) input_phase(r, theta)
     # e^{-i (r rho/b) cos(theta - phi)} output_phase(rho, phi).  Without the
     # angle or the offset, each phase is its bare chirp.
@@ -119,38 +127,3 @@ class OffsetParams(KernelParams):
         super().__post_init__()
         if self.b <= 0.0:
             raise ValueError("forward transform requires b > 0")
-
-
-@dataclass(frozen=True)
-class InverseParams:
-    """The inverse bundle (d, -b; -c, a) with offsets xi and gamma."""
-
-    source: OffsetParams
-
-    @property
-    def matrix(self) -> tuple[float, float, float, float]:
-        s = self.source
-        return (s.d, -s.b, -s.c, s.a)
-
-    @property
-    def xi(self) -> tuple[float, float]:
-        s = self.source
-        return (s.b * s.eta[0] - s.d * s.tau[0], s.b * s.eta[1] - s.d * s.tau[1])
-
-    @property
-    def gamma(self) -> tuple[float, float]:
-        s = self.source
-        return (s.c * s.tau[0] - s.a * s.eta[0], s.c * s.tau[1] - s.a * s.eta[1])
-
-    def bundle(self) -> KernelParams:
-        m = self.matrix
-        return KernelParams(m[0], m[1], m[2], m[3], self.xi, self.gamma)
-
-    def twice(self) -> KernelParams:
-        """Applying the inverse map to the inverse bundle; recovers the
-        forward parameters exactly."""
-        m = self.matrix
-        b = self.bundle()
-        xi2 = (m[1] * b.eta[0] - m[3] * b.tau[0], m[1] * b.eta[1] - m[3] * b.tau[1])
-        ga2 = (m[2] * b.tau[0] - m[0] * b.eta[0], m[2] * b.tau[1] - m[0] * b.eta[1])
-        return KernelParams(m[3], -m[1], -m[2], m[0], xi2, ga2)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .bessel import ZeroTable, _zero_quotient, _zero_taylor, bessel_j, bessel_jn_chain
 from .params import OffsetParams, _check_positive
+from .synthesis import _radial_order
 
 __all__ = [
     "stark_kernel",
@@ -174,20 +175,28 @@ class SampleGrid:
 
     For the field-domain modes `omega` is the band limit; for the
     spectrum-domain modes it is the support radius that takes over the band
-    limit's role in the interpolating function.
+    limit's role in the interpolating function.  `zeros` maps each radial
+    order to its zeros: orders 0..K for the per-order modes, one order for
+    the fixed-order modes.
     """
 
     mode: str
     params: OffsetParams
     omega: float
     k_max: int
-    radial_orders: dict
     zeros: dict
 
     def __post_init__(self):
         if self.mode not in ("theorem1", "theorem2", "corollary1", "corollary2"):
             raise ValueError(f"unknown grid mode {self.mode!r}")
         _check_positive("omega", self.omega)
+        if self.k_max < 0:
+            raise ValueError(f"k_max must be >= 0, got {self.k_max!r}")
+        keys = sorted(self.zeros)
+        if self.per_order and keys != list(range(self.k_max + 1)):
+            raise ValueError(f"{self.mode} needs zeros for orders 0..{self.k_max}, got {keys}")
+        if not self.per_order and len(keys) != 1:
+            raise ValueError(f"{self.mode} needs zeros for one order, got {keys}")
         for w, z in self.zeros.items():
             z = np.asarray(z, dtype=float)
             if np.any(z <= 0) or np.any(np.diff(z) <= 0):
@@ -198,18 +207,15 @@ class SampleGrid:
         return 2.0 * np.pi * np.arange(2 * self.k_max + 1) / (2 * self.k_max + 1)
 
     @property
-    def orders(self) -> tuple:
-        return tuple(sorted(self.radial_orders))
-
-    def alphas(self, n: int) -> np.ndarray:
-        return self.params.b * self.zeros[self.radial_orders[n]] / self.omega
-
-    def order_zeros(self, n: int) -> np.ndarray:
-        return self.zeros[self.radial_orders[n]]
-
-    @property
     def per_order(self) -> bool:
         return self.mode in ("theorem1", "corollary1")
+
+    def radial_order(self, n: int) -> int:
+        """The radial order whose zeros carry angular order n."""
+        return _radial_order("per_order" if self.per_order else "fixed", next(iter(self.zeros)), n)
+
+    def alphas(self, n: int) -> np.ndarray:
+        return self.params.b * self.zeros[self.radial_order(n)] / self.omega
 
     @property
     def slab_keys(self) -> tuple:
@@ -219,48 +225,40 @@ class SampleGrid:
             return tuple(range(-self.k_max, self.k_max + 1))
         return (0,)
 
-    @property
-    def total_count(self) -> int:
-        az = 2 * self.k_max + 1
-        return sum(self.zeros[self.radial_orders[n]].size for n in self.slab_keys) * az
-
     # -- factories -------------------------------------------------------
 
     @classmethod
     def theorem1(cls, params, omega, k_max, resolution, zeros_per_order=None):
         z_count = zeros_per_order or resolution * resolution
-        orders = {n: abs(n) for n in range(-k_max, k_max + 1)}
         zeros = {w: ZeroTable.for_order(w, z_count).zeros[:z_count].copy()
-                 for w in sorted({abs(n) for n in orders})}
-        return cls("theorem1", params, omega, k_max, orders, zeros)
+                 for w in range(k_max + 1)}
+        return cls("theorem1", params, omega, k_max, zeros)
 
     @classmethod
     def theorem2(cls, params, omega, k_max, resolution, order=0, zeros_per_order=None):
         z_count = zeros_per_order or resolution * resolution
-        orders = {n: order for n in range(-k_max, k_max + 1)}
         zeros = {order: ZeroTable.for_order(order, z_count).zeros[:z_count].copy()}
-        return cls("theorem2", params, omega, k_max, orders, zeros)
+        return cls("theorem2", params, omega, k_max, zeros)
 
     @classmethod
-    def corollary1(cls, params, support_radius, k_max, band_limit, coverage=0.98):
-        orders = {n: abs(n) for n in range(-k_max, k_max + 1)}
-        zeros = {}
-        for w in sorted({abs(n) for n in orders}):
-            zeros[w] = _zeros_below(w, params.b, support_radius, coverage * band_limit)
-        return cls("corollary1", params, support_radius, k_max, orders, zeros)
+    def corollary1(cls, params, support_radius, k_max, band_limit):
+        zeros = {w: _zeros_below(w, params.b, support_radius, band_limit)
+                 for w in range(k_max + 1)}
+        return cls("corollary1", params, support_radius, k_max, zeros)
 
     @classmethod
-    def corollary2(cls, params, support_radius, k_max, band_limit, order=0, coverage=0.98):
-        orders = {n: order for n in range(-k_max, k_max + 1)}
-        zeros = {order: _zeros_below(order, params.b, support_radius, coverage * band_limit)}
-        return cls("corollary2", params, support_radius, k_max, orders, zeros)
+    def corollary2(cls, params, support_radius, k_max, band_limit, order=0):
+        zeros = {order: _zeros_below(order, params.b, support_radius, band_limit)}
+        return cls("corollary2", params, support_radius, k_max, zeros)
 
 
-def _zeros_below(order, b, scale, rho_cap):
-    # all zeros whose normalized abscissa b z / scale stays under rho_cap;
-    # checked first, or a bad bound doubles the zero count without end
+def _zeros_below(order, b, scale, band_limit):
+    # all zeros whose normalized abscissa b z / scale stays under 98 % of the
+    # band limit; checked first, or a bad bound doubles the zero count
+    # without end
     _check_positive("support_radius", scale)
-    _check_positive("band_limit * coverage", rho_cap)
+    _check_positive("band_limit", band_limit)
+    rho_cap = 0.98 * band_limit
     count = max(8, int(scale * rho_cap / (b * math.pi)) + 4)
     while True:
         z = ZeroTable.for_order(order, count).zeros[:count]
@@ -305,11 +303,11 @@ def sample_field(source, grid: SampleGrid) -> SampleSet:
     f = source if callable(source) else source.evaluate
     first = {}
     for n in grid.slab_keys:
-        first.setdefault(grid.radial_orders[n], n)
+        first.setdefault(grid.radial_order(n), n)
     radii = [grid.alphas(n) for n in first.values()]
     values = np.asarray(f(np.concatenate(radii)[:, None], grid.thetas[None, :]), dtype=complex)
     parts = dict(zip(first, np.split(values, np.cumsum([a.size for a in radii])[:-1])))
-    return SampleSet(grid, {n: parts[grid.radial_orders[n]] for n in grid.slab_keys})
+    return SampleSet(grid, {n: parts[grid.radial_order(n)] for n in grid.slab_keys})
 
 
 def sample_count(k_max: int, resolution: int, mode: str) -> int:
@@ -351,12 +349,12 @@ def _reconstruct(sample_set: SampleSet, params: OffsetParams, m_sum: int, r, the
     uniq, inv = np.unique(rb, return_inverse=True)
     k = grid.k_max
     out = np.zeros(rb.size, dtype=complex)
-    for w in sorted(set(grid.radial_orders.values())):
-        ns = [n for n in range(-k, k + 1) if grid.radial_orders[n] == w]
+    for w in sorted(grid.zeros):
+        ns = [n for n in range(-k, k + 1) if grid.radial_order(n) == w]
         alphas = grid.alphas(ns[0])
         coeffs = np.stack([_angular_coefficients(sample_set.slab(n), k)[:, n + k] for n in ns])
         coeffs *= inner(alphas)
-        series = _zero_series(coeffs, alphas, grid.order_zeros(ns[0]), w, params,
+        series = _zero_series(coeffs, alphas, grid.zeros[w], w, params,
                               grid.omega, m_sum, uniq, mu_r, mu_om)
         out += _series_prefactor(w, params, prefactor) \
             * np.sum(series[:, inv] * np.exp(1j * np.outer(ns, tb)), axis=0)

@@ -74,7 +74,8 @@ def _check_finite(name: str, *points):
 
 
 def _radial_order(order_map: str, fixed_order: int, n: int) -> int:
-    # the radial order that carries angular coefficient n under `order_map`
+    # the radial order that carries angular coefficient n under `order_map`:
+    # the one rule shared by the spectra, the sonine fields and the grids
     if order_map == "per_order":
         return abs(n)
     if order_map == "fixed":
@@ -118,10 +119,6 @@ class FourierBesselSpectrum:
 
     def radial_order(self, n: int) -> int:
         return _radial_order(self.order_map, self.fixed_order, n)
-
-    @property
-    def j_max(self) -> int:
-        return max((arr.size for arr in self.coefficients.values()), default=0)
 
 
 @dataclass(frozen=True)
@@ -331,18 +328,17 @@ def synthesize_sonine(weights: dict, params: OffsetParams, omega: float, *,
 
 def random_spectrum(omega: float, k_max: int, j_spec: int, seed: int, *,
                     order_map: str = "per_order", fixed_order: int = 0,
-                    hermitian: bool = False, flatten_edge: bool = True) -> FourierBesselSpectrum:
+                    hermitian: bool = False) -> FourierBesselSpectrum:
     """Seeded random coefficients from the unit disk.
 
-    With `flatten_edge` the last coefficient of each order is chosen so the
+    For j_spec >= 2 the last coefficient of each order is chosen so the
     spectrum's slope vanishes at the band edge (sum_j eps_j z_j J_{w+1}(z_j)
-    = 0), which sharpens the field's spatial decay from r^{-5/2} to r^{-7/2};
-    needs j_spec >= 2.
+    = 0), which sharpens the field's spatial decay from r^{-5/2} to r^{-7/2}.
     """
     rng = np.random.default_rng(seed)
 
     def flatten(eps, w):
-        if not flatten_edge or j_spec < 2:
+        if j_spec < 2:
             return eps
         zeros = ZeroTable.for_order(w, eps.size).zeros[: eps.size]
         slope = zeros * bessel_j(w + 1, zeros)

@@ -34,8 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_jn_chain, lambda_truncation
-from .params import InverseParams, KernelParams, OffsetParams, _check_positive
+from .bessel import _lambda_truncation, bessel_j, bessel_jn_chain
+from .params import KernelParams, OffsetParams, _check_positive
 
 __all__ = [
     "PolarGrid",
@@ -50,7 +50,6 @@ __all__ = [
     "fourier_coefficients",
     "olct_series",
     "parseval_residual",
-    "spectral_extent",
 ]
 
 _NODES_PER_PANEL = 16
@@ -196,10 +195,11 @@ class PolarGrid:
 
 
 def spectral_grid(params: OffsetParams, omega: float, *, n_radial: int = 256,
-                  n_phi: int = 64, margin: float = 1.05) -> PolarGrid:
+                  n_phi: int = 64) -> PolarGrid:
     """Quadrature grid covering the spectral support of an omega-bandlimited
-    field under `params` (the offset tau shifts the support disk)."""
-    rho, w = radial_rule(spectral_extent(params, omega, margin), _check_count("n_radial", n_radial))
+    field under `params`, with a 5 % margin: the offset tau translates the
+    support disk, so its reach is omega + mu1."""
+    rho, w = radial_rule(1.05 * (omega + params.mu1), _check_count("n_radial", n_radial))
     return PolarGrid(rho, n_phi, rho_weights=w)
 
 
@@ -513,12 +513,6 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     return SpectrumField(values, grid, params)
 
 
-def spectral_extent(params: OffsetParams, omega: float, margin: float = 1.05) -> float:
-    """Radial reach of the transform of an omega-bandlimited field; the
-    spatial offset tau translates the spectral disk."""
-    return margin * (omega + params.mu1)
-
-
 def olct_inverse(spectrum: SpectrumField, params: OffsetParams, r, theta,
                  *, verify_tol: float | None = None) -> np.ndarray:
     """Evaluate the inverse transform at points (r, theta).
@@ -532,7 +526,7 @@ def olct_inverse(spectrum: SpectrumField, params: OffsetParams, r, theta,
     more than 10 x verify_tol relative.  Non-finite r or theta raise
     ValueError.
     """
-    bundle = InverseParams(params).bundle()
+    bundle = params.inverse()
     r = np.atleast_1d(np.asarray(r, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if r.shape != theta.shape:
@@ -651,15 +645,15 @@ def olcht_inverse(transform, order, params: OffsetParams, r, *,
 # angular decomposition and the series route
 # --------------------------------------------------------------------------
 
-def fourier_coefficients(field, n_max: int, n_theta: int | None = None) -> dict:
+def fourier_coefficients(field, n_max: int) -> dict:
     """Angular Fourier coefficients f_n as radial callables, |n| <= n_max.
 
-    Uniform trapezoid in theta; exact for angular polynomials of degree up
-    to n_max once n_theta >= 2*n_max + 1 (default 4*n_max + 8).  The field
-    values broadcast over theta as in olct_forward.
+    Uniform trapezoid on 4*n_max + 8 azimuths in theta; exact for angular
+    polynomials of degree up to n_max.  The field values broadcast over
+    theta as in olct_forward.
     """
     f = _as_field_callable(field)
-    nt = n_theta or (4 * n_max + 8)
+    nt = 4 * n_max + 8
     th = 2.0 * np.pi * np.arange(nt) / nt
 
     def make(n):
@@ -689,7 +683,7 @@ def olct_series(coefficients: dict, params: OffsetParams, grid: PolarGrid, *,
             sum_{n, |p| <= M} (-i)^{n+p} e^{i p phi1} e^{i (n+p) phi}
             int f_n(r) e^{i a r^2/2b} J_p(r mu1/b) J_{n+p}(r rho/b) r dr,
 
-    with M = lambda_truncation(mu1 r_max / b), or M = 0 without a spatial
+    with M = _lambda_truncation(mu1 r_max / b), or M = 0 without a spatial
     offset, where only the order-n terms remain.  It reproduces olct_forward
     with and without offsets.  All terms share one radial rule, olct_forward's
     with the largest term integral as the scale.
@@ -698,7 +692,7 @@ def olct_series(coefficients: dict, params: OffsetParams, grid: PolarGrid, *,
     b, mu1 = params.b, params.mu1
     rho = grid.rho
     phi = grid.phi
-    M = lambda_truncation(mu1 * r_max / b) if mu1 != 0.0 else 0
+    M = _lambda_truncation(mu1 * r_max / b) if mu1 != 0.0 else 0
     n_max = max((abs(n) for n in coefficients), default=0)
     # term (n, p): coefficient n times the side factor J_p(r mu1 / b) against
     # the order-(n + p) kernel; all terms share one radial rule as columns

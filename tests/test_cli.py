@@ -48,9 +48,23 @@ def test_zeros_high_order_against_scipy(tmp_path):
 
 
 def test_zeros_negative_count_rejected(capsys):
-    with pytest.raises(ValueError, match="zero count must be >= 0, got -3"):
-        main(["zeros", "--order", "0", "--count", "-3"])
-    assert capsys.readouterr().out == ""
+    # a library ValueError is a usage error: one line on stderr, exit 2
+    assert main(["zeros", "--order", "0", "--count", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "polar-olct: error: zero count must be >= 0, got -3\n"
+
+
+@pytest.mark.parametrize("line, message", [("draws = 0", "draws must be >= 1, got 0"),
+                                           ("k_max = -1", "k_max must be >= 0, got -1"),
+                                           ("j_spec = 0", "j_spec must be >= 1, got 0")])
+def test_verify_rejects_config_in_one_line(tmp_path, capsys, line, message):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(FAST_CONFIG + line + "\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"polar-olct: error: {message}\n"
 
 
 def test_zeros_stdout(capsys):

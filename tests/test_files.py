@@ -72,3 +72,25 @@ def test_grid_csvs(tmp_path):
     tpath = tmp_path / "F.csv"
     write_transform_csv(tpath, r, t, v)
     assert tpath.read_text().startswith("rho,phi,Re(F),Im(F)")
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("1.0,1\n0,1,0.5,0\n0,0,5.0,0\n", 3, "j must be >= 1"),
+    ("1.0,1\n0,1,0.5,0\n1,1,0.5,0\n0,1,5.0,0\n", 4, r"repeated \(n, j\) = \(0, 1\)"),
+    ("# omega,K\n1.0,1\n# n,j,Re,Im\n0,1,0.5\n", 4, "need the 4 fields"),
+    ("1.0,1\n0,1,0.5,0,7\n", 2, "need the 4 fields"),
+])
+def test_spectrum_csv_bad_row_names_its_line(tmp_path, body, line, message):
+    # before, a j = 0 row overwrote the last coefficient and a repeat the first
+    path = tmp_path / "s.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=f"s.csv:{line}: {message}"):
+        read_spectrum_csv(path)
+
+
+@pytest.mark.parametrize("body", ["", "# only a comment\n\n"])
+def test_spectrum_csv_empty_file_rejected(tmp_path, body):
+    path = tmp_path / "s.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match="no header line"):
+        read_spectrum_csv(path)

@@ -5,6 +5,7 @@ import pytest
 
 from polar_olct import ExperimentConfig, SweepResult, emit_report
 from polar_olct.harness import (
+    _rel_err,
     run_complexity_sweep,
     run_offset_investigation,
     run_reduction_suite,
@@ -42,6 +43,18 @@ def test_config_rejects_what_it_cannot_run():
         ExperimentConfig(tolerances={"bogus": 1.0})
     with pytest.raises(ValueError, match="draws"):
         ExperimentConfig(draws=-1)
+    # j_spec = 0 synthesizes zero fields, whose rows passed at 0.000e+00;
+    # k_max < 0 failed only mid-run
+    for text, key in (("j_spec = 0\n", "j_spec"), ("k_max = -1\n", "k_max")):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_text(text)
+
+
+@pytest.mark.parametrize("truth", [np.zeros(3), np.array([1.0, np.nan, 2.0]),
+                                   np.array([np.inf, 1.0])])
+def test_rel_err_refuses_a_reference_it_cannot_scale(truth):
+    with pytest.raises(ValueError, match="reference of magnitude"):
+        _rel_err(np.ones(truth.shape), truth)
 
 
 def test_empty_range_gives_empty_sweeps():
@@ -54,7 +67,7 @@ def test_empty_range_gives_empty_sweeps():
 def test_complexity_sweep_counts():
     cfg = ExperimentConfig(n_values=(10,))
     sweep = run_complexity_sweep(cfg)
-    assert sweep.all_passed
+    assert not sweep.failures()
     by_name = {r["check"]: r for r in sweep.rows}
     assert by_name["count_ratio_K2_N10"]["value"] == 5.0
     assert "2500/500" in by_name["count_ratio_K2_N10"]["note"]
@@ -87,7 +100,7 @@ def test_under_resolved_config_is_flagged_not_fatal():
 
 def test_offset_investigation_reports_without_asserting():
     sweep = run_offset_investigation(FAST)
-    assert sweep.all_passed  # informational rows never fail
+    assert not sweep.failures()  # informational rows never fail
     names = {r["check"] for r in sweep.rows}
     assert {"offset_series_reduced", "offset_series_strict",
             "offset_reconstruction_unit", "offset_reconstruction_alternating"} <= names

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from polar_olct import InverseParams, KernelParams, OffsetParams
+from polar_olct import KernelParams, OffsetParams
 
 
 def test_determinant_enforced():
@@ -49,11 +49,11 @@ def test_degenerate_offset_angles_resolved_by_atan2():
 
 def test_inverse_bundle():
     p = OffsetParams(1.0, 1.0, 0.0, 1.0, (0.3, 0.4), (0.1, -0.2))
-    inv = InverseParams(p)
-    assert inv.matrix == (p.d, -p.b, -p.c, p.a)
-    assert inv.xi == (p.b * p.eta[0] - p.d * p.tau[0], p.b * p.eta[1] - p.d * p.tau[1])
-    assert inv.gamma == (p.c * p.tau[0] - p.a * p.eta[0], p.c * p.tau[1] - p.a * p.eta[1])
-    bundle = inv.bundle()
+    bundle = p.inverse()
+    assert type(bundle) is KernelParams  # b < 0 is outside OffsetParams
+    assert (bundle.a, bundle.b, bundle.c, bundle.d) == (p.d, -p.b, -p.c, p.a)
+    assert bundle.tau == (p.b * p.eta[0] - p.d * p.tau[0], p.b * p.eta[1] - p.d * p.tau[1])
+    assert bundle.eta == (p.c * p.tau[0] - p.a * p.eta[0], p.c * p.tau[1] - p.a * p.eta[1])
     det = bundle.a * bundle.d - bundle.b * bundle.c
     assert abs(det - 1.0) < 1e-12
     # mu roles swap between the forward and inverse bundles
@@ -63,7 +63,7 @@ def test_inverse_bundle():
 
 def test_inverse_applied_twice_recovers_forward():
     p = OffsetParams(0.7, 1.3, -0.1, (1.0 + 1.3 * -0.1) / 0.7, (0.2, -0.6), (0.15, 0.05))
-    back = InverseParams(p).twice()
+    back = p.inverse().inverse()
     assert back.a == pytest.approx(p.a, abs=1e-15)
     assert back.b == pytest.approx(p.b, abs=1e-15)
     assert back.c == pytest.approx(p.c, abs=1e-15)
@@ -78,7 +78,7 @@ _OFFSET = OffsetParams(0.7, 1.3, -0.1, (1.0 + 1.3 * -0.1) / 0.7, (0.2, -0.6), (0
 _BUNDLES = {
     "lct": OffsetParams(1.0, 2.0, -0.25, 0.5),
     "offset_params": _OFFSET,
-    "inverse": InverseParams(_OFFSET).bundle(),
+    "inverse": _OFFSET.inverse(),
 }
 
 
@@ -118,6 +118,6 @@ def test_kernel_phase_identities_are_exact(name):
     if isinstance(p, OffsetParams):
         # the inverse bundle's chirps are the forward ones conjugated and
         # swapped: why the spectrum-domain modes dechirp with conj(output_phase)
-        inv = InverseParams(p).bundle()
+        inv = p.inverse()
         assert np.array_equal(inv.input_phase(x), np.conj(p.output_phase(x)))
         assert np.array_equal(inv.output_phase(x), np.conj(p.input_phase(x)))

@@ -239,8 +239,33 @@ def test_warm_table_reconstruction_takes_no_jnext(rot, bessel_core_calls, zero_t
 
 
 def test_grid_validation(rot):
-    with pytest.raises(ValueError):
-        SampleGrid("bogus", rot, 1.0, 1, {0: 0}, {0: np.array([1.0])})
+    with pytest.raises(ValueError, match="unknown grid mode"):
+        SampleGrid("bogus", rot, 1.0, 1, {0: np.array([1.0])})
+
+
+@pytest.mark.parametrize("mode, k_max, keys", [
+    ("theorem1", 1, (0,)),
+    ("theorem1", 1, (0, 2)),
+    ("corollary1", 2, (0, 1, 2, 3)),
+    ("theorem2", 1, (0, 1)),
+    ("corollary2", 0, ()),
+    ("theorem2", -1, (0,)),
+])
+def test_grid_rejects_zero_keys_off_its_order_map(rot, mode, k_max, keys):
+    # a per-order grid takes orders 0..K, a fixed-order grid one order
+    with pytest.raises(ValueError, match="needs zeros for|k_max must be"):
+        SampleGrid(mode, rot, 1.0, k_max, {w: np.array([1.0, 2.0]) for w in keys})
+
+
+def test_grid_radial_order_follows_the_spectrum_map(rot):
+    for grid, order_map, fixed in ((SampleGrid.theorem1(rot, np.pi, 2, 2), "per_order", 0),
+                                   (SampleGrid.theorem2(rot, np.pi, 2, 2, order=3), "fixed", 3),
+                                   (SampleGrid.corollary2(rot, 50.0, 2, 1.0, order=1), "fixed", 1)):
+        spec = random_spectrum(np.pi, 2, 2, seed=1, order_map=order_map, fixed_order=fixed)
+        for n in range(-2, 3):
+            w = spec.radial_order(n)
+            assert grid.radial_order(n) == w
+            assert np.array_equal(grid.alphas(n), rot.b * grid.zeros[w] / grid.omega)
 
 
 # omega is the band limit of the theorem grids and the support radius of the
@@ -523,8 +548,8 @@ def _printed_series(sample_set, params, m_sum, r, theta, prefactor, inner_rate,
     for p in range(r.size):
         rp, tp = r[p], theta[p]
         for n in range(-k, k + 1):
-            v = grid.radial_orders[n]
-            alphas, zeros = grid.alphas(n), grid.order_zeros(n)
+            v = grid.radial_order(n)
+            alphas, zeros = grid.alphas(n), grid.zeros[v]
             slab = sample_set.slab(n)
             pre = 1.0 if prefactor == "unit" else (-1.0) ** v * params.sigma
             if grid.per_order:
