@@ -71,15 +71,18 @@ def write_spectrum_csv(path, spectrum: FourierBesselSpectrum) -> None:
 
 
 def read_spectrum_csv(path) -> FourierBesselSpectrum:
-    """The write_spectrum_csv format.  An empty file, or a coefficient row
-    without 4 fields, with j < 1 or with a repeated (n, j), raises
-    ValueError naming the line."""
+    """The write_spectrum_csv format.  An empty file, a header without
+    omega,K, or a coefficient row without 4 fields, with j < 1 or with a
+    repeated (n, j), raises ValueError naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = [(i, ln.split("#", 1)[0].strip()) for i, ln in enumerate(fh, start=1)]
     rows = [(i, r) for i, r in rows if r]
     if not rows:
         raise ValueError(f"{path}: no header line omega,K")
     head = rows[0][1].split(",")
+    if not 2 <= len(head) <= 4:
+        raise ValueError(f"{path}:{rows[0][0]}: need the header omega,K[,order_map,fixed_order], "
+                         f"got {rows[0][1]!r}")
     omega, k_max = float(head[0]), int(head[1])
     order_map = head[2] if len(head) > 2 else "per_order"
     fixed_order = int(head[3]) if len(head) > 3 else 0

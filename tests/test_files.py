@@ -79,9 +79,10 @@ def test_grid_csvs(tmp_path):
     ("1.0,1\n0,1,0.5,0\n1,1,0.5,0\n0,1,5.0,0\n", 4, r"repeated \(n, j\) = \(0, 1\)"),
     ("# omega,K\n1.0,1\n# n,j,Re,Im\n0,1,0.5\n", 4, "need the 4 fields"),
     ("1.0,1\n0,1,0.5,0,7\n", 2, "need the 4 fields"),
+    ("# omega,K\n1.0\n0,1,0.5,0\n", 2, "need the header"),
 ])
 def test_spectrum_csv_bad_row_names_its_line(tmp_path, body, line, message):
-    # before, a j = 0 row overwrote the last coefficient and a repeat the first
+    # a j = 0 row or a repeated (n, j) would otherwise overwrite a coefficient
     path = tmp_path / "s.csv"
     path.write_text(body)
     with pytest.raises(ValueError, match=f"s.csv:{line}: {message}"):

@@ -43,8 +43,8 @@ def test_config_rejects_what_it_cannot_run():
         ExperimentConfig(tolerances={"bogus": 1.0})
     with pytest.raises(ValueError, match="draws"):
         ExperimentConfig(draws=-1)
-    # j_spec = 0 synthesizes zero fields, whose rows passed at 0.000e+00;
-    # k_max < 0 failed only mid-run
+    # j_spec = 0 synthesizes zero fields, whose rows would pass vacuously,
+    # and k_max < 0 would fail only mid-run
     for text, key in (("j_spec = 0\n", "j_spec"), ("k_max = -1\n", "k_max")):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_text(text)
