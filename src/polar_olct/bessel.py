@@ -5,9 +5,13 @@ transforms need) in two regimes: the large-argument cosine asymptotics for
 x >= max(25, 4 v^2), and below it one Miller-style downward recurrence
 that serves every order and the J_0..J_M chain, with a few terms of the
 ascending series only at x <= 1e-3, where a recurrence step can overflow.
-One removable-point quotient J_v(x) / (x - z) at zeros z serves both
-sampling kernels.  Positive zeros are bracketed by the sign changes of J_v
-on a unit-step grid and found by Newton steps kept inside their brackets.
+A recurrence value is a function of its order and argument alone: each
+argument starts the recurrence at its own order and rescaling is exact, so
+orders that differ by integers are taken for all arguments in one pass,
+which below order 9 equals one-order calls bit for bit.  One
+removable-point quotient J_v(x) / (x - z) at zeros z serves both sampling
+kernels.  Positive zeros are bracketed by the sign changes of J_v on a
+unit-step grid and found by Newton steps kept inside their brackets.
 """
 
 from __future__ import annotations
@@ -33,6 +37,15 @@ _MIN_ORDER = -0.5
 # step overflows.  At and below this argument the series takes over; above
 # it a step grows a row by at most 2e3 (v0 + m), far inside that headroom.
 _X_TINY = 1e-3
+# Rows past 1e250 are multiplied by 2^-830 (~1.4e-250): a power of two, so
+# the values do not depend on when, or how often, a row was rescaled.
+_RESCALE = 2.0 ** -830
+# Each argument joins the recurrence at a multiple of this order, holding
+# exact zeros above it; the coarse grid keeps the seeding steps few.
+_START_STEP = 8
+# Rows up to this order do not lengthen the recurrence, so J_v .. J_{v+k}
+# from one pass equal k+1 one-order passes for 0 <= v, v + k < 9.
+_FREE_ORDER = 8
 
 
 def _is_integer(v: float) -> bool:
@@ -75,9 +88,9 @@ def _as_order(order) -> float:
 
 def _series(v, x: np.ndarray) -> np.ndarray:
     """J_v on 0 <= x <= _X_TINY: the leading term (x/2)^v / Gamma(v+1) times
-    the ascending series in float64, whose terms fall by
-    (x/2)^2 / (k |v + k|) <= 5e-7 a step.  `v` is one order or a column of
-    orders, broadcast against x."""
+    seven terms of the ascending series in float64, whose terms fall by
+    (x/2)^2 / (k |v + k|) <= 5e-7 a step, for every point alike.  `v` is a
+    column of orders, broadcast against x."""
     # log|Gamma(v+1)| does not overflow at high order; Gamma(v+1) < 0 only
     # for -3/2 <= v < -1 on the internal order range
     gam = np.where(v < -1.0, -1.0, 1.0) * np.exp(-np.vectorize(math.lgamma)(v + 1.0))
@@ -88,14 +101,21 @@ def _series(v, x: np.ndarray) -> np.ndarray:
     for k in range(1, 8):
         term = term * (-xx / (k * (v + k)))
         total = total + term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
-            break
     return lead * total
 
 
-def _miller_start(xmax: float, extra: int) -> int:
-    m = int(xmax + 15.0 * xmax ** (1.0 / 3.0) + 30) + extra
-    return m + (m % 2)
+def _miller_starts(x: np.ndarray, hi: int) -> np.ndarray:
+    # each argument's start order, a function of x alone while hi <= _FREE_ORDER;
+    # against mpmath it leaves an error below 1e-48 in rows up to order 100
+    # for x up to 1500
+    starts = np.cbrt(x)  # x + 15 x^(1/3) + 10, rounded up, in place
+    starts *= 15.0
+    starts += x
+    starts += 10 + max(0, hi - _FREE_ORDER)
+    starts /= _START_STEP
+    np.ceil(starts, out=starts)
+    starts *= _START_STEP
+    return starts
 
 
 def _neumann_coeffs(v0: float, count: int) -> list:
@@ -116,19 +136,24 @@ def _miller(v0: float, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
     Downward recurrence at orders v0 + m, normalized by the Neumann sum
     (x/2)^v0 = sum_k c_k J_{v0+2k}; with v0 < 1 no c_k exceeds ~2 k^v0.
-    Rows past 1e250 are rescaled by 1e-250.  A step grows a row by at most
-    2 (v0 + m_start) / min(x) + 1, so rows are checked every 16 steps, or
-    more often where that growth could carry a row from 1e250 to overflow.
+    Each argument is seeded with 1e-290 at its own start order and holds
+    exact zeros above it, so its rows do not depend on the other arguments.
+    Rows past 1e250 are rescaled by _RESCALE.  A step grows a row by at most
+    2 (v0 + top) / min(x) + 1, so rows are checked every 16 steps, or more
+    often where that growth could carry a row from 1e250 to overflow.
     """
-    m_start = _miller_start(float(np.max(x)), hi)
+    starts = _miller_starts(x, hi)
+    top, first = int(starts.max()), int(starts.min())
     jp = np.zeros_like(x)
-    jc = np.full_like(x, 1e-290)
+    jc = np.zeros_like(x)
     s = np.zeros_like(x)
     out = np.zeros((hi - lo + 1, x.size))
-    growth = math.log10(2.0 * (abs(v0) + m_start) / float(np.min(x)) + 1.0)
+    growth = math.log10(2.0 * (abs(v0) + top) / float(np.min(x)) + 1.0)
     every = max(1, min(16, int(50.0 / growth)))
-    coeffs = _neumann_coeffs(v0, m_start // 2 + 1)
-    for m in range(m_start, 0, -1):
+    coeffs = _neumann_coeffs(v0, top // 2 + 1)
+    for m in range(top, 0, -1):
+        if m >= first and m % _START_STEP == 0:
+            jc += (starts == m) * 1e-290  # branch-free: adds 0 elsewhere
         jm = 2.0 * (v0 + m) / x  # in place from here: one new array a step
         jm *= jc
         jm -= jp
@@ -137,16 +162,20 @@ def _miller(v0: float, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
         k = m - 1
         if lo <= k <= hi:
             out[k - lo] = jc
-        if k % 2 == 0:
-            s += coeffs[k // 2] * jc
+        if k % 2 == 0 and k:
+            # at v0 = 0 every c_k past c_0 is 2: the sum is doubled once, exactly
+            s += jc if v0 == 0.0 else coeffs[k // 2] * jc
         if m % every == 0:
             big = np.abs(jc) > 1e250
             if np.any(big):
-                scale = np.where(big, 1e-250, 1.0)
+                scale = np.where(big, _RESCALE, 1.0)
                 jc *= scale
                 jp *= scale
                 s *= scale
                 out *= scale
+    if v0 == 0.0:
+        s += s
+    s += coeffs[0] * jc
     if v0:
         out *= (x / 2.0) ** v0
     return out / s
@@ -192,23 +221,39 @@ def _asymptotic_threshold(v: float) -> float:
     return max(25.0, 4.0 * v * v)
 
 
-def _bessel_j_core(v: float, x: np.ndarray) -> np.ndarray:
-    """J_v on nonnegative x, any real v >= -3/2 (wider than the public
-    range; negative integer orders by reflection)."""
-    if v < 0 and _is_integer(v):
-        n = int(round(-v))
-        return (-1.0) ** n * _bessel_j_core(float(n), x)  # J_{-n} = (-1)^n J_n
-    out = np.empty_like(x)
-    lo = x <= _X_TINY
-    if np.any(lo):
-        out[lo] = _series(v, x[lo])
-    asym = x >= _asymptotic_threshold(v)
-    if np.any(asym):
-        out[asym] = _asymptotic(v, x[asym])
-    mid = ~(lo | asym)
-    if np.any(mid):
-        n = math.floor(v) if v >= 0 else 0
-        out[mid] = _miller(v - n, x[mid], n, n)[0]
+def _bessel_j_core(orders, x: np.ndarray) -> np.ndarray:
+    """J_v(x) for each order v of `orders` (rows) on nonnegative 1-d x.
+
+    Any real v >= -3/2 (wider than the public range; negative integer
+    orders by reflection).  The orders must differ by integers: one
+    recurrence serves them all.  For orders 0 <= v < _FREE_ORDER + 1 the
+    rows equal one-order calls on the same x bit for bit.
+    """
+    orders = [float(v) for v in orders]
+    vmin = min(orders)
+    if vmin < 0 and _is_integer(vmin):  # J_{-n} = (-1)^n J_n
+        signs = np.array([(-1.0) ** -v if v < 0 else 1.0 for v in orders])
+        return signs[:, None] * _bessel_j_core([abs(v) for v in orders], x)
+    v0 = vmin - (math.floor(vmin) if vmin >= 0 else 0)
+    steps = [round(v - v0) for v in orders]
+    if any(abs(v - v0 - m) > 1e-9 for v, m in zip(orders, steps)):
+        raise ValueError(f"orders of one pass must differ by integers, got {orders}")
+    out = np.empty((len(orders), x.size))
+    tiny = x <= _X_TINY
+    if tiny.any():
+        out[:, tiny] = _series(np.array(orders)[:, None], x[tiny])
+    thresholds = [_asymptotic_threshold(v) for v in orders]
+    mid = x < max(thresholds)
+    mid &= ~tiny
+    if mid.any():
+        lo = min(steps)
+        rows = _miller(v0, x[mid], lo, max(steps))
+        for i, m in enumerate(steps):
+            out[i, mid] = rows[m - lo]
+    for row, v, threshold in zip(out, orders, thresholds):
+        asym = x >= threshold
+        if asym.any():
+            row[asym] = _asymptotic(v, x[asym])
     return out
 
 
@@ -229,16 +274,26 @@ def bessel_j(order, x):
     within 1e-3 of a zero.  Above x = 12, near a zero at distance d, the
     relative error is an absolute floor over d: ~6e-17 x / d where the
     recurrence serves (x < max(25, 4 v^2)) and ~2e-16 / d where the
-    asymptotic form does; there a value does not depend on the other
-    arguments of the call.  Against scipy.special.jv on x in [0, 1e3]:
-    absolute error <= 3.2e-14.  Any order returns, underflowing to 0 where
-    J_v is below the float range (v = 1000 on [0, 2000] raises nothing).
-    Raises ValueError off the supported domain, non-finite x included.
+    asymptotic form does.  Against scipy.special.jv on x in [0, 1e3]:
+    absolute error <= 3.2e-14.  Below the asymptotic threshold a value
+    depends on v and x alone, never on the other arguments of the call;
+    above it the term count follows the smallest argument, and the terms a
+    smaller one adds are below 1e-18.  Any order returns, underflowing to 0
+    where J_v is below the float range (v = 1000 on [0, 2000] raises
+    nothing).  Raises ValueError off the supported domain, non-finite x
+    included.
     """
     v = _as_order(order)
     arr = _checked_x(x, "bessel_j")
-    res = _bessel_j_core(v, np.atleast_1d(arr).ravel())
+    res = _bessel_j_core((v,), np.atleast_1d(arr).ravel())[0]
     return float(res[0]) if arr.ndim == 0 else res.reshape(arr.shape)
+
+
+def _bessel_j_rows(orders, x) -> np.ndarray:
+    """bessel_j of each of `orders` (rows, differing by integers) on the 1-d
+    x, from one recurrence pass; below order 9 each row equals its
+    bessel_j call bit for bit."""
+    return _bessel_j_core([_as_order(v) for v in orders], _checked_x(x, "bessel_j"))
 
 
 def bessel_jn_chain(x, m_max: int) -> np.ndarray:
@@ -267,22 +322,20 @@ def _zero_taylor(v: float, z: np.ndarray, jnext: np.ndarray) -> np.ndarray:
     return np.stack([y[k + 2] / math.factorial(k) for k in range(1, terms + 1)])
 
 
-def _zero_quotient(order, x: np.ndarray, z: np.ndarray, taylor: np.ndarray) -> np.ndarray:
-    """J_v(x) / (x - z) for zeros z of J_v (rows) and finite x >= 0 (columns,
-    1-d), with taylor = _zero_taylor(v, z, J_{v+1}(z)); smooth through
-    x = z, where it is J_v'(z) = -J_{v+1}(z).
+def _zero_quotient(values: np.ndarray, x: np.ndarray, z: np.ndarray, taylor: np.ndarray) -> np.ndarray:
+    """J_v(x) / (x - z) for zeros z of J_v (rows) and x >= 0 (columns, 1-d),
+    from values = J_v(x) and taylor = _zero_taylor(v, z, J_{v+1}(z)); smooth
+    through x = z, where it is J_v'(z) = -J_{v+1}(z).
 
-    J_v is evaluated once per argument.  Where |x - z| < min(1, z/5) the
-    quotient is the Taylor polynomial of J_v(z + h) / h in h = x - z.  The
-    series converges like (h/z)^k for non-integer v (a branch point at 0)
-    and the derivative recursion's spurious solutions shrink alike, so 24
-    terms leave below 5^-24 ~ 1e-17 and below 1/24!.
+    Where |x - z| < min(1, z/5) the quotient is the Taylor polynomial of
+    J_v(z + h) / h in h = x - z.  The series converges like (h/z)^k for
+    non-integer v (a branch point at 0) and the derivative recursion's
+    spurious solutions shrink alike, so 24 terms leave below 5^-24 ~ 1e-17
+    and below 1/24!.
     """
-    v = _as_order(order)
-    x = _checked_x(x, "bessel_j")
     h = x[None, :] - z[:, None]
     near = np.abs(h) < np.minimum(1.0, z / 5.0)[:, None]
-    out = _bessel_j_core(v, x)[None, :] / np.where(near, 1.0, h)
+    out = values[None, :] / np.where(near, 1.0, h)
     if np.any(near):
         coeffs, hn = taylor[:, np.nonzero(near)[0]], h[near]
         acc = coeffs[-1]
@@ -312,8 +365,10 @@ def bessel_zeros(order, count: int) -> np.ndarray:
     The sign changes of J_v on a unit-step grid bracket the zeros: the grid
     starts below the first zero, j_{v,1} > sqrt(v (v + 2)), and consecutive
     zeros are more than 3.1 apart for v >= -1/2.  Newton steps with
-    J_v' = (v/x) J_v - J_{v+1} shrink every bracket, bisecting wherever a
-    step would leave it.  McMahon's expansion only sizes the grid.
+    J_v' = (v/x) J_v - J_{v+1}, both from one pass, shrink every bracket,
+    bisecting wherever a step would leave it.  Each bracket stops on its own
+    test, so a zero does not depend on how many others are sought.
+    McMahon's expansion only sizes the grid.
     """
     v = _as_order(order)
     if count < 1:
@@ -323,7 +378,7 @@ def bessel_zeros(order, count: int) -> np.ndarray:
     x = f = np.empty(0)
     while True:  # grown while it holds fewer than `count` zeros
         new = lo + np.arange(x.size, max(n, x.size + 1), dtype=float)
-        x, f = np.concatenate([x, new]), np.concatenate([f, _bessel_j_core(v, new)])
+        x, f = np.concatenate([x, new]), np.concatenate([f, _bessel_j_core((v,), new)[0]])
         exact = np.nonzero(f == 0.0)[0]
         bracket = np.nonzero(f[:-1] * f[1:] < 0)[0]
         if exact.size + bracket.size >= count:
@@ -331,14 +386,18 @@ def bessel_zeros(order, count: int) -> np.ndarray:
         n = 2 * x.size
     a, b, fa = x[bracket], x[bracket + 1], f[bracket]
     z = a - fa / (f[bracket + 1] - fa)  # the secant root of the unit bracket
+    todo = np.arange(z.size)  # brackets still stepping
     for _ in range(40):
-        fz = _bessel_j_core(v, z)
-        same = fa * fz > 0
-        a, fa, b = np.where(same, z, a), np.where(same, fz, fa), np.where(same, b, z)
-        step = fz / ((v / z) * fz - _bessel_j_core(v + 1.0, z))
-        z = z - step
-        z = np.where((a <= z) & (z <= b), z, 0.5 * (a + b))
-        if np.all(np.abs(step) <= 1e-13 * z):
+        zt, at, bt, fat = z[todo], a[todo], b[todo], fa[todo]
+        fz, fnext = _bessel_j_core((v, v + 1.0), zt)
+        same = fat * fz > 0
+        at, fat, bt = np.where(same, zt, at), np.where(same, fz, fat), np.where(same, bt, zt)
+        step = fz / ((v / zt) * fz - fnext)
+        zt = zt - step
+        zt = np.where((at <= zt) & (zt <= bt), zt, 0.5 * (at + bt))
+        z[todo], a[todo], b[todo], fa[todo] = zt, at, bt, fat
+        todo = todo[np.abs(step) > 1e-13 * zt]
+        if not todo.size:
             break
     else:
         raise RuntimeError(f"zeros of the order-{v} Bessel function did not converge")
@@ -364,7 +423,7 @@ class ZeroTable:
     @cached_property
     def jnext(self) -> np.ndarray:
         """J_{v+1} at the zeros (read-only), taken on first use."""
-        out = _bessel_j_core(self.order.value + 1.0, self.zeros)
+        out = _bessel_j_core((self.order.value + 1.0,), self.zeros)[0]
         out.setflags(write=False)
         return out
 
@@ -418,7 +477,7 @@ def lambda_sum(x, truncation: int | None = None):
     if m < 0:
         raise ValueError("truncation must be >= 0")
     if m == 0:
-        out = _bessel_j_core(0.0, flat)
+        out = _bessel_j_core((0.0,), flat)[0]
     else:
         chain = bessel_jn_chain(flat, m)
         out = chain[0] + 2.0 * np.sum(chain[2 : m + 1 : 2], axis=0)

@@ -83,12 +83,20 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _probe_counts(text: str) -> tuple:
+    # --probes NRxNT: two positive integers
+    parts = text.split("x")
+    if len(parts) != 2 or not all(p.isdecimal() and int(p) > 0 for p in parts):
+        raise ValueError(f"--probes needs NRxNT, two positive integers, got {text!r}")
+    return int(parts[0]), int(parts[1])
+
+
 def _cmd_reconstruct(args) -> int:
+    nr, nt = _probe_counts(args.probes)
     params, spectrum, field = _load(args)
     omega = spectrum.omega
     k_max = spectrum.k_max
     m_sum = args.msum if args.msum >= 0 else sp.default_m_sum(params, omega, 10.0)
-    nr, nt = (int(x) for x in args.probes.split("x"))
     if args.mode in ("theorem1", "theorem2"):
         grid = (sp.SampleGrid.theorem1(params, omega, k_max, args.zeros)
                 if args.mode == "theorem1" else

@@ -72,8 +72,9 @@ def write_spectrum_csv(path, spectrum: FourierBesselSpectrum) -> None:
 
 def read_spectrum_csv(path) -> FourierBesselSpectrum:
     """The write_spectrum_csv format.  An empty file, a header without
-    omega,K, or a coefficient row without 4 fields, with j < 1 or with a
-    repeated (n, j), raises ValueError naming the line."""
+    omega,K, a field that does not parse, or a coefficient row without 4
+    fields, with j < 1 or with a repeated (n, j), raises ValueError naming
+    the line."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = [(i, ln.split("#", 1)[0].strip()) for i, ln in enumerate(fh, start=1)]
     rows = [(i, r) for i, r in rows if r]
@@ -83,20 +84,19 @@ def read_spectrum_csv(path) -> FourierBesselSpectrum:
     if not 2 <= len(head) <= 4:
         raise ValueError(f"{path}:{rows[0][0]}: need the header omega,K[,order_map,fixed_order], "
                          f"got {rows[0][1]!r}")
-    omega, k_max = float(head[0]), int(head[1])
-    order_map = head[2] if len(head) > 2 else "per_order"
-    fixed_order = int(head[3]) if len(head) > 3 else 0
+    omega, k_max, *rest = _parsed(path, *rows[0], (float, int, str, int))
+    order_map = rest[0] if rest else "per_order"
+    fixed_order = rest[1] if len(rest) > 1 else 0
     entries: dict[int, dict[int, complex]] = {}
     for i, row in rows[1:]:
-        fields = row.split(",")
-        if len(fields) != 4:
+        if len(row.split(",")) != 4:
             raise ValueError(f"{path}:{i}: need the 4 fields n,j,Re(eps),Im(eps), got {row!r}")
-        n, j = int(fields[0]), int(fields[1])
+        n, j, re, im = _parsed(path, i, row, (int, int, float, float))
         by_j = entries.setdefault(n, {})
         if j < 1 or j in by_j:
             why = "j must be >= 1" if j < 1 else f"repeated (n, j) = ({n}, {j})"
             raise ValueError(f"{path}:{i}: {why}, got {row!r}")
-        by_j[j] = float(fields[2]) + 1j * float(fields[3])
+        by_j[j] = re + 1j * im
     coeffs = {}
     for n, by_j in entries.items():
         j_top = max(by_j)
@@ -105,6 +105,15 @@ def read_spectrum_csv(path) -> FourierBesselSpectrum:
             arr[j - 1] = e
         coeffs[n] = arr
     return FourierBesselSpectrum(omega, k_max, coeffs, order_map, fixed_order)
+
+
+def _parsed(path, line: int, row: str, kinds) -> list:
+    # the comma-separated fields of `row` converted by `kinds`, or a
+    # ValueError naming the file and line
+    try:
+        return [kind(f) for kind, f in zip(kinds, row.split(","))]
+    except ValueError as exc:
+        raise ValueError(f"{path}:{line}: {exc}, in {row!r}") from None
 
 
 def _grid_lines(header, cols):

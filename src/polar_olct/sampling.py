@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import ZeroTable, _zero_quotient, _zero_taylor, bessel_j, bessel_jn_chain
+from .bessel import ZeroTable, _bessel_j_rows, _zero_quotient, _zero_taylor, bessel_j, bessel_jn_chain
 from .params import OffsetParams, _check_positive
 from .synthesis import _radial_order
 
@@ -105,17 +105,18 @@ def theta_kernel(r, alpha, z, order, params: OffsetParams, omega: float):
     if np.any(np.abs(alpha - params.b * z / omega) > 1e-9 * alpha):
         raise ValueError("alpha is not the normalized zero of z")
     r = np.asarray(r, dtype=float)
-    taylor = _table_taylor(order, z.ravel())
-    out = _theta_matrix(r.ravel(), alpha.ravel(), z.ravel(), order, params, omega, taylor)
+    rr = r.ravel()
+    out = _theta_matrix(rr, bessel_j(order, omega * rr / params.b), alpha.ravel(), z.ravel(),
+                        params, omega, _table_taylor(order, z.ravel()))
     out = out.reshape(alpha.shape + r.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def _theta_matrix(r, alphas, zeros, order, params, omega, taylor):
-    # theta_kernel on 1-d r and samples, given the zeros' _zero_taylor
-    # coefficients, whose first row is -J_{v+1}(zeros)
+def _theta_matrix(r, jr, alphas, zeros, params, omega, taylor):
+    # theta_kernel on 1-d r and samples, given jr = J_v(omega r / b) and the
+    # zeros' _zero_taylor coefficients, whose first row is -J_{v+1}(zeros)
     mu2, al, jnext = params.mu2, alphas[:, None], -taylor[0]
-    quotient = _zero_quotient(order, omega * r / params.b, zeros, taylor)
+    quotient = _zero_quotient(jr, omega * r / params.b, zeros, taylor)
     return -2.0 * (mu2 + al) * quotient / (jnext[:, None] * (al + r + 2.0 * mu2))
 
 
@@ -136,14 +137,14 @@ def default_m_sum(params: OffsetParams, omega: float, r_max: float) -> int:
     return int(math.ceil(mu * max(r_max, omega) / params.b)) + 20
 
 
-def _zero_series(coeffs, alphas, zeros, order, params, omega, m_sum, r, mu_r, mu_om):
+def _zero_series(coeffs, alphas, zeros, order, jr, params, omega, m_sum, r, mu_r, mu_om):
     """sum_m J_m(mu_r r/b) J_m(mu_om omega/b)^2 sum_j J_m(mu_r a_j/b) c_j theta_j(r)
-    for each row of `coeffs`: shape (rows, r.size).
+    for each row of `coeffs`: shape (rows, r.size), given jr = J_order(omega r / b).
 
     Odd side orders cancel in +-m pairs; m_sum = 0 keeps the bare j-sum.
     The chirp factors are applied by the callers.
     """
-    theta_mat = _theta_matrix(r, alphas, zeros, order, params, omega, _table_taylor(order, zeros))
+    theta_mat = _theta_matrix(r, jr, alphas, zeros, params, omega, _table_taylor(order, zeros))
     if m_sum == 0 or not params.has_offsets:
         return coeffs @ theta_mat
     b = params.b
@@ -348,13 +349,16 @@ def _reconstruct(sample_set: SampleSet, params: OffsetParams, m_sum: int, r, the
         raise ValueError("reconstruction: the probe points must be finite")
     uniq, inv = np.unique(rb, return_inverse=True)
     k = grid.k_max
+    orders = sorted(grid.zeros)
+    # J_w at the probes for every radial order w from one recurrence pass
+    j_probe = _bessel_j_rows(orders, grid.omega * uniq / params.b)
     out = np.zeros(rb.size, dtype=complex)
-    for w in sorted(grid.zeros):
+    for w, jr in zip(orders, j_probe):
         ns = [n for n in range(-k, k + 1) if grid.radial_order(n) == w]
         alphas = grid.alphas(ns[0])
         coeffs = np.stack([_angular_coefficients(sample_set.slab(n), k)[:, n + k] for n in ns])
         coeffs *= inner(alphas)
-        series = _zero_series(coeffs, alphas, grid.zeros[w], w, params,
+        series = _zero_series(coeffs, alphas, grid.zeros[w], w, jr, params,
                               grid.omega, m_sum, uniq, mu_r, mu_om)
         out += _series_prefactor(w, params, prefactor) \
             * np.sum(series[:, inv] * np.exp(1j * np.outer(ns, tb)), axis=0)

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .bessel import ZeroTable, _zero_quotient, _zero_taylor, bessel_j
+from .bessel import ZeroTable, _bessel_j_rows, _zero_quotient, _zero_taylor, bessel_j
 from .params import OffsetParams, _check_positive
 
 __all__ = [
@@ -43,7 +43,10 @@ def lommel_kernel(alpha, r, c: float, order):
     each); the result has shape alpha.shape + r.shape.
     """
     alpha = np.asarray(alpha, dtype=float)
-    out = _lommel_values(alpha, c, order, *_lommel_edge(alpha, c, order), np.asarray(r, dtype=float))
+    r = np.asarray(r, dtype=float)
+    rr = r.ravel()
+    out = _lommel_values(alpha, c, *_lommel_edge(alpha, c, order), rr, bessel_j(order, rr * c))
+    out = out.reshape(alpha.shape + r.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -52,18 +55,18 @@ def _lommel_edge(alpha: np.ndarray, c: float, order):
     if np.any(alpha <= 0) or c <= 0:
         raise ValueError("alpha and c must be positive")
     z = alpha.ravel() * c
-    edge = np.abs(bessel_j(order, z))
+    at_z, jnext = _bessel_j_rows((order, float(order) + 1.0), z)
+    edge = np.abs(at_z)
     if np.any(edge > 1e-10):
         raise ValueError(f"alpha*c = {z[np.argmax(edge)]!r} is not a zero of the order-{order} function")
-    return z, _zero_taylor(float(order), z, bessel_j(float(order) + 1.0, z))
+    return z, _zero_taylor(float(order), z, jnext)
 
 
-def _lommel_values(alpha: np.ndarray, c: float, order, z, taylor, r: np.ndarray) -> np.ndarray:
-    """lommel_kernel's values, shape alpha.shape + r.shape, from the
-    _lommel_edge values of `alpha`."""
-    al, rr, jnext = alpha.ravel()[:, None], r.ravel(), -taylor[0]
-    out = -c * c * al * jnext[:, None] * _zero_quotient(order, rr * c, z, taylor) / (al + rr)
-    return out.reshape(alpha.shape + r.shape)
+def _lommel_values(alpha: np.ndarray, c: float, z, taylor, r: np.ndarray, jr: np.ndarray) -> np.ndarray:
+    """lommel_kernel's values, shape (alpha.size, r.size), on the 1-d r from
+    the _lommel_edge values of `alpha` and jr = J_v(r c)."""
+    al, jnext = alpha.ravel()[:, None], -taylor[0]
+    return -c * c * al * jnext[:, None] * _zero_quotient(jr, r * c, z, taylor) / (al + r)
 
 
 def _check_finite(name: str, *points):
@@ -141,9 +144,11 @@ class PolarField:
         shape = np.broadcast(r, theta).shape
         # profiles on the unique radii of r and phases on theta, each as
         # passed, so a tensor grid costs one profile call per radius; the
-        # memo holds each shared radial basis and chirp, taken once
+        # memo holds each shared radial basis and chirp, taken once, and the
+        # bases take their Bessel values from one pass per scale
         uniq, inv = np.unique(r.ravel(), return_inverse=True)
-        memo = {}
+        memo = _basis_values({p.basis for p in self.coefficients.values()
+                              if isinstance(p, _Profile)}, uniq)
         out = np.zeros(shape, dtype=complex)
         for n in sorted(self.coefficients):
             p = self.coefficients[n]
@@ -182,30 +187,37 @@ class SynthesizedField(PolarField):
         rb = np.broadcast_to(rho, shape).ravel()
         pb = np.broadcast_to(phi, shape).ravel()
         ns = sorted(self.spectrum.coefficients)
-        coeffs = self._spectral(rb, ns)
+        # coefficients on the unique radii, as evaluate takes its profiles
+        uniq, inv = np.unique(rb, return_inverse=True)
+        coeffs = self._spectral(uniq, ns)
         out = np.zeros(rb.size, dtype=complex)
         for n in ns:
-            out += ((-1.0) ** self.spectrum.radial_order(n)) * coeffs[n] * np.exp(1j * n * pb)
+            out += ((-1.0) ** self.spectrum.radial_order(n)) * coeffs[n][inv] * np.exp(1j * n * pb)
         return out.reshape(shape)
 
     def _spectral(self, rho, ns) -> dict:
         # spectral coefficients of the angular orders ns on 1-d rho; orders
-        # of one radial order and coefficient count share one Bessel matrix
+        # of one radial order and coefficient count share one Bessel matrix,
+        # and the matrices' arguments go through one Bessel pass
         spec, p = self.spectrum, self.params
         inside = rho < spec.omega
-        shared, out = {}, {}
-        for n in ns:
-            eps = spec.coefficients.get(n)
-            out[n] = np.zeros(rho.shape, dtype=complex)
-            if eps is None or eps.size == 0 or not np.any(inside):
-                continue
-            w = spec.radial_order(n)
-            if (w, eps.size) not in shared:
-                zeros = ZeroTable.for_order(w, eps.size).zeros[: eps.size]
-                shared[w, eps.size] = ((1j ** w) * p.ell1 / p.b * p.output_phase(rho[inside]),
-                                       bessel_j(w, np.outer(zeros, rho[inside] / spec.omega)))
-            pref, mat = shared[w, eps.size]
-            out[n][inside] = pref * (eps @ mat)
+        out = {n: np.zeros(rho.shape, dtype=complex) for n in ns}
+        keys = {n: (spec.radial_order(n), spec.coefficients[n].size) for n in ns
+                if n in spec.coefficients and spec.coefficients[n].size}
+        if not keys or not np.any(inside):
+            return out
+        shared = sorted(set(keys.values()))
+        args = [np.outer(ZeroTable.for_order(w, size).zeros[:size], rho[inside] / spec.omega)
+                for w, size in shared]
+        orders = sorted({w for w, _ in shared})
+        values = _bessel_j_rows(orders, np.concatenate([a.ravel() for a in args]))
+        blocks = np.split(values, np.cumsum([a.size for a in args])[:-1], axis=1)
+        phase = p.output_phase(rho[inside])
+        mats = {(w, size): ((1j ** w) * p.ell1 / p.b * phase, block[orders.index(w)].reshape(a.shape))
+                for (w, size), a, block in zip(shared, args, blocks)}
+        for n, key in keys.items():
+            pref, mat = mats[key]
+            out[n][inside] = pref * (spec.coefficients[n] @ mat)
         return out
 
 
@@ -230,7 +242,8 @@ def synthesize(spectrum: FourierBesselSpectrum, params: OffsetParams) -> Synthes
         w = spectrum.radial_order(n)
         if (w, eps.size) not in bases:
             alphas = b * ZeroTable.for_order(w, eps.size).zeros[: eps.size] / spectrum.omega
-            bases[w, eps.size] = partial(_lommel_values, alphas, c, w, *_lommel_edge(alphas, c, w))
+            bases[w, eps.size] = _Basis(w, c, partial(_lommel_values, alphas, c,
+                                                      *_lommel_edge(alphas, c, w)))
         profiles[n] = _Profile(bases[w, eps.size], eps, params)
     return SynthesizedField(profiles, spectrum.omega, spectrum.k_max,
                             provenance=f"fb-spectrum order_map={spectrum.order_map}",
@@ -239,6 +252,29 @@ def synthesize(spectrum: FourierBesselSpectrum, params: OffsetParams) -> Synthes
 
 def _zero_profile(r):
     return np.zeros(np.shape(np.atleast_1d(r)), dtype=complex)
+
+
+class _Basis:
+    """Radial functions form(r, J_order(scale r)) on 1-d r: the bases of one
+    field share `scale`, so their Bessel values come from one pass."""
+
+    def __init__(self, order, scale, form):
+        self.order, self.scale, self.form = order, scale, form
+
+    def __call__(self, r):
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        return self.form(r, bessel_j(self.order, r * self.scale))
+
+
+def _basis_values(bases, r) -> dict:
+    # each basis on the 1-d radii r, one Bessel pass per scale
+    out = {}
+    for scale in {basis.scale for basis in bases}:
+        group = [basis for basis in bases if basis.scale == scale]
+        orders = sorted({basis.order for basis in group})
+        rows = dict(zip(orders, _bessel_j_rows(orders, r * scale)))
+        out.update((basis, basis.form(r, rows[basis.order])) for basis in group)
+    return out
 
 
 class _Profile:
@@ -289,20 +325,18 @@ def sonine_profile(order: int, c: float, s: int = 1):
     amp = c * c * (2.0 ** s) * math.factorial(s)
     lead = amp / (2.0 ** (w + s + 1) * math.gamma(w + s + 2))
 
-    def g(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
+    def form(r, jr):  # g from jr = J_{w+s+1}(r c)
         x = r * c
         small = x < 1e-4
         safe = np.where(small, 1.0, x)
-        vals = amp * bessel_j(w + s + 1, x) / safe ** (s + 1)
-        return np.where(small, lead * np.where(small, x, 0.0) ** w, vals)
+        return np.where(small, lead * np.where(small, x, 0.0) ** w, amp * jr / safe ** (s + 1))
 
     def G(u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
         t = u / c
         return np.where(u < c, t ** w * (1.0 - t * t) ** s, 0.0)
 
-    return g, G
+    return _Basis(w + s + 1, c, form), G
 
 
 def synthesize_sonine(weights: dict, params: OffsetParams, omega: float, *,
@@ -340,8 +374,8 @@ def random_spectrum(omega: float, k_max: int, j_spec: int, seed: int, *,
     def flatten(eps, w):
         if j_spec < 2:
             return eps
-        zeros = ZeroTable.for_order(w, eps.size).zeros[: eps.size]
-        slope = zeros * bessel_j(w + 1, zeros)
+        table = ZeroTable.for_order(w, eps.size)
+        slope = table.zeros[: eps.size] * table.jnext[: eps.size]
         eps = eps.copy()
         eps[-1] = -np.dot(eps[:-1], slope[:-1]) / slope[-1]
         return eps

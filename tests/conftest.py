@@ -59,15 +59,31 @@ def scipy_hankel():
 
 @pytest.fixture
 def bessel_core_calls(monkeypatch):
-    """The orders of the _bessel_j_core calls the test makes, in call order."""
+    """The orders of each _bessel_j_core pass the test makes, as tuples, in
+    call order."""
     calls = []
     core = bessel._bessel_j_core
 
-    def counted(order, x):
-        calls.append(order)
-        return core(order, x)
+    def counted(orders, x):
+        calls.append(tuple(float(v) for v in orders))
+        return core(orders, x)
 
     monkeypatch.setattr(bessel, "_bessel_j_core", counted)
+    return calls
+
+
+@pytest.fixture
+def miller_calls(monkeypatch):
+    """The lowest and highest order of each _miller recurrence pass the test
+    makes, in call order."""
+    calls = []
+    miller = bessel._miller
+
+    def counted(v0, x, lo, hi):
+        calls.append((v0 + lo, v0 + hi))
+        return miller(v0, x, lo, hi)
+
+    monkeypatch.setattr(bessel, "_miller", counted)
     return calls
 
 

@@ -16,7 +16,7 @@ from polar_olct import (
     lambda_sum,
 )
 from polar_olct import bessel
-from polar_olct.bessel import _asymptotic_threshold, _bessel_j_core
+from polar_olct.bessel import _asymptotic_threshold, _bessel_j_core, _bessel_j_rows
 
 # frozen from the bisection-on-series oracles below
 Z01 = 2.404825557695773
@@ -75,7 +75,7 @@ def test_zero_residuals_and_monotonicity():
 
 def scalar_scan_zeros(v, count):
     """The one-point-at-a-time sign-change scan and bisection (reference)."""
-    f = lambda x: _bessel_j_core(v, np.array([x]))[0]
+    f = lambda x: _bessel_j_core((v,), np.array([x]))[0, 0]
     x_prev = max(0.05, math.sqrt(max(v, 0.0) * (max(v, 0.0) + 2.0)) * 0.98)
     f_prev = f(x_prev)
     found = []
@@ -130,16 +130,16 @@ def test_high_order_zeros_against_mpmath():
 
 @pytest.mark.parametrize("v, count", [(0, 50), (3, 1600), (40, 200), (100, 50)])
 def test_zero_finder_work_bound(monkeypatch, v, count):
-    # one grid evaluation, then two evaluations a Newton step for all zeros
+    # one grid evaluation, then one pass a Newton step for J_v and J_{v+1}
     calls = []
 
-    def counted(order, x):
+    def counted(orders, x):
         calls.append(x.size)
-        return _bessel_j_core(order, x)
+        return _bessel_j_core(orders, x)
 
     monkeypatch.setattr(bessel, "_bessel_j_core", counted)
     assert bessel_zeros(v, count).size == count
-    assert len(calls) <= 16
+    assert len(calls) <= 8
 
 
 def test_mcmahon_asymptotic_regime():
@@ -151,7 +151,7 @@ def test_mcmahon_asymptotic_regime():
 def test_integer_reflection():
     x = np.linspace(0.0, 50.0, 277)
     for m in range(0, 7):
-        lhs = _bessel_j_core(float(-m), x)
+        lhs = _bessel_j_core((float(-m),), x)[0]
         rhs = (-1.0) ** m * bessel_j(m, x)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -249,15 +249,39 @@ def test_asymptotic_regime_from_its_threshold_against_mpmath():
 
 
 def test_asymptotic_values_independent_of_call_mates():
-    # above the threshold a value is the same alone and beside any other
-    # arguments; below it the largest argument of a call sizes the recurrence
+    # a value is the same alone and beside any other arguments, in every
+    # regime: each argument starts its own recurrence and rescaling is exact
     x = np.linspace(0.5, 30.0, 200)
     assert np.array_equal(bessel_j(0, np.append(x, 200.0))[:-1], bessel_j(0, x))
+    # one large mate used to lengthen every recurrence of its call and moved
+    # 137 of these values by up to 8.2e-15
+    x = np.linspace(0.5, 5.0, 200)
+    assert np.array_equal(bessel_j(0, np.append(x, 24.9))[:-1], bessel_j(0, x))
     rng = np.random.default_rng(15)
     for v in (-0.5, 0, 1, 2.5, 3, 7, 12.5):
+        mates = np.concatenate([rng.uniform(0.0, 1e3, 150), rng.uniform(0.0, 1e-3, 5)])
         far = rng.uniform(_asymptotic_threshold(v), 1e3, 150)
-        mates = rng.uniform(0.0, 1e3, 150)
-        assert np.array_equal(bessel_j(v, np.concatenate([mates, far]))[150:], bessel_j(v, far)), v
+        near = np.concatenate([rng.uniform(1e-3, 25.0, 150), rng.uniform(0.0, 1e-3, 5)])
+        for x in (far, near):
+            alone = bessel_j(v, x)
+            assert np.array_equal(bessel_j(v, np.concatenate([mates, x]))[155:], alone), v
+            assert np.array_equal([bessel_j(v, xi) for xi in x[::10]], alone[::10]), v
+
+
+@pytest.mark.parametrize("v", [0, 0.5, 2.3, 5])
+def test_one_pass_rows_equal_single_order_calls(v):
+    # series, recurrence and asymptotic points alike: the orders v..v+3 of
+    # one pass are the four one-order values, bit for bit
+    x = np.concatenate([[0.0, 1e-5, 1e-3], np.geomspace(1.001e-3, 3e3, 400)])
+    rows = _bessel_j_rows([v + k for k in range(4)], x)
+    for k, row in enumerate(rows):
+        assert np.array_equal(row, bessel_j(v + k, x)), k
+
+
+@pytest.mark.parametrize("v", [0, 1, 2.5, 7, 40])
+def test_zeros_independent_of_table_size(v):
+    # each bracket stops its Newton steps on its own test
+    assert np.array_equal(bessel_zeros(v, 400)[:16], bessel_zeros(v, 16))
 
 
 def test_zeros_against_scipy_jn_zeros():

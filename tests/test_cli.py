@@ -144,6 +144,27 @@ def test_reconstruct_spectrum_mode(tmp_path, inputs):
     assert len(out.read_text().strip().splitlines()) == 122
 
 
+@pytest.mark.parametrize("probes", ["5", "0x5", "5x0", "5x", "ax5", "5x5x5", "-1x5", "2.5x5"])
+def test_reconstruct_rejects_probes_in_one_line(inputs, capsys, probes):
+    params, spectrum, _ = inputs
+    assert main(["reconstruct", "--mode", "theorem1", "--params", str(params),
+                 "--spectrum", str(spectrum), f"--probes={probes}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("polar-olct: error: --probes needs NRxNT, two positive integers, "
+                            f"got {probes!r}\n")
+
+
+@pytest.mark.parametrize("body, line", [("x,1\n0,1,0.5,0\n", 1), ("1.0,1\nx,1,0.5,0\n", 2)])
+def test_synth_names_the_bad_spectrum_line(tmp_path, inputs, capsys, body, line):
+    params, _, _ = inputs
+    spectrum = tmp_path / "bad.csv"
+    spectrum.write_text(body)
+    assert main(["synth", "--params", str(params), "--spectrum", str(spectrum)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"polar-olct: error: {spectrum}:{line}: ") and err.count("\n") == 1
+
+
 def test_sweep_and_verify_exit_codes(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(FAST_CONFIG)

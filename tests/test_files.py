@@ -80,6 +80,10 @@ def test_grid_csvs(tmp_path):
     ("# omega,K\n1.0,1\n# n,j,Re,Im\n0,1,0.5\n", 4, "need the 4 fields"),
     ("1.0,1\n0,1,0.5,0,7\n", 2, "need the 4 fields"),
     ("# omega,K\n1.0\n0,1,0.5,0\n", 2, "need the header"),
+    ("x,1\n0,1,0.5,0\n", 1, "could not convert string to float: 'x', in 'x,1'"),
+    ("1.0,1,fixed,z\n0,1,0.5,0\n", 1, "invalid literal for int"),
+    ("1.0,1\nx,1,0.5,0\n", 2, "invalid literal for int.*, in 'x,1,0.5,0'"),
+    ("1.0,1\n0,1,0.5,i\n", 2, "could not convert string to float: 'i'"),
 ])
 def test_spectrum_csv_bad_row_names_its_line(tmp_path, body, line, message):
     # a j = 0 row or a repeated (n, j) would otherwise overwrite a coefficient

@@ -205,7 +205,7 @@ def test_sample_field_counts_and_zero_field(rot):
 
 def test_sample_field_calls_its_source_once_per_grid(rot, bessel_core_calls):
     # theorem 1 at K = 2 has three radial orders; their radii go to the
-    # source in one call, and each radial basis is taken once there
+    # source in one call, and its three radial bases take one Bessel pass
     grid = SampleGrid.theorem1(rot, np.pi, 2, 6)
     f = synthesize(random_spectrum(np.pi, 2, 3, seed=47), rot)
     shapes = []
@@ -217,7 +217,7 @@ def test_sample_field_calls_its_source_once_per_grid(rot, bessel_core_calls):
     bessel_core_calls.clear()
     samples = sample_field(source, grid)
     assert shapes == [(sum(z.size for z in grid.zeros.values()), 5)]
-    assert len(bessel_core_calls) == 3
+    assert bessel_core_calls == [(0.0, 1.0, 2.0)]
     for n in range(-2, 3):
         alone = f.evaluate(grid.alphas(n)[:, None], grid.thetas[None, :])
         assert rel_err(samples.slab(n), alone) <= 1e-14
@@ -225,8 +225,8 @@ def test_sample_field_calls_its_source_once_per_grid(rot, bessel_core_calls):
 
 def test_warm_table_reconstruction_takes_no_jnext(rot, bessel_core_calls, zero_taylor_calls):
     # J_{v+1} at the zeros and the Taylor coefficients there come from the
-    # zero tables: a second run takes J_v at the probes once per radial
-    # order and nothing else
+    # zero tables: a second run takes J_v at the probes for all three
+    # radial orders in one pass and nothing else
     f = synthesize(random_spectrum(np.pi, 2, 3, seed=45), rot)
     samples = sample_field(f, SampleGrid.theorem1(rot, np.pi, 2, 6))
     r, t = np.linspace(0.05, 5.0, 20), np.linspace(-np.pi, np.pi, 20)
@@ -234,8 +234,38 @@ def test_warm_table_reconstruction_takes_no_jnext(rot, bessel_core_calls, zero_t
     bessel_core_calls.clear()
     zero_taylor_calls.clear()
     assert np.array_equal(reconstruct_field(samples, "theorem1", rot, 0, r, t), warm)
-    assert sorted(bessel_core_calls) == [0.0, 1.0, 2.0]
+    assert bessel_core_calls == [(0.0, 1.0, 2.0)]
     assert zero_taylor_calls == []
+
+
+def test_four_modes_take_one_recurrence_per_sampling_and_reconstruction(rot, lct, miller_calls):
+    # one pass of the four modes at K = 2 with Fourier-Bessel and Sonine
+    # fields on warm zero tables, as the zero-grid benchmark runs it: each
+    # sampling and each reconstruction takes all its radial orders from one
+    # recurrence pass, 12 in all
+    k = 2
+    r, t = np.meshgrid(np.linspace(0.05, 8.0, 5), np.linspace(-np.pi, np.pi, 5, endpoint=False),
+                       indexing="ij")
+    rho, phi = np.meshgrid(np.linspace(0.02, 0.9, 5), np.linspace(-np.pi, np.pi, 5, endpoint=False))
+    weights = {n: 1.0 for n in range(-k, k + 1)}
+    cases = []
+    for mode, order_map in (("theorem1", "per_order"), ("theorem2", "fixed")):
+        grid = getattr(SampleGrid, mode)(rot, np.pi, k, 4)
+        for field in (synthesize(random_spectrum(np.pi, k, 3, seed=5, order_map=order_map), rot),
+                      synthesize_sonine(weights, rot, np.pi, order_map=order_map)):
+            cases.append(lambda f=field, g=grid, m=mode:
+                         reconstruct_field(sample_field(f, g), m, rot, 0, r, t))
+    for mode, order_map in (("corollary1", "per_order"), ("corollary2", "fixed")):
+        grid = getattr(SampleGrid, mode)(lct, 60.0, k, 1.0)
+        field = synthesize(random_spectrum(1.0, k, 3, seed=6, order_map=order_map), lct)
+        cases.append(lambda f=field, g=grid, m=mode:
+                     reconstruct_spectrum(sample_field(f.spectrum_values, g), m, lct, 0, rho, phi))
+    warm = [case() for case in cases]
+    miller_calls.clear()
+    for case, value in zip(cases, warm):
+        assert np.array_equal(case(), value)
+    assert len(miller_calls) <= 12
+    assert miller_calls.count((0.0, 2.0)) >= 4
 
 
 def test_grid_validation(rot):
