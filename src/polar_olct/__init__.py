@@ -3,7 +3,6 @@ coordinates: quadrature transforms, exactly bandlimited field synthesis,
 and the zero-grid reconstruction series, with a verification harness."""
 
 from .bessel import (
-    BesselOrder,
     ZeroTable,
     bessel_j,
     bessel_jn_chain,

@@ -2,16 +2,19 @@
 
 Self-contained J_v machinery for orders v >= -1/2 (the range the polar
 transforms need) in two regimes: the large-argument cosine asymptotics for
-x >= max(25, 4 v^2), and below it one Miller-style downward recurrence
-that serves every order and the J_0..J_M chain, with a few terms of the
-ascending series only at x <= 1e-3, where a recurrence step can overflow.
-A recurrence value is a function of its order and argument alone: each
-argument starts the recurrence at its own order and rescaling is exact, so
-orders that differ by integers are taken for all arguments in one pass,
-which below order 9 equals one-order calls bit for bit.  One
-removable-point quotient J_v(x) / (x - z) at zeros z serves both sampling
-kernels.  Positive zeros are bracketed by the sign changes of J_v on a
-unit-step grid and found by Newton steps kept inside their brackets.
+x >= max(25, 4 v^2), and below it one Miller-style downward recurrence,
+with a few terms of the ascending series only at x <= 1e-3, where a
+recurrence step can overflow.  A recurrence value is a function of its
+order and argument alone: each argument starts the recurrence at its own
+order and rescaling is exact, so orders that differ by integers are taken
+for all arguments in one checked pass, which below order 9 equals
+one-order calls bit for bit; `bessel_j` is its one-order case and the
+J_0..J_M chain its 0..M case, so the chain equals `bessel_j` in every
+regime.  One removable-point quotient J_v(x) / (x - z) at zeros z serves
+both sampling kernels, and one source gives its Taylor data at the zeros:
+the zero table's, or a checked pass where z are not the table's.
+Positive zeros are bracketed by the sign changes of J_v on a unit-step
+grid and found by Newton steps kept inside their brackets.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "BesselOrder",
     "ZeroTable",
     "bessel_j",
     "bessel_jn_chain",
@@ -48,38 +50,11 @@ _START_STEP = 8
 _FREE_ORDER = 8
 
 
-def _is_integer(v: float) -> bool:
-    return float(v).is_integer()
-
-
-def _validate_order(v: float, minimum: float = _MIN_ORDER) -> float:
-    v = float(v)
-    if v < minimum - 1e-15:
-        raise ValueError(f"Bessel order must be >= {minimum}, got {v}")
-    return v
-
-
-@dataclass(frozen=True)
-class BesselOrder:
-    """A validated transform order, v >= -1/2."""
-
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _validate_order(self.value))
-
-    @property
-    def is_integer(self) -> bool:
-        return _is_integer(self.value)
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def _as_order(order) -> float:
-    if isinstance(order, BesselOrder):
-        return order.value
-    return _validate_order(order)
+    v = float(order)
+    if not (math.isfinite(v) and v >= _MIN_ORDER - 1e-15):
+        raise ValueError(f"Bessel order must be finite and >= {_MIN_ORDER}, got {v}")
+    return v
 
 
 # --------------------------------------------------------------------------
@@ -231,7 +206,7 @@ def _bessel_j_core(orders, x: np.ndarray) -> np.ndarray:
     """
     orders = [float(v) for v in orders]
     vmin = min(orders)
-    if vmin < 0 and _is_integer(vmin):  # J_{-n} = (-1)^n J_n
+    if vmin < 0 and vmin.is_integer():  # J_{-n} = (-1)^n J_n
         signs = np.array([(-1.0) ** -v if v < 0 else 1.0 for v in orders])
         return signs[:, None] * _bessel_j_core([abs(v) for v in orders], x)
     v0 = vmin - (math.floor(vmin) if vmin >= 0 else 0)
@@ -266,6 +241,16 @@ def _checked_x(x, name: str) -> np.ndarray:
     return arr
 
 
+def _bessel_j_rows(orders, x, name: str = "bessel_j") -> np.ndarray:
+    """J_v(x) for each of `orders` (rows, differing by integers, v >= -1/2)
+    on finite x >= 0 of any shape, from one recurrence pass: shape
+    (len(orders),) + x.shape.  Below order 9 each row equals its one-order
+    call bit for bit."""
+    orders = [_as_order(v) for v in orders]
+    arr = _checked_x(x, name)
+    return _bessel_j_core(orders, arr.ravel()).reshape((len(orders),) + arr.shape)
+
+
 def bessel_j(order, x):
     """J_v(x) for v >= -1/2 and finite x >= 0.
 
@@ -283,32 +268,17 @@ def bessel_j(order, x):
     nothing).  Raises ValueError off the supported domain, non-finite x
     included.
     """
-    v = _as_order(order)
-    arr = _checked_x(x, "bessel_j")
-    res = _bessel_j_core((v,), np.atleast_1d(arr).ravel())[0]
-    return float(res[0]) if arr.ndim == 0 else res.reshape(arr.shape)
-
-
-def _bessel_j_rows(orders, x) -> np.ndarray:
-    """bessel_j of each of `orders` (rows, differing by integers) on the 1-d
-    x, from one recurrence pass; below order 9 each row equals its
-    bessel_j call bit for bit."""
-    return _bessel_j_core([_as_order(v) for v in orders], _checked_x(x, "bessel_j"))
+    res = _bessel_j_rows((order,), x)[0]
+    return float(res) if res.ndim == 0 else res
 
 
 def bessel_jn_chain(x, m_max: int) -> np.ndarray:
-    """J_0(x) .. J_{m_max}(x) in one downward-recurrence pass.
-
-    Returns shape (m_max+1,) + shape(x).
-    """
-    arr = np.atleast_1d(_checked_x(x, "bessel_jn_chain"))
-    flat = arr.ravel()
-    out = np.empty((m_max + 1, flat.size))
-    tiny = flat <= _X_TINY
-    out[:, tiny] = _series(np.arange(m_max + 1.0)[:, None], flat[tiny])
-    if not np.all(tiny):
-        out[:, ~tiny] = _miller(0.0, flat[~tiny], 0, m_max)
-    return out.reshape((m_max + 1,) + arr.shape)
+    """J_0(x) .. J_{m_max}(x) in one downward-recurrence pass, shape
+    (m_max+1,) + shape(x); each row is bessel_j's, in every regime, and
+    bit for bit for m_max <= 8."""
+    if m_max < 0:
+        raise ValueError(f"m_max must be >= 0, got {m_max!r}")
+    return _bessel_j_rows(range(m_max + 1), x, "bessel_jn_chain")
 
 
 def _zero_taylor(v: float, z: np.ndarray, jnext: np.ndarray) -> np.ndarray:
@@ -408,12 +378,14 @@ def bessel_zeros(order, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ZeroTable:
-    """Cached ascending positive zeros of one order, J_{v+1} and the Taylor coefficients there."""
+    """Cached ascending positive zeros of one order v >= -1/2, J_{v+1} and
+    the Taylor coefficients there."""
 
-    order: BesselOrder
+    order: float
     zeros: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "order", _as_order(self.order))
         z = np.asarray(self.zeros, dtype=float)
         if z.size and (np.any(z <= 0) or np.any(np.diff(z) <= 0)):
             raise ValueError("zeros must be positive and strictly increasing")
@@ -423,14 +395,14 @@ class ZeroTable:
     @cached_property
     def jnext(self) -> np.ndarray:
         """J_{v+1} at the zeros (read-only), taken on first use."""
-        out = _bessel_j_core((self.order.value + 1.0,), self.zeros)[0]
+        out = _bessel_j_core((self.order + 1.0,), self.zeros)[0]
         out.setflags(write=False)
         return out
 
     @cached_property
     def taylor(self) -> np.ndarray:
         """_zero_taylor's coefficients at the zeros (read-only), taken on first use."""
-        out = _zero_taylor(self.order.value, self.zeros, self.jnext)
+        out = _zero_taylor(self.order, self.zeros, self.jnext)
         out.setflags(write=False)
         return out
 
@@ -443,12 +415,30 @@ class ZeroTable:
         cached = _ZERO_CACHE.get(key)
         if cached is None or cached.zeros.size < count:
             grow = max(count, 2 * (cached.zeros.size if cached else 0), 16)
-            cached = cls(BesselOrder(v), bessel_zeros(v, grow))
+            cached = cls(v, bessel_zeros(v, grow))
             _ZERO_CACHE[key] = cached
         return cached
 
 
 _ZERO_CACHE: dict = {}
+
+
+def _taylor_at_zeros(order, z: np.ndarray) -> np.ndarray:
+    """_zero_taylor's coefficients at the 1-d zeros z of J_order: the zero
+    table's when z are its leading zeros, as on every grid and synthesized
+    basis, so a warm table costs no Bessel pass.  Other z are checked,
+    |J_v(z)| <= 1e-10 at z > 0, with J_v and J_{v+1} from one pass."""
+    v = _as_order(order)
+    table = ZeroTable.for_order(v, z.size)
+    if np.array_equal(table.zeros[: z.size], z):
+        return table.taylor[:, : z.size]
+    bad = z <= 0
+    if not bad.any():
+        at_z, jnext = _bessel_j_rows((v, v + 1.0), z)
+        bad = np.abs(at_z) > 1e-10
+    if bad.any():
+        raise ValueError(f"{float(z[np.argmax(bad)])!r} is not a zero of the order-{v:g} Bessel function")
+    return _zero_taylor(v, z, jnext)
 
 
 # --------------------------------------------------------------------------
@@ -471,15 +461,9 @@ def lambda_sum(x, truncation: int | None = None):
     sized for the largest argument when not given explicitly.
     """
     arr = _checked_x(x, "lambda_sum")
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel()
-    m = _lambda_truncation(float(np.max(flat, initial=0.0))) if truncation is None else int(truncation)
+    m = _lambda_truncation(float(np.max(arr, initial=0.0))) if truncation is None else int(truncation)
     if m < 0:
         raise ValueError("truncation must be >= 0")
-    if m == 0:
-        out = _bessel_j_core((0.0,), flat)[0]
-    else:
-        chain = bessel_jn_chain(flat, m)
-        out = chain[0] + 2.0 * np.sum(chain[2 : m + 1 : 2], axis=0)
-    res = out.reshape(np.atleast_1d(arr).shape)
-    return float(res[0]) if scalar else res.reshape(arr.shape)
+    chain = bessel_jn_chain(arr, m)
+    out = chain[0] + 2.0 * np.sum(chain[2::2], axis=0)
+    return float(out) if out.ndim == 0 else out

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import ZeroTable, _bessel_j_rows, _zero_quotient, _zero_taylor, bessel_j, bessel_jn_chain
+from .bessel import ZeroTable, _bessel_j_rows, _taylor_at_zeros, _zero_quotient, bessel_j, bessel_jn_chain
 from .params import OffsetParams, _check_positive
 from .synthesis import _radial_order
 
@@ -98,7 +98,9 @@ def theta_kernel(r, alpha, z, order, params: OffsetParams, omega: float):
     removable-point quotient Q = J_v(omega r / b) / (omega r / b - z), so it
     is smooth through r = alpha, where it is 1 for every mu2.  Scalar or
     array `alpha` and `z` (one sample each); the result has shape
-    alpha.shape + r.shape.
+    alpha.shape + r.shape.  Raises ValueError, naming the abscissa, where
+    z is not a positive zero of J_v (|J_v(z)| > 1e-10), since the formula
+    has no removable point there.
     """
     alpha = np.asarray(alpha, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -107,7 +109,7 @@ def theta_kernel(r, alpha, z, order, params: OffsetParams, omega: float):
     r = np.asarray(r, dtype=float)
     rr = r.ravel()
     out = _theta_matrix(rr, bessel_j(order, omega * rr / params.b), alpha.ravel(), z.ravel(),
-                        params, omega, _table_taylor(order, z.ravel()))
+                        params, omega, _taylor_at_zeros(order, z.ravel()))
     out = out.reshape(alpha.shape + r.shape)
     return float(out) if out.ndim == 0 else out
 
@@ -118,15 +120,6 @@ def _theta_matrix(r, jr, alphas, zeros, params, omega, taylor):
     mu2, al, jnext = params.mu2, alphas[:, None], -taylor[0]
     quotient = _zero_quotient(jr, omega * r / params.b, zeros, taylor)
     return -2.0 * (mu2 + al) * quotient / (jnext[:, None] * (al + r + 2.0 * mu2))
-
-
-def _table_taylor(order, zeros):
-    # the zeros' Taylor coefficients: the zero table's when they are its
-    # leading zeros, as on every grid, so a warm table pays nothing
-    table = ZeroTable.for_order(order, zeros.size)
-    if np.array_equal(table.zeros[: zeros.size], zeros):
-        return table.taylor[:, : zeros.size]
-    return _zero_taylor(float(order), zeros, bessel_j(float(order) + 1.0, zeros))
 
 
 def default_m_sum(params: OffsetParams, omega: float, r_max: float) -> int:
@@ -144,7 +137,7 @@ def _zero_series(coeffs, alphas, zeros, order, jr, params, omega, m_sum, r, mu_r
     Odd side orders cancel in +-m pairs; m_sum = 0 keeps the bare j-sum.
     The chirp factors are applied by the callers.
     """
-    theta_mat = _theta_matrix(r, jr, alphas, zeros, params, omega, _table_taylor(order, zeros))
+    theta_mat = _theta_matrix(r, jr, alphas, zeros, params, omega, _taylor_at_zeros(order, zeros))
     if m_sum == 0 or not params.has_offsets:
         return coeffs @ theta_mat
     b = params.b

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .bessel import ZeroTable, _bessel_j_rows, _zero_quotient, _zero_taylor, bessel_j
+from .bessel import ZeroTable, _bessel_j_rows, _taylor_at_zeros, _zero_quotient, bessel_j
 from .params import OffsetParams, _check_positive
 
 __all__ = [
@@ -43,28 +43,20 @@ def lommel_kernel(alpha, r, c: float, order):
     each); the result has shape alpha.shape + r.shape.
     """
     alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha <= 0) or c <= 0:
+        raise ValueError("alpha and c must be positive")
     r = np.asarray(r, dtype=float)
     rr = r.ravel()
-    out = _lommel_values(alpha, c, *_lommel_edge(alpha, c, order), rr, bessel_j(order, rr * c))
+    z = alpha.ravel() * c
+    out = _lommel_values(alpha, c, z, _taylor_at_zeros(order, z), rr, bessel_j(order, rr * c))
     out = out.reshape(alpha.shape + r.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def _lommel_edge(alpha: np.ndarray, c: float, order):
-    """The zeros z = alpha*c of J_v, checked, and their Taylor coefficients."""
-    if np.any(alpha <= 0) or c <= 0:
-        raise ValueError("alpha and c must be positive")
-    z = alpha.ravel() * c
-    at_z, jnext = _bessel_j_rows((order, float(order) + 1.0), z)
-    edge = np.abs(at_z)
-    if np.any(edge > 1e-10):
-        raise ValueError(f"alpha*c = {z[np.argmax(edge)]!r} is not a zero of the order-{order} function")
-    return z, _zero_taylor(float(order), z, jnext)
-
-
 def _lommel_values(alpha: np.ndarray, c: float, z, taylor, r: np.ndarray, jr: np.ndarray) -> np.ndarray:
     """lommel_kernel's values, shape (alpha.size, r.size), on the 1-d r from
-    the _lommel_edge values of `alpha` and jr = J_v(r c)."""
+    the zeros z = alpha c, their _taylor_at_zeros coefficients and
+    jr = J_v(r c)."""
     al, jnext = alpha.ravel()[:, None], -taylor[0]
     return -c * c * al * jnext[:, None] * _zero_quotient(jr, r * c, z, taylor) / (al + r)
 
@@ -229,7 +221,7 @@ def synthesize(spectrum: FourierBesselSpectrum, params: OffsetParams) -> Synthes
     lommel_kernel(alpha_wj, r, omega/b, w), the closed-form inverse of the
     boxed spectrum, so membership in the bandlimited class is exact.  The
     profiles of one radial order and coefficient count share their Lommel
-    rows: the zeros are checked and J_{w+1} taken there once, when built.
+    rows, which take the zeros and their Taylor data from the zero table.
     """
     b = params.b
     c = spectrum.omega / b
@@ -241,9 +233,9 @@ def synthesize(spectrum: FourierBesselSpectrum, params: OffsetParams) -> Synthes
             continue
         w = spectrum.radial_order(n)
         if (w, eps.size) not in bases:
-            alphas = b * ZeroTable.for_order(w, eps.size).zeros[: eps.size] / spectrum.omega
-            bases[w, eps.size] = _Basis(w, c, partial(_lommel_values, alphas, c,
-                                                      *_lommel_edge(alphas, c, w)))
+            z = ZeroTable.for_order(w, eps.size).zeros[: eps.size]
+            bases[w, eps.size] = _Basis(w, c, partial(_lommel_values, b * z / spectrum.omega, c,
+                                                      z, _taylor_at_zeros(w, z)))
         profiles[n] = _Profile(bases[w, eps.size], eps, params)
     return SynthesizedField(profiles, spectrum.omega, spectrum.k_max,
                             provenance=f"fb-spectrum order_map={spectrum.order_map}",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polar_olct import OffsetParams, bessel, sampling, synthesis, synthesize, random_spectrum
+from polar_olct import OffsetParams, bessel, synthesize, random_spectrum
 
 
 @pytest.fixture(scope="session")
@@ -97,6 +97,5 @@ def zero_taylor_calls(monkeypatch):
         calls.append(v)
         return taylor(v, z, jnext)
 
-    for module in (bessel, sampling, synthesis):
-        monkeypatch.setattr(module, "_zero_taylor", counted)
+    monkeypatch.setattr(bessel, "_zero_taylor", counted)
     return calls

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from polar_olct import (
-    BesselOrder,
     OffsetParams,
     SampleGrid,
     ZeroTable,
@@ -301,7 +300,16 @@ def test_half_integer_closed_forms():
 
 
 def test_chain_consistent_with_scalar_evaluation():
-    x = np.array([1e-30, 1e-3, 0.05, 0.7, 3.3, 40.0, 300.0])
+    # up to order 8 the chain's rows are bessel_j's to the bit in all three
+    # regimes: the series (x <= 1e-3), the recurrence and, from x = 25, the
+    # asymptotic form
+    x = np.array([1e-30, 1e-3, 0.05, 0.7, 3.3, 24.9, 25.0, 40.0, 300.0, 1000.0])
+    for m_max in (0, 1, 2, 5, 8):
+        chain = bessel_jn_chain(x, m_max)
+        assert chain.shape == (m_max + 1, x.size)
+        for m in range(m_max + 1):
+            assert np.array_equal(chain[m], bessel_j(m, x)), (m_max, m)
+    assert np.array_equal(bessel_jn_chain(3.3, 4), [bessel_j(m, 3.3) for m in range(5)])
     chain = bessel_jn_chain(x, 12)
     for m in range(13):
         assert np.max(np.abs(chain[m] - bessel_j(m, x))) < 1e-13
@@ -323,6 +331,8 @@ def test_domain_errors():
                 fn(bad)
         with pytest.raises(ValueError, match="x >= 0"):
             fn(-1.0)
+    with pytest.raises(ValueError, match="m_max must be >= 0"):
+        bessel_jn_chain(np.array([1.0]), -1)
     assert bessel_zeros(0, 0).size == 0
     with pytest.raises(ValueError):
         ZeroTable.for_order(-0.75, 3)
@@ -330,14 +340,13 @@ def test_domain_errors():
     for bad in (-1, -3):
         with pytest.raises(ValueError, match="zero count"):
             ZeroTable.for_order(0, bad)
-    with pytest.raises(ValueError):
-        BesselOrder(-1.0)
-
-
-def test_order_type():
-    assert BesselOrder(2.0).is_integer
-    assert not BesselOrder(0.5).is_integer
-    assert float(BesselOrder(1.5)) == 1.5
+    with pytest.raises(ValueError, match="order must be finite and >= -0.5"):
+        ZeroTable(-1.0, np.array([2.0]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="order must be finite"):
+            bessel_j(bad, 1.0)
+        with pytest.raises(ValueError, match="order must be finite"):
+            bessel_zeros(bad, 3)
 
 
 def test_zero_table_cached_and_immutable():
@@ -345,7 +354,7 @@ def test_zero_table_cached_and_immutable():
     t2 = ZeroTable.for_order(2, 5)
     assert t2.zeros.size >= 5
     with pytest.raises(ValueError):
-        ZeroTable(BesselOrder(0), np.array([2.0, 1.0]))
+        ZeroTable(0.0, np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
         t1.zeros[0] = 0.0
     assert t1.jnext is t1.jnext

@@ -1,6 +1,7 @@
 """Zero-grid sampling and the reconstruction series."""
 
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,24 @@ def test_theta_kernel_array_samples(offset_params):
     bad[1, 2] *= 1.1
     with pytest.raises(ValueError):
         theta_kernel(r, bad, z, order, offset_params, omega)
+
+
+def test_theta_kernel_rejects_an_abscissa_that_is_not_a_zero(rot):
+    # J_0(2) = 0.22: the formula has a pole at r = 2, about +-3.9e5 at
+    # r = 2 -+ 1e-6, so there is no removable value to return
+    r = np.array([2.0 - 1e-6, 2.0, 2.0 + 1e-6])
+    with pytest.raises(ValueError, match=r"^2\.0 is not a zero of the order-0 "):
+        theta_kernel(r, 2.0, 2.0, 0, rot, 1.0)
+
+
+def test_reconstruction_rejects_grid_zeros_that_are_not_zeros(rot):
+    # a hand-built grid whose third abscissa is off the zero of J_0
+    z = ZeroTable.for_order(0, 4).zeros[:4].copy()
+    z[2] += 0.01
+    grid = SampleGrid("theorem2", rot, np.pi, 1, {0: z})
+    samples = sample_field(lambda r, t: np.ones(np.broadcast(r, t).shape), grid)
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(float(z[2])))} is not a zero"):
+        reconstruct_field(samples, "theorem2", rot, 0, np.array([0.5, 1.0]), 0.0)
 
 
 def test_default_m_sum(rot, offset_params):

@@ -138,6 +138,19 @@ def test_profiles_equal_lommel_kernel_sums(lct):
         assert np.array_equal(f.coefficient(n)(r), expected), n
 
 
+def test_warm_synthesize_takes_no_bessel_pass(lct, bessel_core_calls):
+    # the bases take their zeros and the Taylor data there from the zero
+    # tables, so once those are warm a synthesis runs no Bessel code; at
+    # b = 2, omega = pi some of b z / omega * omega / b round off the zero
+    spec = random_spectrum(np.pi, 3, 4, seed=21)
+    r = np.linspace(0.0, 6.0, 13)
+    cold = synthesize(spec, lct)
+    bessel_core_calls.clear()
+    warm = synthesize(spec, lct)
+    assert bessel_core_calls == []
+    assert np.array_equal(warm.evaluate(r, 0.3), cold.evaluate(r, 0.3))
+
+
 def test_single_term_against_inverse_hankel_quadrature(rot, scipy_hankel):
     # profile equals the inverse transform of the boxed spectrum J_0(z_1 u),
     # u < 1; oracle: scipy quad_vec with scipy.special.jv on both factors
