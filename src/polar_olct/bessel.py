@@ -424,14 +424,18 @@ _ZERO_CACHE: dict = {}
 
 
 def _taylor_at_zeros(order, z: np.ndarray) -> np.ndarray:
-    """_zero_taylor's coefficients at the 1-d zeros z of J_order: the zero
-    table's when z are its leading zeros, as on every grid and synthesized
-    basis, so a warm table costs no Bessel pass.  Other z are checked,
-    |J_v(z)| <= 1e-10 at z > 0, with J_v and J_{v+1} from one pass."""
+    """_zero_taylor's coefficients at the 1-d zeros z of J_order: the cached
+    zero table's where it holds every z, as on every grid and synthesized
+    basis, at no Bessel pass.  Other z are checked, |J_v(z)| <= 1e-10 at
+    z > 0, with J_v and J_{v+1} from one pass, and no table is built."""
     v = _as_order(order)
-    table = ZeroTable.for_order(v, z.size)
-    if np.array_equal(table.zeros[: z.size], z):
-        return table.taylor[:, : z.size]
+    table = _ZERO_CACHE.get(round(v, 12))
+    if table is not None and np.array_equal(table.zeros[: z.size], z):
+        return table.taylor[:, : z.size]  # leading zeros, as on every grid: a view
+    if table is not None:
+        at = np.minimum(np.searchsorted(table.zeros, z), table.zeros.size - 1)
+        if np.array_equal(table.zeros[at], z):
+            return table.taylor[:, at]
     bad = z <= 0
     if not bad.any():
         at_z, jnext = _bessel_j_rows((v, v + 1.0), z)

@@ -11,8 +11,11 @@ more than 1e-11 of the largest output are split (a refinement that does
 not converge raises QuadratureAccuracyError).  The azimuthal direction is a
 uniform trapezoid rule on an even number of nodes, evaluated as a circular
 convolution: the kernel's spectrum is real and even up to a fixed phase, so
-each output radius costs one real FFT, and its exponentials are taken on a
-quarter turn and factored over each panel.  Everything but field
+each output radius costs one real FFT of the kernel's own length: its
+Fourier coefficients (-i)^m J_m(t), t = rho r_max / |b|, are below 1e-18
+from m = 1.25 t + 33, so it takes the least 5-smooth multiple of 4 azimuths
+at or above twice that, or the whole rule where that is not fewer.  Its
+exponentials are taken on a quarter turn and factored over each panel.  Everything but field
 evaluation runs on every usable CPU, one thread per contiguous block of
 panels (the calling thread takes the first): the input phases, the azimuth
 FFT and its fold, then the per-radius loop.  The field is evaluated on the
@@ -155,6 +158,16 @@ def _per_panel(x: np.ndarray) -> np.ndarray:
 def radial_rule(r_max: float, n_nodes: int):
     """Composite Gauss-Legendre nodes/weights on [0, r_max]."""
     return _panel_nodes(*_initial_panels(r_max, _check_count("n_nodes", n_nodes)))
+
+
+def _kernel_length(t: float, n: int) -> int:
+    """Azimuths for the kernel e^{-i t cos psi}: the least multiple of 4 with
+    no prime factor above 5 that is at least 2 ceil(1.25 t + 33), from where
+    its Fourier coefficients (-i)^m J_m(t) are below 1e-18; n if not less."""
+    k = math.ceil(math.ceil(1.25 * t + 33.0) / 2)
+    while 4 * k < n and 30 ** 40 % k:  # k < 2^40 divides 30^40 if 5-smooth
+        k += 1
+    return min(4 * k, n)
 
 
 def _azimuth_node_count(bundle: KernelParams, r_max: float, rho_max: float) -> int:
@@ -333,8 +346,11 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     t = (rho/b) r cos psi on the difference angle psi = theta - phi.  t
     changes sign at psi + pi, so the kernel's DFT is i^{m mod 2} G[m] with
     G = rfft(cos t - sin t) real and even; i^{m mod 2} is folded into the
-    field's spectrum once per batch.  As cos(pi - psi) = -cos psi, t is only
-    evaluated on psi in [0, pi/2], and there per panel as
+    field's spectrum once per batch.  G is taken on _kernel_length's n_k
+    azimuths (t up to rho r_ext / |b|, r_ext the panels' reach) and scaled
+    by n/n_k; its columns past n_k/2, below 1e-18, are left out, and `spec`
+    keeps the columns the longest kernel reaches.  As cos(pi - psi) =
+    -cos psi, t is only evaluated on psi in [0, pi/2], and there per panel as
     e^{-i (rho/b) mid cos psi} e^{-i (rho/b) half x cos psi} for the nodes
     mid + half x: one exponential row per panel and 16 per distinct
     half-width in a block of panels, of which each depth of the rule has
@@ -353,13 +369,18 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     th = -np.pi + 2.0 * np.pi * np.arange(n) / n
     wth = 2.0 * np.pi / n
     h = n // 2
-    q = n // 4 + 1
-    # cos psi for psi = 2 pi m / n, m <= n/4; exactly 0 at psi = pi/2
-    cos_psi = np.sin(np.pi * (n - 4 * np.arange(q)) / (2 * n))
+    # kernel lengths from the reach of all panels given, so no row depends on its block
+    r_ext = float(np.max(lo + 2.0 * half, initial=0.0))
+    lengths = [_kernel_length(rho * r_ext / abs(b), n) for rho in rho_nodes]
+    n_top = max(lengths, default=n)
+    cols = n_top // 2 + 1
+    # cos psi for psi = 2 pi m / n_k, m <= n_k/4; exactly 0 at psi = pi/2
+    cos_psi = {nk: np.sin(np.pi * (nk - 4 * np.arange(nk // 4 + 1)) / (2 * nk))
+               for nk in set(lengths)}
     parity = np.where(np.arange(n) % 2, 1j, 1.0)
-    # columns m and n - m, m <= n/2, of the real and of the imaginary plane,
+    # columns m and n - m, m < cols, of the real and of the imaginary plane,
     # as indices into a row of complex values seen as float pairs
-    mirror = np.array([np.arange(h + 1), (n - np.arange(h + 1)) % n])
+    mirror = np.array([np.arange(cols), (n - np.arange(cols)) % n])
     fold = 2 * mirror + np.arange(2)[:, None, None]
     xg = _panel_rule()[0]
 
@@ -367,7 +388,7 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
         r, wr = _panel_nodes(lo, half)
         base = np.empty((r.size, n), dtype=complex)
         base[...] = _field_values(field, r[:, None], th[None, :], "olct_forward")
-        spec = np.empty((lo.size, _NODES_PER_PANEL, 2, 2, h + 1))
+        spec = np.empty((lo.size, _NODES_PER_PANEL, 2, 2, cols))
         # contiguous panel blocks, one per usable CPU; rows are independent,
         # so the result is the same to the bit for any number of blocks
         n_blocks = min(_usable_cpus(), lo.size)
@@ -386,23 +407,30 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
             f *= ((r[rows] * wr[rows])[:, None] * wth)
             np.fft.fft(f, axis=1, out=f)
             f *= parity
-            # G is even: pair each column m <= n/2 with its mirror n - m, and keep
+            # G is even: pair each column m < cols with its mirror n - m, and keep
             # real and imaginary planes, so the products with G are real and
             # unit-stride.  mode="clip" takes into `out` without a temporary
-            np.take(f.view(float), fold, axis=1, out=spec[p].reshape(-1, 2, 2, h + 1), mode="clip")
+            np.take(f.view(float), fold, axis=1, out=spec[p].reshape(-1, 2, 2, cols), mode="clip")
 
         _on_blocks(spectrum, blocks)
         del base
         mid = lo + half
-        out = np.empty((lo.size, rho_nodes.size, n), dtype=complex)
+        out = np.zeros((lo.size, rho_nodes.size, n), dtype=complex)
 
         def radius_loop(block):
-            # panels p at every output radius.  Exponents go into the imaginary
-            # parts of zeroed buffers, so e^{i x} is taken in place.
-            p, offs, which, (arg, e_off, e_mid, e, g, g_hat, res) = block
+            # panels p at every output radius, on the radius's n_k azimuths.
+            # Exponents go into the imaginary parts of zeroed buffers, so
+            # e^{i x} is taken in place.
+            p, offs, which, work = block
+            m, w = p.stop - p.start, offs.shape[0]
             out_p = out[p]
-            for k, rho in enumerate(rho_nodes):
-                np.multiply(-rho / b, cos_psi, out=arg)
+            for k, (rho, nk) in enumerate(zip(rho_nodes, lengths)):
+                hk, q = nk // 2, nk // 4 + 1
+                shapes = ((q,), (w, _NODES_PER_PANEL, q), (m, 1, q), (m, _NODES_PER_PANEL, q),
+                          (m, _NODES_PER_PANEL, nk), (m, _NODES_PER_PANEL, hk + 1), (m, 2, 2, hk + 1))
+                arg, e_off, e_mid, e, g, g_hat, res = (
+                    buf[:math.prod(shape)].reshape(shape) for buf, shape in zip(work, shapes))
+                np.multiply(-rho / b, cos_psi[nk], out=arg)
                 e_off.real = 0.0
                 np.multiply(offs, arg, out=e_off.imag)
                 np.exp(e_off, out=e_off)
@@ -415,27 +443,33 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
                 # even in psi; each written at m and n - m, as a copy within g
                 # would take a temporary
                 np.add(e.real, e.imag, out=g[..., :q])
-                np.add(e.real[..., 1:], e.imag[..., 1:], out=g[..., n - 1:n - q:-1])
-                np.subtract(e.real, e.imag, out=g[..., h:h - q:-1])
-                np.subtract(e.real[..., 1:], e.imag[..., 1:], out=g[..., h + 1:h + q])
+                np.add(e.real[..., 1:], e.imag[..., 1:], out=g[..., nk - 1:nk - q:-1])
+                np.subtract(e.real, e.imag, out=g[..., hk:hk - q:-1])
+                np.subtract(e.real[..., 1:], e.imag[..., 1:], out=g[..., hk + 1:hk + q])
                 np.fft.rfft(g, axis=-1, out=g_hat)
-                np.einsum("pncsm,pnm->pcsm", spec[p], g_hat.real, out=res)
+                np.einsum("pncsm,pnm->pcsm", spec[p, ..., :hk + 1], g_hat.real, out=res)
+                res *= n / nk  # a DFT on n_k azimuths sums n_k samples; exact at n
+                # columns m <= hk from the first plane, n - m (0 < m <= top) from the
+                # second; those between stay zero
+                top = min(hk, h - 1)
                 ring = out_p[:, k]
-                ring.real[:, :h + 1] = res[:, 0, 0]
-                ring.imag[:, :h + 1] = res[:, 1, 0]
-                ring.real[:, h + 1:] = res[:, 0, 1, h - 1:0:-1]
-                ring.imag[:, h + 1:] = res[:, 1, 1, h - 1:0:-1]
+                ring.real[:, :hk + 1] = res[:, 0, 0]
+                ring.imag[:, :hk + 1] = res[:, 1, 0]
+                ring.real[:, n - top:] = res[:, 0, 1, top:0:-1]
+                ring.imag[:, n - top:] = res[:, 1, 1, top:0:-1]
 
         loops = []
         for p in blocks:
             m = p.stop - p.start
             widths, which = np.unique(half[p], return_inverse=True)
             # allocated here: large allocations in worker threads would land
-            # in per-thread malloc arenas and raise peak memory
-            work = (np.empty(q), np.empty((widths.size, _NODES_PER_PANEL, q), dtype=complex),
-                    np.empty((m, 1, q), dtype=complex), np.empty((m, _NODES_PER_PANEL, q), dtype=complex),
-                    np.empty((m, _NODES_PER_PANEL, n)), np.empty((m, _NODES_PER_PANEL, h + 1), dtype=complex),
-                    np.empty((m, 2, 2, h + 1)))
+            # in per-thread malloc arenas and raise peak memory.  Flat, sized
+            # for the longest kernel; each radius views their heads
+            q = n_top // 4 + 1
+            work = (np.empty(q), np.empty(widths.size * _NODES_PER_PANEL * q, dtype=complex),
+                    np.empty(m * q, dtype=complex), np.empty(m * _NODES_PER_PANEL * q, dtype=complex),
+                    np.empty(m * _NODES_PER_PANEL * n_top),
+                    np.empty(m * _NODES_PER_PANEL * cols, dtype=complex), np.empty(m * 4 * cols))
             loops.append((p, widths[:, None, None] * xg[None, :, None], which, work))
         _on_blocks(radius_loop, loops)
         return out
@@ -487,7 +521,9 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     The azimuth rule has `n_azimuth` nodes, by default a power of two set by
     the kernel's oscillation rate; either is rounded up to a multiple of
     lcm(2, grid.n_phi), so the output azimuths are quadrature nodes and the
-    kernel's half-turn symmetry holds on the rule.
+    kernel's half-turn symmetry holds on the rule.  The field is taken on
+    all of them; the kernel at each output radius costs one real FFT of its
+    own length (its Fourier coefficients above 1e-18), at most the rule's.
 
     `field` is called on the calling thread only.  Everything else - input
     phases, azimuth FFT and the loop over output radii - runs on one thread

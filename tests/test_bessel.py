@@ -375,6 +375,32 @@ def test_zero_table_jnext_against_scipy_jv(v):
     assert np.max(np.abs(table.jnext - jv(v + 1.0, table.zeros))) <= 3.2e-14
 
 
+def test_taylor_at_zeros_reads_a_warm_table(bessel_core_calls):
+    # any zeros the cached table holds, a single one past the first
+    # included, take its Taylor columns and no Bessel pass
+    table = ZeroTable.for_order(1, 16)
+    table.taylor
+    bessel_core_calls.clear()
+    for at in ([1], [3, 0, 7]):
+        assert np.array_equal(bessel._taylor_at_zeros(1, table.zeros[at]), table.taylor[:, at])
+    assert bessel_core_calls == []
+
+
+def test_taylor_at_zeros_builds_no_table_for_other_abscissae(bessel_core_calls):
+    # with no table of order 0.37 cached, its second and third zeros and a
+    # non-zero each take one checked pass, and no table is built
+    zeros = bessel_zeros(0.37, 3)[1:]
+    cached = len(bessel._ZERO_CACHE)
+    bessel_core_calls.clear()
+    got = bessel._taylor_at_zeros(0.37, zeros)
+    jnext = _bessel_j_rows((0.37, 1.37), zeros)[1]
+    assert np.array_equal(got, bessel._zero_taylor(0.37, zeros, jnext))
+    with pytest.raises(ValueError, match=r"^2\.7 is not a zero of the order-0\.37 "):
+        bessel._taylor_at_zeros(0.37, np.array([2.7]))
+    assert bessel_core_calls == [(0.37, 1.37)] * 3
+    assert len(bessel._ZERO_CACHE) == cached
+
+
 def test_normalized_zeros():
     # the sampling abscissae b z / omega, as the sampling grids lay them out
     p1 = OffsetParams(0.0, 1.0, -1.0, 0.0)

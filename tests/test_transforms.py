@@ -1,5 +1,6 @@
 """Transform quadratures against independent oracles and round trips."""
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -60,6 +61,19 @@ def test_engine_matches_direct_double_loop(offset_params):
         grid = PolarGrid(rho, n_phi)
         got = olct_forward(field, p, grid, r_max=8.0, n_radial=64, n_azimuth=n_azimuth)
         assert rel_err(got.values, direct_kernel_sum(field, p, grid, 8.0, 64, n_azimuth)) < 1e-13
+    # on 512 and 520 azimuths the kernel at rho = 60 (t up to 240) takes all
+    # of them, and the three smaller radii (t up to 120) their own band
+    rho = np.array([0.3, 2.0, 30.0, 60.0])
+    assert [transforms._kernel_length(x * 8.0 / 2.0, 512) for x in rho] == [72, 96, 384, 512]
+    for p, n_phi, n_azimuth in ((offset_params, 16, 512), (lct_offsets, 8, 512), (lct_offsets, 5, 520)):
+        grid = PolarGrid(rho, n_phi)
+        got = olct_forward(field, p, grid, r_max=8.0, n_radial=64, n_azimuth=n_azimuth).values
+        assert rel_err(got, direct_kernel_sum(field, p, grid, 8.0, 64, n_azimuth)) < 1e-13
+        # a radius whose kernel takes every azimuth runs the full-band path
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transforms, "_kernel_length", lambda t, n: n)
+            full = olct_forward(field, p, grid, r_max=8.0, n_radial=64, n_azimuth=n_azimuth).values
+        assert np.array_equal(got[3], full[3])
     # a chirped Gaussian settles on panels of two widths; the verify_tol
     # re-run halves them all, so one batch mixes widths
     olct_forward(chirped_gaussian(6.0, *CHIRP_COEFFS), lct_offsets,
@@ -425,6 +439,51 @@ CHIRP_GRID = PolarGrid(np.linspace(0.1, 2.0, 10), 16)
 CHIRP_COEFFS = (0.6 - 0.3j, -0.4 + 0.5j)
 
 
+def smooth_5(k):
+    for prime in (2, 3, 5):
+        while k % prime == 0:
+            k //= prime
+    return k == 1
+
+
+def test_kernel_length_covers_the_kernel_band():
+    # the kernel e^{-i t cos psi} has Fourier coefficients (-i)^m J_m(t).
+    # scipy's jv, which shares no code with the library, puts them below
+    # 1e-18 from m = ceil(1.25 t + 33) (from 1.25 t + 32 they reach 1.55e-18
+    # near t = 58); each kernel length is the least
+    # multiple of 4 with no prime factor above 5 that keeps every column
+    # below that, or n when that is not less
+    jv = pytest.importorskip("scipy.special").jv
+    for t in np.linspace(0.0, 2000.0, 1001)[1:]:
+        m0 = math.ceil(1.25 * t + 33.0)
+        assert np.max(np.abs(jv(np.arange(m0, m0 + 17), t))) < 1e-18, t
+        nk = transforms._kernel_length(t, 10 ** 6)
+        assert nk % 4 == 0 and nk >= 2 * m0 and smooth_5(nk // 4)
+        assert not any(smooth_5(k) for k in range(math.ceil(m0 / 2), nk // 4))
+        assert transforms._kernel_length(t, nk) == nk
+        assert transforms._kernel_length(t, nk + 2) == nk
+
+
+@pytest.fixture
+def rfft_lengths(monkeypatch):
+    """The length of the last axis of each numpy rfft call the test makes."""
+    lengths = []
+    rfft = np.fft.rfft
+
+    def counted(a, *args, **kwargs):
+        lengths.append(np.shape(a)[-1])
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    return lengths
+
+
+def test_kernel_takes_each_radius_on_its_own_band(lct, rfft_lengths):
+    # 512 azimuths, t = 40 rho up to 80: no radius needs more than 288
+    olct_forward(chirped_gaussian(10.0, *CHIRP_COEFFS), lct, CHIRP_GRID, r_max=80.0)
+    assert rfft_lengths and max(rfft_lengths) == 288
+
+
 def test_adaptive_resolves_chirped_gaussian(lct):
     # at s = 6, r_max = 60 the coarse tail panels on [45, 60] agree with
     # their halves below 1e-11 while the chirp is unresolved there, so
@@ -566,17 +625,32 @@ def test_failure_in_a_worker_thread_is_raised(offset_params, monkeypatch):
 def test_kernel_allocation_peak(lct, monkeypatch):
     # the batch's spectra are folded in place into one array, and the batch
     # is freed before the per-radius work arrays exist: 47.1 MiB traced on
-    # two blocks, where whole-batch copies of the spectra took 59.1 MiB
+    # two blocks, where whole-batch copies of the spectra took 59.1 MiB.
+    # That peak is field evaluation's.  The radius loop, on each radius's
+    # kernel length and the columns the widest kernel reaches, peaks at
+    # 34.7 MiB, where it took 47.0 MiB on all 512 azimuths
     monkeypatch.setattr(transforms, "_usable_cpus", lambda: 2)
     f = chirped_gaussian(10.0, *CHIRP_COEFFS)
     olct_forward(f, lct, CHIRP_GRID, r_max=80.0)
+    on_blocks, loop_peaks = transforms._on_blocks, []
+
+    def traced(task, blocks):
+        if task.__name__ != "radius_loop":
+            return on_blocks(task, blocks)
+        tracemalloc.reset_peak()
+        on_blocks(task, blocks)
+        loop_peaks.append(tracemalloc.get_traced_memory()[1])
+
     tracemalloc.start()
     try:
         olct_forward(f, lct, CHIRP_GRID, r_max=80.0)
         peak = tracemalloc.get_traced_memory()[1]
+        monkeypatch.setattr(transforms, "_on_blocks", traced)
+        olct_forward(f, lct, CHIRP_GRID, r_max=80.0)
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2 ** 20
+    assert max(loop_peaks) < 37.6 * 2 ** 20
 
 
 def test_radial_only_field_broadcasts(lct, offset_params):
