@@ -23,6 +23,7 @@ from . import sampling as sp
 from . import synthesis as sy
 from . import transforms as tr
 from .bessel import ZeroTable
+from .params import _check_count
 
 
 def _add_common(p):
@@ -57,7 +58,8 @@ def _load(args):
 
 def _cmd_transform(args) -> int:
     params, spectrum, field = _load(args)
-    rho = np.linspace(args.rho_max / args.n_rho, args.rho_max, args.n_rho)
+    n_rho = _check_count("--n-rho", args.n_rho)
+    rho = np.linspace(args.rho_max / n_rho, args.rho_max, n_rho)
     grid = tr.PolarGrid(rho, args.n_phi)
     if args.route == "quadrature":
         result = tr.olct_forward(field, params, grid, r_max=args.r_max)

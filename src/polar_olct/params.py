@@ -24,6 +24,13 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _check_count(name: str, value) -> int:
+    """`value` as an int; anything but a positive integer raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class KernelParams:
     """Raw kernel bundle; b may have either sign (internal inverse use)."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import ZeroTable, _bessel_j_rows, _taylor_at_zeros, _zero_quotient, bessel_j, bessel_jn_chain
-from .params import OffsetParams, _check_positive
+from .params import OffsetParams, _check_count, _check_positive
 from .synthesis import _radial_order
 
 __all__ = [
@@ -193,6 +193,8 @@ class SampleGrid:
             raise ValueError(f"{self.mode} needs zeros for one order, got {keys}")
         for w, z in self.zeros.items():
             z = np.asarray(z, dtype=float)
+            if z.size == 0:
+                raise ValueError(f"{self.mode} grid holds no zeros for order {w}")
             if np.any(z <= 0) or np.any(np.diff(z) <= 0):
                 raise ValueError(f"zeros for order {w} not positive increasing")
 
@@ -223,14 +225,14 @@ class SampleGrid:
 
     @classmethod
     def theorem1(cls, params, omega, k_max, resolution, zeros_per_order=None):
-        z_count = zeros_per_order or resolution * resolution
+        z_count = _zero_count(resolution, zeros_per_order)
         zeros = {w: ZeroTable.for_order(w, z_count).zeros[:z_count].copy()
                  for w in range(k_max + 1)}
         return cls("theorem1", params, omega, k_max, zeros)
 
     @classmethod
     def theorem2(cls, params, omega, k_max, resolution, order=0, zeros_per_order=None):
-        z_count = zeros_per_order or resolution * resolution
+        z_count = _zero_count(resolution, zeros_per_order)
         zeros = {order: ZeroTable.for_order(order, z_count).zeros[:z_count].copy()}
         return cls("theorem2", params, omega, k_max, zeros)
 
@@ -244,6 +246,12 @@ class SampleGrid:
     def corollary2(cls, params, support_radius, k_max, band_limit, order=0):
         zeros = {order: _zeros_below(order, params.b, support_radius, band_limit)}
         return cls("corollary2", params, support_radius, k_max, zeros)
+
+
+def _zero_count(resolution, zeros_per_order):
+    # zeros per radial order of a theorem grid: N^2 unless given
+    n = _check_count("resolution", resolution)
+    return n * n if zeros_per_order is None else _check_count("zeros_per_order", zeros_per_order)
 
 
 def _zeros_below(order, b, scale, band_limit):

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bessel import _lambda_truncation, bessel_j, bessel_jn_chain
-from .params import KernelParams, OffsetParams, _check_positive
+from .params import KernelParams, OffsetParams, _check_count, _check_positive
 
 __all__ = [
     "PolarGrid",
@@ -99,13 +99,6 @@ def _halve(lo: np.ndarray, half: np.ndarray):
     Halving a half-width is exact, so the panels of one depth share it to the bit."""
     quarter = 0.5 * half
     return np.concatenate([lo, lo + half]), np.concatenate([quarter, quarter])
-
-
-def _check_count(name: str, value) -> int:
-    """`value` as an int; anything but a positive integer raises ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
 
 
 def _initial_panels(r_max: float, n_radial: int | None):
@@ -199,8 +192,7 @@ class PolarGrid:
             if w.shape != rho.shape:
                 raise ValueError("rho_weights must match rho")
             object.__setattr__(self, "rho_weights", w)
-        if self.n_phi < 1:
-            raise ValueError("need at least one azimuth")
+        object.__setattr__(self, "n_phi", _check_count("n_phi", self.n_phi))
 
     @property
     def phi(self) -> np.ndarray:
@@ -251,12 +243,13 @@ def _as_field_callable(field):
 
 def _panel_quadrature(sums, width: int, lo: np.ndarray, half: np.ndarray, *, refine: bool,
                       name: str, measure=lambda x: x, pref=1.0):
-    """pref * measure(sum of the panel sums over the radial rule), and the
-    panels (lo, half) of that rule.
+    """pref * measure(sum of the panel sums over the radial rule).
 
     `sums(lo, half)` maps a run of panels (lo[p], half[p]) to their per-panel
     sums (panel axis first), in batches of at most
-    _CHUNK / (16 * width) panels.  `measure` is a linear map into the output
+    _CHUNK / (16 * width) panels.  The panels given share one half-width
+    and each level of the rule is one depth of exact halvings, so the
+    panels of one call do too.  `measure` is a linear map into the output
     domain (it may work in place) where deviations are taken.  Without
     `refine` the panels given are the rule.  With it they are a coarse
     level: if every one agrees with its two halves to _PANEL_RTOL of the
@@ -279,13 +272,12 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, half: np.ndarray, *, ref
         total = sum(part.sum(axis=0) for part in batches(lo, half))
         if not np.all(np.isfinite(total)):
             raise non_finite
-        return pref * measure(total), (lo, half)
+        return pref * measure(total)
 
     def panel_sums(lo, half):
         parts = list(batches(lo, half))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    kept_lo, kept_half = [], []
     whole = panel_sums(lo, half)
     # depth 0 is the coarse level, taken whole or not at all; the halvings
     # of the rule proper are counted from its halves
@@ -304,7 +296,7 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, half: np.ndarray, *, ref
             raise non_finite
         if depth == 0:
             if dev.max() <= _PANEL_RTOL * scale:
-                return pref * measure(halves.sum(axis=0)), (lo, half)
+                return pref * measure(halves.sum(axis=0))
             # the first level in panel order: the rule then runs, and sums, as
             # it would from 16 uniform panels
             order = np.argsort(lo)
@@ -321,10 +313,8 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, half: np.ndarray, *, ref
             total = accepted
         else:
             total += accepted
-        kept_lo.append(lo[ok])
-        kept_half.append(half[ok])
         if ok.all():
-            return pref * measure(total), (np.concatenate(kept_lo), np.concatenate(kept_half))
+            return pref * measure(total)
         if depth == _MAX_DEPTH:
             refined = pref * measure(total + halves[~ok].sum(axis=0))
             raise QuadratureAccuracyError(
@@ -337,7 +327,7 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, half: np.ndarray, *, ref
 def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
                        lo: np.ndarray, half: np.ndarray, n_azimuth: int, refine: bool):
     """Transform values on (rho_nodes x uniform azimuth grid of an even
-    n_azimuth), and the panels (lo, half) of the radial rule that produced them.
+    n_azimuth).
 
     The field is multiplied by `bundle.input_phase`, one panel at a time,
     and the sum by ell1/(2 pi |b|) times `bundle.output_phase`; between them
@@ -352,9 +342,9 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     keeps the columns the longest kernel reaches.  As cos(pi - psi) =
     -cos psi, t is only evaluated on psi in [0, pi/2], and there per panel as
     e^{-i (rho/b) mid cos psi} e^{-i (rho/b) half x cos psi} for the nodes
-    mid + half x: one exponential row per panel and 16 per distinct
-    half-width in a block of panels, of which each depth of the rule has
-    one.  A panel's sum [p, k] is the DFT over the quadrature azimuths of
+    mid + half x: one exponential row per panel and 16 rows for all of them,
+    since the panels of one call share their half-width (_panel_quadrature).
+    A panel's sum [p, k] is the DFT over the quadrature azimuths of
     its contribution at rho_nodes[k]; the deviations of the adaptive rule
     are taken after the inverse DFT, so they are bounded over phi.
 
@@ -421,12 +411,12 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
             # panels p at every output radius, on the radius's n_k azimuths.
             # Exponents go into the imaginary parts of zeroed buffers, so
             # e^{i x} is taken in place.
-            p, offs, which, work = block
-            m, w = p.stop - p.start, offs.shape[0]
+            p, work = block
+            m = p.stop - p.start
             out_p = out[p]
             for k, (rho, nk) in enumerate(zip(rho_nodes, lengths)):
                 hk, q = nk // 2, nk // 4 + 1
-                shapes = ((q,), (w, _NODES_PER_PANEL, q), (m, 1, q), (m, _NODES_PER_PANEL, q),
+                shapes = ((q,), (_NODES_PER_PANEL, q), (m, 1, q), (m, _NODES_PER_PANEL, q),
                           (m, _NODES_PER_PANEL, nk), (m, _NODES_PER_PANEL, hk + 1), (m, 2, 2, hk + 1))
                 arg, e_off, e_mid, e, g, g_hat, res = (
                     buf[:math.prod(shape)].reshape(shape) for buf, shape in zip(work, shapes))
@@ -437,8 +427,7 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
                 e_mid.real = 0.0
                 np.multiply(mid[p, None, None], arg, out=e_mid.imag)
                 np.exp(e_mid, out=e_mid)
-                np.take(e_off, which, axis=0, out=e, mode="clip")
-                np.multiply(e_mid, e, out=e)
+                np.multiply(e_mid, e_off, out=e)
                 # cos t - sin t on [0, pi/2], cos t + sin t mirrored onto [pi/2, pi],
                 # even in psi; each written at m and n - m, as a copy within g
                 # would take a temporary
@@ -458,19 +447,20 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
                 ring.real[:, n - top:] = res[:, 0, 1, top:0:-1]
                 ring.imag[:, n - top:] = res[:, 1, 1, top:0:-1]
 
+        # the node offsets half x of every panel in the call
+        offs = half[0] * xg[:, None]
         loops = []
         for p in blocks:
             m = p.stop - p.start
-            widths, which = np.unique(half[p], return_inverse=True)
             # allocated here: large allocations in worker threads would land
             # in per-thread malloc arenas and raise peak memory.  Flat, sized
             # for the longest kernel; each radius views their heads
             q = n_top // 4 + 1
-            work = (np.empty(q), np.empty(widths.size * _NODES_PER_PANEL * q, dtype=complex),
+            work = (np.empty(q), np.empty(_NODES_PER_PANEL * q, dtype=complex),
                     np.empty(m * q, dtype=complex), np.empty(m * _NODES_PER_PANEL * q, dtype=complex),
                     np.empty(m * _NODES_PER_PANEL * n_top),
                     np.empty(m * _NODES_PER_PANEL * cols, dtype=complex), np.empty(m * 4 * cols))
-            loops.append((p, widths[:, None, None] * xg[None, :, None], which, work))
+            loops.append((p, work))
         _on_blocks(radius_loop, loops)
         return out
 
@@ -479,24 +469,9 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
                              measure=lambda x: np.fft.ifft(x, axis=-1, out=x), pref=pref)
 
 
-def _check_refined(value, refined, verify_tol: float, what: str) -> None:
-    """Raise QuadratureAccuracyError above 10 x verify_tol relative."""
-    scale = float(np.max(np.abs(refined))) or 1.0
-    dev = float(np.max(np.abs(value - refined))) / scale
-    if dev > 10.0 * verify_tol:
-        raise QuadratureAccuracyError(
-            f"{what} differs by {dev:.3e} (> 10 x {verify_tol:.1e})", value, refined)
-
-
-def _subsample(values: np.ndarray, n_azimuth: int, n_phi: int) -> np.ndarray:
-    if n_azimuth % n_phi:
-        raise ValueError("output azimuth count must divide the quadrature grid")
-    return values[:, :: n_azimuth // n_phi]
-
-
 def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
                  r_max: float = 40.0, n_radial: int | None = None,
-                 n_azimuth: int | None = None, verify_tol: float | None = None) -> SpectrumField:
+                 n_azimuth: int | None = None) -> SpectrumField:
     """Forward transform of an evaluable field by full-kernel quadrature.
 
     `field` is a callable f(r, theta) accepting broadcast arrays, or an
@@ -513,10 +488,7 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     panel magnitudes where F cancels below 1e-3 of them); a panel
     unresolved after 12 halvings raises QuadratureAccuracyError with the
     estimate.  Other than None, `n_radial` and `n_azimuth` must be positive
-    integers (else ValueError).  With
-    `verify_tol` the quadrature is repeated with every panel split once
-    more and twice the azimuth nodes, raising QuadratureAccuracyError if
-    the two differ by more than 10 x verify_tol relative.
+    integers (else ValueError).
 
     The azimuth rule has `n_azimuth` nodes, by default a power of two set by
     the kernel's oscillation rate; either is rounded up to a multiple of
@@ -538,29 +510,19 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     if n_azimuth is None:
         n_azimuth = _azimuth_node_count(params, r_max, rho_max)
     na = step * math.ceil(_check_count("n_azimuth", n_azimuth) / step)
-    full, panels = _kernel_quadrature(f, params, grid.rho, *_initial_panels(r_max, n_radial),
-                                      na, refine=n_radial is None)
-    values = _subsample(full, na, grid.n_phi)
-    if verify_tol is not None:
-        refined, _ = _kernel_quadrature(f, params, grid.rho, *_halve(*panels), 2 * na,
-                                        refine=False)
-        _check_refined(values, _subsample(refined, 2 * na, grid.n_phi), verify_tol,
-                       "olct_forward: split-panel result")
-    return SpectrumField(values, grid, params)
+    full = _kernel_quadrature(f, params, grid.rho, *_initial_panels(r_max, n_radial),
+                              na, refine=n_radial is None)
+    return SpectrumField(full[:, :: na // grid.n_phi], grid, params)
 
 
-def olct_inverse(spectrum: SpectrumField, params: OffsetParams, r, theta,
-                 *, verify_tol: float | None = None) -> np.ndarray:
+def olct_inverse(spectrum: SpectrumField, params: OffsetParams, r, theta) -> np.ndarray:
     """Evaluate the inverse transform at points (r, theta).
 
     Applies the kernel quadrature with the inverse bundle (d,-b;-c,a) and
     offsets (xi, gamma) over the spectrum's own grid.  Two corrections to
     the bundle-substitution recipe are required for an exact round trip:
-    the normalization uses |b| and the result carries conj(sigma).  With
-    `verify_tol` the sum is repeated on every other azimuth, so the grid's
-    n_phi must be even, raising QuadratureAccuracyError if the two differ by
-    more than 10 x verify_tol relative.  Non-finite r or theta raise
-    ValueError.
+    the normalization uses |b| and the result carries conj(sigma).
+    Non-finite r or theta raise ValueError.
     """
     bundle = params.inverse()
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -571,35 +533,19 @@ def olct_inverse(spectrum: SpectrumField, params: OffsetParams, r, theta,
         raise ValueError("olct_inverse: r and theta must be finite")
 
     grid = spectrum.grid
-    rho = grid.rho
-    phi = grid.phi
-    wrho = grid.rho_weights
+    rho, phi, wrho = grid.rho, grid.phi, grid.rho_weights
     if wrho is None:
         raise ValueError("olct_inverse needs a quadrature grid (rho_weights); "
                          "build the spectrum on spectral_grid(...)")
     if not np.all(np.isfinite(spectrum.values)):
         raise ValueError("olct_inverse: the spectrum has non-finite values")
-    if verify_tol is not None and grid.n_phi % 2:
-        # every other node of an odd uniform grid is not a uniform rule
-        raise ValueError(f"olct_inverse: verify_tol needs an even n_phi, got {grid.n_phi}")
-
-    out = _apply_inverse(spectrum.values, bundle, r, theta, rho, wrho, phi)
-    if verify_tol is not None:
-        # refinement along azimuth: drop every other node and compare
-        coarse = _apply_inverse(spectrum.values[:, ::2], bundle, r, theta,
-                                rho, wrho, phi[::2])
-        _check_refined(coarse, out, verify_tol, "olct_inverse: azimuth-halved result")
-    return np.conj(params.sigma) * out
-
-
-def _apply_inverse(values, bundle, r_out, th_out, rho, wrho, phi):
     b = bundle.b
     wphi = 2.0 * np.pi / phi.size
-    base = values * bundle.input_phase(rho[:, None], phi) * (rho * wrho)[:, None] * wphi
+    base = spectrum.values * bundle.input_phase(rho[:, None], phi) * (rho * wrho)[:, None] * wphi
     norm = bundle.ell1 / (2.0 * np.pi * abs(b))
-    chunk = max(1, int(2e6 // (rho.size * phi.size)) or 1)
-    flat_r = r_out.ravel()
-    flat_t = th_out.ravel()
+    chunk = max(1, int(2e6 // (rho.size * phi.size)))
+    flat_r = r.ravel()
+    flat_t = theta.ravel()
     res = np.empty(flat_r.size, dtype=complex)
     for s in range(0, flat_r.size, chunk):
         rr = flat_r[s:s + chunk]
@@ -608,7 +554,7 @@ def _apply_inverse(values, bundle, r_out, th_out, rho, wrho, phi):
                       * np.cos(phi[None, None, :] - tt[:, None, None]))
         vals = np.einsum("ij,pij->p", base, kern)
         res[s:s + chunk] = norm * bundle.output_phase(rr, tt) * vals
-    return res.reshape(r_out.shape)
+    return np.conj(params.sigma) * res.reshape(r.shape)
 
 
 # --------------------------------------------------------------------------
@@ -616,8 +562,7 @@ def _apply_inverse(values, bundle, r_out, th_out, rho, wrho, phi):
 # --------------------------------------------------------------------------
 
 def _radial_quadrature(integrand, order, b: float, out: np.ndarray, pref, extent: float,
-                       n_radial: int | None, verify_tol: float | None, name: str,
-                       extent_name: str = "r_max") -> np.ndarray:
+                       n_radial: int | None, name: str, extent_name: str = "r_max") -> np.ndarray:
     """pref * sum over the radial rule on [0, extent] of
     integrand(s) J_v(s out / b) s ds: adaptive panels unless `n_radial`."""
     _check_positive(extent_name, extent)
@@ -627,26 +572,20 @@ def _radial_quadrature(integrand, order, b: float, out: np.ndarray, pref, extent
         g = np.asarray(integrand(s), dtype=complex) * s * ws
         return _per_panel(bessel_j(order, s[:, None] * out[None, :] / b) * g[:, None])
 
-    value, panels = _panel_quadrature(sums, out.size, *_initial_panels(extent, n_radial),
-                                      refine=n_radial is None, name=name, pref=pref)
-    if verify_tol is not None:
-        refined, _ = _panel_quadrature(sums, out.size, *_halve(*panels), refine=False,
-                                       name=name, pref=pref)
-        _check_refined(value, refined, verify_tol, f"{name}: split-panel result")
-    return value
+    return _panel_quadrature(sums, out.size, *_initial_panels(extent, n_radial),
+                             refine=n_radial is None, name=name, pref=pref)
 
 
 def olcht_forward(radial, order, params: OffsetParams, rho, *,
-                  r_max: float = 40.0, n_radial: int | None = None,
-                  verify_tol: float | None = None) -> np.ndarray:
+                  r_max: float = 40.0, n_radial: int | None = None) -> np.ndarray:
     """Order-v radial transform of the polar kernel without its offset phases,
 
         i^v ell1/b e^{i d rho^2/2b} int f(r) e^{i a r^2/2b} J_v(r rho/b) r dr,
 
     so it is one term of the angular series only for tau = eta = 0
-    (olct_series carries the offset phases).  The radial rule, `n_radial`,
-    `verify_tol` and the non-finite check are olct_forward's, with max|H|
-    over rho as the scale.
+    (olct_series carries the offset phases).  The radial rule, `n_radial`
+    and the non-finite check are olct_forward's, with max|H| over rho as the
+    scale.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     b = params.b
@@ -655,13 +594,11 @@ def olcht_forward(radial, order, params: OffsetParams, rho, *,
         return np.asarray(radial(r), dtype=complex) * params.input_phase(r)
 
     pref = (1j ** float(order)) * params.ell1 / b * params.output_phase(rho)
-    return _radial_quadrature(integrand, order, b, rho, pref, r_max, n_radial, verify_tol,
-                              "olcht_forward")
+    return _radial_quadrature(integrand, order, b, rho, pref, r_max, n_radial, "olcht_forward")
 
 
 def olcht_inverse(transform, order, params: OffsetParams, r, *,
-                  rho_max: float, n_radial: int | None = None,
-                  verify_tol: float | None = None) -> np.ndarray:
+                  rho_max: float, n_radial: int | None = None) -> np.ndarray:
     """Inverse of olcht_forward.
 
     `transform` is a callable H(rho) evaluable on [0, rho_max].  This is the
@@ -674,7 +611,7 @@ def olcht_inverse(transform, order, params: OffsetParams, r, *,
     pref = (1j ** (-float(order))) * np.conj(params.ell1) / b * np.conj(params.input_phase(r))
     return _radial_quadrature(
         lambda rho: np.asarray(transform(rho), dtype=complex) * np.conj(params.output_phase(rho)),
-        order, b, r, pref, rho_max, n_radial, verify_tol, "olcht_inverse", "rho_max")
+        order, b, r, pref, rho_max, n_radial, "olcht_inverse", "rho_max")
 
 
 # --------------------------------------------------------------------------
@@ -750,9 +687,9 @@ def olct_series(coefficients: dict, params: OffsetParams, grid: PolarGrid, *,
             out[:, :, t] = _per_panel(signed(J_big, n + p) * (fn[n] * signed(side, p))[:, None])
         return out
 
-    integrals, _ = _panel_quadrature(sums, (n_max + M + 1) * rho.size,
-                                     *_initial_panels(r_max, n_radial),
-                                     refine=n_radial is None, name="olct_series")
+    integrals = _panel_quadrature(sums, (n_max + M + 1) * rho.size,
+                                  *_initial_panels(r_max, n_radial),
+                                  refine=n_radial is None, name="olct_series")
     phase = np.array([[((-1j) ** (n + p)) * np.exp(1j * p * params.phi1)] for n, p in terms]) \
         * np.exp(1j * np.array([n + p for n, p in terms])[:, None] * phi[None, :])
     values = integrals @ phase

@@ -155,6 +155,25 @@ def test_reconstruct_rejects_probes_in_one_line(inputs, capsys, probes):
                             f"got {probes!r}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["reconstruct", "--mode", "theorem2", "--zeros", "-2"],
+     "resolution must be a positive integer, got -2"),
+    (["reconstruct", "--mode", "theorem1", "--zeros", "0"],
+     "resolution must be a positive integer, got 0"),
+    (["reconstruct", "--mode", "corollary1", "--support-radius", "0.5"],
+     "corollary1 grid holds no zeros for order 0"),
+    (["transform", "--n-rho", "0"], "--n-rho must be a positive integer, got 0"),
+    (["transform", "--n-phi", "0"], "n_phi must be a positive integer, got 0"),
+])
+def test_empty_grids_rejected_in_one_line(inputs, capsys, argv, message):
+    # each ran to exit 0 on a grid with no samples, or died with a traceback
+    params, spectrum, _ = inputs
+    assert main(argv + ["--params", str(params), "--spectrum", str(spectrum)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"polar-olct: error: {message}\n"
+
+
 @pytest.mark.parametrize("body, line", [("x,1\n0,1,0.5,0\n", 1), ("1.0,1\nx,1,0.5,0\n", 2)])
 def test_synth_names_the_bad_spectrum_line(tmp_path, inputs, capsys, body, line):
     params, _, _ = inputs

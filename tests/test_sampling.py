@@ -292,6 +292,31 @@ def test_grid_validation(rot):
         SampleGrid("bogus", rot, 1.0, 1, {0: np.array([1.0])})
 
 
+@pytest.mark.parametrize("factory, args, kwargs, message", [
+    # resolution 0 held no zeros, and reconstruct_field returned all zeros
+    ("theorem2", (1, 0), {}, "resolution must be a positive integer, got 0"),
+    ("theorem1", (1, 0), {}, "resolution must be a positive integer, got 0"),
+    # -2 was squared into 4 zeros per order
+    ("theorem2", (1, -2), {}, "resolution must be a positive integer, got -2"),
+    # zeros_per_order=0 was read as "not given"
+    ("theorem2", (1, 3), {"zeros_per_order": 0}, "zeros_per_order must be a positive integer"),
+    ("theorem1", (1, 3), {"zeros_per_order": 0}, "zeros_per_order must be a positive integer"),
+])
+def test_theorem_grids_reject_counts_with_no_zeros(rot, factory, args, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        getattr(SampleGrid, factory)(rot, np.pi, *args, **kwargs)
+
+
+def test_grid_rejects_an_order_with_no_zeros(rot):
+    # a support radius of 0.5 leaves no zero below the band limit: the grid
+    # stored 0 samples and reconstructed zeros
+    for mode in ("corollary1", "corollary2"):
+        with pytest.raises(ValueError, match=f"{mode} grid holds no zeros for order 0"):
+            getattr(SampleGrid, mode)(rot, 0.5, 1, 1.0)
+    with pytest.raises(ValueError, match="theorem1 grid holds no zeros for order 1"):
+        SampleGrid("theorem1", rot, 1.0, 1, {0: np.array([1.0]), 1: np.array([])})
+
+
 @pytest.mark.parametrize("mode, k_max, keys", [
     ("theorem1", 1, (0,)),
     ("theorem1", 1, (0, 2)),

@@ -26,7 +26,7 @@ from polar_olct import (
 )
 from polar_olct import KernelParams, bessel, transforms
 from polar_olct.harness import _gaussian_olct, _gaussian_olcht, _per_order_series
-from polar_olct.transforms import _initial_panels, _kernel_quadrature, radial_rule
+from polar_olct.transforms import radial_rule
 
 
 def rel_err(x, truth):
@@ -74,10 +74,6 @@ def test_engine_matches_direct_double_loop(offset_params):
             patch.setattr(transforms, "_kernel_length", lambda t, n: n)
             full = olct_forward(field, p, grid, r_max=8.0, n_radial=64, n_azimuth=n_azimuth).values
         assert np.array_equal(got[3], full[3])
-    # a chirped Gaussian settles on panels of two widths; the verify_tol
-    # re-run halves them all, so one batch mixes widths
-    olct_forward(chirped_gaussian(6.0, *CHIRP_COEFFS), lct_offsets,
-                 PolarGrid(np.linspace(0.1, 2.0, 4), 8), r_max=48.0, verify_tol=1e-10)
 
 
 def test_zero_field_and_linearity(rot, make_field):
@@ -226,30 +222,14 @@ def test_olcht_error_halves_under_node_doubling(lct, make_field):
     assert fine <= 0.5 * coarse
 
 
-def test_accuracy_failure_reported(lct, make_field):
-    f = make_field(lct, seed=13)
-    grid = PolarGrid(np.array([0.4, 0.8]), 8)
-    with pytest.raises(QuadratureAccuracyError) as exc:
-        olct_forward(f, lct, grid, r_max=40.0, n_radial=48, n_azimuth=16, verify_tol=1e-9)
-    assert exc.value.value.shape == exc.value.refined.shape
-    # resolved quadrature passes the same check
-    olct_forward(f, lct, grid, r_max=40.0, verify_tol=1e-4)
-
-
 def test_inverse_verify_needs_even_azimuths(rot, make_field):
-    # the azimuth-halved check is a uniform rule only on an even grid; on an
-    # odd one it reported a 2e-2 difference for a 2e-6 reconstruction
+    # the round trip holds on odd azimuth grids as on even ones
     f = make_field(rot, seed=3)
     rr = np.linspace(0.2, 4.0, 7)
     tt = np.linspace(-2.5, 2.5, 7)
     for n_phi in (64, 63, 65):
         spec = olct_forward(f, rot, spectral_grid(rot, 1.0, n_radial=96, n_phi=n_phi), r_max=60.0)
         assert rel_err(olct_inverse(spec, rot, rr, tt), f.evaluate(rr, tt)) < 1e-5
-        if n_phi % 2:
-            with pytest.raises(ValueError, match="even n_phi"):
-                olct_inverse(spec, rot, rr, tt, verify_tol=1e-6)
-        else:
-            olct_inverse(spec, rot, rr, tt, verify_tol=1e-6)
 
 
 def test_inverse_requires_quadrature_grid(rot, make_field):
@@ -431,6 +411,19 @@ def test_bad_node_counts_rejected(lct):
     assert radial_rule(5.0, np.int64(40))[0].size == 48
 
 
+def test_polar_grid_azimuth_count_checked(lct):
+    # a float count passed the old `n_phi < 1` test, and olct_forward then
+    # raised TypeError from math.lcm
+    rho = np.array([0.5])
+    for bad in (8.0, 0, -4, True):
+        with pytest.raises(ValueError, match="n_phi must be a positive integer"):
+            PolarGrid(rho, bad)
+    grid = PolarGrid(rho, np.int64(8))
+    assert type(grid.n_phi) is int
+    gauss = lambda r, t: np.exp(-np.asarray(r) ** 2) + 0.0 * np.asarray(t)
+    assert olct_forward(gauss, lct, grid, r_max=5.0, n_radial=32).values.shape == (1, 8)
+
+
 def chirped_gaussian(s, c0, c1):
     return lambda r, th: np.exp(-r * r / (2.0 * s * s)) * (c0 + c1 * (r / s) * np.exp(1j * th))
 
@@ -499,24 +492,30 @@ def test_adaptive_resolves_chirped_gaussian(lct):
 def test_adaptive_matches_fine_uniform_rule(lct):
     f = synthesize(random_spectrum(4.0, 2, 3, seed=3), lct)
     grid = PolarGrid(4.0 * np.linspace(0.02, 0.9, 20), 20)
-    # verify_tol re-runs with every accepted panel halved and twice the azimuths
-    auto = olct_forward(f, lct, grid, r_max=60.0, verify_tol=1e-12)
+    auto = olct_forward(f, lct, grid, r_max=60.0)
     uniform = olct_forward(f, lct, grid, r_max=60.0, n_radial=2304)
     assert rel_err(auto.values, uniform.values) < 1e-12
 
 
-def test_adaptive_panels_share_one_width_per_depth(lct):
+def test_adaptive_panels_share_one_width_per_depth(lct, monkeypatch):
     # 37.3 / 16 is no binary fraction; equal-width edges used to give 5-9
-    # half-widths per depth that differed in their last bits
+    # half-widths per depth that differed in their last bits.  The kernel
+    # takes one row of node offsets per call, so each call is one width
     r_max, f = 37.3, chirped_gaussian(6.0, *CHIRP_COEFFS)
-    _, (lo, half) = _kernel_quadrature(f, lct, CHIRP_GRID.rho, *_initial_panels(r_max, None),
-                                       512, refine=True)
-    depth = np.round(np.log2(r_max / 32.0 / half))
-    assert np.unique(depth).size >= 2
-    assert np.array_equal(half, (r_max / 32.0) / 2.0 ** depth)
-    # the panels tile [0, r_max], up to rounding of their edges
-    assert np.max(np.abs(np.sort(lo)[1:] - np.sort(lo + 2.0 * half)[:-1])) <= 1e-14 * r_max
+    widths = []
+    panel_nodes = transforms._panel_nodes
+
+    def spy(lo, half):
+        widths.append(np.unique(half))
+        return panel_nodes(lo, half)
+
+    monkeypatch.setattr(transforms, "_panel_nodes", spy)
     auto = olct_forward(f, lct, CHIRP_GRID, r_max=r_max)
+    monkeypatch.undo()
+    assert all(w.size == 1 for w in widths)
+    depth = np.round(np.log2(r_max / 32.0 / np.concatenate(widths)))
+    assert np.unique(depth).size >= 2
+    assert np.array_equal(np.concatenate(widths), (r_max / 32.0) / 2.0 ** depth)
     uniform = olct_forward(f, lct, CHIRP_GRID, r_max=r_max, n_radial=8192)
     assert rel_err(auto.values, uniform.values) < 1e-12
 
@@ -561,8 +560,7 @@ def test_adaptive_node_budget(lct):
 
 
 def test_panel_blocks_give_identical_results(offset_params, monkeypatch):
-    # s = 4 at r_max = 30 keeps panels of two depths, and verify_tol halves
-    # them again, so blocks hold mixed panel widths; a frequent thread
+    # s = 4 at r_max = 30 keeps panels of two depths; a frequent thread
     # switch interleaves the blocks' numpy calls
     f = chirped_gaussian(4.0, *CHIRP_COEFFS)
     grid = PolarGrid(np.linspace(0.1, 2.0, 7), 12)
@@ -574,8 +572,7 @@ def test_panel_blocks_give_identical_results(offset_params, monkeypatch):
         try:
             for n_blocks in (1, 2, 7):
                 monkeypatch.setattr(transforms, "_usable_cpus", lambda n=n_blocks: n)
-                results[n_blocks] = olct_forward(f, offset_params, grid, r_max=30.0,
-                                                 verify_tol=1e-9).values
+                results[n_blocks] = olct_forward(f, offset_params, grid, r_max=30.0).values
         finally:
             sys.setswitchinterval(interval)
 
@@ -596,8 +593,7 @@ def test_field_is_evaluated_on_the_calling_thread(offset_params, monkeypatch):
         callers.add(threading.get_ident())
         return chirped_gaussian(4.0, *CHIRP_COEFFS)(r, th)
 
-    olct_forward(field, offset_params, PolarGrid(np.linspace(0.1, 2.0, 7), 12), r_max=30.0,
-                 verify_tol=1e-9)
+    olct_forward(field, offset_params, PolarGrid(np.linspace(0.1, 2.0, 7), 12), r_max=30.0)
     assert callers == {threading.get_ident()}
 
 
@@ -720,8 +716,7 @@ def test_closed_forms_share_no_code_with_the_transforms(offset_params, monkeypat
 def test_olcht_adaptive_matches_fine_uniform_rule(lct):
     prof = roundtrip_profile(lct)
     rho = np.linspace(0.0, 1.0, 40)
-    # verify_tol re-runs with every accepted panel halved
-    auto = olcht_forward(prof, 1, lct, rho, r_max=120.0, verify_tol=1e-12)
+    auto = olcht_forward(prof, 1, lct, rho, r_max=120.0)
     uniform = olcht_forward(prof, 1, lct, rho, r_max=120.0, n_radial=9168)
     assert rel_err(auto, uniform) < 1e-12
 

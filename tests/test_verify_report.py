@@ -1,17 +1,21 @@
-"""The `verify` report, pinned: its stdout at two seeds against committed files.
+"""The `verify` report, pinned: its stdout and its CSV at two seeds against
+committed files.
 
 Each run starts a fresh process, so the zero tables start cold as they do
-for a user.  The report must keep its row names, order, pass flags and
+for a user.  The stdout must keep its row names, order, pass flags and
 notes; every printed number >= 1e-13 must be identical at `.3e`, and every
 number below 1e-13 must stay below it (those are rounding-level residuals
-whose last digits follow the order of floating-point operations).
+whose last digits follow the order of floating-point operations).  The
+`--out` CSV of the same run, with 12 digits per value, must be identical
+byte for byte.
 
-A change that moves a row on purpose regenerates the files, from the repo
-root, with
+A change that moves a row on purpose, or any CSV digit, regenerates the
+files, from the repo root, with
 
     for seed in 7 20240801; do
         PYTHONPATH=src python -m polar_olct.cli verify --seed $seed \\
-            > tests/verify_seed$seed.txt
+            --out tests/verify_seed$seed.csv > tests/verify_seed$seed.txt
+        rm tests/verify_seed$seed.csv.*
     done
 
 and lists the moved rows, old and new, in CHANGES.md.
@@ -33,11 +37,13 @@ FLOOR = 1e-13
 _NUMBER = re.compile(r"[-+]?\d\.\d{3}e[-+]\d+")
 
 
-def _verify_stdout(seed):
+def _verify_run(seed, csv):
+    """The stdout of `verify --seed seed --out csv`."""
     src = str(pathlib.Path(polar_olct.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    run = subprocess.run([sys.executable, "-m", "polar_olct.cli", "verify", "--seed", str(seed)],
+    run = subprocess.run([sys.executable, "-m", "polar_olct.cli", "verify", "--seed", str(seed),
+                          "--out", str(csv)],
                          capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     return run.stdout
@@ -61,6 +67,8 @@ def _diff(expected, actual):
 
 
 @pytest.mark.parametrize("seed", [7, 20240801])
-def test_verify_report_is_pinned(seed):
+def test_verify_report_is_pinned(seed, tmp_path):
+    csv = tmp_path / "report.csv"
     expected = (HERE / f"verify_seed{seed}.txt").read_text()
-    assert _diff(expected, _verify_stdout(seed)) == []
+    assert _diff(expected, _verify_run(seed, csv)) == []
+    assert csv.read_bytes() == (HERE / f"verify_seed{seed}.csv").read_bytes()
