@@ -7,8 +7,9 @@
     polar-olct sweep       --config c.txt --out report.csv
     polar-olct verify      [--config c.txt] [--out report.csv]
 
-Exit status 0 means every asserted check passed; input the library rejects
-gives one error line on stderr and exit status 2.
+Exit status 0 means every asserted check passed; input the library rejects,
+and a count or extent option that is not positive, give one error line on
+stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,29 @@ from . import sampling as sp
 from . import synthesis as sy
 from . import transforms as tr
 from .bessel import ZeroTable
-from .params import _check_count
+from .params import _check_count, _check_positive
+
+
+class _RefusedOption(Exception):
+    # not a ValueError: argparse reports those from a type= as "invalid
+    # value" and drops their message, while this one reaches main
+    pass
+
+
+def _checked(option: str, convert, check):
+    """An argparse type= for `option`: convert(text), which `check(option,
+    value)` must accept (_check_count or _check_positive); text that does
+    not convert is argparse's own error."""
+    def parse(text):
+        value = convert(text)
+        try:
+            check(option, value)
+        except ValueError as exc:
+            raise _RefusedOption(exc) from None
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def _add_common(p):
@@ -58,8 +81,7 @@ def _load(args):
 
 def _cmd_transform(args) -> int:
     params, spectrum, field = _load(args)
-    n_rho = _check_count("--n-rho", args.n_rho)
-    rho = np.linspace(args.rho_max / n_rho, args.rho_max, n_rho)
+    rho = np.linspace(args.rho_max / args.n_rho, args.rho_max, args.n_rho)
     grid = tr.PolarGrid(rho, args.n_phi)
     if args.route == "quadrature":
         result = tr.olct_forward(field, params, grid, r_max=args.r_max)
@@ -199,7 +221,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("zeros", help="positive zeros of the order-v Bessel function")
     p.add_argument("--order", type=float, default=0.0)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_checked("--count", int, _check_count), default=10)
     p.add_argument("--format", choices=("csv", "plain"), default="csv")
     _add_common(p)
     p.set_defaults(fn=_cmd_zeros)
@@ -207,10 +229,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("transform", help="forward transform of a synthesized field")
     p.add_argument("--params", required=True)
     p.add_argument("--spectrum", required=True)
-    p.add_argument("--rho-max", type=float, default=1.05)
-    p.add_argument("--n-rho", type=int, default=16)
-    p.add_argument("--n-phi", type=int, default=16)
-    p.add_argument("--r-max", type=float, default=40.0)
+    p.add_argument("--rho-max", type=_checked("--rho-max", float, _check_positive), default=1.05)
+    p.add_argument("--n-rho", type=_checked("--n-rho", int, _check_count), default=16)
+    p.add_argument("--n-phi", type=_checked("--n-phi", int, _check_count), default=16)
+    p.add_argument("--r-max", type=_checked("--r-max", float, _check_positive), default=40.0)
     p.add_argument("--route", choices=("quadrature", "order_n"), default="quadrature")
     _add_common(p)
     p.set_defaults(fn=_cmd_transform)
@@ -218,9 +240,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("synth", help="materialize a synthesized field to CSV")
     p.add_argument("--params", required=True)
     p.add_argument("--spectrum", required=True)
-    p.add_argument("--r-max", type=float, default=10.0)
-    p.add_argument("--n-r", type=int, default=64)
-    p.add_argument("--n-theta", type=int, default=32)
+    p.add_argument("--r-max", type=_checked("--r-max", float, _check_positive), default=10.0)
+    p.add_argument("--n-r", type=_checked("--n-r", int, _check_count), default=64)
+    p.add_argument("--n-theta", type=_checked("--n-theta", int, _check_count), default=32)
     _add_common(p)
     p.set_defaults(fn=_cmd_synth)
 
@@ -234,7 +256,8 @@ def main(argv=None) -> int:
     p.add_argument("--msum", type=int, default=-1, help="side-order truncation; -1 = auto")
     p.add_argument("--order", type=int, default=0, help="fixed order for theorem2/corollary2")
     p.add_argument("--probes", default="20x20")
-    p.add_argument("--support-radius", type=float, default=400.0)
+    p.add_argument("--support-radius", type=_checked("--support-radius", float, _check_positive),
+                   default=400.0)
     p.add_argument("--prefactor", choices=("unit", "alternating"), default="unit")
     p.add_argument("--inner-chirp", choices=("spectral", "spatial"), default="spectral")
     _add_common(p)
@@ -254,10 +277,10 @@ def main(argv=None) -> int:
             p.add_argument("--out", default=None)
             p.set_defaults(fn=_cmd_verify)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, _RefusedOption) as exc:
         # input the library rejects is a usage error, reported as argparse does
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2

@@ -135,20 +135,23 @@ class PolarField:
         _check_finite("evaluate", r, theta)
         shape = np.broadcast(r, theta).shape
         # profiles on the unique radii of r and phases on theta, each as
-        # passed, so a tensor grid costs one profile call per radius; the
-        # memo holds each shared radial basis and chirp, taken once, and the
-        # bases take their Bessel values from one pass per scale
+        # passed, so a tensor grid costs one profile call per radius
         uniq, inv = np.unique(r.ravel(), return_inverse=True)
-        memo = _basis_values({p.basis for p in self.coefficients.values()
-                              if isinstance(p, _Profile)}, uniq)
         out = np.zeros(shape, dtype=complex)
-        for n in sorted(self.coefficients):
-            p = self.coefficients[n]
-            prof = p.at(uniq, memo) if isinstance(p, _Profile) else np.asarray(p(uniq), dtype=complex)
+        for n, prof in self._profiles(uniq).items():
             out += prof[inv].reshape(r.shape) * np.exp(1j * n * theta)
         return complex(out[()]) if shape == () else out
 
     __call__ = evaluate
+
+    def _profiles(self, r) -> dict:
+        # f_n on the 1-d radii r, n ascending.  The memo holds each shared
+        # radial basis and chirp, taken once, and the bases take their
+        # Bessel values from one pass per scale
+        memo = _basis_values({p.basis for p in self.coefficients.values()
+                              if isinstance(p, _Profile)}, r)
+        return {n: p.at(r, memo) if isinstance(p, _Profile) else np.asarray(p(r), dtype=complex)
+                for n, p in sorted(self.coefficients.items())}
 
 
 @dataclass(frozen=True)

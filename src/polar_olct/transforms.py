@@ -13,15 +13,20 @@ uniform trapezoid rule on an even number of nodes, evaluated as a circular
 convolution: the kernel's spectrum is real and even up to a fixed phase, so
 each output radius costs one real FFT of the kernel's own length: its
 Fourier coefficients (-i)^m J_m(t), t = rho r_max / |b|, are below 1e-18
-from m = 1.25 t + 33, so it takes the least 5-smooth multiple of 4 azimuths
-at or above twice that, or the whole rule where that is not fewer.  Its
-exponentials are taken on a quarter turn and factored over each panel.  Everything but field
-evaluation runs on every usable CPU, one thread per contiguous block of
-panels (the calling thread takes the first): the input phases, the azimuth
-FFT and its fold, then the per-radius loop.  The field is evaluated on the
-calling thread, and the result is identical to the bit for any number of
-blocks.  This is the trapezoid sum up to rounding, checked against a
-point-by-point double sum.
+from M = ceil(1.25 t + 33), so it takes the least 5-smooth multiple of 4
+azimuths at or above M + min(M, B) (2M without a band B), or the whole rule
+where that is not fewer.  Its exponentials are taken on a quarter turn and
+factored over each panel.  A PolarField evaluated by PolarField.evaluate,
+under a bundle without a spatial offset (mu1 = 0) and on more than 2B
+azimuths, B = max |n| of its orders, gives its azimuth spectrum from its
+angular profiles f_n(r), its only 2B + 1 nonzero columns: no azimuth
+sampling, no FFT of field values.  Any other field is evaluated on every
+azimuth and transformed.  The field or its profiles are taken on the
+calling thread; everything else runs on every usable CPU, one thread per
+contiguous block of panels (the calling thread takes the first): the input
+phases, the azimuth FFT and its fold, then the per-radius loop.  The result
+is identical to the bit for any number of blocks.  This is the trapezoid
+sum up to rounding, checked against a point-by-point double sum.
 The Hankel-type radial transforms and the angular series are algebraic
 rearrangements of the same integral; they are checked against it and
 against closed forms that share no code with this module.
@@ -39,6 +44,7 @@ import numpy as np
 
 from .bessel import _lambda_truncation, bessel_j, bessel_jn_chain
 from .params import KernelParams, OffsetParams, _check_count, _check_positive
+from .synthesis import PolarField
 
 __all__ = [
     "PolarGrid",
@@ -153,14 +159,30 @@ def radial_rule(r_max: float, n_nodes: int):
     return _panel_nodes(*_initial_panels(r_max, _check_count("n_nodes", n_nodes)))
 
 
-def _kernel_length(t: float, n: int) -> int:
+def _kernel_length(t: float, n: int, band: int | None = None) -> int:
     """Azimuths for the kernel e^{-i t cos psi}: the least multiple of 4 with
-    no prime factor above 5 that is at least 2 ceil(1.25 t + 33), from where
-    its Fourier coefficients (-i)^m J_m(t) are below 1e-18; n if not less."""
-    k = math.ceil(math.ceil(1.25 * t + 33.0) / 2)
+    no prime factor above 5 that is at least M + min(M, band), n if not
+    less.  From M = ceil(1.25 t + 33) its Fourier coefficients (-i)^m J_m(t)
+    are below 1e-18, so the columns m <= band that are used see no alias
+    above that (no band: every column up to the length's half)."""
+    m = math.ceil(1.25 * t + 33.0)
+    k = math.ceil((m + (m if band is None else min(m, band))) / 4)
     while 4 * k < n and 30 ** 40 % k:  # k < 2^40 divides 30^40 if 5-smooth
         k += 1
     return min(4 * k, n)
+
+
+def _profile_band(field, bundle: KernelParams, n: int) -> int | None:
+    """B = max |n| over a PolarField's angular orders, when its azimuth
+    spectrum on the n-node rule can be read from its profiles: the field
+    is evaluated by PolarField.evaluate, the input phase is radial
+    (mu1 = 0) and 2B < n, so that no two orders share a bin; else None."""
+    if not (isinstance(field, PolarField) and bundle.mu1 == 0.0
+            and type(field).evaluate is PolarField.evaluate
+            and type(field).__call__ is PolarField.evaluate):
+        return None
+    band = max((abs(k) for k in field.coefficients), default=0)
+    return band if 2 * band < n else None
 
 
 def _azimuth_node_count(bundle: KernelParams, r_max: float, rho_max: float) -> int:
@@ -241,6 +263,10 @@ def _as_field_callable(field):
     return field.evaluate
 
 
+def _non_finite(name: str) -> ValueError:
+    return ValueError(f"{name}: the integrand has non-finite values")
+
+
 def _panel_quadrature(sums, width: int, lo: np.ndarray, half: np.ndarray, *, refine: bool,
                       name: str, measure=lambda x: x, pref=1.0):
     """pref * measure(sum of the panel sums over the radial rule).
@@ -262,7 +288,7 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, half: np.ndarray, *, ref
     QuadratureAccuracyError).  Non-finite sums raise ValueError.
     """
     per_batch = max(1, int(_CHUNK // (_NODES_PER_PANEL * width)))
-    non_finite = ValueError(f"{name}: the integrand has non-finite values")
+    non_finite = _non_finite(name)
 
     def batches(lo, half):
         for s in range(0, lo.size, per_batch):
@@ -339,7 +365,8 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     field's spectrum once per batch.  G is taken on _kernel_length's n_k
     azimuths (t up to rho r_ext / |b|, r_ext the panels' reach) and scaled
     by n/n_k; its columns past n_k/2, below 1e-18, are left out, and `spec`
-    keeps the columns the longest kernel reaches.  As cos(pi - psi) =
+    keeps the columns the longest kernel reaches, up to the band of a field
+    whose spectrum comes from its profiles (_profile_band).  As cos(pi - psi) =
     -cos psi, t is only evaluated on psi in [0, pi/2], and there per panel as
     e^{-i (rho/b) mid cos psi} e^{-i (rho/b) half x cos psi} for the nodes
     mid + half x: one exponential row per panel and 16 rows for all of them,
@@ -348,22 +375,28 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     its contribution at rho_nodes[k]; the deviations of the adaptive rule
     are taken after the inverse DFT, so they are bounded over phi.
 
-    The calling thread evaluates the field on a batch of panels.  Then one
-    thread per contiguous block of panels takes its rows' spectra in place
-    and folds them into `spec`, and, once the batch is freed, runs the loop
-    over rho_nodes.  The arrays they fill are allocated by the calling
-    thread; a worker allocates nothing larger than one panel's rows.
+    The calling thread evaluates the field on a batch of panels, and then
+    one thread per contiguous block of panels takes its rows' spectra in
+    place and folds them into `spec`; or the calling thread fills `spec`
+    from the field's profiles.  Once the batch is freed, one thread per
+    block runs the loop over rho_nodes.  The arrays they fill are allocated
+    by the calling thread; a worker allocates nothing larger than one
+    panel's rows.
     """
     b = bundle.b
     n = n_azimuth
     th = -np.pi + 2.0 * np.pi * np.arange(n) / n
     wth = 2.0 * np.pi / n
     h = n // 2
+    band = _profile_band(field, bundle, n)
+    evaluate = _as_field_callable(field)
     # kernel lengths from the reach of all panels given, so no row depends on its block
     r_ext = float(np.max(lo + 2.0 * half, initial=0.0))
-    lengths = [_kernel_length(rho * r_ext / abs(b), n) for rho in rho_nodes]
+    lengths = [_kernel_length(rho * r_ext / abs(b), n, band) for rho in rho_nodes]
     n_top = max(lengths, default=n)
-    cols = n_top // 2 + 1
+    # the spectrum's columns: those the longest kernel reaches, and no more
+    # than the field's band
+    cols = min(n_top // 2, h if band is None else band) + 1
     # cos psi for psi = 2 pi m / n_k, m <= n_k/4; exactly 0 at psi = pi/2
     cos_psi = {nk: np.sin(np.pi * (nk - 4 * np.arange(nk // 4 + 1)) / (2 * nk))
                for nk in set(lengths)}
@@ -374,20 +407,15 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     fold = 2 * mirror + np.arange(2)[:, None, None]
     xg = _panel_rule()[0]
 
-    def sums(lo, half):
-        r, wr = _panel_nodes(lo, half)
+    def field_spectrum(r, wr, blocks):
+        # the field on every azimuth of the batch's rows; then, one thread per
+        # block of panels, in place: input phases, weights, azimuth DFT and
+        # parity, folded into spec
         base = np.empty((r.size, n), dtype=complex)
-        base[...] = _field_values(field, r[:, None], th[None, :], "olct_forward")
-        spec = np.empty((lo.size, _NODES_PER_PANEL, 2, 2, cols))
-        # contiguous panel blocks, one per usable CPU; rows are independent,
-        # so the result is the same to the bit for any number of blocks
-        n_blocks = min(_usable_cpus(), lo.size)
-        blocks = [slice(lo.size * i // n_blocks, lo.size * (i + 1) // n_blocks)
-                  for i in range(n_blocks)]
+        base[...] = _field_values(evaluate, r[:, None], th[None, :], "olct_forward")
+        spec = np.empty((r.size, 2, 2, cols))
 
         def spectrum(p):
-            # rows of panels p, in place: input phases, weights, azimuth DFT
-            # and parity, then folded into spec[p]
             rows = slice(_NODES_PER_PANEL * p.start, _NODES_PER_PANEL * p.stop)
             f, rr = base[rows], r[rows, None]
             # the input phase a panel at a time: over every row it would be
@@ -400,10 +428,40 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
             # G is even: pair each column m < cols with its mirror n - m, and keep
             # real and imaginary planes, so the products with G are real and
             # unit-stride.  mode="clip" takes into `out` without a temporary
-            np.take(f.view(float), fold, axis=1, out=spec[p].reshape(-1, 2, 2, cols), mode="clip")
+            np.take(f.view(float), fold, axis=1, out=spec[rows], mode="clip")
 
         _on_blocks(spectrum, blocks)
-        del base
+        return spec
+
+    def profile_spectrum(r, wr):
+        # bin m of the rule's DFT of sum_k f_k(r) e^{ik theta} is
+        # n (-1)^m f_m(r), and bin n - m is n (-1)^m f_{-m}(r), as 2 band < n.
+        # Times the input phase, the weights (n wth = 2 pi) and the parity,
+        # (-1)^m i^{m mod 2} is -i on odd m; in field_spectrum's layout
+        profiles = field._profiles(r)
+        if not all(np.all(np.isfinite(v)) for v in profiles.values()):
+            raise _non_finite("olct_forward")
+        vals = np.zeros((r.size, 2, cols), dtype=complex)
+        for m in range(cols):
+            for side, k in enumerate((m, -m)):
+                if k in profiles:
+                    vals[:, side, m] = profiles[k]
+        vals *= (2.0 * np.pi * bundle.input_phase(r) * r * wr)[:, None, None]
+        vals[..., 1::2] *= -1j
+        spec = np.empty((r.size, 2, 2, cols))
+        spec[:, 0] = vals.real
+        spec[:, 1] = vals.imag
+        return spec
+
+    def sums(lo, half):
+        r, wr = _panel_nodes(lo, half)
+        # contiguous panel blocks, one per usable CPU; rows are independent,
+        # so the result is the same to the bit for any number of blocks
+        n_blocks = min(_usable_cpus(), lo.size)
+        blocks = [slice(lo.size * i // n_blocks, lo.size * (i + 1) // n_blocks)
+                  for i in range(n_blocks)]
+        spec = field_spectrum(r, wr, blocks) if band is None else profile_spectrum(r, wr)
+        spec = spec.reshape(lo.size, _NODES_PER_PANEL, 2, 2, cols)
         mid = lo + half
         out = np.zeros((lo.size, rho_nodes.size, n), dtype=complex)
 
@@ -415,9 +473,11 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
             m = p.stop - p.start
             out_p = out[p]
             for k, (rho, nk) in enumerate(zip(rho_nodes, lengths)):
+                # mk: the last column contracted, hk without a band
                 hk, q = nk // 2, nk // 4 + 1
+                mk = min(hk, cols - 1)
                 shapes = ((q,), (_NODES_PER_PANEL, q), (m, 1, q), (m, _NODES_PER_PANEL, q),
-                          (m, _NODES_PER_PANEL, nk), (m, _NODES_PER_PANEL, hk + 1), (m, 2, 2, hk + 1))
+                          (m, _NODES_PER_PANEL, nk), (m, _NODES_PER_PANEL, hk + 1), (m, 2, 2, mk + 1))
                 arg, e_off, e_mid, e, g, g_hat, res = (
                     buf[:math.prod(shape)].reshape(shape) for buf, shape in zip(work, shapes))
                 np.multiply(-rho / b, cos_psi[nk], out=arg)
@@ -436,14 +496,14 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
                 np.subtract(e.real, e.imag, out=g[..., hk:hk - q:-1])
                 np.subtract(e.real[..., 1:], e.imag[..., 1:], out=g[..., hk + 1:hk + q])
                 np.fft.rfft(g, axis=-1, out=g_hat)
-                np.einsum("pncsm,pnm->pcsm", spec[p, ..., :hk + 1], g_hat.real, out=res)
+                np.einsum("pncsm,pnm->pcsm", spec[p, ..., :mk + 1], g_hat.real[..., :mk + 1], out=res)
                 res *= n / nk  # a DFT on n_k azimuths sums n_k samples; exact at n
-                # columns m <= hk from the first plane, n - m (0 < m <= top) from the
+                # columns m <= mk from the first plane, n - m (0 < m <= top) from the
                 # second; those between stay zero
-                top = min(hk, h - 1)
+                top = min(mk, h - 1)
                 ring = out_p[:, k]
-                ring.real[:, :hk + 1] = res[:, 0, 0]
-                ring.imag[:, :hk + 1] = res[:, 1, 0]
+                ring.real[:, :mk + 1] = res[:, 0, 0]
+                ring.imag[:, :mk + 1] = res[:, 1, 0]
                 ring.real[:, n - top:] = res[:, 0, 1, top:0:-1]
                 ring.imag[:, n - top:] = res[:, 1, 1, top:0:-1]
 
@@ -459,7 +519,8 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
             work = (np.empty(q), np.empty(_NODES_PER_PANEL * q, dtype=complex),
                     np.empty(m * q, dtype=complex), np.empty(m * _NODES_PER_PANEL * q, dtype=complex),
                     np.empty(m * _NODES_PER_PANEL * n_top),
-                    np.empty(m * _NODES_PER_PANEL * cols, dtype=complex), np.empty(m * 4 * cols))
+                    np.empty(m * _NODES_PER_PANEL * (n_top // 2 + 1), dtype=complex),
+                    np.empty(m * 4 * cols))
             loops.append((p, work))
         _on_blocks(radius_loop, loops)
         return out
@@ -494,23 +555,28 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     the kernel's oscillation rate; either is rounded up to a multiple of
     lcm(2, grid.n_phi), so the output azimuths are quadrature nodes and the
     kernel's half-turn symmetry holds on the rule.  The field is taken on
-    all of them; the kernel at each output radius costs one real FFT of its
-    own length (its Fourier coefficients above 1e-18), at most the rule's.
+    all of them, unless it is a PolarField evaluated by PolarField.evaluate,
+    `params` has mu1 = 0 and the rule has more than 2B azimuths, B the
+    largest |n| of its orders: then its azimuth spectrum is read from its
+    angular profiles, to rounding that of `field.evaluate`.  The kernel at
+    each output radius costs one real FFT of its own length, at most the
+    rule's: the least multiple of 4 with no prime factor above 5 at or above
+    M + min(M, B) (2M without B), M = ceil(1.25 rho r_max / |b| + 33), past
+    which its Fourier coefficients are below 1e-18.
 
-    `field` is called on the calling thread only.  Everything else - input
-    phases, azimuth FFT and the loop over output radii - runs on one thread
-    per usable CPU (os.sched_getaffinity), the calling thread included, each
-    over its own block of radial panels; the result is identical to the bit
-    for any CPU count.
+    `field`, or its profiles, are called on the calling thread only.
+    Everything else - input phases, azimuth FFT and the loop over output
+    radii - runs on one thread per usable CPU (os.sched_getaffinity), the
+    calling thread included, each over its own block of radial panels; the
+    result is identical to the bit for any CPU count.
     """
     _check_positive("r_max", r_max)
-    f = _as_field_callable(field)
     rho_max = float(grid.rho.max()) if grid.rho.size else 0.0
     step = math.lcm(2, grid.n_phi)
     if n_azimuth is None:
         n_azimuth = _azimuth_node_count(params, r_max, rho_max)
     na = step * math.ceil(_check_count("n_azimuth", n_azimuth) / step)
-    full = _kernel_quadrature(f, params, grid.rho, *_initial_panels(r_max, n_radial),
+    full = _kernel_quadrature(field, params, grid.rho, *_initial_panels(r_max, n_radial),
                               na, refine=n_radial is None)
     return SpectrumField(full[:, :: na // grid.n_phi], grid, params)
 

@@ -48,11 +48,11 @@ def test_zeros_high_order_against_scipy(tmp_path):
 
 
 def test_zeros_negative_count_rejected(capsys):
-    # a library ValueError is a usage error: one line on stderr, exit 2
+    # a refused option is a usage error: one line on stderr, exit 2
     assert main(["zeros", "--order", "0", "--count", "-3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "polar-olct: error: zero count must be >= 0, got -3\n"
+    assert captured.err == "polar-olct: error: --count must be a positive integer, got -3\n"
 
 
 @pytest.mark.parametrize("line, message", [("draws = 0", "draws must be >= 1, got 0"),
@@ -163,7 +163,7 @@ def test_reconstruct_rejects_probes_in_one_line(inputs, capsys, probes):
     (["reconstruct", "--mode", "corollary1", "--support-radius", "0.5"],
      "corollary1 grid holds no zeros for order 0"),
     (["transform", "--n-rho", "0"], "--n-rho must be a positive integer, got 0"),
-    (["transform", "--n-phi", "0"], "n_phi must be a positive integer, got 0"),
+    (["transform", "--n-phi", "0"], "--n-phi must be a positive integer, got 0"),
 ])
 def test_empty_grids_rejected_in_one_line(inputs, capsys, argv, message):
     # each ran to exit 0 on a grid with no samples, or died with a traceback
@@ -172,6 +172,35 @@ def test_empty_grids_rejected_in_one_line(inputs, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"polar-olct: error: {message}\n"
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("synth", "--n-r", "0", "a positive integer, got 0"),
+    ("synth", "--n-theta", "0", "a positive integer, got 0"),
+    ("synth", "--r-max", "-1", "finite and positive, got -1.0"),
+    ("transform", "--rho-max", "0", "finite and positive, got 0.0"),
+    ("transform", "--rho-max", "-1", "finite and positive, got -1.0"),
+    ("transform", "--r-max", "inf", "finite and positive, got inf"),
+    ("transform", "--n-rho", "-2", "a positive integer, got -2"),
+    ("transform", "--n-phi", "-4", "a positive integer, got -4"),
+    ("reconstruct", "--support-radius", "nan", "finite and positive, got nan"),
+    ("zeros", "--count", "0", "a positive integer, got 0"),
+])
+def test_count_and_extent_options_rejected_in_one_line(tmp_path, inputs, capsys, command,
+                                                       option, value, message):
+    # synth wrote a CSV of only its header for a count of 0, and transform
+    # named no option for a radius extent of 0 or below
+    params, spectrum, _ = inputs
+    out = tmp_path / "out.csv"
+    argv = [command, option, value, "--out", str(out)]
+    if command != "zeros":
+        argv += ["--params", str(params), "--spectrum", str(spectrum)]
+    if command == "reconstruct":
+        argv += ["--mode", "corollary1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"polar-olct: error: {option} must be {message}\n"
 
 
 @pytest.mark.parametrize("body, line", [("x,1\n0,1,0.5,0\n", 1), ("1.0,1\nx,1,0.5,0\n", 2)])

@@ -10,6 +10,7 @@ import pytest
 
 from polar_olct import (
     OffsetParams,
+    PolarField,
     PolarGrid,
     QuadratureAccuracyError,
     SpectrumField,
@@ -23,6 +24,7 @@ from polar_olct import (
     random_spectrum,
     spectral_grid,
     synthesize,
+    synthesize_sonine,
 )
 from polar_olct import KernelParams, bessel, transforms
 from polar_olct.harness import _gaussian_olct, _gaussian_olcht, _per_order_series
@@ -71,7 +73,7 @@ def test_engine_matches_direct_double_loop(offset_params):
         assert rel_err(got, direct_kernel_sum(field, p, grid, 8.0, 64, n_azimuth)) < 1e-13
         # a radius whose kernel takes every azimuth runs the full-band path
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(transforms, "_kernel_length", lambda t, n: n)
+            patch.setattr(transforms, "_kernel_length", lambda t, n, band: n)
             full = olct_forward(field, p, grid, r_max=8.0, n_radial=64, n_azimuth=n_azimuth).values
         assert np.array_equal(got[3], full[3])
 
@@ -439,22 +441,36 @@ def smooth_5(k):
     return k == 1
 
 
+def least_length(target):
+    """The least multiple of 4 with no prime factor above 5 at or above target."""
+    k = math.ceil(target / 4)
+    while not smooth_5(k):
+        k += 1
+    return 4 * k
+
+
 def test_kernel_length_covers_the_kernel_band():
     # the kernel e^{-i t cos psi} has Fourier coefficients (-i)^m J_m(t).
     # scipy's jv, which shares no code with the library, puts them below
-    # 1e-18 from m = ceil(1.25 t + 33) (from 1.25 t + 32 they reach 1.55e-18
-    # near t = 58); each kernel length is the least
-    # multiple of 4 with no prime factor above 5 that keeps every column
-    # below that, or n when that is not less
+    # 1e-18 from M = ceil(1.25 t + 33) (from 1.25 t + 32 they reach 1.55e-18
+    # near t = 58).  A field of band B uses the columns m <= B of a kernel on
+    # n_k azimuths, whose aliases sit at m' >= n_k - B; without a band every
+    # column up to n_k / 2 is used.  Each length is the least multiple of 4
+    # with no prime factor above 5 at or above M + min(M, B), so 2 M without
+    # a band, or n when that is not less
     jv = pytest.importorskip("scipy.special").jv
     for t in np.linspace(0.0, 2000.0, 1001)[1:]:
         m0 = math.ceil(1.25 * t + 33.0)
         assert np.max(np.abs(jv(np.arange(m0, m0 + 17), t))) < 1e-18, t
         nk = transforms._kernel_length(t, 10 ** 6)
-        assert nk % 4 == 0 and nk >= 2 * m0 and smooth_5(nk // 4)
-        assert not any(smooth_5(k) for k in range(math.ceil(m0 / 2), nk // 4))
+        assert nk == least_length(2 * m0) == transforms._kernel_length(t, 10 ** 6, None)
         assert transforms._kernel_length(t, nk) == nk
         assert transforms._kernel_length(t, nk + 2) == nk
+        for band in (0, 2, 5, 40):
+            nk = transforms._kernel_length(t, 10 ** 6, band)
+            assert nk == least_length(m0 + min(m0, band)), (t, band)
+            assert np.max(np.abs(jv(np.arange(nk - band, nk - band + 17), t))) < 1e-18, (t, band)
+            assert transforms._kernel_length(t, nk - 2, band) == nk - 2
 
 
 @pytest.fixture
@@ -647,6 +663,86 @@ def test_kernel_allocation_peak(lct, monkeypatch):
         tracemalloc.stop()
     assert peak < 50 * 2 ** 20
     assert max(loop_peaks) < 37.6 * 2 ** 20
+
+
+class _OwnEvaluate(PolarField):
+    # same values as PolarField.evaluate, but a method of its own
+    def evaluate(self, r, theta):
+        return super().evaluate(r, theta)
+
+
+def test_polar_field_spectrum_from_its_profiles(rot, lct, offset_params, monkeypatch):
+    # a PolarField evaluated by PolarField.evaluate, under a radial input
+    # phase (mu1 = 0) and on more than twice its band B of azimuths, gives
+    # its azimuth spectrum from its profiles: no FFT of field values, and
+    # the transform of its evaluate to rounding.  Elsewhere the field is
+    # evaluated on every azimuth, as any callable is
+    fft, fft_calls = np.fft.fft, []
+
+    def counted(*args, **kwargs):
+        fft_calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    gauss = lambda r: np.exp(-np.asarray(r) ** 2 / 8.0)
+    plain = {0: gauss, 2: lambda r: (0.3 + 0.1j) * r ** 2 * gauss(r),
+             -1: lambda r: -0.5j * r * gauss(r)}
+    rho = np.linspace(0.05, 0.9, 6)
+    kw = dict(r_max=30.0, n_radial=192)
+    eta_only = OffsetParams(1.0, 2.0, -0.25, 0.5, eta=(0.1, -0.2))  # mu1 = 0 < mu2
+    for params in (rot, lct, eta_only):
+        fields = (synthesize(random_spectrum(1.0, 2, 3, seed=11), params),
+                  synthesize_sonine({0: 1.0, 1: 0.4 - 0.2j, -2: 0.3j}, params, 1.0),
+                  PolarField(plain, 1.0, 2))
+        for field in fields:
+            # the default rule, and 6 azimuths: just above 2 B = 4
+            for grid, n_azimuth in ((PolarGrid(rho, 8), None), (PolarGrid(rho, 2), 6)):
+                fft_calls.clear()
+                got = olct_forward(field, params, grid, n_azimuth=n_azimuth, **kw).values
+                assert not fft_calls
+                want = olct_forward(field.evaluate, params, grid, n_azimuth=n_azimuth, **kw).values
+                assert fft_calls
+                assert rel_err(got, want) < 1e-14, (params, field.provenance, n_azimuth)
+    # a spatial offset, an evaluate of its own and 2 B = n take every azimuth
+    for field, params, grid, n_azimuth in (
+            (synthesize(random_spectrum(1.0, 2, 3, seed=11), offset_params), offset_params,
+             PolarGrid(rho, 8), None),
+            (_OwnEvaluate(plain, 1.0, 2), lct, PolarGrid(rho, 8), None),
+            (PolarField(plain, 1.0, 2), lct, PolarGrid(rho, 2), 4)):
+        fft_calls.clear()
+        got = olct_forward(field, params, grid, n_azimuth=n_azimuth, **kw).values
+        assert fft_calls
+        assert np.array_equal(got, olct_forward(field.evaluate, params, grid,
+                                                n_azimuth=n_azimuth, **kw).values)
+    # a non-finite profile raises as a non-finite field does, also where its
+    # order is past every column the kernels reach (40 > n_k / 2 = 36)
+    nan = lambda r: np.full(np.shape(r), np.nan)
+    for coefficients in ({0: nan}, {0: gauss, 40: nan}):
+        field = PolarField(coefficients, 1.0, max(coefficients))
+        for f in (field, field.evaluate):
+            with pytest.raises(ValueError) as err:
+                olct_forward(f, lct, PolarGrid(np.array([0.1]), 4), r_max=5.0)
+            assert str(err.value) == "olct_forward: the integrand has non-finite values"
+
+
+def test_profile_spectrum_allocation_peak(lct, monkeypatch):
+    # a quad_smooth-sized transform (omega = 4, K = 2, 20 x 20 outputs,
+    # r_max = 60, 520 azimuths) of a synthesized field, from its profiles,
+    # allocates no batch of field values on every azimuth: 4.97 MiB traced
+    # on two blocks, where the same field as a plain callable takes 7.68 MiB
+    monkeypatch.setattr(transforms, "_usable_cpus", lambda: 2)
+    field = synthesize(random_spectrum(4.0, 2, 3, seed=109), lct)
+    grid = PolarGrid(4.0 * np.linspace(0.02, 0.9, 20), 20)
+    peaks = []
+    for f in (field, field.evaluate):
+        olct_forward(f, lct, grid, r_max=60.0)
+        tracemalloc.start()
+        try:
+            olct_forward(f, lct, grid, r_max=60.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 0.8 * peaks[1]
 
 
 def test_radial_only_field_broadcasts(lct, offset_params):
