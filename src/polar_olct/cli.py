@@ -8,8 +8,8 @@
     polar-olct verify      [--config c.txt] [--out report.csv]
 
 Exit status 0 means every asserted check passed; input the library rejects,
-and a count or extent option that is not positive, give one error line on
-stderr and exit status 2.
+a file that cannot be opened, and a count or extent option that is not
+positive, give one error line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -130,8 +130,7 @@ def _cmd_reconstruct(args) -> int:
         r = np.linspace(0.05 * r_hi, r_hi, nr)
         theta = np.linspace(-np.pi, np.pi, nt, endpoint=False)
         R, TH = np.meshgrid(r, theta, indexing="ij")
-        recon = sp.reconstruct_field(samples, args.mode, params, m_sum, R, TH,
-                                     prefactor=args.prefactor)
+        recon = sp.reconstruct_field(samples, args.mode, params, m_sum, R, TH)
         truth = field.evaluate(R, TH)
     else:
         grid = (sp.SampleGrid.corollary1(params, args.support_radius, k_max, omega)
@@ -142,9 +141,7 @@ def _cmd_reconstruct(args) -> int:
         rho = np.linspace(0.02 * omega, 0.9 * omega, nr)
         theta = np.linspace(-np.pi, np.pi, nt, endpoint=False)
         TH, R = np.meshgrid(theta, rho)
-        recon = sp.reconstruct_spectrum(samples, args.mode, params, m_sum, R, TH,
-                                        inner_chirp=args.inner_chirp,
-                                        prefactor=args.prefactor)
+        recon = sp.reconstruct_spectrum(samples, args.mode, params, m_sum, R, TH)
         truth = field.spectrum_values(R, TH)
     err = np.abs(recon - truth)
     out = args.out or "report.csv"
@@ -251,15 +248,13 @@ def main(argv=None) -> int:
                    choices=("theorem1", "theorem2", "corollary1", "corollary2"))
     p.add_argument("--params", required=True)
     p.add_argument("--spectrum", required=True)
-    p.add_argument("--zeros", type=int, default=10, metavar="N",
+    p.add_argument("--zeros", type=_checked("--zeros", int, _check_count), default=10, metavar="N",
                    help="grid resolution (N^2 zeros per order)")
     p.add_argument("--msum", type=int, default=-1, help="side-order truncation; -1 = auto")
     p.add_argument("--order", type=int, default=0, help="fixed order for theorem2/corollary2")
     p.add_argument("--probes", default="20x20")
     p.add_argument("--support-radius", type=_checked("--support-radius", float, _check_positive),
                    default=400.0)
-    p.add_argument("--prefactor", choices=("unit", "alternating"), default="unit")
-    p.add_argument("--inner-chirp", choices=("spectral", "spatial"), default="spectral")
     _add_common(p)
     p.set_defaults(fn=_cmd_reconstruct)
 
@@ -280,8 +275,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (ValueError, _RefusedOption) as exc:
-        # input the library rejects is a usage error, reported as argparse does
+    except (ValueError, OSError, _RefusedOption) as exc:
+        # rejected input or an unopenable file is a usage error, as argparse has it
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

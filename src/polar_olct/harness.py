@@ -210,6 +210,23 @@ def _per_order_series(coefficients, params, grid, order_step, r_max):
     return values
 
 
+def _spatial_chirp(samples):
+    """The rejected inner chirp e^{-i a alpha^2/2b} as a sample map: rows
+    times output_phase(alpha) conj(input_phase(alpha)), so the library's
+    spectral dechirp of the mapped samples is the spatial one of these."""
+    grid, p = samples.grid, samples.grid.params
+    rows = lambda a: (p.output_phase(a) * np.conj(p.input_phase(a)))[:, None]
+    return sp.SampleSet(grid, {n: samples.slab(n) * rows(grid.alphas(n)) for n in grid.slab_keys})
+
+
+def _alternating_prefactor(samples):
+    """The rejected prefactor (-1)^v sigma of the printed series as a sample
+    map: slab n times (-1)^v sigma, v the radial order carrying n."""
+    grid = samples.grid
+    return sp.SampleSet(grid, {n: ((-1.0) ** grid.radial_order(n)) * grid.params.sigma
+                               * samples.slab(n) for n in grid.slab_keys})
+
+
 def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
     """Offset-free oracle equivalences plus the sampling-series sweeps."""
     sweep = SweepResult(config.seed)
@@ -408,9 +425,8 @@ def _corollary_rows(sweep, config, params):
                                          order=config.theorem2_order))
         samples = sp.sample_field(fld.spectrum_values, grid)
         errs = {}
-        for variant in ("spectral", "spatial"):
-            rec, dt = sp.timed(sp.reconstruct_spectrum, samples, mode, params, 0,
-                               RH, PH, inner_chirp=variant)
+        for variant, mapped in (("spectral", samples), ("spatial", _spatial_chirp(samples))):
+            rec, dt = sp.timed(sp.reconstruct_spectrum, mapped, mode, params, 0, RH, PH)
             errs[variant] = _rel_err(rec, truth)
             sweep.time(f"{mode}_{variant}", dt)
         sweep.add(f"{mode}_spectral_chirp", errs["spectral"], tol)
@@ -477,9 +493,8 @@ def run_offset_investigation(config: ExperimentConfig) -> SweepResult:
     r_hi = 0.9 * float(grid_t2.alphas(0)[-1])
     R, TH = _probe_mesh(0.05, r_hi, config.probe_grid)
     truth = fld2.evaluate(R, TH)
-    for pref in ("unit", "alternating"):
-        rec, dt = sp.timed(sp.reconstruct_field, samples, "theorem2", params, m_sum,
-                           R, TH, prefactor=pref)
+    for pref, mapped in (("unit", samples), ("alternating", _alternating_prefactor(samples))):
+        rec, dt = sp.timed(sp.reconstruct_field, mapped, "theorem2", params, m_sum, R, TH)
         sweep.add(f"offset_reconstruction_{pref}", _rel_err(rec, truth), None,
                   passed=True, note=f"m_sum={m_sum}, reported")
         sweep.time(f"offset_reconstruction_{pref}", dt)

@@ -24,10 +24,12 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _check_count(name: str, value) -> int:
-    """`value` as an int; anything but a positive integer raises ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def _check_count(name: str, value, least: int = 1) -> int:
+    """`value` as an int; anything but an integer >= least (1 or 0) raises
+    ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)
 
 

@@ -12,9 +12,9 @@ variants run the series on transform samples with the support radius
 playing the role of the band limit and mu1, mu2 swapped in the side-order
 chains.
 
-The alternating prefactor (-1)^v * sigma that the printed series carries is
-kept as an option; the default "unit" prefactor is the one that actually
-reproduces the field (the offset-free reduction fixes it unambiguously).
+One convention runs: the unit prefactor and the spectral inner chirp, which
+the offset-free reduction shows reproduce the field and spectrum.  The printed
+alternating (-1)^v sigma and spatial chirp are sample maps in the harness.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ __all__ = [
     "reconstruct_field",
     "reconstruct_spectrum",
 ]
-
-_PREFACTORS = ("unit", "alternating")
-_INNER_CHIRPS = ("spectral", "spatial")
-
 
 # --------------------------------------------------------------------------
 # azimuthal interpolation
@@ -151,14 +147,6 @@ def _zero_series(coeffs, alphas, zeros, order, jr, params, omega, m_sum, r, mu_r
     return out
 
 
-def _series_prefactor(order, params, prefactor: str) -> complex:
-    if prefactor not in _PREFACTORS:
-        raise ValueError(f"prefactor must be one of {_PREFACTORS}")
-    if prefactor == "unit":
-        return 1.0 + 0.0j
-    return ((-1.0) ** order) * params.sigma
-
-
 # --------------------------------------------------------------------------
 # grids and sample sets
 # --------------------------------------------------------------------------
@@ -184,8 +172,7 @@ class SampleGrid:
         if self.mode not in ("theorem1", "theorem2", "corollary1", "corollary2"):
             raise ValueError(f"unknown grid mode {self.mode!r}")
         _check_positive("omega", self.omega)
-        if self.k_max < 0:
-            raise ValueError(f"k_max must be >= 0, got {self.k_max!r}")
+        _check_count("k_max", self.k_max, 0)
         keys = sorted(self.zeros)
         if self.per_order and keys != list(range(self.k_max + 1)):
             raise ValueError(f"{self.mode} needs zeros for orders 0..{self.k_max}, got {keys}")
@@ -227,7 +214,7 @@ class SampleGrid:
     def theorem1(cls, params, omega, k_max, resolution, zeros_per_order=None):
         z_count = _zero_count(resolution, zeros_per_order)
         zeros = {w: ZeroTable.for_order(w, z_count).zeros[:z_count].copy()
-                 for w in range(k_max + 1)}
+                 for w in range(_check_count("k_max", k_max, 0) + 1)}
         return cls("theorem1", params, omega, k_max, zeros)
 
     @classmethod
@@ -239,7 +226,7 @@ class SampleGrid:
     @classmethod
     def corollary1(cls, params, support_radius, k_max, band_limit):
         zeros = {w: _zeros_below(w, params.b, support_radius, band_limit)
-                 for w in range(k_max + 1)}
+                 for w in range(_check_count("k_max", k_max, 0) + 1)}
         return cls("corollary1", params, support_radius, k_max, zeros)
 
     @classmethod
@@ -315,9 +302,8 @@ def sample_field(source, grid: SampleGrid) -> SampleSet:
 def sample_count(k_max: int, resolution: int, mode: str) -> int:
     """Published sample budgets: ((2K+1)N)^2 for the per-order grid,
     (2K+1)N^2 for the fixed-order grid."""
-    if k_max < 0 or resolution < 1:
-        raise ValueError("need k_max >= 0 and resolution >= 1")
-    az = 2 * k_max + 1
+    az = 2 * _check_count("k_max", k_max, 0) + 1
+    resolution = _check_count("resolution", resolution)
     if mode == "theorem1":
         return (az * resolution) ** 2
     if mode == "theorem2":
@@ -330,7 +316,7 @@ def sample_count(k_max: int, resolution: int, mode: str) -> int:
 # --------------------------------------------------------------------------
 
 def _reconstruct(sample_set: SampleSet, params: OffsetParams, m_sum: int, r, theta,
-                 inner, outer, mu_r: float, mu_om: float, prefactor: str):
+                 inner, outer, mu_r: float, mu_om: float):
     """The zero-grid series shared by the four modes.
 
     Per distinct radial order: the angular DFT coefficients of the samples,
@@ -361,8 +347,7 @@ def _reconstruct(sample_set: SampleSet, params: OffsetParams, m_sum: int, r, the
         coeffs *= inner(alphas)
         series = _zero_series(coeffs, alphas, grid.zeros[w], w, jr, params,
                               grid.omega, m_sum, uniq, mu_r, mu_om)
-        out += _series_prefactor(w, params, prefactor) \
-            * np.sum(series[:, inv] * np.exp(1j * np.outer(ns, tb)), axis=0)
+        out += np.sum(series[:, inv] * np.exp(1j * np.outer(ns, tb)), axis=0)
     res = (out * outer(rb)).reshape(shape)
     return complex(res[()]) if shape == () else res
 
@@ -375,7 +360,7 @@ def _check_mode(grid: SampleGrid, mode: str, allowed: tuple, caller: str):
 
 
 def reconstruct_field(sample_set: SampleSet, mode: str, params: OffsetParams,
-                      m_sum: int, r, theta, *, prefactor: str = "unit") -> np.ndarray:
+                      m_sum: int, r, theta) -> np.ndarray:
     """Field values from grid samples.
 
     theorem1: per-order zeros, azimuthal DFT factor e^{in(theta-theta_l)};
@@ -384,28 +369,24 @@ def reconstruct_field(sample_set: SampleSet, mode: str, params: OffsetParams,
     """
     _check_mode(sample_set.grid, mode, ("theorem1", "theorem2"), "reconstruct_field")
     return _reconstruct(sample_set, params, m_sum, r, theta, params.input_phase,
-                        lambda x: np.conj(params.input_phase(x)), params.mu1, params.mu2, prefactor)
+                        lambda x: np.conj(params.input_phase(x)), params.mu1, params.mu2)
 
 
 def reconstruct_spectrum(sample_set: SampleSet, mode: str, params: OffsetParams,
-                         m_sum: int, rho, phi, *, inner_chirp: str = "spectral",
-                         prefactor: str = "unit") -> np.ndarray:
+                         m_sum: int, rho, phi) -> np.ndarray:
     """Transform values from spectrum samples at normalized zeros.
 
     The support radius stored in the grid acts as the band limit of the
     inverse-domain series, and mu1, mu2 trade places in the side-order
-    chains.  `inner_chirp` selects which printed convention dechirps the
-    samples: "spectral" uses e^{-i d alpha^2 / 2b} (mirror of the outer
-    factor), "spatial" the e^{-i a alpha^2 / 2b} variant; the offset-free
-    oracle identifies the self-consistent one.  Non-finite probe points
-    raise ValueError.
+    chains.  The samples are dechirped by e^{-i d alpha^2 / 2b}, the mirror
+    of the outer factor: the offset-free oracle shows it is the printed
+    inner chirp that reproduces the spectrum, and the e^{-i a alpha^2 / 2b}
+    one does not once a != d.  Non-finite probe points raise ValueError.
     """
     _check_mode(sample_set.grid, mode, ("corollary1", "corollary2"), "reconstruct_spectrum")
-    if inner_chirp not in _INNER_CHIRPS:
-        raise ValueError(f"inner_chirp must be one of {_INNER_CHIRPS}")
-    chirp = params.output_phase if inner_chirp == "spectral" else params.input_phase
-    return _reconstruct(sample_set, params, m_sum, rho, phi, lambda x: np.conj(chirp(x)),
-                        params.output_phase, params.mu2, params.mu1, prefactor)
+    return _reconstruct(sample_set, params, m_sum, rho, phi,
+                        lambda x: np.conj(params.output_phase(x)),
+                        params.output_phase, params.mu2, params.mu1)
 
 
 def timed(fn, *args, **kwargs):

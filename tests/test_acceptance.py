@@ -35,7 +35,12 @@ from polar_olct import (
     synthesize,
     synthesize_sonine,
 )
-from polar_olct.harness import _gaussian_olct, _gaussian_olcht, _per_order_series
+from polar_olct.harness import (
+    _gaussian_olct,
+    _gaussian_olcht,
+    _per_order_series,
+    _spatial_chirp,
+)
 
 ROT = OffsetParams(0.0, 1.0, -1.0, 0.0)
 LCT = OffsetParams(1.0, 2.0, -0.25, 0.5)
@@ -260,9 +265,8 @@ def test_criterion_8_spectrum_reconstruction():
         samples = sample_field(f.spectrum_values, grid)
         oracle = olct_forward(f, LCT, PolarGrid(rho, 20), r_max=240.0).values
         errs1 = {}
-        for variant in ("spectral", "spatial"):
-            rec = reconstruct_spectrum(samples, "corollary1", LCT, 0, RH, PH,
-                                       inner_chirp=variant)
+        for variant, mapped in (("spectral", samples), ("spatial", _spatial_chirp(samples))):
+            rec = reconstruct_spectrum(mapped, "corollary1", LCT, 0, RH, PH)
             errs1[variant] = rel_err(rec, oracle)
         assert [v for v, e in errs1.items() if e <= 1e-5] == ["spectral"], errs1
         print(f"  corollary1 K=2: spectral {errs1['spectral']:.2e}, "
@@ -279,9 +283,8 @@ def test_criterion_8_spectrum_reconstruction():
         phi_line = PH[:, :1]
         oracle0 = olct_forward(f0, LCT, PolarGrid(rho, 1), r_max=240.0).values
         errs2 = {}
-        for variant in ("spectral", "spatial"):
-            rec = reconstruct_spectrum(samples0, "corollary2", LCT, 0,
-                                       rho_line, phi_line, inner_chirp=variant)
+        for variant, mapped in (("spectral", samples0), ("spatial", _spatial_chirp(samples0))):
+            rec = reconstruct_spectrum(mapped, "corollary2", LCT, 0, rho_line, phi_line)
             errs2[variant] = rel_err(rec, oracle0)
         assert [v for v, e in errs2.items() if e <= 1e-5] == ["spectral"], errs2
         print(f"  corollary2 K=0: spectral {errs2['spectral']:.2e}, "

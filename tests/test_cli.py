@@ -157,9 +157,9 @@ def test_reconstruct_rejects_probes_in_one_line(inputs, capsys, probes):
 
 @pytest.mark.parametrize("argv, message", [
     (["reconstruct", "--mode", "theorem2", "--zeros", "-2"],
-     "resolution must be a positive integer, got -2"),
+     "--zeros must be a positive integer, got -2"),
     (["reconstruct", "--mode", "theorem1", "--zeros", "0"],
-     "resolution must be a positive integer, got 0"),
+     "--zeros must be a positive integer, got 0"),
     (["reconstruct", "--mode", "corollary1", "--support-radius", "0.5"],
      "corollary1 grid holds no zeros for order 0"),
     (["transform", "--n-rho", "0"], "--n-rho must be a positive integer, got 0"),
@@ -201,6 +201,25 @@ def test_count_and_extent_options_rejected_in_one_line(tmp_path, inputs, capsys,
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err == f"polar-olct: error: {option} must be {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--mode", "theorem2", "--params", "{missing}", "--spectrum", "{spectrum}"],
+    ["reconstruct", "--mode", "theorem2", "--params", "{params}", "--spectrum", "{missing}"],
+    ["transform", "--params", "{missing}", "--spectrum", "{spectrum}"],
+    ["synth", "--params", "{params}", "--spectrum", "{missing}"],
+    ["verify", "--config", "{missing}"],
+])
+def test_missing_input_file_rejected_in_one_line(tmp_path, inputs, capsys, argv):
+    # each died with a FileNotFoundError traceback and exit status 1
+    params, spectrum, _ = inputs
+    missing = tmp_path / "missing.txt"
+    argv = [a.format(params=params, spectrum=spectrum, missing=missing) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("polar-olct: error: ") and captured.err.count("\n") == 1
+    assert str(missing) in captured.err
 
 
 @pytest.mark.parametrize("body, line", [("x,1\n0,1,0.5,0\n", 1), ("1.0,1\nx,1,0.5,0\n", 2)])

@@ -26,6 +26,7 @@ from polar_olct import (
     synthesize_sonine,
     theta_kernel,
 )
+from polar_olct.harness import _alternating_prefactor, _spatial_chirp
 
 
 def rel_err(x, truth):
@@ -208,6 +209,22 @@ def test_sample_counts_match_budget_formulas(rot):
         sample_count(2, 10, "corollary1")
     with pytest.raises(ValueError):
         sample_count(-1, 10, "theorem1")
+    # counts are integers: sample_count(1, 2.5, "theorem1") returned 56.25
+    for k, n, message in ((1, 2.5, "resolution must be a positive integer, got 2.5"),
+                          (1, 0, "resolution must be a positive integer, got 0"),
+                          (1.5, 3, "k_max must be a non-negative integer, got 1.5"),
+                          (True, 3, "k_max must be a non-negative integer, got True")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_count(k, n, "theorem1")
+
+
+@pytest.mark.parametrize("factory", ["theorem1", "theorem2", "corollary1", "corollary2"])
+@pytest.mark.parametrize("k_max", [1.5, 2.0, -1])
+def test_grid_refuses_a_non_integer_k_max(rot, factory, k_max):
+    # theorem2 accepted 1.5, and reconstruct_field then died with a TypeError
+    with pytest.raises(ValueError, match=re.escape(f"k_max must be a non-negative integer, "
+                                                   f"got {k_max!r}")):
+        getattr(SampleGrid, factory)(rot, np.pi, k_max, 3)
 
 
 def test_sample_field_counts_and_zero_field(rot):
@@ -370,13 +387,13 @@ def _fixed_order_profile(params, omega, order, seed):
     return synthesize(spec, params).coefficient(0)
 
 
-def _reconstruct_order(samples, order, params, omega, r, prefactor="unit"):
+def _reconstruct_order(samples, order, params, omega, r, sample_map=lambda s: s):
     # one OLCHT order from its values at that order's normalized zeros: a
     # K = 0 theorem-2 grid holding the samples as its one-column slab
     samples = np.asarray(samples, dtype=complex)
     grid = SampleGrid.theorem2(params, omega, 0, 1, order=order, zeros_per_order=samples.size)
-    return reconstruct_field(SampleSet(grid, {0: samples[:, None]}), "theorem2", params, 0,
-                             r, 0.0, prefactor=prefactor)
+    return reconstruct_field(sample_map(SampleSet(grid, {0: samples[:, None]})), "theorem2",
+                             params, 0, r, 0.0)
 
 
 def test_reconstruct_isotropic_classical_reduction(rot):
@@ -415,7 +432,7 @@ def test_alternating_prefactor_flips_odd_orders(lct):
     samples = prof(alphas)
     r = np.linspace(0.05, 0.9 * alphas[-1], 120)
     unit = _reconstruct_order(samples, 1, lct, omega, r)
-    alt = _reconstruct_order(samples, 1, lct, omega, r, prefactor="alternating")
+    alt = _reconstruct_order(samples, 1, lct, omega, r, _alternating_prefactor)
     assert rel_err(unit, prof(r)) <= 1e-6
     assert np.max(np.abs(alt + unit)) < 1e-12 * max(np.max(np.abs(unit)), 1e-30)
 
@@ -561,7 +578,7 @@ def test_reconstruct_spectrum_reduction(lct, probe_mesh):
     truth = f.spectrum_values(RH, PH)
     assert rel_err(rec, truth) <= 1e-5
     # the alternate inner chirp is inconsistent once a != d
-    bad = reconstruct_spectrum(samples, "corollary1", lct, 0, RH, PH, inner_chirp="spatial")
+    bad = reconstruct_spectrum(_spatial_chirp(samples), "corollary1", lct, 0, RH, PH)
     assert rel_err(bad, truth) > 1e-3
 
 
@@ -676,16 +693,19 @@ def _check_offset_series(params, k, m_sum, r, theta, rng, jv):
                  + 1j * rng.normal(size=(grid.alphas(n).size, 2 * k + 1))
                  for n in grid.slab_keys}
         samples = SampleSet(grid, slabs)
-        for prefactor in ("unit", "alternating"):
+        # the library runs the unit prefactor and the spectral chirp; the
+        # harness maps give the printed alternatives from the same series
+        for prefactor, pre_map in (("unit", lambda s: s),
+                                   ("alternating", _alternating_prefactor)):
             if mode.startswith("theorem"):
-                cases = [(reconstruct_field(samples, mode, params, m_sum, r, theta,
-                                            prefactor=prefactor),
+                cases = [(reconstruct_field(pre_map(samples), mode, params, m_sum, r, theta),
                           (a, -a, params.mu1, params.mu2))]
             else:
-                cases = [(reconstruct_spectrum(samples, mode, params, m_sum, r, theta,
-                                               inner_chirp=chirp, prefactor=prefactor),
+                cases = [(reconstruct_spectrum(pre_map(chirp_map(samples)), mode, params, m_sum,
+                                               r, theta),
                           (-(d if chirp == "spectral" else a), d, params.mu2, params.mu1))
-                         for chirp in ("spectral", "spatial")]
+                         for chirp, chirp_map in (("spectral", lambda s: s),
+                                                  ("spatial", _spatial_chirp))]
             for rec, (inner, outer, mu_r, mu_om) in cases:
                 ref = _printed_series(samples, params, m_sum, r, theta, prefactor,
                                       inner, outer, mu_r, mu_om, jv)
