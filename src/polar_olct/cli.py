@@ -33,20 +33,25 @@ class _RefusedOption(Exception):
     pass
 
 
-def _checked(option: str, convert, check):
+def _checked(option: str, convert, check, **bounds):
     """An argparse type= for `option`: convert(text), which `check(option,
-    value)` must accept (_check_count or _check_positive); text that does
-    not convert is argparse's own error."""
+    value, **bounds)` must accept (_check_count, _check_positive or
+    _check_msum); text that does not convert is argparse's own error."""
     def parse(text):
         value = convert(text)
         try:
-            check(option, value)
+            check(option, value, **bounds)
         except ValueError as exc:
             raise _RefusedOption(exc) from None
         return value
 
     parse.__name__ = convert.__name__
     return parse
+
+
+def _check_msum(option: str, value: int) -> None:
+    if value < -1:
+        raise ValueError(f"{option} must be -1 (auto) or a non-negative integer, got {value!r}")
 
 
 def _add_common(p):
@@ -115,16 +120,27 @@ def _probe_counts(text: str) -> tuple:
     return int(parts[0]), int(parts[1])
 
 
+def _grid_order(args, spectrum) -> int:
+    # --order, which a fixed-order spectrum sets by default and must match
+    if spectrum.order_map != "fixed":
+        return args.order or 0
+    if args.order not in (None, spectrum.fixed_order):
+        raise ValueError(f"--order {args.order} differs from the spectrum's fixed_order "
+                         f"{spectrum.fixed_order}")
+    return spectrum.fixed_order
+
+
 def _cmd_reconstruct(args) -> int:
     nr, nt = _probe_counts(args.probes)
     params, spectrum, field = _load(args)
     omega = spectrum.omega
     k_max = spectrum.k_max
+    order = _grid_order(args, spectrum)
     m_sum = args.msum if args.msum >= 0 else sp.default_m_sum(params, omega, 10.0)
     if args.mode in ("theorem1", "theorem2"):
         grid = (sp.SampleGrid.theorem1(params, omega, k_max, args.zeros)
                 if args.mode == "theorem1" else
-                sp.SampleGrid.theorem2(params, omega, k_max, args.zeros, order=args.order))
+                sp.SampleGrid.theorem2(params, omega, k_max, args.zeros, order=order))
         samples = sp.sample_field(field, grid)
         r_hi = 0.9 * float(min(grid.alphas(n)[-1] for n in grid.slab_keys))
         r = np.linspace(0.05 * r_hi, r_hi, nr)
@@ -136,7 +152,7 @@ def _cmd_reconstruct(args) -> int:
         grid = (sp.SampleGrid.corollary1(params, args.support_radius, k_max, omega)
                 if args.mode == "corollary1" else
                 sp.SampleGrid.corollary2(params, args.support_radius, k_max, omega,
-                                         order=args.order))
+                                         order=order))
         samples = sp.sample_field(field.spectrum_values, grid)
         rho = np.linspace(0.02 * omega, 0.9 * omega, nr)
         theta = np.linspace(-np.pi, np.pi, nt, endpoint=False)
@@ -250,8 +266,11 @@ def main(argv=None) -> int:
     p.add_argument("--spectrum", required=True)
     p.add_argument("--zeros", type=_checked("--zeros", int, _check_count), default=10, metavar="N",
                    help="grid resolution (N^2 zeros per order)")
-    p.add_argument("--msum", type=int, default=-1, help="side-order truncation; -1 = auto")
-    p.add_argument("--order", type=int, default=0, help="fixed order for theorem2/corollary2")
+    p.add_argument("--msum", type=_checked("--msum", int, _check_msum), default=-1,
+                   help="side-order truncation; -1 = auto")
+    p.add_argument("--order", type=_checked("--order", int, _check_count, least=0), default=None,
+                   help="fixed order for theorem2/corollary2 (default: a fixed-order "
+                        "spectrum's own, else 0)")
     p.add_argument("--probes", default="20x20")
     p.add_argument("--support-radius", type=_checked("--support-radius", float, _check_positive),
                    default=400.0)

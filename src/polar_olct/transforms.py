@@ -10,23 +10,26 @@ those halves start the refinement, and only the panels that disagree by
 more than 1e-11 of the largest output are split (a refinement that does
 not converge raises QuadratureAccuracyError).  The azimuthal direction is a
 uniform trapezoid rule on an even number of nodes, evaluated as a circular
-convolution: the kernel's spectrum is real and even up to a fixed phase, so
-each output radius costs one real FFT of the kernel's own length: its
-Fourier coefficients (-i)^m J_m(t), t = rho r_max / |b|, are below 1e-18
-from M = ceil(1.25 t + 33), so it takes the least 5-smooth multiple of 4
-azimuths at or above M + min(M, B) (2M without a band B), or the whole rule
-where that is not fewer.  Its exponentials are taken on a quarter turn and
-factored over each panel.  A PolarField evaluated by PolarField.evaluate,
-under a bundle without a spatial offset (mu1 = 0) and on more than 2B
-azimuths, B = max |n| of its orders, gives its azimuth spectrum from its
-angular profiles f_n(r), its only 2B + 1 nonzero columns: no azimuth
-sampling, no FFT of field values.  Any other field is evaluated on every
-azimuth and transformed.  The field or its profiles are taken on the
-calling thread; everything else runs on every usable CPU, one thread per
-contiguous block of panels (the calling thread takes the first): the input
-phases, the azimuth FFT and its fold, then the per-radius loop.  The result
-is identical to the bit for any number of blocks.  This is the trapezoid
-sum up to rounding, checked against a point-by-point double sum.
+convolution with the kernel e^{-i t cos psi}, t = rho r_max / |b|, whose
+spectrum is real and even up to a fixed phase.  Its Fourier coefficients
+(-i)^m J_m(t) are below 1e-18 from M = ceil(1.25 t + 33), so each output
+radius takes it on the least 5-smooth multiple of 4 azimuths at or above
+M + min(M, B) (2M without a band B), or on the whole rule where that is
+not fewer.  Its exponentials are taken on a quarter turn and factored over
+each panel.  A PolarField evaluated by PolarField.evaluate, under a bundle
+without a spatial offset (mu1 = 0) and on more than 2B azimuths,
+B = max |n| of its orders, gives its azimuth spectrum from its angular
+profiles f_n(r), its only 2B + 1 nonzero columns: no azimuth sampling, no
+FFT of field values.  Its kernel is needed at the orders m <= B alone, and
+they come from direct sums over the quarter turn, for all output radii in
+a few matrix products: no kernel FFT, all on the calling thread.  Any
+other field is evaluated on every azimuth and transformed, and each output
+radius costs one real FFT of the kernel's length.  That field is taken on
+the calling thread; everything else runs on every usable CPU, one thread
+per contiguous block of panels (the calling thread takes the first): the
+input phases, the azimuth FFT and its fold, then the per-radius loop.  Its
+result is identical to the bit for any number of blocks.  Both are the
+trapezoid sum up to rounding, checked against a point-by-point double sum.
 The Hankel-type radial transforms and the angular series are algebraic
 rearrangements of the same integral; they are checked against it and
 against closed forms that share no code with this module.
@@ -74,6 +77,10 @@ _MAX_DEPTH = 12
 _CANCELLATION = 1e-3
 # elements (rows x azimuths) in one batch of kernel work arrays
 _CHUNK = 8e6
+# multiply-adds in one matrix product (_profile_sums): OpenBLAS runs a gemm
+# of at most 65536 x GEMM_MULTITHREAD_THRESHOLD (4 by default) on the
+# calling thread, and wakes its threads for larger ones
+_GEMM_SIZE = 2 ** 18
 
 
 class QuadratureAccuracyError(RuntimeError):
@@ -355,48 +362,67 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     """Transform values on (rho_nodes x uniform azimuth grid of an even
     n_azimuth).
 
-    The field is multiplied by `bundle.input_phase`, one panel at a time,
-    and the sum by ell1/(2 pi |b|) times `bundle.output_phase`; between them
-    is the plain Fourier kernel.  Its azimuth integral is a circular
-    convolution with e^{-i t},
-    t = (rho/b) r cos psi on the difference angle psi = theta - phi.  t
-    changes sign at psi + pi, so the kernel's DFT is i^{m mod 2} G[m] with
-    G = rfft(cos t - sin t) real and even; i^{m mod 2} is folded into the
-    field's spectrum once per batch.  G is taken on _kernel_length's n_k
-    azimuths (t up to rho r_ext / |b|, r_ext the panels' reach) and scaled
-    by n/n_k; its columns past n_k/2, below 1e-18, are left out, and `spec`
-    keeps the columns the longest kernel reaches, up to the band of a field
-    whose spectrum comes from its profiles (_profile_band).  As cos(pi - psi) =
-    -cos psi, t is only evaluated on psi in [0, pi/2], and there per panel as
+    The field is multiplied by `bundle.input_phase` and the sum by
+    ell1/(2 pi |b|) times `bundle.output_phase`; between them is the plain
+    Fourier kernel.  Its azimuth integral is a circular convolution with
+    e^{-i t}, t = (rho/b) r cos psi on the difference angle
+    psi = theta - phi.  t changes sign at psi + pi, so the kernel's DFT is
+    i^{m mod 2} G[m] with G the DFT of cos t - sin t, real and even;
+    i^{m mod 2} is folded into the field's spectrum.  G is taken on
+    _kernel_length's n_k azimuths (t up to rho r_ext / |b|, r_ext the
+    panels' reach) and scaled by n/n_k; its columns past n_k/2, below
+    1e-18, are left out.  As cos(pi - psi) = -cos psi, t is only evaluated
+    on psi in [0, pi/2], and there per panel as
     e^{-i (rho/b) mid cos psi} e^{-i (rho/b) half x cos psi} for the nodes
     mid + half x: one exponential row per panel and 16 rows for all of them,
     since the panels of one call share their half-width (_panel_quadrature).
-    A panel's sum [p, k] is the DFT over the quadrature azimuths of
-    its contribution at rho_nodes[k]; the deviations of the adaptive rule
-    are taken after the inverse DFT, so they are bounded over phi.
-
-    The calling thread evaluates the field on a batch of panels, and then
-    one thread per contiguous block of panels takes its rows' spectra in
-    place and folds them into `spec`; or the calling thread fills `spec`
-    from the field's profiles.  Once the batch is freed, one thread per
-    block runs the loop over rho_nodes.  The arrays they fill are allocated
-    by the calling thread; a worker allocates nothing larger than one
-    panel's rows.
+    A panel's sum [p, k] is the DFT over the quadrature azimuths of its
+    contribution at rho_nodes[k]; the deviations of the adaptive rule are
+    taken after the inverse DFT, so they are bounded over phi.  A field
+    whose spectrum comes from its profiles (_profile_band) needs G at its
+    orders m <= B alone: direct sums on the calling thread, no kernel FFT
+    (_profile_sums).  Any other field takes a real FFT of G at each radius,
+    on every usable CPU (_field_sums).
     """
     b = bundle.b
     n = n_azimuth
     th = -np.pi + 2.0 * np.pi * np.arange(n) / n
-    wth = 2.0 * np.pi / n
-    h = n // 2
     band = _profile_band(field, bundle, n)
-    evaluate = _as_field_callable(field)
     # kernel lengths from the reach of all panels given, so no row depends on its block
     r_ext = float(np.max(lo + 2.0 * half, initial=0.0))
     lengths = [_kernel_length(rho * r_ext / abs(b), n, band) for rho in rho_nodes]
+    if band is None:
+        sums = _field_sums(field, bundle, rho_nodes, lengths, n, th)
+    else:
+        # the field's band, and no column past the longest kernel's half
+        sums = _profile_sums(field, bundle, rho_nodes, lengths, n,
+                             min(max(lengths, default=n) // 2, band) + 1)
+    pref = bundle.ell1 / (2.0 * np.pi * abs(b)) * bundle.output_phase(rho_nodes[:, None], th)
+    return _panel_quadrature(sums, n_azimuth, lo, half, refine=refine, name="olct_forward",
+                             measure=lambda x: np.fft.ifft(x, axis=-1, out=x), pref=pref)
+
+
+def _field_sums(field, bundle: KernelParams, rho_nodes: np.ndarray, lengths: list,
+                n: int, th: np.ndarray):
+    """_kernel_quadrature's per-panel sums of a field evaluated on every
+    azimuth th of the rule: G = rfft(cos t - sin t) at each output radius.
+
+    The calling thread evaluates the field on a batch of panels, and then
+    one thread per contiguous block of panels (os.sched_getaffinity; the
+    calling thread takes the first) takes its rows' spectra in place and
+    folds them into `spec`.  Once the batch is freed, one thread per block
+    runs the loop over rho_nodes.  The arrays they fill are allocated by
+    the calling thread; a worker allocates nothing larger than one panel's
+    rows.  Rows are independent, so the sums are identical to the bit for
+    any number of blocks.
+    """
+    b = bundle.b
+    wth = 2.0 * np.pi / n
+    h = n // 2
+    evaluate = _as_field_callable(field)
     n_top = max(lengths, default=n)
-    # the spectrum's columns: those the longest kernel reaches, and no more
-    # than the field's band
-    cols = min(n_top // 2, h if band is None else band) + 1
+    # the spectrum's columns: those the longest kernel reaches
+    cols = n_top // 2 + 1
     # cos psi for psi = 2 pi m / n_k, m <= n_k/4; exactly 0 at psi = pi/2
     cos_psi = {nk: np.sin(np.pi * (nk - 4 * np.arange(nk // 4 + 1)) / (2 * nk))
                for nk in set(lengths)}
@@ -433,35 +459,13 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
         _on_blocks(spectrum, blocks)
         return spec
 
-    def profile_spectrum(r, wr):
-        # bin m of the rule's DFT of sum_k f_k(r) e^{ik theta} is
-        # n (-1)^m f_m(r), and bin n - m is n (-1)^m f_{-m}(r), as 2 band < n.
-        # Times the input phase, the weights (n wth = 2 pi) and the parity,
-        # (-1)^m i^{m mod 2} is -i on odd m; in field_spectrum's layout
-        profiles = field._profiles(r)
-        if not all(np.all(np.isfinite(v)) for v in profiles.values()):
-            raise _non_finite("olct_forward")
-        vals = np.zeros((r.size, 2, cols), dtype=complex)
-        for m in range(cols):
-            for side, k in enumerate((m, -m)):
-                if k in profiles:
-                    vals[:, side, m] = profiles[k]
-        vals *= (2.0 * np.pi * bundle.input_phase(r) * r * wr)[:, None, None]
-        vals[..., 1::2] *= -1j
-        spec = np.empty((r.size, 2, 2, cols))
-        spec[:, 0] = vals.real
-        spec[:, 1] = vals.imag
-        return spec
-
     def sums(lo, half):
         r, wr = _panel_nodes(lo, half)
-        # contiguous panel blocks, one per usable CPU; rows are independent,
-        # so the result is the same to the bit for any number of blocks
+        # contiguous panel blocks, one per usable CPU
         n_blocks = min(_usable_cpus(), lo.size)
         blocks = [slice(lo.size * i // n_blocks, lo.size * (i + 1) // n_blocks)
                   for i in range(n_blocks)]
-        spec = field_spectrum(r, wr, blocks) if band is None else profile_spectrum(r, wr)
-        spec = spec.reshape(lo.size, _NODES_PER_PANEL, 2, 2, cols)
+        spec = field_spectrum(r, wr, blocks).reshape(lo.size, _NODES_PER_PANEL, 2, 2, cols)
         mid = lo + half
         out = np.zeros((lo.size, rho_nodes.size, n), dtype=complex)
 
@@ -473,11 +477,9 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
             m = p.stop - p.start
             out_p = out[p]
             for k, (rho, nk) in enumerate(zip(rho_nodes, lengths)):
-                # mk: the last column contracted, hk without a band
                 hk, q = nk // 2, nk // 4 + 1
-                mk = min(hk, cols - 1)
                 shapes = ((q,), (_NODES_PER_PANEL, q), (m, 1, q), (m, _NODES_PER_PANEL, q),
-                          (m, _NODES_PER_PANEL, nk), (m, _NODES_PER_PANEL, hk + 1), (m, 2, 2, mk + 1))
+                          (m, _NODES_PER_PANEL, nk), (m, _NODES_PER_PANEL, hk + 1), (m, 2, 2, hk + 1))
                 arg, e_off, e_mid, e, g, g_hat, res = (
                     buf[:math.prod(shape)].reshape(shape) for buf, shape in zip(work, shapes))
                 np.multiply(-rho / b, cos_psi[nk], out=arg)
@@ -496,14 +498,14 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
                 np.subtract(e.real, e.imag, out=g[..., hk:hk - q:-1])
                 np.subtract(e.real[..., 1:], e.imag[..., 1:], out=g[..., hk + 1:hk + q])
                 np.fft.rfft(g, axis=-1, out=g_hat)
-                np.einsum("pncsm,pnm->pcsm", spec[p, ..., :mk + 1], g_hat.real[..., :mk + 1], out=res)
+                np.einsum("pncsm,pnm->pcsm", spec[p, ..., :hk + 1], g_hat.real, out=res)
                 res *= n / nk  # a DFT on n_k azimuths sums n_k samples; exact at n
-                # columns m <= mk from the first plane, n - m (0 < m <= top) from the
+                # columns m <= hk from the first plane, n - m (0 < m <= top) from the
                 # second; those between stay zero
-                top = min(mk, h - 1)
+                top = min(hk, h - 1)
                 ring = out_p[:, k]
-                ring.real[:, :mk + 1] = res[:, 0, 0]
-                ring.imag[:, :mk + 1] = res[:, 1, 0]
+                ring.real[:, :hk + 1] = res[:, 0, 0]
+                ring.imag[:, :hk + 1] = res[:, 1, 0]
                 ring.real[:, n - top:] = res[:, 0, 1, top:0:-1]
                 ring.imag[:, n - top:] = res[:, 1, 1, top:0:-1]
 
@@ -525,9 +527,116 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
         _on_blocks(radius_loop, loops)
         return out
 
-    pref = bundle.ell1 / (2.0 * np.pi * abs(b)) * bundle.output_phase(rho_nodes[:, None], th)
-    return _panel_quadrature(sums, n_azimuth, lo, half, refine=refine, name="olct_forward",
-                             measure=lambda x: np.fft.ifft(x, axis=-1, out=x), pref=pref)
+    return sums
+
+
+def _quarter_turn(lengths: np.ndarray, cols: int):
+    """cos psi_j and weights W[k, j, m] on the quarter turn psi_j = 2 pi j / n_k
+    of each length n_k = lengths[k], such that
+    Re(sum_j e^{-i t cos psi_j} W[k, j, m]) is the kernel's G[m], m < cols,
+    on n_k azimuths (_kernel_quadrature): i^{m mod 2} times it is
+    n_k (-i)^m J_m(t), up to aliases below 1e-18 (_kernel_length).
+
+    psi -> -psi and psi -> pi - psi fold the n_k azimuths onto the quarter
+    turn 4 j <= n_k, with weight 2 at j = 0 (psi = 0 and pi) and at
+    4 j = n_k (pi/2 and -pi/2, nodes only when 4 divides n_k), 4 elsewhere.
+    Even m take cos t, odd m -sin t = Re(-i e^{-i t}): W = w_j cos(m psi_j)
+    (-i)^{m mod 2}, zero past the quarter turn and for m > n_k/2.  j runs to
+    the longest length's quarter turn; cos psi_j is exactly 0 at pi/2.
+    """
+    nk = np.asarray(lengths)[:, None]
+    j = np.arange(int(nk.max(initial=0)) // 4 + 1)
+    cos_psi = np.sin(np.pi * (nk - 4 * j) / (2 * nk))
+    w = np.where(4 * j > nk, 0.0, np.where((j == 0) | (4 * j == nk), 2.0, 4.0))
+    m = np.arange(cols)
+    nk = nk[..., None]
+    weights = np.where(2 * m > nk, 0.0, w[..., None] * np.cos(2.0 * np.pi * (j[:, None] * m % nk) / nk))
+    return cos_psi, weights * np.where(m % 2, -1j, 1.0)
+
+
+def _profile_sums(field: PolarField, bundle: KernelParams, rho_nodes: np.ndarray,
+                  lengths: list, n: int, cols: int):
+    """_kernel_quadrature's per-panel sums of a PolarField whose azimuth
+    spectrum is read from its angular profiles (_profile_band): columns
+    m < cols and n - m, the rest zero, all on the calling thread.
+
+    Bin m of the rule's DFT of sum_k f_k(r) e^{ik theta} is n (-1)^m f_m(r),
+    and bin n - m is n (-1)^m f_{-m}(r), as 2B < n.  So only the kernel's
+    G[m], m < cols, is needed, and it comes from _quarter_turn's direct
+    sums, not from an FFT.  With e^{-i t} = e_mid e_off factored as in
+    _kernel_quadrature, G at a batch of radii is one real matrix product
+    per radius: the panels' e_mid, as float pairs, against the nodes' e_off
+    times the weights and n / n_k; the sums are one more over the 16 nodes.
+    Radii are taken in batches whose work arrays hold no more floats than
+    one kernel row of the longest length per node, what _field_sums holds
+    for its FFTs (at least one radius each), and the products in runs of
+    panels of at most _GEMM_SIZE multiply-adds, so no BLAS thread is woken.
+    """
+    b = bundle.b
+    xg = _panel_rule()[0]
+
+    def radius_batches(panels):
+        # consecutive radii; a radius takes 2 q floats per panel for e_mid,
+        # 64 q per column for e_off times the weights (complex, then as
+        # floats) and 20 per panel and column for the products
+        budget = _NODES_PER_PANEL * panels * max(lengths)
+        k0 = 0
+        while k0 < len(lengths):
+            k1 = k0 + 1
+            while k1 < len(lengths) and (k1 + 1 - k0) * (
+                    (max(lengths[k0:k1 + 1]) // 4 + 1) * (2 * panels + 64 * cols)
+                    + 20 * panels * cols) <= budget:
+                k1 += 1
+            yield slice(k0, k1)
+            k0 = k1
+
+    def sums(lo, half):
+        r, wr = _panel_nodes(lo, half)
+        profiles = field._profiles(r)
+        if not all(np.all(np.isfinite(v)) for v in profiles.values()):
+            raise _non_finite("olct_forward")
+        # bins m (s = 0) and n - m (s = 1), times the input phase, the
+        # weights (n wth = 2 pi) and the kernel's parity: (-1)^m i^{m mod 2}
+        # is -i on odd m
+        vals = np.zeros((cols, 2, r.size), dtype=complex)
+        for k, v in profiles.items():
+            if abs(k) < cols:
+                vals[abs(k), int(k < 0)] = v
+        vals *= 2.0 * np.pi * bundle.input_phase(r) * r * wr
+        vals[1::2] *= -1j
+        panels = lo.size
+        # as [panel, m, node, (s, real/imag)]
+        spec = np.ascontiguousarray(
+            vals.reshape(cols, 2, panels, _NODES_PER_PANEL).transpose(2, 0, 3, 1)).view(float)
+        mid = lo + half
+        offs = half[0] * xg
+        out = np.zeros((panels, rho_nodes.size, n), dtype=complex)
+        for ks in radius_batches(panels):
+            nk = np.array(lengths[ks])
+            cos_psi, weights = _quarter_turn(nk, cols)
+            weights *= (n / nk)[:, None, None]  # a DFT on n_k azimuths sums n_k samples
+            arg = (-rho_nodes[ks, None] / b) * cos_psi
+            # G = Re(e_mid e_off W): conj(e_mid) as float pairs, its exponent
+            # taken in the imaginary part of a zeroed buffer, against the
+            # real and imaginary parts of e_off W
+            a = np.zeros(arg.shape[:1] + (panels,) + arg.shape[1:], dtype=complex)
+            np.multiply(arg[:, None, :], -mid[:, None], out=a.imag)
+            np.exp(a, out=a)
+            a = a.view(float)
+            x = np.exp(1j * arg[..., None] * offs)[..., None] * weights[:, :, None, :]
+            y = np.stack((x.real, x.imag), axis=2).reshape(arg.shape[0], -1, _NODES_PER_PANEL * cols)
+            g = np.empty(a.shape[:2] + y.shape[2:])
+            step = max(1, _GEMM_SIZE // y[0].size)
+            for p in range(0, panels, step):
+                np.matmul(a[:, p:p + step], y, out=g[:, p:p + step])
+            g = g.reshape(-1, panels, _NODES_PER_PANEL, cols)
+            # each column's sums over the nodes, then columns m and n - m
+            res = np.matmul(g.transpose(1, 3, 0, 2), spec).view(complex)
+            out[:, ks, :cols] = res[..., 0].transpose(0, 2, 1)
+            out[:, ks, n - cols + 1:] = res[:, :0:-1, :, 1].transpose(0, 2, 1)
+        return out
+
+    return sums
 
 
 def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
@@ -558,17 +667,22 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     all of them, unless it is a PolarField evaluated by PolarField.evaluate,
     `params` has mu1 = 0 and the rule has more than 2B azimuths, B the
     largest |n| of its orders: then its azimuth spectrum is read from its
-    angular profiles, to rounding that of `field.evaluate`.  The kernel at
-    each output radius costs one real FFT of its own length, at most the
+    angular profiles, to rounding that of `field.evaluate`.  The kernel is
+    taken at each output radius on its own number of azimuths, at most the
     rule's: the least multiple of 4 with no prime factor above 5 at or above
     M + min(M, B) (2M without B), M = ceil(1.25 rho r_max / |b| + 33), past
     which its Fourier coefficients are below 1e-18.
 
-    `field`, or its profiles, are called on the calling thread only.
-    Everything else - input phases, azimuth FFT and the loop over output
-    radii - runs on one thread per usable CPU (os.sched_getaffinity), the
-    calling thread included, each over its own block of radial panels; the
-    result is identical to the bit for any CPU count.
+    A field read from its profiles needs the kernel only at the orders
+    m <= B: they are direct sums over a quarter turn of azimuths, all output
+    radii in a few matrix products, with no kernel FFT; the profiles and
+    everything else run on the calling thread.  Any other field is called
+    on the calling thread only, and the kernel at each output radius costs
+    one real FFT of its length.  Everything else - input phases, azimuth
+    FFT and the loop over output radii - runs on one thread per usable CPU
+    (os.sched_getaffinity), the calling thread included, each over its own
+    block of radial panels; the result is identical to the bit for any CPU
+    count.
     """
     _check_positive("r_max", r_max)
     rho_max = float(grid.rho.max()) if grid.rho.size else 0.0

@@ -134,6 +134,29 @@ def test_reconstruct_field_mode(tmp_path, inputs, capsys):
     assert np.max(errs) < 1e-6 * max(scale, 1.0)
 
 
+def test_reconstruct_order_follows_a_fixed_order_spectrum(tmp_path, inputs, capsys):
+    # --order 3 on a fixed_order = 0 spectrum printed max_rel_err=3.104e+00
+    # and exited 0.  The default is the spectrum's own order, here 1
+    params, _, _ = inputs
+    spectrum = tmp_path / "spectrum_order1.csv"
+    write_spectrum_csv(spectrum, random_spectrum(1.0, 1, 2, seed=2, order_map="fixed",
+                                                 fixed_order=1))
+    argv = ["reconstruct", "--mode", "theorem2", "--params", str(params),
+            "--spectrum", str(spectrum), "--zeros", "4", "--probes", "5x5",
+            "--out", str(tmp_path / "report.csv")]
+    for order in ([], ["--order", "1"]):
+        assert main(argv + order) == 0
+        err = float(capsys.readouterr().out.split("max_rel_err=")[1])
+        assert err < 1e-6
+    for mode in ("theorem2", "corollary2"):
+        argv[2] = mode
+        assert main(argv + ["--order", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("polar-olct: error: --order 3 differs from the spectrum's "
+                                "fixed_order 1\n")
+
+
 def test_reconstruct_spectrum_mode(tmp_path, inputs):
     params, _, spectrum = inputs
     out = tmp_path / "crep.csv"
@@ -164,6 +187,10 @@ def test_reconstruct_rejects_probes_in_one_line(inputs, capsys, probes):
      "corollary1 grid holds no zeros for order 0"),
     (["transform", "--n-rho", "0"], "--n-rho must be a positive integer, got 0"),
     (["transform", "--n-phi", "0"], "--n-phi must be a positive integer, got 0"),
+    (["reconstruct", "--mode", "theorem1", "--msum", "-5"],
+     "--msum must be -1 (auto) or a non-negative integer, got -5"),
+    (["reconstruct", "--mode", "theorem2", "--order", "-1"],
+     "--order must be a non-negative integer, got -1"),
 ])
 def test_empty_grids_rejected_in_one_line(inputs, capsys, argv, message):
     # each ran to exit 0 on a grid with no samples, or died with a traceback

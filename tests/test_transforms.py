@@ -473,6 +473,27 @@ def test_kernel_length_covers_the_kernel_band():
             assert transforms._kernel_length(t, nk - 2, band) == nk - 2
 
 
+def test_quarter_turn_sums_match_the_kernel_spectrum():
+    # the kernel e^{-i t cos psi} on n_k azimuths has DFT n_k (-i)^m J_m(t)
+    # at m <= B, aliases below 1e-18 (scipy's jv shares no code with the
+    # library).  A field of band B takes those columns from direct sums on
+    # the quarter turn, Re(sum_j e^{-i t cos psi_j} W[j, m]) = G[m] with
+    # i^{m mod 2} G[m] the DFT.  The length one past a multiple of 4 by 2
+    # has no node at pi/2, so only psi = 0 (with pi) weighs 2 there.  Past
+    # n_k / 2 the sums are zero: at B = 150 and t = 40 the alias of m = 130
+    # on 180 azimuths would be J_50(40) = 6.8e-4
+    jv = pytest.importorskip("scipy.special").jv
+    for band in (0, 1, 2, 5, 40, 150):
+        m = np.arange(band + 1)
+        for t in np.linspace(0.0, 1000.0, 201):
+            nk = transforms._kernel_length(t, 10 ** 6, band)
+            for length in (nk, nk + 2):
+                cos_psi, weights = transforms._quarter_turn(np.array([length]), band + 1)
+                g = (np.exp(-1j * t * cos_psi[0]) @ weights[0]).real
+                want = length * (-1j) ** m * jv(m, t)
+                assert np.max(np.abs(1j ** (m % 2) * g - want)) < 1e-13 * length, (band, t, length)
+
+
 @pytest.fixture
 def rfft_lengths(monkeypatch):
     """The length of the last axis of each numpy rfft call the test makes."""
@@ -671,10 +692,12 @@ class _OwnEvaluate(PolarField):
         return super().evaluate(r, theta)
 
 
-def test_polar_field_spectrum_from_its_profiles(rot, lct, offset_params, monkeypatch):
+def test_polar_field_spectrum_from_its_profiles(rot, lct, offset_params, monkeypatch,
+                                                rfft_lengths):
     # a PolarField evaluated by PolarField.evaluate, under a radial input
     # phase (mu1 = 0) and on more than twice its band B of azimuths, gives
-    # its azimuth spectrum from its profiles: no FFT of field values, and
+    # its azimuth spectrum from its profiles: no FFT of field values, no
+    # kernel FFT, no worker threads, the same bits for any CPU count, and
     # the transform of its evaluate to rounding.  Elsewhere the field is
     # evaluated on every azimuth, as any callable is
     fft, fft_calls = np.fft.fft, []
@@ -684,6 +707,13 @@ def test_polar_field_spectrum_from_its_profiles(rot, lct, offset_params, monkeyp
         return fft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "fft", counted)
+    on_blocks, block_calls = transforms._on_blocks, []
+
+    def counted_blocks(task, blocks):
+        block_calls.append(task.__name__)
+        return on_blocks(task, blocks)
+
+    monkeypatch.setattr(transforms, "_on_blocks", counted_blocks)
     gauss = lambda r: np.exp(-np.asarray(r) ** 2 / 8.0)
     plain = {0: gauss, 2: lambda r: (0.3 + 0.1j) * r ** 2 * gauss(r),
              -1: lambda r: -0.5j * r * gauss(r)}
@@ -698,8 +728,15 @@ def test_polar_field_spectrum_from_its_profiles(rot, lct, offset_params, monkeyp
             # the default rule, and 6 azimuths: just above 2 B = 4
             for grid, n_azimuth in ((PolarGrid(rho, 8), None), (PolarGrid(rho, 2), 6)):
                 fft_calls.clear()
-                got = olct_forward(field, params, grid, n_azimuth=n_azimuth, **kw).values
-                assert not fft_calls
+                rfft_lengths.clear()
+                block_calls.clear()
+                runs = []
+                for n_blocks in (1, 2, 7):
+                    monkeypatch.setattr(transforms, "_usable_cpus", lambda n=n_blocks: n)
+                    runs.append(olct_forward(field, params, grid, n_azimuth=n_azimuth, **kw).values)
+                assert not fft_calls and not rfft_lengths and not block_calls
+                got = runs[0]
+                assert all(np.array_equal(got, run) for run in runs[1:])
                 want = olct_forward(field.evaluate, params, grid, n_azimuth=n_azimuth, **kw).values
                 assert fft_calls
                 assert rel_err(got, want) < 1e-14, (params, field.provenance, n_azimuth)
@@ -728,8 +765,10 @@ def test_polar_field_spectrum_from_its_profiles(rot, lct, offset_params, monkeyp
 def test_profile_spectrum_allocation_peak(lct, monkeypatch):
     # a quad_smooth-sized transform (omega = 4, K = 2, 20 x 20 outputs,
     # r_max = 60, 520 azimuths) of a synthesized field, from its profiles,
-    # allocates no batch of field values on every azimuth: 4.97 MiB traced
-    # on two blocks, where the same field as a plain callable takes 7.68 MiB
+    # allocates no batch of field values on every azimuth: 4.62 MiB traced,
+    # where the same field as a plain callable takes 7.68 MiB on two blocks.
+    # The batches of radii keep the kernel's work arrays small: all radii at
+    # once peaked at 5.67 MiB, and per-radius kernel FFTs at 4.97-5.08 MiB
     monkeypatch.setattr(transforms, "_usable_cpus", lambda: 2)
     field = synthesize(random_spectrum(4.0, 2, 3, seed=109), lct)
     grid = PolarGrid(4.0 * np.linspace(0.02, 0.9, 20), 20)
@@ -743,6 +782,7 @@ def test_profile_spectrum_allocation_peak(lct, monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[0] < 0.8 * peaks[1]
+    assert peaks[0] < 4.97 * 2 ** 20
 
 
 def test_radial_only_field_broadcasts(lct, offset_params):
