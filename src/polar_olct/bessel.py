@@ -25,6 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .params import _check_count
+
 __all__ = [
     "ZeroTable",
     "bessel_j",
@@ -276,9 +278,7 @@ def bessel_jn_chain(x, m_max: int) -> np.ndarray:
     """J_0(x) .. J_{m_max}(x) in one downward-recurrence pass, shape
     (m_max+1,) + shape(x); each row is bessel_j's, in every regime, and
     bit for bit for m_max <= 8."""
-    if m_max < 0:
-        raise ValueError(f"m_max must be >= 0, got {m_max!r}")
-    return _bessel_j_rows(range(m_max + 1), x, "bessel_jn_chain")
+    return _bessel_j_rows(range(_check_count("m_max", m_max, 0) + 1), x, "bessel_jn_chain")
 
 
 def _zero_taylor(v: float, z: np.ndarray, jnext: np.ndarray) -> np.ndarray:
@@ -341,7 +341,7 @@ def bessel_zeros(order, count: int) -> np.ndarray:
     McMahon's expansion only sizes the grid.
     """
     v = _as_order(order)
-    if count < 1:
+    if _check_count("count", count, 0) == 0:
         return np.zeros(0)
     lo = max(0.05, math.sqrt(max(v, 0.0) * (max(v, 0.0) + 2.0)) * 0.98)
     n = int(math.ceil(_mcmahon(v, count + 1.0) + 2.0 - lo)) + 1
@@ -408,8 +408,7 @@ class ZeroTable:
 
     @classmethod
     def for_order(cls, order, count: int) -> "ZeroTable":
-        if count < 0:
-            raise ValueError(f"zero count must be >= 0, got {count!r}")
+        count = _check_count("count", count, 0)
         v = _as_order(order)
         key = round(v, 12)
         cached = _ZERO_CACHE.get(key)
@@ -465,9 +464,8 @@ def lambda_sum(x, truncation: int | None = None):
     sized for the largest argument when not given explicitly.
     """
     arr = _checked_x(x, "lambda_sum")
-    m = _lambda_truncation(float(np.max(arr, initial=0.0))) if truncation is None else int(truncation)
-    if m < 0:
-        raise ValueError("truncation must be >= 0")
+    m = (_lambda_truncation(float(np.max(arr, initial=0.0))) if truncation is None
+         else _check_count("truncation", truncation, 0))
     chain = bessel_jn_chain(arr, m)
     out = chain[0] + 2.0 * np.sum(chain[2::2], axis=0)
     return float(out) if out.ndim == 0 else out

@@ -162,6 +162,13 @@ def _rel_err(x, truth):
     return float(np.max(np.abs(x - truth))) / scale
 
 
+def _timed(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and its wall time in seconds."""
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - t0
+
+
 def _gaussian_olct(p, s, c0, c1, rho, phi):
     """Closed-form offset transform of e^{-r^2/2s^2} (c0 + c1 (r/s) e^{i theta}).
 
@@ -391,7 +398,7 @@ def _sampling_rows(sweep, config, params):
                         sp.SampleGrid.theorem2(params, omega, config.k_max, n_res,
                                                order=config.theorem2_order))
                 samples = sp.sample_field(fld, grid)
-                rec, dt = sp.timed(sp.reconstruct_field, samples, mode, params, 0, R, TH)
+                rec, dt = _timed(sp.reconstruct_field, samples, mode, params, 0, R, TH)
                 err = _rel_err(rec, truth)
                 name = f"{mode}_{label}_N{n_res}"
                 if n_res == n_max:
@@ -426,7 +433,7 @@ def _corollary_rows(sweep, config, params):
         samples = sp.sample_field(fld.spectrum_values, grid)
         errs = {}
         for variant, mapped in (("spectral", samples), ("spatial", _spatial_chirp(samples))):
-            rec, dt = sp.timed(sp.reconstruct_spectrum, mapped, mode, params, 0, RH, PH)
+            rec, dt = _timed(sp.reconstruct_spectrum, mapped, mode, params, 0, RH, PH)
             errs[variant] = _rel_err(rec, truth)
             sweep.time(f"{mode}_{variant}", dt)
         sweep.add(f"{mode}_spectral_chirp", errs["spectral"], tol)
@@ -453,8 +460,8 @@ def run_complexity_sweep(config: ExperimentConfig) -> SweepResult:
             g1 = sp.SampleGrid.theorem1(params, config.omega, k, n)
             g2 = sp.SampleGrid.theorem2(params, config.omega, k, n)
             zero_field = lambda r, theta: np.zeros(np.broadcast(r, theta).shape, complex)
-            s1, dt1 = sp.timed(sp.sample_field, zero_field, g1)
-            s2, dt2 = sp.timed(sp.sample_field, zero_field, g2)
+            s1, dt1 = _timed(sp.sample_field, zero_field, g1)
+            s2, dt2 = _timed(sp.sample_field, zero_field, g2)
             sweep.add(f"count_actual_K{k}_N{n}", float(s1.total_count), None,
                       passed=(s1.total_count == c1 and s2.total_count == c2),
                       note=f"stored {s1.total_count}/{s2.total_count}")
@@ -494,7 +501,7 @@ def run_offset_investigation(config: ExperimentConfig) -> SweepResult:
     R, TH = _probe_mesh(0.05, r_hi, config.probe_grid)
     truth = fld2.evaluate(R, TH)
     for pref, mapped in (("unit", samples), ("alternating", _alternating_prefactor(samples))):
-        rec, dt = sp.timed(sp.reconstruct_field, mapped, "theorem2", params, m_sum, R, TH)
+        rec, dt = _timed(sp.reconstruct_field, mapped, "theorem2", params, m_sum, R, TH)
         sweep.add(f"offset_reconstruction_{pref}", _rel_err(rec, truth), None,
                   passed=True, note=f"m_sum={m_sum}, reported")
         sweep.time(f"offset_reconstruction_{pref}", dt)

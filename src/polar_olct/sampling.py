@@ -20,7 +20,6 @@ alternating (-1)^v sigma and spatial chirp are sample maps in the harness.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -387,9 +386,3 @@ def reconstruct_spectrum(sample_set: SampleSet, mode: str, params: OffsetParams,
     return _reconstruct(sample_set, params, m_sum, rho, phi,
                         lambda x: np.conj(params.output_phase(x)),
                         params.output_phase, params.mu2, params.mu1)
-
-
-def timed(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - t0

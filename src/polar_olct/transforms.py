@@ -15,21 +15,19 @@ spectrum is real and even up to a fixed phase.  Its Fourier coefficients
 (-i)^m J_m(t) are below 1e-18 from M = ceil(1.25 t + 33), so each output
 radius takes it on the least 5-smooth multiple of 4 azimuths at or above
 M + min(M, B) (2M without a band B), or on the whole rule where that is
-not fewer.  Its exponentials are taken on a quarter turn and factored over
-each panel.  A PolarField evaluated by PolarField.evaluate, under a bundle
-without a spatial offset (mu1 = 0) and on more than 2B azimuths,
-B = max |n| of its orders, gives its azimuth spectrum from its angular
-profiles f_n(r), its only 2B + 1 nonzero columns: no azimuth sampling, no
-FFT of field values.  Its kernel is needed at the orders m <= B alone, and
-they come from direct sums over the quarter turn, for all output radii in
-a few matrix products: no kernel FFT, all on the calling thread.  Any
-other field is evaluated on every azimuth and transformed, and each output
-radius costs one real FFT of the kernel's length.  That field is taken on
-the calling thread; everything else runs on every usable CPU, one thread
-per contiguous block of panels (the calling thread takes the first): the
-input phases, the azimuth FFT and its fold, then the per-radius loop.  Its
-result is identical to the bit for any number of blocks.  Both are the
-trapezoid sum up to rounding, checked against a point-by-point double sum.
+not fewer.  Only its coefficients at the field's orders are used: direct
+sums over a quarter turn, with the exponentials factored over each panel,
+for a batch of output radii in a few real matrix products.  The field's
+azimuth spectrum on a batch of panels comes from one of two sources.  A
+PolarField evaluated by PolarField.evaluate, under a bundle without a
+spatial offset (mu1 = 0) and on more than 2B azimuths, B = max |n| of its
+orders, gives it from its angular profiles f_n(r), its only 2B + 1
+nonzero columns: no azimuth sampling, no FFT of field values.  Any other
+field is evaluated on every azimuth and takes one FFT; its band on the
+batch is what is left after dropping the longest run of top columns whose
+summed magnitude is at most 1e-14 of the largest column.  Everything runs
+on the calling thread, and the result is the trapezoid sum up to
+rounding, checked against a point-by-point double sum.
 The Hankel-type radial transforms and the angular series are algebraic
 rearrangements of the same integral; they are checked against it and
 against closed forms that share no code with this module.
@@ -38,8 +36,6 @@ against closed forms that share no code with this module.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,7 +73,7 @@ _MAX_DEPTH = 12
 _CANCELLATION = 1e-3
 # elements (rows x azimuths) in one batch of kernel work arrays
 _CHUNK = 8e6
-# multiply-adds in one matrix product (_profile_sums): OpenBLAS runs a gemm
+# multiply-adds in one matrix product (_direct_sums): OpenBLAS runs a gemm
 # of at most 65536 x GEMM_MULTITHREAD_THRESHOLD (4 by default) on the
 # calling thread, and wakes its threads for larger ones
 _GEMM_SIZE = 2 ** 18
@@ -124,36 +120,6 @@ def _initial_panels(r_max: float, n_radial: int | None):
         n = math.ceil(_check_count("n_radial", n_radial) / _NODES_PER_PANEL)
     width = r_max / n
     return width * np.arange(n), np.full(n, 0.5 * width)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _on_blocks(task, blocks) -> None:
-    """task(block) for every block: the calling thread takes the first and
-    one thread each the others.  All are joined before a failure in any of
-    them is raised again here."""
-    failures = []
-
-    def run(block):
-        try:
-            task(block)
-        except BaseException as exc:  # raised again on the calling thread
-            failures.append(exc)
-
-    workers = [threading.Thread(target=run, args=(block,)) for block in blocks[1:]]
-    for worker in workers:
-        worker.start()
-    run(blocks[0])
-    for worker in workers:
-        worker.join()
-    if failures:
-        raise failures[0]
 
 
 def _per_panel(x: np.ndarray) -> np.ndarray:
@@ -220,6 +186,8 @@ class PolarGrid:
             w = np.atleast_1d(np.asarray(self.rho_weights, dtype=float))
             if w.shape != rho.shape:
                 raise ValueError("rho_weights must match rho")
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"PolarGrid: rho_weights must be finite, got {w[~np.isfinite(w)][0]!r}")
             object.__setattr__(self, "rho_weights", w)
         object.__setattr__(self, "n_phi", _check_count("n_phi", self.n_phi))
 
@@ -378,156 +346,87 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     since the panels of one call share their half-width (_panel_quadrature).
     A panel's sum [p, k] is the DFT over the quadrature azimuths of its
     contribution at rho_nodes[k]; the deviations of the adaptive rule are
-    taken after the inverse DFT, so they are bounded over phi.  A field
-    whose spectrum comes from its profiles (_profile_band) needs G at its
-    orders m <= B alone: direct sums on the calling thread, no kernel FFT
-    (_profile_sums).  Any other field takes a real FFT of G at each radius,
-    on every usable CPU (_field_sums).
+    taken after the inverse DFT, so they are bounded over phi.  G is needed
+    at the field's orders alone, and _direct_sums takes it there by sums
+    over a quarter turn.  The field's spectrum on a batch of panels comes
+    from its profiles where _profile_band allows (_profile_spectrum), else
+    from one FFT of its values (_sampled_spectrum).
     """
     b = bundle.b
     n = n_azimuth
-    th = -np.pi + 2.0 * np.pi * np.arange(n) / n
     band = _profile_band(field, bundle, n)
-    # kernel lengths from the reach of all panels given, so no row depends on its block
+    # kernel lengths from the reach of all panels given, so no row depends on its batch
     r_ext = float(np.max(lo + 2.0 * half, initial=0.0))
     lengths = [_kernel_length(rho * r_ext / abs(b), n, band) for rho in rho_nodes]
+    # no column past the longest kernel's half, nor past the field's band
+    top = max(lengths, default=n) // 2 + 1
+    th = -np.pi + 2.0 * np.pi * np.arange(n) / n
     if band is None:
-        sums = _field_sums(field, bundle, rho_nodes, lengths, n, th)
+        evaluate = _as_field_callable(field)
+        spectrum = lambda r, wr: _sampled_spectrum(evaluate, bundle, r, wr, th, top)
     else:
-        # the field's band, and no column past the longest kernel's half
-        sums = _profile_sums(field, bundle, rho_nodes, lengths, n,
-                             min(max(lengths, default=n) // 2, band) + 1)
+        spectrum = lambda r, wr: _profile_spectrum(field, bundle, r, wr, min(top, band + 1))
+    sums = _direct_sums(spectrum, bundle, rho_nodes, lengths, n)
     pref = bundle.ell1 / (2.0 * np.pi * abs(b)) * bundle.output_phase(rho_nodes[:, None], th)
     return _panel_quadrature(sums, n_azimuth, lo, half, refine=refine, name="olct_forward",
                              measure=lambda x: np.fft.ifft(x, axis=-1, out=x), pref=pref)
 
 
-def _field_sums(field, bundle: KernelParams, rho_nodes: np.ndarray, lengths: list,
-                n: int, th: np.ndarray):
-    """_kernel_quadrature's per-panel sums of a field evaluated on every
-    azimuth th of the rule: G = rfft(cos t - sin t) at each output radius.
+def _profile_spectrum(field: PolarField, bundle: KernelParams, r: np.ndarray, wr: np.ndarray,
+                      cols: int) -> np.ndarray:
+    """The azimuth spectrum of a PolarField read from its angular profiles
+    (_profile_band) at the radial nodes r with weights wr: bins m (s = 0)
+    and n - m (s = 1) of the rule's DFT, m < cols, as [m, s, node], times
+    the input phase, the weights and the kernel's parity.
 
-    The calling thread evaluates the field on a batch of panels, and then
-    one thread per contiguous block of panels (os.sched_getaffinity; the
-    calling thread takes the first) takes its rows' spectra in place and
-    folds them into `spec`.  Once the batch is freed, one thread per block
-    runs the loop over rho_nodes.  The arrays they fill are allocated by
-    the calling thread; a worker allocates nothing larger than one panel's
-    rows.  Rows are independent, so the sums are identical to the bit for
-    any number of blocks.
+    Bin m of the DFT of sum_k f_k(r) e^{ik theta} on n azimuths from -pi is
+    n (-1)^m f_m(r), and bin n - m is n (-1)^m f_{-m}(r), as 2B < n.
     """
-    b = bundle.b
-    wth = 2.0 * np.pi / n
-    h = n // 2
-    evaluate = _as_field_callable(field)
-    n_top = max(lengths, default=n)
-    # the spectrum's columns: those the longest kernel reaches
-    cols = n_top // 2 + 1
-    # cos psi for psi = 2 pi m / n_k, m <= n_k/4; exactly 0 at psi = pi/2
-    cos_psi = {nk: np.sin(np.pi * (nk - 4 * np.arange(nk // 4 + 1)) / (2 * nk))
-               for nk in set(lengths)}
-    parity = np.where(np.arange(n) % 2, 1j, 1.0)
-    # columns m and n - m, m < cols, of the real and of the imaginary plane,
-    # as indices into a row of complex values seen as float pairs
-    mirror = np.array([np.arange(cols), (n - np.arange(cols)) % n])
-    fold = 2 * mirror + np.arange(2)[:, None, None]
-    xg = _panel_rule()[0]
+    profiles = field._profiles(r)
+    if not all(np.all(np.isfinite(v)) for v in profiles.values()):
+        raise _non_finite("olct_forward")
+    vals = np.zeros((cols, 2, r.size), dtype=complex)
+    for k, v in profiles.items():
+        if abs(k) < cols:
+            vals[abs(k), int(k < 0)] = v
+    # n wth = 2 pi, and (-1)^m i^{m mod 2} is -i on odd m
+    vals *= 2.0 * np.pi * bundle.input_phase(r) * r * wr
+    vals[1::2] *= -1j
+    return vals
 
-    def field_spectrum(r, wr, blocks):
-        # the field on every azimuth of the batch's rows; then, one thread per
-        # block of panels, in place: input phases, weights, azimuth DFT and
-        # parity, folded into spec
-        base = np.empty((r.size, n), dtype=complex)
-        base[...] = _field_values(evaluate, r[:, None], th[None, :], "olct_forward")
-        spec = np.empty((r.size, 2, 2, cols))
 
-        def spectrum(p):
-            rows = slice(_NODES_PER_PANEL * p.start, _NODES_PER_PANEL * p.stop)
-            f, rr = base[rows], r[rows, None]
-            # the input phase a panel at a time: over every row it would be
-            # a work array as large as the block
-            for s in range(0, f.shape[0], _NODES_PER_PANEL):
-                f[s:s + _NODES_PER_PANEL] *= bundle.input_phase(rr[s:s + _NODES_PER_PANEL], th)
-            f *= ((r[rows] * wr[rows])[:, None] * wth)
-            np.fft.fft(f, axis=1, out=f)
-            f *= parity
-            # G is even: pair each column m < cols with its mirror n - m, and keep
-            # real and imaginary planes, so the products with G are real and
-            # unit-stride.  mode="clip" takes into `out` without a temporary
-            np.take(f.view(float), fold, axis=1, out=spec[rows], mode="clip")
+def _sampled_spectrum(evaluate, bundle: KernelParams, r: np.ndarray, wr: np.ndarray,
+                      th: np.ndarray, top: int) -> np.ndarray:
+    """_profile_spectrum's bins for any field, from one FFT of its values on
+    the rule's azimuths th, on the field's band at these nodes.
 
-        _on_blocks(spectrum, blocks)
-        return spec
-
-    def sums(lo, half):
-        r, wr = _panel_nodes(lo, half)
-        # contiguous panel blocks, one per usable CPU
-        n_blocks = min(_usable_cpus(), lo.size)
-        blocks = [slice(lo.size * i // n_blocks, lo.size * (i + 1) // n_blocks)
-                  for i in range(n_blocks)]
-        spec = field_spectrum(r, wr, blocks).reshape(lo.size, _NODES_PER_PANEL, 2, 2, cols)
-        mid = lo + half
-        out = np.zeros((lo.size, rho_nodes.size, n), dtype=complex)
-
-        def radius_loop(block):
-            # panels p at every output radius, on the radius's n_k azimuths.
-            # Exponents go into the imaginary parts of zeroed buffers, so
-            # e^{i x} is taken in place.
-            p, work = block
-            m = p.stop - p.start
-            out_p = out[p]
-            for k, (rho, nk) in enumerate(zip(rho_nodes, lengths)):
-                hk, q = nk // 2, nk // 4 + 1
-                shapes = ((q,), (_NODES_PER_PANEL, q), (m, 1, q), (m, _NODES_PER_PANEL, q),
-                          (m, _NODES_PER_PANEL, nk), (m, _NODES_PER_PANEL, hk + 1), (m, 2, 2, hk + 1))
-                arg, e_off, e_mid, e, g, g_hat, res = (
-                    buf[:math.prod(shape)].reshape(shape) for buf, shape in zip(work, shapes))
-                np.multiply(-rho / b, cos_psi[nk], out=arg)
-                e_off.real = 0.0
-                np.multiply(offs, arg, out=e_off.imag)
-                np.exp(e_off, out=e_off)
-                e_mid.real = 0.0
-                np.multiply(mid[p, None, None], arg, out=e_mid.imag)
-                np.exp(e_mid, out=e_mid)
-                np.multiply(e_mid, e_off, out=e)
-                # cos t - sin t on [0, pi/2], cos t + sin t mirrored onto [pi/2, pi],
-                # even in psi; each written at m and n - m, as a copy within g
-                # would take a temporary
-                np.add(e.real, e.imag, out=g[..., :q])
-                np.add(e.real[..., 1:], e.imag[..., 1:], out=g[..., nk - 1:nk - q:-1])
-                np.subtract(e.real, e.imag, out=g[..., hk:hk - q:-1])
-                np.subtract(e.real[..., 1:], e.imag[..., 1:], out=g[..., hk + 1:hk + q])
-                np.fft.rfft(g, axis=-1, out=g_hat)
-                np.einsum("pncsm,pnm->pcsm", spec[p, ..., :hk + 1], g_hat.real, out=res)
-                res *= n / nk  # a DFT on n_k azimuths sums n_k samples; exact at n
-                # columns m <= hk from the first plane, n - m (0 < m <= top) from the
-                # second; those between stay zero
-                top = min(hk, h - 1)
-                ring = out_p[:, k]
-                ring.real[:, :hk + 1] = res[:, 0, 0]
-                ring.imag[:, :hk + 1] = res[:, 1, 0]
-                ring.real[:, n - top:] = res[:, 0, 1, top:0:-1]
-                ring.imag[:, n - top:] = res[:, 1, 1, top:0:-1]
-
-        # the node offsets half x of every panel in the call
-        offs = half[0] * xg[:, None]
-        loops = []
-        for p in blocks:
-            m = p.stop - p.start
-            # allocated here: large allocations in worker threads would land
-            # in per-thread malloc arenas and raise peak memory.  Flat, sized
-            # for the longest kernel; each radius views their heads
-            q = n_top // 4 + 1
-            work = (np.empty(q), np.empty(_NODES_PER_PANEL * q, dtype=complex),
-                    np.empty(m * q, dtype=complex), np.empty(m * _NODES_PER_PANEL * q, dtype=complex),
-                    np.empty(m * _NODES_PER_PANEL * n_top),
-                    np.empty(m * _NODES_PER_PANEL * (n_top // 2 + 1), dtype=complex),
-                    np.empty(m * 4 * cols))
-            loops.append((p, work))
-        _on_blocks(radius_loop, loops)
-        return out
-
-    return sums
+    Bins m < top are folded from the FFT, and then the longest run of top
+    columns is dropped whose summed magnitude (per column the largest over
+    the nodes at m plus that at n - m) is at most _PANEL_RTOL *
+    _CANCELLATION of the largest column's, the finest level the adaptive
+    rule resolves (at least column 0 is kept).
+    """
+    n = th.size
+    # allocated once the field has returned, so its temporaries are freed
+    f = np.array(_field_values(evaluate, r[:, None], th[None, :], "olct_forward"), dtype=complex)
+    # the input phase a panel at a time: over every row it would be a work
+    # array as large as the batch
+    for s in range(0, r.size, _NODES_PER_PANEL):
+        f[s:s + _NODES_PER_PANEL] *= bundle.input_phase(r[s:s + _NODES_PER_PANEL, None], th)
+    f *= (r * wr)[:, None] * (2.0 * np.pi / n)
+    np.fft.fft(f, axis=1, out=f)
+    # each column's largest magnitude at m plus that at n - m; a non-finite
+    # value makes every bin of its row non-finite
+    column = np.abs(f[:, :top]).max(axis=0)
+    column[1:] += np.abs(f[:, n - top + 1:]).max(axis=0)[::-1]
+    if not np.all(np.isfinite(column)):
+        raise _non_finite("olct_forward")
+    tail = np.cumsum(column[::-1])[::-1]
+    m = np.arange(max(1, np.count_nonzero(tail > _PANEL_RTOL * _CANCELLATION * column.max())))
+    vals = f[:, np.array([m, -m % n])].transpose(2, 1, 0)
+    vals[0, 1] = 0.0  # bin n - 0 is bin 0
+    vals[1::2] *= 1j
+    return vals
 
 
 def _quarter_turn(lengths: np.ndarray, cols: int):
@@ -554,31 +453,30 @@ def _quarter_turn(lengths: np.ndarray, cols: int):
     return cos_psi, weights * np.where(m % 2, -1j, 1.0)
 
 
-def _profile_sums(field: PolarField, bundle: KernelParams, rho_nodes: np.ndarray,
-                  lengths: list, n: int, cols: int):
-    """_kernel_quadrature's per-panel sums of a PolarField whose azimuth
-    spectrum is read from its angular profiles (_profile_band): columns
-    m < cols and n - m, the rest zero, all on the calling thread.
+def _direct_sums(spectrum, bundle: KernelParams, rho_nodes: np.ndarray, lengths: list, n: int):
+    """_kernel_quadrature's per-panel sums: columns m < cols and n - m of
+    each output radius, the rest zero, all on the calling thread.
 
-    Bin m of the rule's DFT of sum_k f_k(r) e^{ik theta} is n (-1)^m f_m(r),
-    and bin n - m is n (-1)^m f_{-m}(r), as 2B < n.  So only the kernel's
-    G[m], m < cols, is needed, and it comes from _quarter_turn's direct
-    sums, not from an FFT.  With e^{-i t} = e_mid e_off factored as in
-    _kernel_quadrature, G at a batch of radii is one real matrix product
-    per radius: the panels' e_mid, as float pairs, against the nodes' e_off
-    times the weights and n / n_k; the sums are one more over the 16 nodes.
-    Radii are taken in batches whose work arrays hold no more floats than
-    one kernel row of the longest length per node, what _field_sums holds
-    for its FFTs (at least one radius each), and the products in runs of
-    panels of at most _GEMM_SIZE multiply-adds, so no BLAS thread is woken.
+    `spectrum(r, wr)` gives the field's bins m and n - m on a batch of
+    panels as [m, s, node] (_profile_spectrum, _sampled_spectrum); cols is
+    its length.  So only the kernel's G[m], m < cols, is needed, and it
+    comes from _quarter_turn's direct sums, not from an FFT.  With
+    e^{-i t} = e_mid e_off factored as in _kernel_quadrature, G at a batch
+    of radii is one real matrix product per radius: the panels' e_mid, as
+    float pairs, against the nodes' e_off times the weights and n / n_k;
+    the sums are one more over the 16 nodes.  Radii are taken in batches
+    whose work arrays hold no more floats than one kernel row of the
+    longest length per node (at least one radius each), and the products
+    in runs of panels of at most _GEMM_SIZE multiply-adds, so no BLAS
+    thread is woken.
     """
     b = bundle.b
     xg = _panel_rule()[0]
 
-    def radius_batches(panels):
+    def radius_batches(panels, cols):
         # consecutive radii; a radius takes 2 q floats per panel for e_mid,
-        # 64 q per column for e_off times the weights (complex, then as
-        # floats) and 20 per panel and column for the products
+        # at most 64 q per column for e_off and its products with the
+        # weights, and 20 per panel and column for the products
         budget = _NODES_PER_PANEL * panels * max(lengths)
         k0 = 0
         while k0 < len(lengths):
@@ -592,48 +490,46 @@ def _profile_sums(field: PolarField, bundle: KernelParams, rho_nodes: np.ndarray
 
     def sums(lo, half):
         r, wr = _panel_nodes(lo, half)
-        profiles = field._profiles(r)
-        if not all(np.all(np.isfinite(v)) for v in profiles.values()):
-            raise _non_finite("olct_forward")
-        # bins m (s = 0) and n - m (s = 1), times the input phase, the
-        # weights (n wth = 2 pi) and the kernel's parity: (-1)^m i^{m mod 2}
-        # is -i on odd m
-        vals = np.zeros((cols, 2, r.size), dtype=complex)
-        for k, v in profiles.items():
-            if abs(k) < cols:
-                vals[abs(k), int(k < 0)] = v
-        vals *= 2.0 * np.pi * bundle.input_phase(r) * r * wr
-        vals[1::2] *= -1j
-        panels = lo.size
+        vals = spectrum(r, wr)
+        cols, panels = vals.shape[0], lo.size
         # as [panel, m, node, (s, real/imag)]
         spec = np.ascontiguousarray(
             vals.reshape(cols, 2, panels, _NODES_PER_PANEL).transpose(2, 0, 3, 1)).view(float)
+        del vals
         mid = lo + half
         offs = half[0] * xg
         out = np.zeros((panels, rho_nodes.size, n), dtype=complex)
-        for ks in radius_batches(panels):
+        for ks in radius_batches(panels, cols):
             nk = np.array(lengths[ks])
             cos_psi, weights = _quarter_turn(nk, cols)
             weights *= (n / nk)[:, None, None]  # a DFT on n_k azimuths sums n_k samples
             arg = (-rho_nodes[ks, None] / b) * cos_psi
             # G = Re(e_mid e_off W): conj(e_mid) as float pairs, its exponent
             # taken in the imaginary part of a zeroed buffer, against the
-            # real and imaginary parts of e_off W
+            # real and imaginary parts of e_off W.  W is real on even m and
+            # imaginary on odd m, so those parts are products of reals
             a = np.zeros(arg.shape[:1] + (panels,) + arg.shape[1:], dtype=complex)
             np.multiply(arg[:, None, :], -mid[:, None], out=a.imag)
             np.exp(a, out=a)
             a = a.view(float)
-            x = np.exp(1j * arg[..., None] * offs)[..., None] * weights[:, :, None, :]
-            y = np.stack((x.real, x.imag), axis=2).reshape(arg.shape[0], -1, _NODES_PER_PANEL * cols)
+            e = np.exp(1j * arg[..., None] * offs)[..., None]
+            w_even, w_odd = weights.real[:, :, None, ::2], weights.imag[:, :, None, 1::2]
+            y = np.empty(arg.shape + (2, _NODES_PER_PANEL, cols))
+            np.multiply(e.real, w_even, out=y[:, :, 0, :, ::2])
+            np.multiply(e.imag, w_even, out=y[:, :, 1, :, ::2])
+            np.multiply(e.imag, -w_odd, out=y[:, :, 0, :, 1::2])
+            np.multiply(e.real, w_odd, out=y[:, :, 1, :, 1::2])
+            y = y.reshape(arg.shape[0], -1, _NODES_PER_PANEL * cols)
             g = np.empty(a.shape[:2] + y.shape[2:])
             step = max(1, _GEMM_SIZE // y[0].size)
             for p in range(0, panels, step):
                 np.matmul(a[:, p:p + step], y, out=g[:, p:p + step])
             g = g.reshape(-1, panels, _NODES_PER_PANEL, cols)
-            # each column's sums over the nodes, then columns m and n - m
+            # each column's sums over the nodes, then columns n - m and m:
+            # bin n/2, where they meet, is taken from m
             res = np.matmul(g.transpose(1, 3, 0, 2), spec).view(complex)
-            out[:, ks, :cols] = res[..., 0].transpose(0, 2, 1)
             out[:, ks, n - cols + 1:] = res[:, :0:-1, :, 1].transpose(0, 2, 1)
+            out[:, ks, :cols] = res[..., 0].transpose(0, 2, 1)
         return out
 
     return sums
@@ -673,16 +569,14 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     M + min(M, B) (2M without B), M = ceil(1.25 rho r_max / |b| + 33), past
     which its Fourier coefficients are below 1e-18.
 
-    A field read from its profiles needs the kernel only at the orders
-    m <= B: they are direct sums over a quarter turn of azimuths, all output
-    radii in a few matrix products, with no kernel FFT; the profiles and
-    everything else run on the calling thread.  Any other field is called
-    on the calling thread only, and the kernel at each output radius costs
-    one real FFT of its length.  Everything else - input phases, azimuth
-    FFT and the loop over output radii - runs on one thread per usable CPU
-    (os.sched_getaffinity), the calling thread included, each over its own
-    block of radial panels; the result is identical to the bit for any CPU
-    count.
+    The kernel is needed only at the orders the field's spectrum holds:
+    direct sums over a quarter turn of azimuths, output radii in batches of
+    a few matrix products, with no kernel FFT.  Those orders are m <= B for
+    a field read from its profiles.  Any other field takes, on each batch of
+    radial panels, the columns of one FFT of its values that are left after
+    dropping the longest run of top columns whose summed magnitude is at
+    most 1e-14 of the largest column's.  Everything runs on the calling
+    thread, so the result is the same for any CPU count.
     """
     _check_positive("r_max", r_max)
     rho_max = float(grid.rho.max()) if grid.rho.size else 0.0
@@ -806,7 +700,7 @@ def fourier_coefficients(field, n_max: int) -> dict:
     theta as in olct_forward.
     """
     f = _as_field_callable(field)
-    nt = 4 * n_max + 8
+    nt = 4 * _check_count("n_max", n_max, 0) + 8
     th = 2.0 * np.pi * np.arange(nt) / nt
 
     def make(n):

@@ -8,6 +8,7 @@ import pytest
 from polar_olct import (
     OffsetParams,
     SampleGrid,
+    fourier_coefficients,
     ZeroTable,
     bessel_j,
     bessel_jn_chain,
@@ -321,6 +322,25 @@ def test_chain_consistent_with_scalar_evaluation():
         assert np.max(np.abs(chain[m] - bessel_j(m, wide))) < 1e-13
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: fourier_coefficients(lambda r, th: r + 0.0 * th, -1),
+     "n_max must be a non-negative integer, got -1"),
+    (lambda: lambda_sum(1.0, truncation=2.7), "truncation must be a non-negative integer, got 2.7"),
+    (lambda: lambda_sum(1.0, truncation=-1), "truncation must be a non-negative integer, got -1"),
+    (lambda: ZeroTable.for_order(0, 2.5), "count must be a non-negative integer, got 2.5"),
+    (lambda: bessel_zeros(0, 2.5), "count must be a non-negative integer, got 2.5"),
+    (lambda: bessel_zeros(0, -1), "count must be a non-negative integer, got -1"),
+    (lambda: bessel_jn_chain(np.array([1.0]), 2.5), "m_max must be a non-negative integer, got 2.5"),
+], ids=["fourier_n_max", "lambda_float", "lambda_negative", "zero_table", "zeros_float",
+        "zeros_negative", "jn_chain"])
+def test_counts_are_checked_in_one_line(call, message):
+    # a count that is not a non-negative integer is refused by name, where
+    # it used to run truncated, return nothing or raise a bare TypeError
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         bessel_j(-0.75, 1.0)
@@ -331,14 +351,14 @@ def test_domain_errors():
                 fn(bad)
         with pytest.raises(ValueError, match="x >= 0"):
             fn(-1.0)
-    with pytest.raises(ValueError, match="m_max must be >= 0"):
+    with pytest.raises(ValueError, match="m_max must be a non-negative integer, got -1"):
         bessel_jn_chain(np.array([1.0]), -1)
     assert bessel_zeros(0, 0).size == 0
     with pytest.raises(ValueError):
         ZeroTable.for_order(-0.75, 3)
     # a negative count must not slice the cached table from its end
     for bad in (-1, -3):
-        with pytest.raises(ValueError, match="zero count"):
+        with pytest.raises(ValueError, match=f"count must be a non-negative integer, got {bad}"):
             ZeroTable.for_order(0, bad)
     with pytest.raises(ValueError, match="order must be finite and >= -0.5"):
         ZeroTable(-1.0, np.array([2.0]))

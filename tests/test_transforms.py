@@ -1,7 +1,6 @@
 """Transform quadratures against independent oracles and round trips."""
 
 import math
-import sys
 import threading
 import tracemalloc
 
@@ -379,6 +378,11 @@ def test_non_finite_input_rejected(lct):
     for rho in ([np.nan, 1.0], [np.inf], [0.5, -np.inf]):
         with pytest.raises(ValueError, match="rho must be finite"):
             PolarGrid(rho, 8)
+    # non-finite weights made olct_inverse return nan without a word
+    rho = np.linspace(0.1, 1.0, 4)
+    for weights in ([np.nan, 1.0, 1.0, 1.0], [1.0, 1.0, np.inf, 1.0]):
+        with pytest.raises(ValueError, match="rho_weights must be finite"):
+            PolarGrid(rho, 8, rho_weights=weights)
 
 
 def test_bad_node_counts_rejected(lct):
@@ -495,23 +499,47 @@ def test_quarter_turn_sums_match_the_kernel_spectrum():
 
 
 @pytest.fixture
-def rfft_lengths(monkeypatch):
-    """The length of the last axis of each numpy rfft call the test makes."""
-    lengths = []
-    rfft = np.fft.rfft
+def quarter_turns(monkeypatch):
+    """(lengths, cols) of each _quarter_turn call the test makes."""
+    calls = []
+    quarter_turn = transforms._quarter_turn
 
-    def counted(a, *args, **kwargs):
-        lengths.append(np.shape(a)[-1])
-        return rfft(a, *args, **kwargs)
+    def counted(lengths, cols):
+        calls.append((np.array(lengths), cols))
+        return quarter_turn(lengths, cols)
 
-    monkeypatch.setattr(np.fft, "rfft", counted)
-    return lengths
+    monkeypatch.setattr(transforms, "_quarter_turn", counted)
+    return calls
 
 
-def test_kernel_takes_each_radius_on_its_own_band(lct, rfft_lengths):
+def test_kernel_takes_each_radius_on_its_own_band(lct, quarter_turns):
     # 512 azimuths, t = 40 rho up to 80: no radius needs more than 288
     olct_forward(chirped_gaussian(10.0, *CHIRP_COEFFS), lct, CHIRP_GRID, r_max=80.0)
-    assert rfft_lengths and max(rfft_lengths) == 288
+    assert quarter_turns and max(lengths.max() for lengths, _ in quarter_turns) == 288
+
+
+def test_plain_field_takes_the_columns_of_its_band(lct, quarter_turns):
+    # a field that is not read from its profiles takes, on each batch of
+    # panels, the columns left after dropping the longest run of top ones
+    # whose summed magnitude is at most 1e-14 of the largest.  The chirped
+    # Gaussian has orders 0 and 1 alone
+    olct_forward(chirped_gaussian(10.0, *CHIRP_COEFFS), lct, CHIRP_GRID, r_max=80.0)
+    assert quarter_turns and {cols for _, cols in quarter_turns} == {2}
+    # an m = +-37 component at eps of the m = 0 one.  At rho = 20 the
+    # kernel's J_37 reaches it: its transform is 1.4 times the m = 0 one's
+    # largest, so dropping it at eps = 1e-12 would miss by 1.4e-12.  At
+    # 1e-17 it is below the band rule's level, and is dropped.
+    # direct_kernel_sum shares no code with the engine
+    grid = PolarGrid(np.array([0.3, 4.0, 12.0, 20.0]), 8)
+    for eps in (1e-12, 1e-17):
+        def field(r, th, eps=eps):
+            return np.exp(-0.3 * r ** 2) * (1.0 + eps * (r / 2.0) ** 8 * 2.0 * np.cos(37 * th))
+
+        quarter_turns.clear()
+        got = olct_forward(field, lct, grid, r_max=8.0, n_radial=64, n_azimuth=128).values
+        cols = {cols for _, cols in quarter_turns}
+        assert min(cols) >= 38 if eps == 1e-12 else max(cols) < 38, (eps, cols)
+        assert rel_err(got, direct_kernel_sum(field, lct, grid, 8.0, 64, 128)) < 1e-13, eps
 
 
 def test_adaptive_resolves_chirped_gaussian(lct):
@@ -596,94 +624,43 @@ def test_adaptive_node_budget(lct):
     assert g.points == (3264 + 128) * 512
 
 
-def test_panel_blocks_give_identical_results(offset_params, monkeypatch):
-    # s = 4 at r_max = 30 keeps panels of two depths; a frequent thread
-    # switch interleaves the blocks' numpy calls
-    f = chirped_gaussian(4.0, *CHIRP_COEFFS)
-    grid = PolarGrid(np.linspace(0.1, 2.0, 7), 12)
-    results = {}
-
-    def run():
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for n_blocks in (1, 2, 7):
-                monkeypatch.setattr(transforms, "_usable_cpus", lambda n=n_blocks: n)
-                results[n_blocks] = olct_forward(f, offset_params, grid, r_max=30.0).values
-        finally:
-            sys.setswitchinterval(interval)
-
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(timeout=300.0)
-    assert not worker.is_alive()
-    assert sorted(results) == [1, 2, 7]
-    assert np.array_equal(results[1], results[2])
-    assert np.array_equal(results[1], results[7])
-
-
 def test_field_is_evaluated_on_the_calling_thread(offset_params, monkeypatch):
-    monkeypatch.setattr(transforms, "_usable_cpus", lambda: 4)
-    callers = set()
+    # the whole transform runs on the calling thread: it starts no thread
+    callers, started = set(), []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
 
     def field(r, th):
         callers.add(threading.get_ident())
         return chirped_gaussian(4.0, *CHIRP_COEFFS)(r, th)
 
+    threads = threading.active_count()
     olct_forward(field, offset_params, PolarGrid(np.linspace(0.1, 2.0, 7), 12), r_max=30.0)
     assert callers == {threading.get_ident()}
+    assert not started and threading.active_count() == threads
 
 
-def test_failure_in_a_worker_thread_is_raised(offset_params, monkeypatch):
-    # einsum runs in the per-radius loop, fft in the batch's spectra before it
-    monkeypatch.setattr(transforms, "_usable_cpus", lambda: 3)
-    caller = threading.get_ident()
-    for module, name in ((np, "einsum"), (np.fft, "fft")):
-        with monkeypatch.context() as patch:
-            real = getattr(module, name)
-
-            def failing_off_the_caller(*args, **kwargs):
-                if threading.get_ident() != caller:
-                    raise FloatingPointError("worker failed")
-                return real(*args, **kwargs)
-
-            patch.setattr(module, name, failing_off_the_caller)
-            threads = threading.active_count()
-            with pytest.raises(FloatingPointError, match="worker failed"):
-                olct_forward(chirped_gaussian(4.0, *CHIRP_COEFFS), offset_params,
-                             PolarGrid(np.linspace(0.1, 2.0, 7), 12), r_max=30.0)
-            assert threading.active_count() == threads
-
-
-def test_kernel_allocation_peak(lct, monkeypatch):
-    # the batch's spectra are folded in place into one array, and the batch
-    # is freed before the per-radius work arrays exist: 47.1 MiB traced on
-    # two blocks, where whole-batch copies of the spectra took 59.1 MiB.
-    # That peak is field evaluation's.  The radius loop, on each radius's
-    # kernel length and the columns the widest kernel reaches, peaks at
-    # 34.7 MiB, where it took 47.0 MiB on all 512 azimuths
-    monkeypatch.setattr(transforms, "_usable_cpus", lambda: 2)
+def test_kernel_allocation_peak(lct):
+    # the batch of field values is allocated once the field has returned,
+    # and only the columns of the field's band are taken from its FFT: a
+    # quad_chirped-sized call peaks at 35.1 MiB traced, where a buffer
+    # filled from the field's result took 47.1 MiB.  The peak is the
+    # field's own: its result and the batch's copy, or the field's two
+    # temporaries, each as large as the batch.  The bound is 7 % above it
     f = chirped_gaussian(10.0, *CHIRP_COEFFS)
     olct_forward(f, lct, CHIRP_GRID, r_max=80.0)
-    on_blocks, loop_peaks = transforms._on_blocks, []
-
-    def traced(task, blocks):
-        if task.__name__ != "radius_loop":
-            return on_blocks(task, blocks)
-        tracemalloc.reset_peak()
-        on_blocks(task, blocks)
-        loop_peaks.append(tracemalloc.get_traced_memory()[1])
-
     tracemalloc.start()
     try:
         olct_forward(f, lct, CHIRP_GRID, r_max=80.0)
         peak = tracemalloc.get_traced_memory()[1]
-        monkeypatch.setattr(transforms, "_on_blocks", traced)
-        olct_forward(f, lct, CHIRP_GRID, r_max=80.0)
     finally:
         tracemalloc.stop()
-    assert peak < 50 * 2 ** 20
-    assert max(loop_peaks) < 37.6 * 2 ** 20
+    assert peak < 37.6 * 2 ** 20
 
 
 class _OwnEvaluate(PolarField):
@@ -692,12 +669,10 @@ class _OwnEvaluate(PolarField):
         return super().evaluate(r, theta)
 
 
-def test_polar_field_spectrum_from_its_profiles(rot, lct, offset_params, monkeypatch,
-                                                rfft_lengths):
+def test_polar_field_spectrum_from_its_profiles(rot, lct, offset_params, monkeypatch):
     # a PolarField evaluated by PolarField.evaluate, under a radial input
     # phase (mu1 = 0) and on more than twice its band B of azimuths, gives
-    # its azimuth spectrum from its profiles: no FFT of field values, no
-    # kernel FFT, no worker threads, the same bits for any CPU count, and
+    # its azimuth spectrum from its profiles: no FFT of field values, and
     # the transform of its evaluate to rounding.  Elsewhere the field is
     # evaluated on every azimuth, as any callable is
     fft, fft_calls = np.fft.fft, []
@@ -707,13 +682,6 @@ def test_polar_field_spectrum_from_its_profiles(rot, lct, offset_params, monkeyp
         return fft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "fft", counted)
-    on_blocks, block_calls = transforms._on_blocks, []
-
-    def counted_blocks(task, blocks):
-        block_calls.append(task.__name__)
-        return on_blocks(task, blocks)
-
-    monkeypatch.setattr(transforms, "_on_blocks", counted_blocks)
     gauss = lambda r: np.exp(-np.asarray(r) ** 2 / 8.0)
     plain = {0: gauss, 2: lambda r: (0.3 + 0.1j) * r ** 2 * gauss(r),
              -1: lambda r: -0.5j * r * gauss(r)}
@@ -728,15 +696,8 @@ def test_polar_field_spectrum_from_its_profiles(rot, lct, offset_params, monkeyp
             # the default rule, and 6 azimuths: just above 2 B = 4
             for grid, n_azimuth in ((PolarGrid(rho, 8), None), (PolarGrid(rho, 2), 6)):
                 fft_calls.clear()
-                rfft_lengths.clear()
-                block_calls.clear()
-                runs = []
-                for n_blocks in (1, 2, 7):
-                    monkeypatch.setattr(transforms, "_usable_cpus", lambda n=n_blocks: n)
-                    runs.append(olct_forward(field, params, grid, n_azimuth=n_azimuth, **kw).values)
-                assert not fft_calls and not rfft_lengths and not block_calls
-                got = runs[0]
-                assert all(np.array_equal(got, run) for run in runs[1:])
+                got = olct_forward(field, params, grid, n_azimuth=n_azimuth, **kw).values
+                assert not fft_calls
                 want = olct_forward(field.evaluate, params, grid, n_azimuth=n_azimuth, **kw).values
                 assert fft_calls
                 assert rel_err(got, want) < 1e-14, (params, field.provenance, n_azimuth)
@@ -762,14 +723,13 @@ def test_polar_field_spectrum_from_its_profiles(rot, lct, offset_params, monkeyp
             assert str(err.value) == "olct_forward: the integrand has non-finite values"
 
 
-def test_profile_spectrum_allocation_peak(lct, monkeypatch):
+def test_profile_spectrum_allocation_peak(lct):
     # a quad_smooth-sized transform (omega = 4, K = 2, 20 x 20 outputs,
     # r_max = 60, 520 azimuths) of a synthesized field, from its profiles,
-    # allocates no batch of field values on every azimuth: 4.62 MiB traced,
-    # where the same field as a plain callable takes 7.68 MiB on two blocks.
-    # The batches of radii keep the kernel's work arrays small: all radii at
-    # once peaked at 5.67 MiB, and per-radius kernel FFTs at 4.97-5.08 MiB
-    monkeypatch.setattr(transforms, "_usable_cpus", lambda: 2)
+    # allocates no batch of field values on every azimuth: 4.45 MiB traced,
+    # where the same field as a plain callable takes 5.62 MiB.  The batches
+    # of radii keep the kernel's work arrays small: all radii at once
+    # peaked at 5.67 MiB, and per-radius kernel FFTs at 4.97-5.08 MiB
     field = synthesize(random_spectrum(4.0, 2, 3, seed=109), lct)
     grid = PolarGrid(4.0 * np.linspace(0.02, 0.9, 20), 20)
     peaks = []
