@@ -142,7 +142,7 @@ def _cmd_reconstruct(args) -> int:
                 if args.mode == "theorem1" else
                 sp.SampleGrid.theorem2(params, omega, k_max, args.zeros, order=order))
         samples = sp.sample_field(field, grid)
-        r_hi = 0.9 * float(min(grid.alphas(n)[-1] for n in grid.slab_keys))
+        r_hi = 0.9 * float(min(grid.alphas(w)[-1] for w in grid.zeros))
         r = np.linspace(0.05 * r_hi, r_hi, nr)
         theta = np.linspace(-np.pi, np.pi, nt, endpoint=False)
         R, TH = np.meshgrid(r, theta, indexing="ij")

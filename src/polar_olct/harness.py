@@ -56,10 +56,6 @@ class ExperimentConfig:
     n_values: tuple = (10, 20, 40)
     theorem2_order: int = 0
     probe_grid: int = 20
-    a: float = 0.0
-    b: float = 1.0
-    c: float = -1.0
-    d: float = 0.0
     tau: tuple = (0.0, 0.0)
     eta: tuple = (0.0, 0.0)
     r_max: float = 60.0
@@ -80,13 +76,11 @@ class ExperimentConfig:
             raise ValueError(f"j_spec must be >= 1, got {self.j_spec!r}")
         if self.k_max < 0:
             raise ValueError(f"k_max must be >= 0, got {self.k_max!r}")
+        if self.theorem2_order < 0:
+            raise ValueError(f"theorem2_order must be >= 0, got {self.theorem2_order!r}")
         for name in self.tolerances:
             if name not in _DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance key 'tol_{name}'")
-
-    @property
-    def params(self) -> OffsetParams:
-        return OffsetParams(self.a, self.b, self.c, self.d, self.tau, self.eta)
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, _DEFAULT_TOLERANCES[name]))
@@ -94,23 +88,27 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         kv = parse_keyvalue(text)
-        kwargs = {}
-        tol = {}
+        kwargs, tol = {}, {}
+
+        def num(key, kind, text):
+            try:
+                return kind(text)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+
         for key, val in kv.items():
             if key.startswith("tol_"):
-                tol[key[4:]] = float(val)
+                tol[key[4:]] = num(key, float, val)
             elif key in ("seed", "k_max", "j_spec", "theorem2_order", "probe_grid", "draws"):
-                kwargs[key] = int(val)
-            elif key in ("omega", "a", "b", "c", "d", "r_max", "support_radius"):
-                kwargs[key] = float(val)
+                kwargs[key] = num(key, int, val)
+            elif key in ("omega", "r_max", "support_radius"):
+                kwargs[key] = num(key, float, val)
             elif key == "n_values":
-                kwargs[key] = tuple(int(x) for x in val.split(",") if x.strip())
-            elif key in ("tau1", "tau2", "eta1", "eta2"):
-                pass  # handled below
-            else:
+                kwargs[key] = tuple(num(key, int, x) for x in val.split(",") if x.strip())
+            elif key not in ("tau1", "tau2", "eta1", "eta2"):  # those are read below
                 raise ValueError(f"unknown config key {key!r}")
-        kwargs["tau"] = (float(kv.get("tau1", 0.0)), float(kv.get("tau2", 0.0)))
-        kwargs["eta"] = (float(kv.get("eta1", 0.0)), float(kv.get("eta2", 0.0)))
+        for pair in ("tau", "eta"):
+            kwargs[pair] = tuple(num(k, float, kv.get(k, 0.0)) for k in (pair + "1", pair + "2"))
         if tol:
             kwargs["tolerances"] = tol
         return cls(**kwargs)
@@ -223,15 +221,15 @@ def _spatial_chirp(samples):
     spectral dechirp of the mapped samples is the spatial one of these."""
     grid, p = samples.grid, samples.grid.params
     rows = lambda a: (p.output_phase(a) * np.conj(p.input_phase(a)))[:, None]
-    return sp.SampleSet(grid, {n: samples.slab(n) * rows(grid.alphas(n)) for n in grid.slab_keys})
+    return sp.SampleSet(grid, {w: samples.slab(w) * rows(grid.alphas(w)) for w in grid.zeros})
 
 
 def _alternating_prefactor(samples):
     """The rejected prefactor (-1)^v sigma of the printed series as a sample
-    map: slab n times (-1)^v sigma, v the radial order carrying n."""
+    map: the slab of radial order w times (-1)^w sigma."""
     grid = samples.grid
-    return sp.SampleSet(grid, {n: ((-1.0) ** grid.radial_order(n)) * grid.params.sigma
-                               * samples.slab(n) for n in grid.slab_keys})
+    return sp.SampleSet(grid, {w: (-1.0) ** w * grid.params.sigma * samples.slab(w)
+                               for w in grid.zeros})
 
 
 def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
@@ -448,7 +446,7 @@ def _corollary_rows(sweep, config, params):
 def run_complexity_sweep(config: ExperimentConfig) -> SweepResult:
     """Sample budgets and timings of the two field-domain grids."""
     sweep = SweepResult(config.seed)
-    params = config.params if config.b > 0 else OffsetParams(0.0, 1.0, -1.0, 0.0)
+    params = OffsetParams(0.0, 1.0, -1.0, 0.0)
     for k in (0, 1, 2, 3):
         for n in config.n_values:
             c1 = sp.sample_count(k, n, "theorem1")

@@ -2,10 +2,11 @@
 
 Radial samples sit at normalized zeros alpha = b z / omega, azimuthal
 samples at 2K+1 uniform angles.  All four modes run one series engine: per
-distinct radial order, the angular DFT coefficients of the dechirped samples
-are summed against the radial interpolating function (with the optional
-side-order m-sum) and carried by e^{in theta}.  The per-order modes give
-each angular order the zeros of its own radial order; the fixed-order modes
+radial order, the angular DFT coefficients of the dechirped samples are
+summed against the radial interpolating function (with the optional
+side-order m-sum) and carried by e^{in theta}.  A sample set stores one slab
+per radial order: the per-order modes put angular orders n and -n on the
+zeros of radial order |n|, so the two share a slab; the fixed-order modes
 are the same per-order sum on one radial order, because the periodic sinc
 interpolant of 2K+1 nodes is the degree-K DFT series.  The spectrum-domain
 variants run the series on transform samples with the support radius
@@ -199,14 +200,6 @@ class SampleGrid:
     def alphas(self, n: int) -> np.ndarray:
         return self.params.b * self.zeros[self.radial_order(n)] / self.omega
 
-    @property
-    def slab_keys(self) -> tuple:
-        """Angular orders owning a stored slab: every order for the
-        per-order grids, a single one when all orders share the zeros."""
-        if self.per_order:
-            return tuple(range(-self.k_max, self.k_max + 1))
-        return (0,)
-
     # -- factories -------------------------------------------------------
 
     @classmethod
@@ -258,44 +251,40 @@ def _zeros_below(order, b, scale, band_limit):
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Values stored per angular order as (n_zeros x 2K+1) slabs."""
+    """Values stored per radial order, the keys of `grid.zeros`, as
+    (n_zeros x 2K+1) slabs; angular order n reads the slab of
+    `grid.radial_order(n)`, so theorem 1's n and -n share one."""
 
     grid: SampleGrid
     slabs: dict
 
     def __post_init__(self):
-        az = 2 * self.grid.k_max + 1
-        if set(self.slabs) != set(self.grid.slab_keys):
+        if set(self.slabs) != set(self.grid.zeros):
             raise ValueError("slab keys do not match the grid layout")
-        for n in self.grid.slab_keys:
-            arr = np.asarray(self.slabs[n], dtype=complex)
-            expected = (self.grid.alphas(n).size, az)
-            if arr.shape != expected:
-                raise ValueError(f"slab {n} has shape {arr.shape}, expected {expected}")
+        for w, z in self.grid.zeros.items():
+            shape, expected = np.shape(self.slabs[w]), (len(z), 2 * self.grid.k_max + 1)
+            if shape != expected:
+                raise ValueError(f"slab {w} has shape {shape}, expected {expected}")
 
     @property
     def total_count(self) -> int:
-        return sum(np.asarray(v).size for v in self.slabs.values())
+        """The paper's count: a slab per angular order, or one on a fixed-order grid."""
+        k = self.grid.k_max
+        return sum(self.slab(n).size for n in (range(-k, k + 1) if self.grid.per_order else (0,)))
 
     def slab(self, n: int) -> np.ndarray:
-        if n in self.slabs:
-            return np.asarray(self.slabs[n])
-        # fixed-order grids share one slab across angular orders
-        return np.asarray(self.slabs[self.grid.slab_keys[0]])
+        return np.asarray(self.slabs[self.grid.radial_order(n)])
 
 
 def sample_field(source, grid: SampleGrid) -> SampleSet:
     """Evaluate a field (or, for the spectrum-domain grids, a spectrum) on
-    every grid point in one call: the radii of every distinct radial order
-    are concatenated, and slabs sharing a radial order share their values."""
+    every grid point in one call, with the radii of every radial order
+    concatenated, and split the values into one slab per radial order."""
     f = source if callable(source) else source.evaluate
-    first = {}
-    for n in grid.slab_keys:
-        first.setdefault(grid.radial_order(n), n)
-    radii = [grid.alphas(n) for n in first.values()]
+    radii = [grid.alphas(w) for w in grid.zeros]
     values = np.asarray(f(np.concatenate(radii)[:, None], grid.thetas[None, :]), dtype=complex)
-    parts = dict(zip(first, np.split(values, np.cumsum([a.size for a in radii])[:-1])))
-    return SampleSet(grid, {n: parts[grid.radial_order(n)] for n in grid.slab_keys})
+    parts = np.split(values, np.cumsum([a.size for a in radii])[:-1])
+    return SampleSet(grid, dict(zip(grid.zeros, parts)))
 
 
 def sample_count(k_max: int, resolution: int, mode: str) -> int:
@@ -318,7 +307,7 @@ def _reconstruct(sample_set: SampleSet, params: OffsetParams, m_sum: int, r, the
                  inner, outer, mu_r: float, mu_om: float):
     """The zero-grid series shared by the four modes.
 
-    Per distinct radial order: the angular DFT coefficients of the samples,
+    Per radial order: the angular DFT coefficients of its slab, columns n + K,
     times the chirp inner(alpha), go through the radial series on the unique
     probe radii, times e^{in theta}; the sum carries the chirp outer(r).  The
     callers take both chirps from params.input_phase and .output_phase.  The
@@ -326,6 +315,8 @@ def _reconstruct(sample_set: SampleSet, params: OffsetParams, m_sum: int, r, the
     the periodic sinc of 2K+1 nodes is the degree-K DFT series.
     """
     grid = sample_set.grid
+    if params != grid.params:
+        raise ValueError(f"grid was built for {grid.params!r}, not {params!r}")
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     shape = np.broadcast(r, theta).shape
@@ -341,9 +332,8 @@ def _reconstruct(sample_set: SampleSet, params: OffsetParams, m_sum: int, r, the
     out = np.zeros(rb.size, dtype=complex)
     for w, jr in zip(orders, j_probe):
         ns = [n for n in range(-k, k + 1) if grid.radial_order(n) == w]
-        alphas = grid.alphas(ns[0])
-        coeffs = np.stack([_angular_coefficients(sample_set.slab(n), k)[:, n + k] for n in ns])
-        coeffs *= inner(alphas)
+        alphas = grid.alphas(w)
+        coeffs = _angular_coefficients(sample_set.slab(w), k).T[np.add(ns, k)] * inner(alphas)
         series = _zero_series(coeffs, alphas, grid.zeros[w], w, jr, params,
                               grid.omega, m_sum, uniq, mu_r, mu_om)
         out += np.sum(series[:, inv] * np.exp(1j * np.outer(ns, tb)), axis=0)
@@ -364,7 +354,7 @@ def reconstruct_field(sample_set: SampleSet, mode: str, params: OffsetParams,
 
     theorem1: per-order zeros, azimuthal DFT factor e^{in(theta-theta_l)};
     theorem2: one fixed order, azimuthal periodic-sinc interpolation.
-    Non-finite probe points raise ValueError.
+    Non-finite probes and params not the grid's raise ValueError.
     """
     _check_mode(sample_set.grid, mode, ("theorem1", "theorem2"), "reconstruct_field")
     return _reconstruct(sample_set, params, m_sum, r, theta, params.input_phase,
@@ -380,7 +370,7 @@ def reconstruct_spectrum(sample_set: SampleSet, mode: str, params: OffsetParams,
     chains.  The samples are dechirped by e^{-i d alpha^2 / 2b}, the mirror
     of the outer factor: the offset-free oracle shows it is the printed
     inner chirp that reproduces the spectrum, and the e^{-i a alpha^2 / 2b}
-    one does not once a != d.  Non-finite probe points raise ValueError.
+    one does not once a != d.  Raises ValueError as reconstruct_field does.
     """
     _check_mode(sample_set.grid, mode, ("corollary1", "corollary2"), "reconstruct_spectrum")
     return _reconstruct(sample_set, params, m_sum, rho, phi,

@@ -25,8 +25,10 @@ def test_config_from_text_and_overrides():
     assert cfg.tau == (0.1, 0.2)
     assert cfg.tolerance("reconstruction") == 1e-4
     assert cfg.tolerance("roundtrip") == 1e-5
-    with pytest.raises(ValueError):
-        ExperimentConfig.from_text("bogus_key = 1\n")
+    # a, b, c, d set no bundle that any row reads
+    for text in ("bogus_key = 1\n", "a = 1\n"):
+        with pytest.raises(ValueError, match="unknown config key"):
+            ExperimentConfig.from_text(text)
 
 
 def test_config_rejects_what_it_cannot_run():
@@ -44,8 +46,10 @@ def test_config_rejects_what_it_cannot_run():
     with pytest.raises(ValueError, match="draws"):
         ExperimentConfig(draws=-1)
     # j_spec = 0 synthesizes zero fields, whose rows would pass vacuously,
-    # and k_max < 0 would fail only mid-run
-    for text, key in (("j_spec = 0\n", "j_spec"), ("k_max = -1\n", "k_max")):
+    # k_max < 0 and theorem2_order < 0 would fail only mid-run, and a
+    # value that does not parse names its key
+    for text, key in (("j_spec = 0\n", "j_spec"), ("k_max = -1\n", "k_max"),
+                      ("theorem2_order = -1\n", "theorem2_order"), ("seed = 7.5\n", "seed")):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_text(text)
 

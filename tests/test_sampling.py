@@ -26,6 +26,7 @@ from polar_olct import (
     synthesize_sonine,
     theta_kernel,
 )
+from polar_olct import sampling
 from polar_olct.harness import _alternating_prefactor, _spatial_chirp
 
 
@@ -259,6 +260,40 @@ def test_sample_field_calls_its_source_once_per_grid(rot, bessel_core_calls):
         assert rel_err(samples.slab(n), alone) <= 1e-14
 
 
+def test_sample_set_stores_one_slab_per_radial_order(rot):
+    # theorem 1 puts n and -n on the zeros of radial order |n|: the set
+    # keeps one slab for both, while total_count stays the paper's count
+    g1 = SampleGrid.theorem1(rot, np.pi, 2, 3)
+    g2 = SampleGrid.theorem2(rot, np.pi, 2, 3, order=1)
+    f = synthesize(random_spectrum(np.pi, 2, 3, seed=48), rot)
+    s1, s2 = sample_field(f, g1), sample_field(f, g2)
+    assert sorted(s1.slabs) == [0, 1, 2] and sorted(s2.slabs) == [1]
+    assert all(s1.slab(n) is s1.slab(-n) for n in (1, 2))
+    assert (s1.total_count, s2.total_count) == (sample_count(2, 3, "theorem1"),
+                                                sample_count(2, 3, "theorem2"))
+    # a set keyed by angular order, or by a radial order the grid lacks
+    angular = {n: s1.slab(n) for n in range(-2, 3)}
+    for grid, slabs in ((g1, angular), (g2, {0: s2.slab(0)})):
+        with pytest.raises(ValueError, match="slab keys do not match the grid layout"):
+            SampleSet(grid, slabs)
+    with pytest.raises(ValueError, match=re.escape("slab 2 has shape (9, 4), expected (9, 5)")):
+        SampleSet(g1, {**s1.slabs, 2: s1.slabs[2][:, :4]})
+
+
+@pytest.mark.parametrize("mode, dfts", [("theorem1", 3), ("theorem2", 1)])
+def test_reconstruction_takes_one_angular_dft_per_radial_order(rot, monkeypatch, mode, dfts):
+    # one DFT per radial order, not per angular order: at K = 2 theorem 1
+    # has radial orders 0, 1 and 2 and theorem 2 one, for five angular orders
+    samples = sample_field(synthesize(random_spectrum(np.pi, 2, 3, seed=49), rot),
+                           getattr(SampleGrid, mode)(rot, np.pi, 2, 3))
+    calls = []
+    dft = sampling._angular_coefficients
+    monkeypatch.setattr(sampling, "_angular_coefficients",
+                        lambda values, k: calls.append(k) or dft(values, k))
+    reconstruct_field(samples, mode, rot, 0, np.linspace(0.1, 3.0, 4), 0.3)
+    assert calls == [2] * dfts
+
+
 def test_warm_table_reconstruction_takes_no_jnext(rot, bessel_core_calls, zero_taylor_calls):
     # J_{v+1} at the zeros and the Taylor coefficients there come from the
     # zero tables: a second run takes J_v at the probes for all three
@@ -392,7 +427,7 @@ def _reconstruct_order(samples, order, params, omega, r, sample_map=lambda s: s)
     # K = 0 theorem-2 grid holding the samples as its one-column slab
     samples = np.asarray(samples, dtype=complex)
     grid = SampleGrid.theorem2(params, omega, 0, 1, order=order, zeros_per_order=samples.size)
-    return reconstruct_field(sample_map(SampleSet(grid, {0: samples[:, None]})), "theorem2",
+    return reconstruct_field(sample_map(SampleSet(grid, {order: samples[:, None]})), "theorem2",
                              params, 0, r, 0.0)
 
 
@@ -463,7 +498,7 @@ def test_reconstruct_field_zero_samples(rot):
     assert np.max(np.abs(out)) == 0.0
 
 
-def test_reconstruct_field_mode_mismatch(rot):
+def test_reconstruct_field_mode_mismatch(rot, lct):
     grid = SampleGrid.theorem1(rot, np.pi, 1, 4)
     zero = lambda r, t: np.zeros(np.broadcast(r, t).shape, complex)
     samples = sample_field(zero, grid)
@@ -471,6 +506,14 @@ def test_reconstruct_field_mode_mismatch(rot):
         reconstruct_field(samples, "theorem2", rot, 0, np.array([0.4]), np.array([0.2]))
     with pytest.raises(ValueError):
         reconstruct_spectrum(samples, "corollary1", rot, 0, np.array([0.4]), np.array([0.2]))
+    # a bundle other than the grid's: the abscissae b z / omega and the
+    # chirps of the samples are the grid bundle's, so the series would
+    # reconstruct another field
+    spectrum_samples = sample_field(zero, SampleGrid.corollary1(rot, 20.0, 1, 1.0))
+    for entry, s, mode in ((reconstruct_field, samples, "theorem1"),
+                           (reconstruct_spectrum, spectrum_samples, "corollary1")):
+        with pytest.raises(ValueError, match=re.escape(f"grid was built for {rot!r}, not {lct!r}")):
+            entry(s, mode, lct, 0, np.array([0.4]), np.array([0.2]))
 
 
 @pytest.mark.parametrize("entry", ["olct_inverse", "reconstruct_field", "reconstruct_spectrum"])
@@ -689,9 +732,9 @@ def _check_offset_series(params, k, m_sum, r, theta, rng, jv):
         "corollary2": SampleGrid.corollary2(params, 20.0, k, 1.0),
     }
     for mode, grid in grids.items():
-        slabs = {n: rng.normal(size=(grid.alphas(n).size, 2 * k + 1))
-                 + 1j * rng.normal(size=(grid.alphas(n).size, 2 * k + 1))
-                 for n in grid.slab_keys}
+        slabs = {w: rng.normal(size=(grid.alphas(w).size, 2 * k + 1))
+                 + 1j * rng.normal(size=(grid.alphas(w).size, 2 * k + 1))
+                 for w in grid.zeros}
         samples = SampleSet(grid, slabs)
         # the library runs the unit prefactor and the spectral chirp; the
         # harness maps give the printed alternatives from the same series
