@@ -68,9 +68,8 @@ def _series(v, x: np.ndarray) -> np.ndarray:
     seven terms of the ascending series in float64, whose terms fall by
     (x/2)^2 / (k |v + k|) <= 5e-7 a step, for every point alike.  `v` is a
     column of orders, broadcast against x."""
-    # log|Gamma(v+1)| does not overflow at high order; Gamma(v+1) < 0 only
-    # for -3/2 <= v < -1 on the internal order range
-    gam = np.where(v < -1.0, -1.0, 1.0) * np.exp(-np.vectorize(math.lgamma)(v + 1.0))
+    # log Gamma(v+1) does not overflow at high order; Gamma(v+1) > 0 for v >= -1/2
+    gam = np.exp(-np.vectorize(math.lgamma)(v + 1.0))
     with np.errstate(divide="ignore"):  # (x/2)^v = inf at x = 0 for v < 0
         lead = gam * (x / 2.0) ** v
     xx = (x / 2.0) ** 2
@@ -201,16 +200,12 @@ def _asymptotic_threshold(v: float) -> float:
 def _bessel_j_core(orders, x: np.ndarray) -> np.ndarray:
     """J_v(x) for each order v of `orders` (rows) on nonnegative 1-d x.
 
-    Any real v >= -3/2 (wider than the public range; negative integer
-    orders by reflection).  The orders must differ by integers: one
-    recurrence serves them all.  For orders 0 <= v < _FREE_ORDER + 1 the
-    rows equal one-order calls on the same x bit for bit.
+    Any real v >= -1/2.  The orders must differ by integers: one recurrence
+    serves them all.  For orders 0 <= v < _FREE_ORDER + 1 the rows equal
+    one-order calls on the same x bit for bit.
     """
     orders = [float(v) for v in orders]
     vmin = min(orders)
-    if vmin < 0 and vmin.is_integer():  # J_{-n} = (-1)^n J_n
-        signs = np.array([(-1.0) ** -v if v < 0 else 1.0 for v in orders])
-        return signs[:, None] * _bessel_j_core([abs(v) for v in orders], x)
     v0 = vmin - (math.floor(vmin) if vmin >= 0 else 0)
     steps = [round(v - v0) for v in orders]
     if any(abs(v - v0 - m) > 1e-9 for v, m in zip(orders, steps)):

@@ -92,7 +92,7 @@ def _cmd_transform(args) -> int:
         result = tr.olct_forward(field, params, grid, r_max=args.r_max)
         values = result.values
     else:
-        coeffs = {n: field.coefficient(n) for n in spectrum.coefficients}
+        coeffs = {n: field.coefficients[n] for n in spectrum.coefficients}
         values = tr.olct_series(coeffs, params, grid, r_max=args.r_max).values
     RH, PH = np.meshgrid(grid.rho, grid.phi, indexing="ij")
     out = args.out or "transform.csv"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .bessel import ZeroTable, bessel_j, lambda_sum
-from .params import OffsetParams
+from .params import OffsetParams, _check_positive
 from . import sampling as sp
 from . import synthesis as sy
 from . import transforms as tr
@@ -30,7 +30,7 @@ __all__ = [
     "emit_report",
 ]
 
-_DEFAULT_TOLERANCES = {
+_TOLERANCES = {
     "bessel_zero_residual": 1e-12,
     "lambda_identity": 1e-10,
     "stark_nodes": 1e-12,
@@ -43,6 +43,8 @@ _DEFAULT_TOLERANCES = {
     "reconstruction": 1e-5,
     "spectrum_reconstruction": 1e-5,
 }
+# the bundle of the chirped rows and of the corollary grids
+_LCT = OffsetParams(1.0, 2.0, -0.25, 0.5)
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class ExperimentConfig:
     r_max: float = 60.0
     support_radius: float = 400.0
     draws: int = 5
-    tolerances: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         # empty n_values is allowed and yields empty sweeps
@@ -78,17 +79,21 @@ class ExperimentConfig:
             raise ValueError(f"k_max must be >= 0, got {self.k_max!r}")
         if self.theorem2_order < 0:
             raise ValueError(f"theorem2_order must be >= 0, got {self.theorem2_order!r}")
-        for name in self.tolerances:
-            if name not in _DEFAULT_TOLERANCES:
-                raise ValueError(f"unknown tolerance key 'tol_{name}'")
-
-    def tolerance(self, name: str) -> float:
-        return float(self.tolerances.get(name, _DEFAULT_TOLERANCES[name]))
+        for key in ("omega", "r_max", "support_radius"):
+            _check_positive(key, getattr(self, key))
+        # a support radius that leaves a corollary grid without zeros would
+        # fail only mid-run, after the suites before it
+        for mode in ("corollary1", "corollary2"):
+            try:
+                _corollary_grid(self, mode)
+            except ValueError as exc:
+                raise ValueError(f"support_radius = {self.support_radius!r} is too small: "
+                                 f"{exc}") from None
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         kv = parse_keyvalue(text)
-        kwargs, tol = {}, {}
+        kwargs = {}
 
         def num(key, kind, text):
             try:
@@ -97,9 +102,7 @@ class ExperimentConfig:
                 raise ValueError(f"config key {key!r}: {exc}") from None
 
         for key, val in kv.items():
-            if key.startswith("tol_"):
-                tol[key[4:]] = num(key, float, val)
-            elif key in ("seed", "k_max", "j_spec", "theorem2_order", "probe_grid", "draws"):
+            if key in ("seed", "k_max", "j_spec", "theorem2_order", "probe_grid", "draws"):
                 kwargs[key] = num(key, int, val)
             elif key in ("omega", "r_max", "support_radius"):
                 kwargs[key] = num(key, float, val)
@@ -109,8 +112,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown config key {key!r}")
         for pair in ("tau", "eta"):
             kwargs[pair] = tuple(num(k, float, kv.get(k, 0.0)) for k in (pair + "1", pair + "2"))
-        if tol:
-            kwargs["tolerances"] = tol
         return cls(**kwargs)
 
     @classmethod
@@ -239,7 +240,6 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
         return sweep
     rng = np.random.default_rng(config.seed)
     rot = OffsetParams(0.0, 1.0, -1.0, 0.0)
-    lct = OffsetParams(1.0, 2.0, -0.25, 0.5)
 
     # 1. special-function substrate
     t0 = time.perf_counter()
@@ -247,13 +247,13 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
     for v in range(9):
         z = ZeroTable.for_order(v, 50).zeros[:50]
         residual = max(residual, float(np.max(np.abs(bessel_j(v, z)))))
-    sweep.add("bessel_zero_residual", residual, config.tolerance("bessel_zero_residual"))
+    sweep.add("bessel_zero_residual", residual, _TOLERANCES["bessel_zero_residual"])
     sweep.time("bessel_zero_residual", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     xs = rng.uniform(0.0, 30.0, 50)
     dev = float(np.max(np.abs(lambda_sum(xs) - 1.0)))
-    sweep.add("lambda_identity", dev, config.tolerance("lambda_identity"))
+    sweep.add("lambda_identity", dev, _TOLERANCES["lambda_identity"])
     sweep.time("lambda_identity", time.perf_counter() - t0)
 
     # 2. azimuthal interpolation
@@ -273,12 +273,12 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
         node_vals = np.exp(1j * deg * nodes)
         worst = max(worst, float(np.max(np.abs(
             sp.stark_interpolate(node_vals, probes, k) - np.exp(1j * deg * probes)))))
-    sweep.add("stark_nodes", worst, config.tolerance("stark_nodes"))
+    sweep.add("stark_nodes", worst, _TOLERANCES["stark_nodes"])
     k, l, n = 2, 1, -1
     th = -np.pi + 2.0 * np.pi * np.arange(8192) / 8192
     quad = np.sum(sp.stark_kernel(th, l, k) * np.exp(-1j * n * th)) * (2.0 * np.pi / 8192)
     target = 2.0 * np.pi / (2 * k + 1) * np.exp(-1j * n * 2.0 * np.pi * l / (2 * k + 1))
-    sweep.add("stark_integral", abs(quad - target), config.tolerance("stark_integral"))
+    sweep.add("stark_integral", abs(quad - target), _TOLERANCES["stark_integral"])
     sweep.time("stark", time.perf_counter() - t0)
 
     # 3. transform oracles on random draws, against closed forms
@@ -297,16 +297,16 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
         fw = tr.olct_forward(gauss, p, grid, r_max=30.0)
         truth = _gaussian_olct(p, s, c0, c1, grid.rho[:, None], grid.phi[None, :])
         worst = max(worst, _rel_err(fw.values, truth))
-    sweep.add("oracle_agreement", worst, config.tolerance("oracle_agreement"))
+    sweep.add("oracle_agreement", worst, _TOLERANCES["oracle_agreement"])
     sweep.time("oracle_agreement", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     rho = np.linspace(0.05, 0.95, 12)
     s_r = 6.0
-    lhs = tr.olcht_forward(lambda r: r * np.exp(-r * r / (2.0 * s_r * s_r)), 1, lct, rho,
+    lhs = tr.olcht_forward(lambda r: r * np.exp(-r * r / (2.0 * s_r * s_r)), 1, _LCT, rho,
                            r_max=10.0 * s_r)
-    sweep.add("chirp_factorization", _rel_err(lhs, _gaussian_olcht(lct, s_r, 1, rho)),
-              config.tolerance("chirp_factorization"))
+    sweep.add("chirp_factorization", _rel_err(lhs, _gaussian_olcht(_LCT, s_r, 1, rho)),
+              _TOLERANCES["chirp_factorization"])
     sweep.time("chirp_factorization", time.perf_counter() - t0)
 
     # 4. round trips (r_max matched to the tolerance, not the sweep default)
@@ -319,15 +319,15 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
     tt = np.linspace(-2.5, 2.5, 7)
     rec = tr.olct_inverse(spec_f, rot, rr, tt)
     sweep.add("roundtrip_olct", _rel_err(rec, fld.evaluate(rr, tt)),
-              config.tolerance("roundtrip"))
+              _TOLERANCES["roundtrip"])
     prof2 = sy.synthesize(sy.random_spectrum(1.0, 0, 3, seed=config.seed + 4,
                                              order_map="fixed", fixed_order=1),
-                          lct).coefficient(0)
-    fwd = lambda q: tr.olcht_forward(prof2, 1, lct, q, r_max=2.0 * rt_r_max)
+                          _LCT).coefficients[0]
+    fwd = lambda q: tr.olcht_forward(prof2, 1, _LCT, q, r_max=2.0 * rt_r_max)
     probes_r = np.linspace(0.2, 4.0, 9)
-    rec2 = tr.olcht_inverse(fwd, 1, lct, probes_r, rho_max=1.0)
+    rec2 = tr.olcht_inverse(fwd, 1, _LCT, probes_r, rho_max=1.0)
     sweep.add("roundtrip_olcht", _rel_err(rec2, prof2(probes_r)),
-              config.tolerance("roundtrip"))
+              _TOLERANCES["roundtrip"])
     sweep.time("roundtrips", time.perf_counter() - t0)
 
     # 5. series-order adjudication
@@ -335,10 +335,10 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
     fldK = sy.synthesize(sy.random_spectrum(1.0, 2, 2, seed=config.seed + 5), rot)
     gridK = tr.PolarGrid(np.linspace(0.05, 0.95, 8), 16)
     fw = tr.olct_forward(fldK, rot, gridK, r_max=config.r_max)
-    coeffs = {n: fldK.coefficient(n) for n in range(-2, 3)}
+    coeffs = {n: fldK.coefficients[n] for n in range(-2, 3)}
     err_n = _rel_err(tr.olct_series(coeffs, rot, gridK, r_max=config.r_max).values, fw.values)
     err_2n = _rel_err(_per_order_series(coeffs, rot, gridK, 2, config.r_max), fw.values)
-    tol = config.tolerance("series_match")
+    tol = _TOLERANCES["series_match"]
     matches = [m for m, e in (("order_n", err_n), ("order_2n", err_2n)) if e <= tol]
     sweep.add("series_order_n", err_n, tol, note="angular series, order-preserving")
     sweep.add("series_order_2n", err_2n, None, passed=err_2n > tol,
@@ -353,7 +353,7 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
                       for n in range(-2, 3)])
     sweep.add("parseval_residual",
               tr.parseval_residual(ring, terms) / max(float(np.max(np.abs(ring))) ** 2, 1e-30),
-              config.tolerance("parseval"))
+              _TOLERANCES["parseval"])
     sweep.time("series_adjudication", time.perf_counter() - t0)
 
     # 6. sampling theorems: terminating and non-terminating spectra
@@ -363,7 +363,7 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
 
     # 7. spectrum-domain reconstruction and the inner-chirp adjudication
     t0 = time.perf_counter()
-    _corollary_rows(sweep, config, lct)
+    _corollary_rows(sweep, config)
     sweep.time("corollaries", time.perf_counter() - t0)
     return sweep
 
@@ -372,7 +372,7 @@ def _sampling_rows(sweep, config, params):
     omega = config.omega
     n_values = sorted(config.n_values)
     n_min, n_max = n_values[0], n_values[-1]
-    tol = config.tolerance("reconstruction")
+    tol = _TOLERANCES["reconstruction"]
     probe_n = config.probe_grid
 
     for mode in ("theorem1", "theorem2"):
@@ -411,9 +411,17 @@ def _sampling_rows(sweep, config, params):
                 prev = err
 
 
-def _corollary_rows(sweep, config, params):
+def _corollary_grid(config, mode):
+    # the spectrum-domain grid of a corollary row: band limit 1 under _LCT
+    if mode == "corollary1":
+        return sp.SampleGrid.corollary1(_LCT, config.support_radius, config.k_max, 1.0)
+    return sp.SampleGrid.corollary2(_LCT, config.support_radius, config.k_max, 1.0,
+                                    order=config.theorem2_order)
+
+
+def _corollary_rows(sweep, config):
     omega = 1.0
-    tol = config.tolerance("spectrum_reconstruction")
+    tol = _TOLERANCES["spectrum_reconstruction"]
     probe_n = config.probe_grid
     rho = np.linspace(0.02, 0.9, probe_n)
     phi = np.linspace(-np.pi, np.pi, probe_n, endpoint=False)
@@ -422,16 +430,12 @@ def _corollary_rows(sweep, config, params):
         order_map = "per_order" if mode == "corollary1" else "fixed"
         spec = sy.random_spectrum(omega, config.k_max, config.j_spec, seed=config.seed + 7,
                                   order_map=order_map, fixed_order=config.theorem2_order)
-        fld = sy.synthesize(spec, params)
+        fld = sy.synthesize(spec, _LCT)
         truth = fld.spectrum_values(RH, PH)
-        grid = (sp.SampleGrid.corollary1(params, config.support_radius, config.k_max, omega)
-                if mode == "corollary1" else
-                sp.SampleGrid.corollary2(params, config.support_radius, config.k_max, omega,
-                                         order=config.theorem2_order))
-        samples = sp.sample_field(fld.spectrum_values, grid)
+        samples = sp.sample_field(fld.spectrum_values, _corollary_grid(config, mode))
         errs = {}
         for variant, mapped in (("spectral", samples), ("spatial", _spatial_chirp(samples))):
-            rec, dt = _timed(sp.reconstruct_spectrum, mapped, mode, params, 0, RH, PH)
+            rec, dt = _timed(sp.reconstruct_spectrum, mapped, mode, _LCT, 0, RH, PH)
             errs[variant] = _rel_err(rec, truth)
             sweep.time(f"{mode}_{variant}", dt)
         sweep.add(f"{mode}_spectral_chirp", errs["spectral"], tol)
@@ -483,7 +487,7 @@ def run_offset_investigation(config: ExperimentConfig) -> SweepResult:
     fld = sy.synthesize(spec, params)
     grid = tr.PolarGrid(np.linspace(0.05, 0.95, 8), 16)
     fw = tr.olct_forward(fld, params, grid, r_max=30.0)
-    coeffs = {n: fld.coefficient(n) for n in spec.coefficients}
+    coeffs = {n: fld.coefficients[n] for n in spec.coefficients}
     for kernel, series in (("reduced", _per_order_series(coeffs, params, grid, 1, 30.0)),
                            ("strict", tr.olct_series(coeffs, params, grid, r_max=30.0).values)):
         sweep.add(f"offset_series_{kernel}", _rel_err(series, fw.values), None,

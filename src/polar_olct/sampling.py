@@ -200,18 +200,20 @@ class SampleGrid:
     def alphas(self, n: int) -> np.ndarray:
         return self.params.b * self.zeros[self.radial_order(n)] / self.omega
 
-    # -- factories -------------------------------------------------------
+    # -- factories: the theorem grids hold N^2 zeros per radial order, and
+    # a grid with another count is SampleGrid(mode, params, omega, k_max,
+    # {w: zeros})
 
     @classmethod
-    def theorem1(cls, params, omega, k_max, resolution, zeros_per_order=None):
-        z_count = _zero_count(resolution, zeros_per_order)
+    def theorem1(cls, params, omega, k_max, resolution):
+        z_count = _check_count("resolution", resolution) ** 2
         zeros = {w: ZeroTable.for_order(w, z_count).zeros[:z_count].copy()
                  for w in range(_check_count("k_max", k_max, 0) + 1)}
         return cls("theorem1", params, omega, k_max, zeros)
 
     @classmethod
-    def theorem2(cls, params, omega, k_max, resolution, order=0, zeros_per_order=None):
-        z_count = _zero_count(resolution, zeros_per_order)
+    def theorem2(cls, params, omega, k_max, resolution, order=0):
+        z_count = _check_count("resolution", resolution) ** 2
         zeros = {order: ZeroTable.for_order(order, z_count).zeros[:z_count].copy()}
         return cls("theorem2", params, omega, k_max, zeros)
 
@@ -225,12 +227,6 @@ class SampleGrid:
     def corollary2(cls, params, support_radius, k_max, band_limit, order=0):
         zeros = {order: _zeros_below(order, params.b, support_radius, band_limit)}
         return cls("corollary2", params, support_radius, k_max, zeros)
-
-
-def _zero_count(resolution, zeros_per_order):
-    # zeros per radial order of a theorem grid: N^2 unless given
-    n = _check_count("resolution", resolution)
-    return n * n if zeros_per_order is None else _check_count("zeros_per_order", zeros_per_order)
 
 
 def _zeros_below(order, b, scale, band_limit):
@@ -277,12 +273,12 @@ class SampleSet:
 
 
 def sample_field(source, grid: SampleGrid) -> SampleSet:
-    """Evaluate a field (or, for the spectrum-domain grids, a spectrum) on
-    every grid point in one call, with the radii of every radial order
-    concatenated, and split the values into one slab per radial order."""
-    f = source if callable(source) else source.evaluate
+    """Evaluate a callable field (or, for the spectrum-domain grids, a
+    spectrum) source(r, theta) on every grid point in one call, with the
+    radii of every radial order concatenated, and split the values into one
+    slab per radial order."""
     radii = [grid.alphas(w) for w in grid.zeros]
-    values = np.asarray(f(np.concatenate(radii)[:, None], grid.thetas[None, :]), dtype=complex)
+    values = np.asarray(source(np.concatenate(radii)[:, None], grid.thetas[None, :]), dtype=complex)
     parts = np.split(values, np.cumsum([a.size for a in radii])[:-1])
     return SampleSet(grid, dict(zip(grid.zeros, parts)))
 

@@ -118,15 +118,10 @@ class FourierBesselSpectrum:
 
 @dataclass(frozen=True)
 class PolarField:
-    """A field as evaluable angular coefficients f_n(r), |n| <= k_max."""
+    """A field as evaluable angular coefficients: `coefficients` maps each
+    angular order n to its radial profile f_n(r)."""
 
     coefficients: dict
-    omega: float
-    k_max: int
-    provenance: str = ""
-
-    def coefficient(self, n: int):
-        return self.coefficients[n]
 
     def evaluate(self, r, theta):
         """f(r, theta) = sum_n f_n(r) e^{i n theta}, broadcast over inputs."""
@@ -162,8 +157,8 @@ class SynthesizedField(PolarField):
     transform-domain coefficients they came from.
     """
 
-    spectrum: FourierBesselSpectrum = None
-    params: OffsetParams = None
+    spectrum: FourierBesselSpectrum
+    params: OffsetParams
 
     def spectral_coefficient(self, n: int, rho) -> np.ndarray:
         """Reduced-kernel radial transform of f_n: supported on [0, omega)."""
@@ -240,9 +235,7 @@ def synthesize(spectrum: FourierBesselSpectrum, params: OffsetParams) -> Synthes
             bases[w, eps.size] = _Basis(w, c, partial(_lommel_values, b * z / spectrum.omega, c,
                                                       z, _taylor_at_zeros(w, z)))
         profiles[n] = _Profile(bases[w, eps.size], eps, params)
-    return SynthesizedField(profiles, spectrum.omega, spectrum.k_max,
-                            provenance=f"fb-spectrum order_map={spectrum.order_map}",
-                            spectrum=spectrum, params=params)
+    return SynthesizedField(profiles, spectrum, params)
 
 
 def _zero_profile(r):
@@ -352,7 +345,7 @@ def synthesize_sonine(weights: dict, params: OffsetParams, omega: float, *,
         if w not in bases:
             bases[w] = sonine_profile(w, c, s)[0]
         profiles[n] = _ScaledProfile(bases[w], complex(wgt), params)
-    return PolarField(profiles, omega, k_max, provenance=f"sonine s={s}")
+    return PolarField(profiles)
 
 
 def random_spectrum(omega: float, k_max: int, j_spec: int, seed: int, *,

@@ -13,7 +13,7 @@ uniform trapezoid rule on an even number of nodes, evaluated as a circular
 convolution with the kernel e^{-i t cos psi}, t = rho r_max / |b|, whose
 spectrum is real and even up to a fixed phase.  Its Fourier coefficients
 (-i)^m J_m(t) are below 1e-18 from M = ceil(1.25 t + 33), so each output
-radius takes it on the least 5-smooth multiple of 4 azimuths at or above
+radius takes it on the least multiple of 4 azimuths at or above
 M + min(M, B) (2M without a band B), or on the whole rule where that is
 not fewer.  Only its coefficients at the field's orders are used: direct
 sums over a quarter turn, with the exponentials factored over each panel,
@@ -133,16 +133,13 @@ def radial_rule(r_max: float, n_nodes: int):
 
 
 def _kernel_length(t: float, n: int, band: int | None = None) -> int:
-    """Azimuths for the kernel e^{-i t cos psi}: the least multiple of 4 with
-    no prime factor above 5 that is at least M + min(M, band), n if not
-    less.  From M = ceil(1.25 t + 33) its Fourier coefficients (-i)^m J_m(t)
-    are below 1e-18, so the columns m <= band that are used see no alias
-    above that (no band: every column up to the length's half)."""
+    """Azimuths for the kernel e^{-i t cos psi}: the least multiple of 4 that
+    is at least M + min(M, band), n if not less.  From M = ceil(1.25 t + 33)
+    its Fourier coefficients (-i)^m J_m(t) are below 1e-18, so the columns
+    m <= band that are used see no alias above that (no band: every column
+    up to the length's half)."""
     m = math.ceil(1.25 * t + 33.0)
-    k = math.ceil((m + (m if band is None else min(m, band))) / 4)
-    while 4 * k < n and 30 ** 40 % k:  # k < 2^40 divides 30^40 if 5-smooth
-        k += 1
-    return min(4 * k, n)
+    return min(4 * math.ceil((m + (m if band is None else min(m, band))) / 4), n)
 
 
 def _profile_band(field, bundle: KernelParams, n: int) -> int | None:
@@ -230,12 +227,6 @@ def _field_values(f, r, th, name: str) -> np.ndarray:
     except ValueError:
         raise ValueError(f"{name}: the field returned shape {values.shape}, "
                          f"which does not broadcast to {shape}") from None
-
-
-def _as_field_callable(field):
-    if callable(field):
-        return field
-    return field.evaluate
 
 
 def _non_finite(name: str) -> ValueError:
@@ -362,8 +353,7 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     top = max(lengths, default=n) // 2 + 1
     th = -np.pi + 2.0 * np.pi * np.arange(n) / n
     if band is None:
-        evaluate = _as_field_callable(field)
-        spectrum = lambda r, wr: _sampled_spectrum(evaluate, bundle, r, wr, th, top)
+        spectrum = lambda r, wr: _sampled_spectrum(field, bundle, r, wr, th, top)
     else:
         spectrum = lambda r, wr: _profile_spectrum(field, bundle, r, wr, min(top, band + 1))
     sums = _direct_sums(spectrum, bundle, rho_nodes, lengths, n)
@@ -395,7 +385,7 @@ def _profile_spectrum(field: PolarField, bundle: KernelParams, r: np.ndarray, wr
     return vals
 
 
-def _sampled_spectrum(evaluate, bundle: KernelParams, r: np.ndarray, wr: np.ndarray,
+def _sampled_spectrum(field, bundle: KernelParams, r: np.ndarray, wr: np.ndarray,
                       th: np.ndarray, top: int) -> np.ndarray:
     """_profile_spectrum's bins for any field, from one FFT of its values on
     the rule's azimuths th, on the field's band at these nodes.
@@ -408,7 +398,7 @@ def _sampled_spectrum(evaluate, bundle: KernelParams, r: np.ndarray, wr: np.ndar
     """
     n = th.size
     # allocated once the field has returned, so its temporaries are freed
-    f = np.array(_field_values(evaluate, r[:, None], th[None, :], "olct_forward"), dtype=complex)
+    f = np.array(_field_values(field, r[:, None], th[None, :], "olct_forward"), dtype=complex)
     # the input phase a panel at a time: over every row it would be a work
     # array as large as the batch
     for s in range(0, r.size, _NODES_PER_PANEL):
@@ -540,11 +530,11 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
                  n_azimuth: int | None = None) -> SpectrumField:
     """Forward transform of an evaluable field by full-kernel quadrature.
 
-    `field` is a callable f(r, theta) accepting broadcast arrays, or an
-    object with such an `evaluate` method; its values may have any shape
-    that broadcasts to that of r and theta together (a radial-only field
-    is one), others raise ValueError.  It must be negligible beyond `r_max`
-    and finite on [0, r_max] (non-finite values raise ValueError).
+    `field` is a callable f(r, theta) accepting broadcast arrays; its values
+    may have any shape that broadcasts to that of r and theta together (a
+    radial-only field is one), others raise ValueError.  It must be
+    negligible beyond `r_max` and finite on [0, r_max] (non-finite values
+    raise ValueError).
 
     With `n_radial` the radial rule is `n_radial` nodes of uniform 16-node
     Gauss-Legendre panels.  Without it, the 16 halves of 8 uniform panels
@@ -565,9 +555,9 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     largest |n| of its orders: then its azimuth spectrum is read from its
     angular profiles, to rounding that of `field.evaluate`.  The kernel is
     taken at each output radius on its own number of azimuths, at most the
-    rule's: the least multiple of 4 with no prime factor above 5 at or above
-    M + min(M, B) (2M without B), M = ceil(1.25 rho r_max / |b| + 33), past
-    which its Fourier coefficients are below 1e-18.
+    rule's: the least multiple of 4 at or above M + min(M, B) (2M without
+    B), M = ceil(1.25 rho r_max / |b| + 33), past which its Fourier
+    coefficients are below 1e-18.
 
     The kernel is needed only at the orders the field's spectrum holds:
     direct sums over a quarter turn of azimuths, output radii in batches of
@@ -693,13 +683,13 @@ def olcht_inverse(transform, order, params: OffsetParams, r, *,
 # --------------------------------------------------------------------------
 
 def fourier_coefficients(field, n_max: int) -> dict:
-    """Angular Fourier coefficients f_n as radial callables, |n| <= n_max.
+    """Angular Fourier coefficients f_n of the callable field f(r, theta) as
+    radial callables, |n| <= n_max.
 
     Uniform trapezoid on 4*n_max + 8 azimuths in theta; exact for angular
     polynomials of degree up to n_max.  The field values broadcast over
     theta as in olct_forward.
     """
-    f = _as_field_callable(field)
     nt = 4 * _check_count("n_max", n_max, 0) + 8
     th = 2.0 * np.pi * np.arange(nt) / nt
 
@@ -711,7 +701,7 @@ def fourier_coefficients(field, n_max: int) -> dict:
             # copied where broadcast: the product then sums as it does over
             # full-shape values, to the bit
             vals = np.ascontiguousarray(
-                _field_values(f, r[:, None], th[None, :], "fourier_coefficients"), dtype=complex)
+                _field_values(field, r[:, None], th[None, :], "fourier_coefficients"), dtype=complex)
             if not np.all(np.isfinite(vals)):
                 raise ValueError("fourier_coefficients: field returned non-finite values")
             return vals @ w

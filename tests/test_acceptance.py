@@ -191,14 +191,14 @@ def test_criterion_5_round_trips():
         for v in (0, 1, 2):
             prof = synthesize(random_spectrum(1.0, 0, 3, seed=106 + v,
                                               order_map="fixed", fixed_order=v),
-                              LCT).coefficient(0)
+                              LCT).coefficients[0]
             fwd = lambda q: olcht_forward(prof, v, LCT, q, r_max=120.0)
             r = np.linspace(0.2, 4.0, 9)
             rec = olcht_inverse(fwd, v, LCT, r, rho_max=1.0)
             assert rel_err(rec, prof(r)) <= 1e-5
         prof1 = synthesize(random_spectrum(1.0, 0, 3, seed=106,
                                            order_map="fixed", fixed_order=1),
-                           LCT).coefficient(0)
+                           LCT).coefficients[0]
         rho = np.linspace(0.05, 0.95, 12)
         ref = olcht_forward(prof1, 1, LCT, rho, r_max=120.0)
         coarse_h = rel_err(olcht_forward(prof1, 1, LCT, rho, r_max=120.0, n_radial=32), ref)
@@ -211,7 +211,7 @@ def test_criterion_6_series_order_adjudication():
         f = synthesize(random_spectrum(1.0, 2, 3, seed=107), ROT)
         grid = PolarGrid(np.linspace(0.05, 0.95, 8), 16)
         fw = olct_forward(f, ROT, grid, r_max=60.0)
-        coeffs = {n: f.coefficient(n) for n in range(-2, 3)}
+        coeffs = {n: f.coefficients[n] for n in range(-2, 3)}
         errs = {"order_n": rel_err(olct_series(coeffs, ROT, grid, r_max=60.0).values, fw.values),
                 "order_2n": rel_err(_per_order_series(coeffs, ROT, grid, 2, 60.0), fw.values)}
         matching = [m for m, e in errs.items() if e <= 1e-6]

@@ -148,14 +148,6 @@ def test_mcmahon_asymptotic_regime():
     assert np.max(np.abs(z[19:] - (j - 0.25) * np.pi)) < 0.1
 
 
-def test_integer_reflection():
-    x = np.linspace(0.0, 50.0, 277)
-    for m in range(0, 7):
-        lhs = _bessel_j_core((float(-m),), x)[0]
-        rhs = (-1.0) ** m * bessel_j(m, x)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
 def test_integral_representation_cross_check():
     # (1/2pi) * integral of exp(i(n t - x sin t)) over [-pi, pi], trapezoid
     t = -np.pi + 2.0 * np.pi * np.arange(4096) / 4096
@@ -426,8 +418,8 @@ def test_normalized_zeros():
     p1 = OffsetParams(0.0, 1.0, -1.0, 0.0)
     p2 = OffsetParams(0.0, 2.0, -0.5, 0.0)
     assert abs(ZeroTable.for_order(0, 1).zeros[0] - Z01) < 1e-12
-    assert abs(SampleGrid.theorem2(p2, 1.0, 0, 1, zeros_per_order=1).alphas(0)[0] - 2.0 * Z01) < 1e-12
-    arr = SampleGrid.theorem2(p1, np.pi, 0, 1, order=1, zeros_per_order=5).alphas(0)
+    assert abs(SampleGrid.theorem2(p2, 1.0, 0, 1).alphas(0)[0] - 2.0 * Z01) < 1e-12
+    arr = SampleGrid("theorem2", p1, np.pi, 0, {1: ZeroTable.for_order(1, 5).zeros[:5]}).alphas(0)
     assert arr.shape == (5,)
     assert abs(arr[0] - Z11 / np.pi) < 1e-12
     with pytest.raises(ValueError):

@@ -18,15 +18,13 @@ FAST = ExperimentConfig(k_max=1, j_spec=2, n_values=(2, 6), probe_grid=10,
 
 def test_config_from_text_and_overrides():
     cfg = ExperimentConfig.from_text(
-        "seed = 7\nk_max = 1\nn_values = 4, 8\ntau1 = 0.1\ntau2 = 0.2\n"
-        "tol_reconstruction = 1e-4\n")
+        "seed = 7\nk_max = 1\nn_values = 4, 8\ntau1 = 0.1\ntau2 = 0.2\n")
     assert cfg.seed == 7
     assert cfg.n_values == (4, 8)
     assert cfg.tau == (0.1, 0.2)
-    assert cfg.tolerance("reconstruction") == 1e-4
-    assert cfg.tolerance("roundtrip") == 1e-5
-    # a, b, c, d set no bundle that any row reads
-    for text in ("bogus_key = 1\n", "a = 1\n"):
+    # a, b, c, d set no bundle that any row reads, and every row's
+    # tolerance is fixed
+    for text in ("bogus_key = 1\n", "a = 1\n", "tol_reconstruction = 1e-4\n"):
         with pytest.raises(ValueError, match="unknown config key"):
             ExperimentConfig.from_text(text)
 
@@ -41,8 +39,8 @@ def test_config_rejects_what_it_cannot_run():
                       ("draws = 0\n", "draws")):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_text(text)
-    with pytest.raises(ValueError, match="tol_bogus"):
-        ExperimentConfig(tolerances={"bogus": 1.0})
+    with pytest.raises(TypeError, match="tolerances"):
+        ExperimentConfig(tolerances={"reconstruction": 1.0})
     with pytest.raises(ValueError, match="draws"):
         ExperimentConfig(draws=-1)
     # j_spec = 0 synthesizes zero fields, whose rows would pass vacuously,
@@ -52,6 +50,20 @@ def test_config_rejects_what_it_cannot_run():
                       ("theorem2_order = -1\n", "theorem2_order"), ("seed = 7.5\n", "seed")):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_text(text)
+    # a non-finite or non-positive scale is refused when the config is
+    # built, and so is a support radius that leaves a corollary grid without
+    # zeros: support_radius = 0.5 ran the suites before the corollary rows
+    # and then exited on "corollary1 grid holds no zeros for order 0"
+    for key in ("omega", "r_max", "support_radius"):
+        for bad in ("0", "-1", "nan", "inf"):
+            with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
+                ExperimentConfig.from_text(f"{key} = {bad}\n")
+    with pytest.raises(ValueError, match="support_radius = 0.5 is too small: corollary1 grid"):
+        ExperimentConfig.from_text("support_radius = 0.5\n")
+    # the highest order's first zero decides: 8 leaves zeros for order 0
+    # but none for order 2
+    with pytest.raises(ValueError, match="support_radius = 8.0 is too small: .* order 2"):
+        ExperimentConfig(support_radius=8.0)
 
 
 @pytest.mark.parametrize("truth", [np.zeros(3), np.array([1.0, np.nan, 2.0]),

@@ -350,9 +350,6 @@ def test_grid_validation(rot):
     ("theorem1", (1, 0), {}, "resolution must be a positive integer, got 0"),
     # -2 was squared into 4 zeros per order
     ("theorem2", (1, -2), {}, "resolution must be a positive integer, got -2"),
-    # zeros_per_order=0 was read as "not given"
-    ("theorem2", (1, 3), {"zeros_per_order": 0}, "zeros_per_order must be a positive integer"),
-    ("theorem1", (1, 3), {"zeros_per_order": 0}, "zeros_per_order must be a positive integer"),
 ])
 def test_theorem_grids_reject_counts_with_no_zeros(rot, factory, args, kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -419,14 +416,15 @@ def test_grid_rejects_bad_omega(rot, factory, bad):
 
 def _fixed_order_profile(params, omega, order, seed):
     spec = random_spectrum(omega, 0, 3, seed=seed, order_map="fixed", fixed_order=order)
-    return synthesize(spec, params).coefficient(0)
+    return synthesize(spec, params).coefficients[0]
 
 
 def _reconstruct_order(samples, order, params, omega, r, sample_map=lambda s: s):
     # one OLCHT order from its values at that order's normalized zeros: a
     # K = 0 theorem-2 grid holding the samples as its one-column slab
     samples = np.asarray(samples, dtype=complex)
-    grid = SampleGrid.theorem2(params, omega, 0, 1, order=order, zeros_per_order=samples.size)
+    grid = SampleGrid("theorem2", params, omega, 0,
+                      {order: ZeroTable.for_order(order, samples.size).zeros[:samples.size]})
     return reconstruct_field(sample_map(SampleSet(grid, {order: samples[:, None]})), "theorem2",
                              params, 0, r, 0.0)
 
@@ -478,10 +476,10 @@ def test_reconstruct_isotropic_order_one(rot):
     field = synthesize(spec, rot)
     zeros = ZeroTable.for_order(1, 40).zeros[:40]
     alphas = rot.b * zeros / omega
-    samples = field.coefficient(1)(alphas)
+    samples = field.coefficients[1](alphas)
     r = np.linspace(0.05, 0.9 * alphas[-1], 150)
     rec = _reconstruct_order(samples, 1, rot, omega, r)
-    assert rel_err(rec, field.coefficient(1)(r)) <= 1e-6
+    assert rel_err(rec, field.coefficients[1](r)) <= 1e-6
     rec_at = _reconstruct_order(samples, 1, rot, omega, alphas[7])
     assert abs(rec_at - samples[7]) <= 1e-9 * max(np.max(np.abs(samples)), 1e-30)
 
@@ -725,9 +723,10 @@ def test_offset_series_matches_direct_sum():
 
 def _check_offset_series(params, k, m_sum, r, theta, rng, jv):
     a, d = params.a, params.d
+    six = {w: ZeroTable.for_order(w, 6).zeros[:6] for w in range(k + 1)}
     grids = {
-        "theorem1": SampleGrid.theorem1(params, np.pi, k, 3, zeros_per_order=6),
-        "theorem2": SampleGrid.theorem2(params, np.pi, k, 3, zeros_per_order=6),
+        "theorem1": SampleGrid("theorem1", params, np.pi, k, six),
+        "theorem2": SampleGrid("theorem2", params, np.pi, k, {0: six[0]}),
         "corollary1": SampleGrid.corollary1(params, 20.0, k, 1.0),
         "corollary2": SampleGrid.corollary2(params, 20.0, k, 1.0),
     }

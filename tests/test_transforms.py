@@ -65,7 +65,7 @@ def test_engine_matches_direct_double_loop(offset_params):
     # on 512 and 520 azimuths the kernel at rho = 60 (t up to 240) takes all
     # of them, and the three smaller radii (t up to 120) their own band
     rho = np.array([0.3, 2.0, 30.0, 60.0])
-    assert [transforms._kernel_length(x * 8.0 / 2.0, 512) for x in rho] == [72, 96, 384, 512]
+    assert [transforms._kernel_length(x * 8.0 / 2.0, 512) for x in rho] == [72, 88, 368, 512]
     for p, n_phi, n_azimuth in ((offset_params, 16, 512), (lct_offsets, 8, 512), (lct_offsets, 5, 520)):
         grid = PolarGrid(rho, n_phi)
         got = olct_forward(field, p, grid, r_max=8.0, n_radial=64, n_azimuth=n_azimuth).values
@@ -129,7 +129,7 @@ def test_forward_vs_closed_form_on_random_draws():
 
 def test_olcht_reduction_is_classical_hankel(rot, make_field, scipy_hankel):
     # oracle: scipy quad_vec with scipy.special.jv (the scipy_hankel fixture)
-    f0 = make_field(rot, k_max=0, seed=9).coefficient(0)
+    f0 = make_field(rot, k_max=0, seed=9).coefficients[0]
     rho = np.linspace(0.05, 0.95, 9)
     got = olcht_forward(f0, 0, rot, rho, r_max=60.0)
     classical = scipy_hankel(f0, 0, rho, 60.0)
@@ -140,7 +140,7 @@ def test_olcht_chirp_factorization(lct, make_field, scipy_hankel):
     # oracle: the input chirp written out, then scipy quad_vec with
     # scipy.special.jv, then the prefactor and output chirp written out
     for v in (0, 1, 3):
-        f0 = make_field(lct, k_max=0, seed=9 + v, order_map="fixed", fixed_order=v).coefficient(0)
+        f0 = make_field(lct, k_max=0, seed=9 + v, order_map="fixed", fixed_order=v).coefficients[0]
         rho = np.linspace(0.05, 0.95, 9)
         lhs = olcht_forward(f0, v, lct, rho, r_max=60.0)
         chirped = lambda r: np.exp(1j * lct.a * r ** 2 / (2 * lct.b)) * f0(r)
@@ -196,7 +196,7 @@ def test_olct_roundtrip_error_halves_under_node_doubling(rot, make_field):
 
 def test_olcht_roundtrip(lct, make_field):
     for v in (0, 1, 2):
-        f0 = make_field(lct, k_max=0, seed=5 + v, order_map="fixed", fixed_order=v).coefficient(0)
+        f0 = make_field(lct, k_max=0, seed=5 + v, order_map="fixed", fixed_order=v).coefficients[0]
         fwd = lambda q: olcht_forward(f0, v, lct, q, r_max=120.0)
         r = np.linspace(0.2, 4.0, 9)
         rec = olcht_inverse(fwd, v, lct, r, rho_max=1.0)
@@ -206,7 +206,7 @@ def test_olcht_roundtrip(lct, make_field):
 def test_olcht_roundtrip_with_offsets():
     p = OffsetParams(1.0, 1.0, 0.0, 1.0, (0.2, 0.5), (0.0, 0.1))
     from polar_olct import random_spectrum, synthesize
-    f0 = synthesize(random_spectrum(1.0, 0, 3, seed=8, order_map="fixed", fixed_order=1), p).coefficient(0)
+    f0 = synthesize(random_spectrum(1.0, 0, 3, seed=8, order_map="fixed", fixed_order=1), p).coefficients[0]
     fwd = lambda q: olcht_forward(f0, 1, p, q, r_max=120.0)
     r = np.linspace(0.2, 4.0, 9)
     rec = olcht_inverse(fwd, 1, p, r, rho_max=1.0)
@@ -214,7 +214,7 @@ def test_olcht_roundtrip_with_offsets():
 
 
 def test_olcht_error_halves_under_node_doubling(lct, make_field):
-    f0 = make_field(lct, k_max=0, seed=6, order_map="fixed", fixed_order=1).coefficient(0)
+    f0 = make_field(lct, k_max=0, seed=6, order_map="fixed", fixed_order=1).coefficients[0]
     rho = np.linspace(0.05, 0.95, 12)
     ref = olcht_forward(f0, 1, lct, rho, r_max=120.0)
     coarse = rel_err(olcht_forward(f0, 1, lct, rho, r_max=120.0, n_radial=32), ref)
@@ -269,7 +269,7 @@ def test_series_adjudication_single_mode(rot, make_field):
     f = make_field(rot, k_max=1, seed=12)
     grid = PolarGrid(np.linspace(0.1, 0.9, 5), 16)
     fw = olct_forward(f, rot, grid, r_max=60.0)
-    coeffs = {n: f.coefficient(n) for n in (-1, 0, 1)}
+    coeffs = {n: f.coefficients[n] for n in (-1, 0, 1)}
     err_n = rel_err(olct_series(coeffs, rot, grid, r_max=60.0).values, fw.values)
     # the order-doubling pairing of the printed series
     err_2n = rel_err(_per_order_series(coeffs, rot, grid, 2, 60.0), fw.values)
@@ -288,7 +288,7 @@ def test_series_matches_quadrature_with_chirps(lct, make_field):
     f = make_field(lct, seed=3)
     grid = PolarGrid(np.linspace(0.1, 0.9, 5), 16)
     fw = olct_forward(f, lct, grid, r_max=40.0)
-    coeffs = {n: f.coefficient(n) for n in (-1, 0, 1)}
+    coeffs = {n: f.coefficients[n] for n in (-1, 0, 1)}
     assert rel_err(olct_series(coeffs, lct, grid, r_max=40.0).values, fw.values) < 1e-6
 
 
@@ -305,7 +305,7 @@ def test_series_matches_quadrature_with_offsets(params, make_field):
     f = make_field(p, seed=3)
     grid = PolarGrid(np.linspace(0.1, 0.9, 5), 16)
     fw = olct_forward(f, p, grid, r_max=40.0)
-    coeffs = {n: f.coefficient(n) for n in (-1, 0, 1)}
+    coeffs = {n: f.coefficients[n] for n in (-1, 0, 1)}
     series = olct_series(coeffs, p, grid, r_max=40.0)
     assert rel_err(series.values, fw.values) < 1e-8
     # the per-order series drops the offset phases, so it is not exact here
@@ -338,7 +338,7 @@ def test_bandlimit_preservation(lct, make_field):
     inside = np.linspace(0.1, 0.9, 5)
     outside = np.array([1.05, 1.2, 1.6, 2.5])
     for n in (-1, 0, 1):
-        prof = f.coefficient(n)
+        prof = f.coefficients[n]
         peak = np.max(np.abs(olcht_forward(prof, abs(n), lct, inside, r_max=400.0)))
         tail = np.max(np.abs(olcht_forward(prof, abs(n), lct, outside, r_max=400.0)))
         assert tail <= 1e-6 * peak
@@ -438,19 +438,9 @@ CHIRP_GRID = PolarGrid(np.linspace(0.1, 2.0, 10), 16)
 CHIRP_COEFFS = (0.6 - 0.3j, -0.4 + 0.5j)
 
 
-def smooth_5(k):
-    for prime in (2, 3, 5):
-        while k % prime == 0:
-            k //= prime
-    return k == 1
-
-
 def least_length(target):
-    """The least multiple of 4 with no prime factor above 5 at or above target."""
-    k = math.ceil(target / 4)
-    while not smooth_5(k):
-        k += 1
-    return 4 * k
+    """The least multiple of 4 at or above target."""
+    return 4 * math.ceil(target / 4)
 
 
 def test_kernel_length_covers_the_kernel_band():
@@ -460,8 +450,8 @@ def test_kernel_length_covers_the_kernel_band():
     # near t = 58).  A field of band B uses the columns m <= B of a kernel on
     # n_k azimuths, whose aliases sit at m' >= n_k - B; without a band every
     # column up to n_k / 2 is used.  Each length is the least multiple of 4
-    # with no prime factor above 5 at or above M + min(M, B), so 2 M without
-    # a band, or n when that is not less
+    # at or above M + min(M, B), so 2 M without a band, or n when that is
+    # not less
     jv = pytest.importorskip("scipy.special").jv
     for t in np.linspace(0.0, 2000.0, 1001)[1:]:
         m0 = math.ceil(1.25 * t + 33.0)
@@ -513,9 +503,9 @@ def quarter_turns(monkeypatch):
 
 
 def test_kernel_takes_each_radius_on_its_own_band(lct, quarter_turns):
-    # 512 azimuths, t = 40 rho up to 80: no radius needs more than 288
+    # 512 azimuths, t = 40 rho up to 80: no radius needs more than 268
     olct_forward(chirped_gaussian(10.0, *CHIRP_COEFFS), lct, CHIRP_GRID, r_max=80.0)
-    assert quarter_turns and max(lengths.max() for lengths, _ in quarter_turns) == 288
+    assert quarter_turns and max(lengths.max() for lengths, _ in quarter_turns) == 268
 
 
 def test_plain_field_takes_the_columns_of_its_band(lct, quarter_turns):
@@ -691,7 +681,7 @@ def test_polar_field_spectrum_from_its_profiles(rot, lct, offset_params, monkeyp
     for params in (rot, lct, eta_only):
         fields = (synthesize(random_spectrum(1.0, 2, 3, seed=11), params),
                   synthesize_sonine({0: 1.0, 1: 0.4 - 0.2j, -2: 0.3j}, params, 1.0),
-                  PolarField(plain, 1.0, 2))
+                  PolarField(plain))
         for field in fields:
             # the default rule, and 6 azimuths: just above 2 B = 4
             for grid, n_azimuth in ((PolarGrid(rho, 8), None), (PolarGrid(rho, 2), 6)):
@@ -700,13 +690,13 @@ def test_polar_field_spectrum_from_its_profiles(rot, lct, offset_params, monkeyp
                 assert not fft_calls
                 want = olct_forward(field.evaluate, params, grid, n_azimuth=n_azimuth, **kw).values
                 assert fft_calls
-                assert rel_err(got, want) < 1e-14, (params, field.provenance, n_azimuth)
+                assert rel_err(got, want) < 1e-14, (params, type(field).__name__, n_azimuth)
     # a spatial offset, an evaluate of its own and 2 B = n take every azimuth
     for field, params, grid, n_azimuth in (
             (synthesize(random_spectrum(1.0, 2, 3, seed=11), offset_params), offset_params,
              PolarGrid(rho, 8), None),
-            (_OwnEvaluate(plain, 1.0, 2), lct, PolarGrid(rho, 8), None),
-            (PolarField(plain, 1.0, 2), lct, PolarGrid(rho, 2), 4)):
+            (_OwnEvaluate(plain), lct, PolarGrid(rho, 8), None),
+            (PolarField(plain), lct, PolarGrid(rho, 2), 4)):
         fft_calls.clear()
         got = olct_forward(field, params, grid, n_azimuth=n_azimuth, **kw).values
         assert fft_calls
@@ -716,7 +706,7 @@ def test_polar_field_spectrum_from_its_profiles(rot, lct, offset_params, monkeyp
     # order is past every column the kernels reach (40 > n_k / 2 = 36)
     nan = lambda r: np.full(np.shape(r), np.nan)
     for coefficients in ({0: nan}, {0: gauss, 40: nan}):
-        field = PolarField(coefficients, 1.0, max(coefficients))
+        field = PolarField(coefficients)
         for f in (field, field.evaluate):
             with pytest.raises(ValueError) as err:
                 olct_forward(f, lct, PolarGrid(np.array([0.1]), 4), r_max=5.0)
@@ -770,7 +760,7 @@ def chirped_gaussian_profile(s, v):
 def roundtrip_profile(params):
     # the profile of the roundtrip_olcht check: its chirp cancels the kernel's
     spec = random_spectrum(1.0, 0, 3, seed=5, order_map="fixed", fixed_order=1)
-    return synthesize(spec, params).coefficient(0)
+    return synthesize(spec, params).coefficients[0]
 
 
 def test_olcht_adaptive_resolves_chirped_gaussian(lct):
