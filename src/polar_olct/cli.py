@@ -4,9 +4,10 @@
     polar-olct transform   --params p.txt --spectrum s.csv --out F.csv
     polar-olct synth       --spectrum s.csv --params p.txt --out f.csv
     polar-olct reconstruct --mode theorem2 --params p.txt --spectrum s.csv
-    polar-olct sweep       --config c.txt --out report.csv
-    polar-olct verify      [--config c.txt] [--out report.csv]
+    polar-olct verify      [--config c.txt] [--seed S] [--out report.csv]
 
+`verify` is the one command that runs the three suites: it prints one line
+per check, and `--out` writes the rows as CSV with a `.timings.csv` sidecar.
 Exit status 0 means every asserted check passed; input the library rejects,
 a file that cannot be opened, and a count or extent option that is not
 positive, give one error line on stderr and exit status 2.
@@ -175,38 +176,23 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-def _run_sweeps(config, which):
-    results = []
-    if which in ("all", "reduction"):
-        results.append(("reduction", harness.run_reduction_suite(config)))
-    if which in ("all", "complexity"):
-        results.append(("complexity", harness.run_complexity_sweep(config)))
-    if which in ("all", "offsets"):
-        results.append(("offsets", harness.run_offset_investigation(config)))
-    return results
-
-
-def _merged(config, results):
-    # one result whose check and timing names carry their suite's name
+def _merged(config):
+    # the three suites as one result whose check and timing names carry
+    # their suite's name
     merged = harness.SweepResult(config.seed)
-    for name, res in results:
+    for name, run in (("reduction", harness.run_reduction_suite),
+                      ("complexity", harness.run_complexity_sweep),
+                      ("offsets", harness.run_offset_investigation)):
+        res = run(config)
         for row in res.rows:
             merged.rows.append({**row, "check": f"{name}.{row['check']}"})
         merged.timings.extend((f"{name}.{n}", s) for n, s in res.timings)
     return merged
 
 
-def _cmd_sweep(args) -> int:
-    config = _config_from_args(args)
-    merged = _merged(config, _run_sweeps(config, args.suite))
-    harness.emit_report(merged, args.out)
-    print(f"{len(merged.rows)} checks, {len(merged.failures())} failures -> {args.out}")
-    return 0
-
-
 def _cmd_verify(args) -> int:
     config = _config_from_args(args)
-    merged = _merged(config, _run_sweeps(config, "all"))
+    merged = _merged(config)
     for row in merged.rows:
         status = "pass" if row["passed"] else "FAIL"
         print(f"[{status}] {row['check']}: {row['value']:.3e} {row['note']}")
@@ -277,19 +263,11 @@ def main(argv=None) -> int:
     _add_common(p)
     p.set_defaults(fn=_cmd_reconstruct)
 
-    for name, help_text in (("sweep", "run suites and write a report"),
-                            ("verify", "run all suites; exit 0 iff all pass")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        if name == "sweep":
-            p.add_argument("--suite", choices=("all", "reduction", "complexity", "offsets"),
-                           default="all")
-            p.add_argument("--out", default="sweep_report.csv")
-            p.set_defaults(fn=_cmd_sweep)
-        else:
-            p.add_argument("--out", default=None)
-            p.set_defaults(fn=_cmd_verify)
+    p = sub.add_parser("verify", help="run all suites; exit 0 iff all pass")
+    p.add_argument("--config", default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=None, help="CSV report path (default: none)")
+    p.set_defaults(fn=_cmd_verify)
 
     try:
         args = parser.parse_args(argv)

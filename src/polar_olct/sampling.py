@@ -231,18 +231,15 @@ class SampleGrid:
 
 def _zeros_below(order, b, scale, band_limit):
     # all zeros whose normalized abscissa b z / scale stays under 98 % of the
-    # band limit; checked first, or a bad bound doubles the zero count
-    # without end
+    # band limit.  For v >= -1/2 the k-th zero of J_v is at least
+    # (k - 1/2) pi, so at most int(X/pi) + 1 zeros lie below
+    # X = scale rho_cap / b, and a table of int(X/pi) + 4 holds them all
     _check_positive("support_radius", scale)
     _check_positive("band_limit", band_limit)
     rho_cap = 0.98 * band_limit
     count = max(8, int(scale * rho_cap / (b * math.pi)) + 4)
-    while True:
-        z = ZeroTable.for_order(order, count).zeros[:count]
-        keep = z[b * z / scale < rho_cap]
-        if keep.size < count:
-            return keep.copy()
-        count *= 2
+    z = ZeroTable.for_order(order, count).zeros[:count]
+    return z[b * z / scale < rho_cap].copy()
 
 
 @dataclass(frozen=True)

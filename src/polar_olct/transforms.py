@@ -579,15 +579,16 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     return SpectrumField(full[:, :: na // grid.n_phi], grid, params)
 
 
-def olct_inverse(spectrum: SpectrumField, params: OffsetParams, r, theta) -> np.ndarray:
+def olct_inverse(spectrum: SpectrumField, r, theta) -> np.ndarray:
     """Evaluate the inverse transform at points (r, theta).
 
-    Applies the kernel quadrature with the inverse bundle (d,-b;-c,a) and
-    offsets (xi, gamma) over the spectrum's own grid.  Two corrections to
-    the bundle-substitution recipe are required for an exact round trip:
-    the normalization uses |b| and the result carries conj(sigma).
-    Non-finite r or theta raise ValueError.
+    Applies the kernel quadrature with the inverse of the spectrum's own
+    bundle, (d,-b;-c,a) with offsets (xi, gamma), over the spectrum's own
+    grid.  Two corrections to the bundle-substitution recipe are required
+    for an exact round trip: the normalization uses |b| and the result
+    carries conj(sigma).  Non-finite r or theta raise ValueError.
     """
+    params = spectrum.params
     bundle = params.inverse()
     r = np.atleast_1d(np.asarray(r, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))

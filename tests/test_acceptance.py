@@ -178,11 +178,11 @@ def test_criterion_5_round_trips():
         def olct_run(n_r, n_az, n_grid, n_phi):
             sg = spectral_grid(ROT, 1.0, n_radial=n_grid, n_phi=n_phi)
             spec = olct_forward(f, ROT, sg, r_max=60.0, n_radial=n_r, n_azimuth=n_az)
-            return rel_err(olct_inverse(spec, ROT, rr, tt), truth)
+            return rel_err(olct_inverse(spec, rr, tt), truth)
 
         sg = spectral_grid(ROT, 1.0, n_radial=96, n_phi=64)
         spec = olct_forward(f, ROT, sg, r_max=60.0)
-        final = rel_err(olct_inverse(spec, ROT, rr, tt), truth)
+        final = rel_err(olct_inverse(spec, rr, tt), truth)
         assert final <= 1e-5
         coarse = olct_run(32, 32, 16, 16)
         fine = olct_run(64, 64, 32, 32)

@@ -57,7 +57,9 @@ def test_zeros_negative_count_rejected(capsys):
 
 @pytest.mark.parametrize("line, message", [("draws = 0", "draws must be >= 1, got 0"),
                                            ("k_max = -1", "k_max must be >= 0, got -1"),
-                                           ("j_spec = 0", "j_spec must be >= 1, got 0")])
+                                           ("j_spec = 0", "j_spec must be >= 1, got 0"),
+                                           ("n_values =",
+                                            "n_values must hold one or more entries >= 1, got ()")])
 def test_verify_rejects_config_in_one_line(tmp_path, capsys, line, message):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(FAST_CONFIG + line + "\n")
@@ -262,12 +264,16 @@ def test_synth_names_the_bad_spectrum_line(tmp_path, inputs, capsys, body, line)
 def test_sweep_and_verify_exit_codes(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(FAST_CONFIG)
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", str(cfg), "--suite", "complexity",
-                 "--out", str(out)]) == 0
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.exists() and out.read_text().startswith("check,")
-
-    assert main(["verify", "--config", str(cfg)]) == 0
+    # --out writes the CSV and its timings, and no other file
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "report.csv",
+                                                          "report.csv.timings.csv"]
+    # verify is the one command that runs the suites
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg)])
+    assert exc.value.code == 2
 
     bad = tmp_path / "bad.txt"
     bad.write_text(FAST_CONFIG.replace("n_values = 2, 6", "n_values = 3"))

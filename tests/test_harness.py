@@ -1,5 +1,7 @@
 """Sweep harness: determinism, failure accumulation, budgets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,12 @@ def test_config_from_text_and_overrides():
     assert cfg.seed == 7
     assert cfg.n_values == (4, 8)
     assert cfg.tau == (0.1, 0.2)
+    # the defaults are the offsets the offset rows run, a config may ask
+    # for zero offsets, and the unnamed half of a named pair is 0
+    assert (ExperimentConfig().tau, ExperimentConfig().eta) == ((0.3, 0.4), (0.1, -0.2))
+    zero = ExperimentConfig.from_text("tau1 = 0\ntau2 = 0\neta1 = 0\neta2 = 0\n")
+    assert (zero.tau, zero.eta) == ((0.0, 0.0), (0.0, 0.0))
+    assert ExperimentConfig.from_text("eta1 = 0.5\n").eta == (0.5, 0.0)
     # a, b, c, d set no bundle that any row reads, and every row's
     # tolerance is fixed
     for text in ("bogus_key = 1\n", "a = 1\n", "tol_reconstruction = 1e-4\n"):
@@ -31,9 +39,11 @@ def test_config_from_text_and_overrides():
 
 def test_config_rejects_what_it_cannot_run():
     # each would run without meaning: an unknown tolerance is never read,
-    # n_values < 1 gives no zero grid, and draws = 0 passes oracle_agreement
+    # n_values < 1 gives no zero grid, an empty n_values runs no row and
+    # reports 0 failing checks, and draws = 0 passes oracle_agreement
     # without comparing anything
     for text, key in (("tol_reconstuction = 1e-30\n", "tol_reconstuction"),
+                      ("n_values =\n", "n_values"),
                       ("n_values = 0\n", "n_values"),
                       ("n_values = 10, -2\n", "n_values"),
                       ("draws = 0\n", "draws")):
@@ -43,6 +53,8 @@ def test_config_rejects_what_it_cannot_run():
         ExperimentConfig(tolerances={"reconstruction": 1.0})
     with pytest.raises(ValueError, match="draws"):
         ExperimentConfig(draws=-1)
+    with pytest.raises(ValueError, match="n_values"):
+        ExperimentConfig(n_values=())
     # j_spec = 0 synthesizes zero fields, whose rows would pass vacuously,
     # k_max < 0 and theorem2_order < 0 would fail only mid-run, and a
     # value that does not parse names its key
@@ -71,13 +83,6 @@ def test_config_rejects_what_it_cannot_run():
 def test_rel_err_refuses_a_reference_it_cannot_scale(truth):
     with pytest.raises(ValueError, match="reference of magnitude"):
         _rel_err(np.ones(truth.shape), truth)
-
-
-def test_empty_range_gives_empty_sweeps():
-    cfg = ExperimentConfig(n_values=())
-    assert run_reduction_suite(cfg).rows == []
-    assert run_complexity_sweep(cfg).rows == []
-    assert run_offset_investigation(cfg).rows == []
 
 
 def test_complexity_sweep_counts():
@@ -125,6 +130,16 @@ def test_offset_investigation_reports_without_asserting():
     assert strict["value"] < 1e-6 < reduced["value"]
 
 
+def test_offset_investigation_runs_the_offsets_it_is_given():
+    # without offsets the reduced series is exact and theorem 2 reconstructs
+    # the field, so both rows read rounding level only if the zero pair runs
+    # as given rather than as the default offsets
+    sweep = run_offset_investigation(replace(FAST, tau=(0.0, 0.0), eta=(0.0, 0.0)))
+    values = {r["check"]: r["value"] for r in sweep.rows}
+    assert values["offset_series_reduced"] < 1e-12
+    assert values["offset_reconstruction_unit"] < 1e-12
+
+
 def test_emit_report_deterministic(tmp_path):
     sweep1 = run_offset_investigation(FAST)
     sweep2 = run_offset_investigation(FAST)
@@ -132,8 +147,6 @@ def test_emit_report_deterministic(tmp_path):
     emit_report(sweep1, p1)
     emit_report(sweep2, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert (tmp_path / "r1.csv.summary.txt").read_bytes() == \
-        (tmp_path / "r2.csv.summary.txt").read_bytes()
     assert (tmp_path / "r1.csv.timings.csv").exists()
 
 

@@ -366,6 +366,39 @@ def test_grid_rejects_an_order_with_no_zeros(rot):
         SampleGrid("theorem1", rot, 1.0, 1, {0: np.array([1.0]), 1: np.array([])})
 
 
+def test_corollary_grid_zeros_against_scipy_jn_zeros():
+    # a corollary grid holds every zero z of each of its orders with
+    # b z / R under 98 % of the band limit, and no other; scipy's jn_zeros,
+    # filtered the same way, shares no code with the zero finder or with
+    # the count bound that sizes the zero table
+    jn_zeros = pytest.importorskip("scipy.special").jn_zeros
+    band_limit, cases = 1.0, 0
+    for b in (0.5, 2.0):
+        params = OffsetParams(0.0, b, -1.0 / b, 0.0)
+        for radius in (5.0, 20.0, 400.0):
+            def below(v):
+                z = jn_zeros(v, int(radius * band_limit / (b * np.pi)) + 10)
+                return z[b * z / radius < 0.98 * band_limit]
+
+            for mode, arg, orders in ([("corollary1", k, range(k + 1)) for k in (0, 1, 2, 3, 40)]
+                                      + [("corollary2", v, (v,)) for v in (0, 1, 2, 3, 40)]):
+                build = lambda: (SampleGrid.corollary1(params, radius, arg, band_limit)
+                                 if mode == "corollary1" else
+                                 SampleGrid.corollary2(params, radius, 0, band_limit, order=arg))
+                want = {v: below(v) for v in orders}
+                if any(z.size == 0 for z in want.values()):
+                    with pytest.raises(ValueError, match="holds no zeros"):
+                        build()
+                    continue
+                grid = build()
+                assert sorted(grid.zeros) == sorted(want)
+                for v, z in want.items():
+                    assert grid.zeros[v].size == z.size, (mode, arg, b, radius, v)
+                    assert np.max(np.abs(grid.zeros[v] - z)) <= 1e-12, (mode, arg, b, radius, v)
+                cases += 1
+    assert cases == 46
+
+
 @pytest.mark.parametrize("mode, k_max, keys", [
     ("theorem1", 1, (0,)),
     ("theorem1", 1, (0, 2)),
@@ -522,7 +555,7 @@ def test_non_finite_probe_points_rejected(lct, entry, r, theta):
     if entry == "olct_inverse":
         sg = spectral_grid(lct, 1.0, n_radial=16, n_phi=4)
         spectrum = SpectrumField(np.ones((sg.rho.size, 4)), sg, lct)
-        call = lambda: olct_inverse(spectrum, lct, np.array(r), np.array(theta))
+        call = lambda: olct_inverse(spectrum, np.array(r), np.array(theta))
     elif entry == "reconstruct_field":
         samples = sample_field(ones, SampleGrid.theorem1(lct, 1.0, 1, 2))
         call = lambda: reconstruct_field(samples, "theorem1", lct, 0, r, theta)

@@ -162,7 +162,7 @@ def test_olct_roundtrip_reduction(rot, make_field):
     spec = olct_forward(f, rot, sg, r_max=60.0)
     rr = np.linspace(0.2, 4.0, 7)
     tt = np.linspace(-2.5, 2.5, 7)
-    rec = olct_inverse(spec, rot, rr, tt)
+    rec = olct_inverse(spec, rr, tt)
     assert rel_err(rec, f.evaluate(rr, tt)) < 1e-5
 
 
@@ -173,7 +173,7 @@ def test_olct_roundtrip_with_offsets(offset_params, make_field):
     spec = olct_forward(f, p, sg, r_max=40.0)
     rr = np.linspace(0.2, 4.0, 7)
     tt = np.linspace(-2.5, 2.5, 7)
-    rec = olct_inverse(spec, p, rr, tt)
+    rec = olct_inverse(spec, rr, tt)
     assert rel_err(rec, f.evaluate(rr, tt)) < 1e-4
 
 
@@ -186,7 +186,7 @@ def test_olct_roundtrip_error_halves_under_node_doubling(rot, make_field):
     def run(n_r, n_az, n_grid, n_phi):
         sg = spectral_grid(rot, 1.0, n_radial=n_grid, n_phi=n_phi)
         spec = olct_forward(f, rot, sg, r_max=60.0, n_radial=n_r, n_azimuth=n_az)
-        return rel_err(olct_inverse(spec, rot, rr, tt), truth)
+        return rel_err(olct_inverse(spec, rr, tt), truth)
 
     coarse = run(32, 32, 16, 16)
     fine = run(64, 64, 32, 32)
@@ -230,7 +230,7 @@ def test_inverse_verify_needs_even_azimuths(rot, make_field):
     tt = np.linspace(-2.5, 2.5, 7)
     for n_phi in (64, 63, 65):
         spec = olct_forward(f, rot, spectral_grid(rot, 1.0, n_radial=96, n_phi=n_phi), r_max=60.0)
-        assert rel_err(olct_inverse(spec, rot, rr, tt), f.evaluate(rr, tt)) < 1e-5
+        assert rel_err(olct_inverse(spec, rr, tt), f.evaluate(rr, tt)) < 1e-5
 
 
 def test_inverse_requires_quadrature_grid(rot, make_field):
@@ -238,7 +238,7 @@ def test_inverse_requires_quadrature_grid(rot, make_field):
     grid = PolarGrid(np.linspace(0.05, 1.0, 12), 16)  # no weights
     spec = olct_forward(f, rot, grid, r_max=30.0, n_radial=256, n_azimuth=64)
     with pytest.raises(ValueError):
-        olct_inverse(spec, rot, np.array([0.5]), np.array([0.0]))
+        olct_inverse(spec, np.array([0.5]), np.array([0.0]))
 
 
 def test_fourier_coefficients_orthogonality():
@@ -372,7 +372,7 @@ def test_non_finite_input_rejected(lct):
     sg = spectral_grid(lct, 1.0, n_radial=16, n_phi=4)
     spec = SpectrumField(np.full((sg.rho.size, 4), np.nan), sg, lct)
     with pytest.raises(ValueError, match="non-finite"):
-        olct_inverse(spec, lct, np.array([0.5]), np.array([0.0]))
+        olct_inverse(spec, np.array([0.5]), np.array([0.0]))
     with pytest.raises(ValueError, match="non-finite"):
         fourier_coefficients(nan_field, 2)[1](np.array([0.5]))
     for rho in ([np.nan, 1.0], [np.inf], [0.5, -np.inf]):
