@@ -82,6 +82,12 @@ class ExperimentConfig:
             raise ValueError(f"theorem2_order must be >= 0, got {self.theorem2_order!r}")
         for key in ("omega", "r_max", "support_radius"):
             _check_positive(key, getattr(self, key))
+        # a non-finite offset would fail only in the offset rows, after the
+        # suites before them
+        for pair in ("tau", "eta"):
+            for i, value in enumerate(getattr(self, pair)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{pair}{i + 1} must be finite, got {value!r}")
         # a support radius that leaves a corollary grid without zeros would
         # fail only mid-run, after the suites before it
         for mode in ("corollary1", "corollary2"):

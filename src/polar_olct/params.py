@@ -35,7 +35,8 @@ def _check_count(name: str, value, least: int = 1) -> int:
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Raw kernel bundle; b may have either sign (internal inverse use)."""
+    """Raw kernel bundle; b may have either sign (internal inverse use).
+    Every entry must be finite and the determinant 1 (else ValueError)."""
 
     a: float
     b: float
@@ -49,6 +50,10 @@ class KernelParams:
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "tau", (float(self.tau[0]), float(self.tau[1])))
         object.__setattr__(self, "eta", (float(self.eta[0]), float(self.eta[1])))
+        # a NaN entry would pass the determinant test, whose comparison is False
+        for name in ("a", "b", "c", "d", "tau", "eta"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         det = self.a * self.d - self.b * self.c
         if abs(det - 1.0) > _DET_TOL:
             raise ValueError(f"parameter matrix must have unit determinant, got {det!r}")

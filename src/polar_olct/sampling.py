@@ -172,6 +172,9 @@ class SampleGrid:
         if self.mode not in ("theorem1", "theorem2", "corollary1", "corollary2"):
             raise ValueError(f"unknown grid mode {self.mode!r}")
         _check_positive("omega", self.omega)
+        # the abscissae b z / omega and the zero counts assume b > 0
+        if self.params.b <= 0.0:
+            raise ValueError(f"{self.mode} grid needs b > 0, got b = {self.params.b!r}")
         _check_count("k_max", self.k_max, 0)
         keys = sorted(self.zeros)
         if self.per_order and keys != list(range(self.k_max + 1)):

@@ -23,11 +23,17 @@ PolarField evaluated by PolarField.evaluate, under a bundle without a
 spatial offset (mu1 = 0) and on more than 2B azimuths, B = max |n| of its
 orders, gives it from its angular profiles f_n(r), its only 2B + 1
 nonzero columns: no azimuth sampling, no FFT of field values.  Any other
-field is evaluated on every azimuth and takes one FFT; its band on the
-batch is what is left after dropping the longest run of top columns whose
-summed magnitude is at most 1e-14 of the largest column.  Everything runs
-on the calling thread, and the result is the trapezoid sum up to
-rounding, checked against a point-by-point double sum.
+field is evaluated on every azimuth, in blocks of whole panels of at most
+2^16 points, each taking one FFT of which only the columns the kernels
+reach are kept; its band on the batch is what is left after dropping the
+longest run of top columns whose summed magnitude is at most 1e-14 of the
+largest column.  The panel sums hold only those columns, bins m < C and
+n - m, C = B + 1 or the kernels' top column, so their memory follows the
+field's band rather than the azimuth rule; they are spread onto all n
+bins only to be measured by the inverse DFT, and the adaptive rule takes
+its deviations a bounded block of panels at a time.  Everything runs on
+the calling thread, and the result is the trapezoid sum up to rounding,
+checked against a point-by-point double sum.
 The Hankel-type radial transforms and the angular series are algebraic
 rearrangements of the same integral; they are checked against it and
 against closed forms that share no code with this module.
@@ -73,6 +79,9 @@ _MAX_DEPTH = 12
 _CANCELLATION = 1e-3
 # elements (rows x azimuths) in one batch of kernel work arrays
 _CHUNK = 8e6
+# elements in one block of field values (nodes x azimuths) or of measured
+# deviations (panels x outputs): bounded work arrays within a batch
+_BLOCK = 2 ** 16
 # multiply-adds in one matrix product (_direct_sums): OpenBLAS runs a gemm
 # of at most 65536 x GEMM_MULTITHREAD_THRESHOLD (4 by default) on the
 # calling thread, and wakes its threads for larger ones
@@ -242,7 +251,11 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, half: np.ndarray, *, ref
     _CHUNK / (16 * width) panels.  The panels given share one half-width
     and each level of the rule is one depth of exact halvings, so the
     panels of one call do too.  `measure` is a linear map into the output
-    domain (it may work in place) where deviations are taken.  Without
+    domain (it may work in place, and its output may be wider than the
+    sums) where deviations are taken: each panel's largest, over blocks
+    of panels whose measured values hold about _BLOCK elements, so no work
+    array is as large as a level.  The measured blocks are kept only at
+    _MAX_DEPTH, for the estimate QuadratureAccuracyError carries.  Without
     `refine` the panels given are the rule.  With it they are a coarse
     level: if every one agrees with its two halves to _PANEL_RTOL of the
     largest output at every output, the halves are the rule.  Otherwise
@@ -278,12 +291,21 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, half: np.ndarray, *, ref
         lo, half = _halve(lo, half)
         halves = panel_sums(lo, half)
         if depth <= 1:
-            scale = np.max(np.abs(measure(halves.sum(axis=0))), initial=0.0)
-        # whole minus halves, in place and then in the output domain
+            level = np.abs(measure(halves.sum(axis=0)))
+            # and the panels per block of measured deviations
+            scale, step = np.max(level, initial=0.0), max(1, _BLOCK // max(level.size, 1))
+            del level  # freed before the blocks
+        # whole minus halves, in place; each panel's largest deviation in the
+        # output domain, a block of panels at a time.  The blocks are kept
+        # only for the estimate of a rule that does not converge
         whole -= halves[:n]
         whole -= halves[n:]
-        diff = measure(whole)
-        dev = np.max(np.abs(diff).reshape(n, -1), axis=1, initial=0.0)
+        dev, diff = np.empty(n), []
+        for s in range(0, n, step):
+            block = measure(whole[s:s + step])
+            dev[s:s + step] = np.max(np.abs(block).reshape(len(block), -1), axis=1, initial=0.0)
+            if depth == _MAX_DEPTH:
+                diff.append(block)
         if not np.all(np.isfinite(dev)):
             raise non_finite
         if depth == 0:
@@ -293,6 +315,7 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, half: np.ndarray, *, ref
             # it would from 16 uniform panels
             order = np.argsort(lo)
             lo, half, whole = lo[order], half[order], halves[order]
+            del halves  # freed before the next level's sums
             continue
         if depth == 1 and dev.max() > _PANEL_RTOL * scale:
             # the cancellation floor only loosens the test: needed once a panel fails
@@ -312,8 +335,9 @@ def _panel_quadrature(sums, width: int, lo: np.ndarray, half: np.ndarray, *, ref
             raise QuadratureAccuracyError(
                 f"{name}: radial panels unresolved after {depth} halvings; halves differ "
                 f"by {dev.max() / scale:.3e} of the output scale (> {_PANEL_RTOL:.0e})",
-                refined + pref * diff[~ok[:n]].sum(axis=0), refined)
+                refined + pref * np.concatenate(diff)[~ok[:n]].sum(axis=0), refined)
         lo, half, whole = lo[~ok], half[~ok], halves[~ok]
+        del halves
 
 
 def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
@@ -341,7 +365,11 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     at the field's orders alone, and _direct_sums takes it there by sums
     over a quarter turn.  The field's spectrum on a batch of panels comes
     from its profiles where _profile_band allows (_profile_spectrum), else
-    from one FFT of its values (_sampled_spectrum).
+    from FFTs of its values (_sampled_spectrum).  It holds bins m < C and
+    n - m, C = min(top, B + 1) from the profiles and the kernels' top column
+    otherwise, so the sums are stored compact, 2 C - 1 columns wide (bin
+    n - m at column 2 C - 1 - m), or n wide where that is not fewer;
+    `measure` spreads them onto the n bins just before the inverse DFT.
     """
     b = bundle.b
     n = n_azimuth
@@ -351,15 +379,27 @@ def _kernel_quadrature(field, bundle: KernelParams, rho_nodes: np.ndarray,
     lengths = [_kernel_length(rho * r_ext / abs(b), n, band) for rho in rho_nodes]
     # no column past the longest kernel's half, nor past the field's band
     top = max(lengths, default=n) // 2 + 1
+    cols = top if band is None else min(top, band + 1)
     th = -np.pi + 2.0 * np.pi * np.arange(n) / n
     if band is None:
-        spectrum = lambda r, wr: _sampled_spectrum(field, bundle, r, wr, th, top)
+        spectrum = lambda r, wr: _sampled_spectrum(field, bundle, r, wr, th, cols)
     else:
-        spectrum = lambda r, wr: _profile_spectrum(field, bundle, r, wr, min(top, band + 1))
-    sums = _direct_sums(spectrum, bundle, rho_nodes, lengths, n)
+        spectrum = lambda r, wr: _profile_spectrum(field, bundle, r, wr, cols)
+    width = min(2 * cols - 1, n)
+    sums = _direct_sums(spectrum, bundle, rho_nodes, lengths, n, width)
+
+    def measure(x):
+        # the compact columns onto the n azimuths' bins, then the inverse DFT
+        if width < n:
+            full = np.zeros(x.shape[:-1] + (n,), dtype=complex)
+            full[..., :cols] = x[..., :cols]
+            full[..., n - cols + 1:] = x[..., cols:]
+            x = full
+        return np.fft.ifft(x, axis=-1, out=x)
+
     pref = bundle.ell1 / (2.0 * np.pi * abs(b)) * bundle.output_phase(rho_nodes[:, None], th)
     return _panel_quadrature(sums, n_azimuth, lo, half, refine=refine, name="olct_forward",
-                             measure=lambda x: np.fft.ifft(x, axis=-1, out=x), pref=pref)
+                             measure=measure, pref=pref)
 
 
 def _profile_spectrum(field: PolarField, bundle: KernelParams, r: np.ndarray, wr: np.ndarray,
@@ -387,33 +427,45 @@ def _profile_spectrum(field: PolarField, bundle: KernelParams, r: np.ndarray, wr
 
 def _sampled_spectrum(field, bundle: KernelParams, r: np.ndarray, wr: np.ndarray,
                       th: np.ndarray, top: int) -> np.ndarray:
-    """_profile_spectrum's bins for any field, from one FFT of its values on
+    """_profile_spectrum's bins for any field, from FFTs of its values on
     the rule's azimuths th, on the field's band at these nodes.
 
-    Bins m < top are folded from the FFT, and then the longest run of top
+    The field is evaluated, times the input phase and the weights, and
+    transformed in blocks of whole panels of at most _BLOCK points (one
+    panel at least), and only bins m < top and n - m of each block are
+    kept, so no work array holds the batch on every azimuth.  Bins m < top
+    are folded from them, and then the longest run of top
     columns is dropped whose summed magnitude (per column the largest over
     the nodes at m plus that at n - m) is at most _PANEL_RTOL *
     _CANCELLATION of the largest column's, the finest level the adaptive
     rule resolves (at least column 0 is kept).
     """
     n = th.size
-    # allocated once the field has returned, so its temporaries are freed
-    f = np.array(_field_values(field, r[:, None], th[None, :], "olct_forward"), dtype=complex)
-    # the input phase a panel at a time: over every row it would be a work
-    # array as large as the batch
-    for s in range(0, r.size, _NODES_PER_PANEL):
-        f[s:s + _NODES_PER_PANEL] *= bundle.input_phase(r[s:s + _NODES_PER_PANEL, None], th)
-    f *= (r * wr)[:, None] * (2.0 * np.pi / n)
-    np.fft.fft(f, axis=1, out=f)
+    # bins m < top at column m and bin n - m at 2 top - 1 - m, and the
+    # largest magnitude of each over the nodes
+    kept = np.empty((r.size, 2 * top - 1), dtype=complex)
+    largest = np.zeros(2 * top - 1)
+    rows = _NODES_PER_PANEL * max(1, _BLOCK // (_NODES_PER_PANEL * n))
+    for s in range(0, r.size, rows):
+        rs = r[s:s + rows, None]
+        # allocated once the field has returned, so its temporaries are freed
+        f = np.array(_field_values(field, rs, th[None, :], "olct_forward"), dtype=complex)
+        f *= bundle.input_phase(rs, th)
+        f *= rs * wr[s:s + rows, None] * (2.0 * np.pi / n)
+        np.fft.fft(f, axis=1, out=f)
+        block = kept[s:s + rows]
+        block[:, :top] = f[:, :top]
+        block[:, top:] = f[:, n - top + 1:]
+        np.maximum(largest, np.abs(block).max(axis=0), out=largest)
     # each column's largest magnitude at m plus that at n - m; a non-finite
     # value makes every bin of its row non-finite
-    column = np.abs(f[:, :top]).max(axis=0)
-    column[1:] += np.abs(f[:, n - top + 1:]).max(axis=0)[::-1]
+    column = largest[:top]
+    column[1:] += largest[top:][::-1]
     if not np.all(np.isfinite(column)):
         raise _non_finite("olct_forward")
     tail = np.cumsum(column[::-1])[::-1]
     m = np.arange(max(1, np.count_nonzero(tail > _PANEL_RTOL * _CANCELLATION * column.max())))
-    vals = f[:, np.array([m, -m % n])].transpose(2, 1, 0)
+    vals = kept[:, np.array([m, -m % (2 * top - 1)])].transpose(2, 1, 0)
     vals[0, 1] = 0.0  # bin n - 0 is bin 0
     vals[1::2] *= 1j
     return vals
@@ -443,9 +495,12 @@ def _quarter_turn(lengths: np.ndarray, cols: int):
     return cos_psi, weights * np.where(m % 2, -1j, 1.0)
 
 
-def _direct_sums(spectrum, bundle: KernelParams, rho_nodes: np.ndarray, lengths: list, n: int):
-    """_kernel_quadrature's per-panel sums: columns m < cols and n - m of
-    each output radius, the rest zero, all on the calling thread.
+def _direct_sums(spectrum, bundle: KernelParams, rho_nodes: np.ndarray, lengths: list, n: int,
+                 width: int):
+    """_kernel_quadrature's per-panel sums of each output radius, `width`
+    columns wide: bin m < cols at column m and bin n - m at width - m, the
+    rest zero (width = n is the DFT's own layout), all on the calling
+    thread.
 
     `spectrum(r, wr)` gives the field's bins m and n - m on a batch of
     panels as [m, s, node] (_profile_spectrum, _sampled_spectrum); cols is
@@ -488,7 +543,7 @@ def _direct_sums(spectrum, bundle: KernelParams, rho_nodes: np.ndarray, lengths:
         del vals
         mid = lo + half
         offs = half[0] * xg
-        out = np.zeros((panels, rho_nodes.size, n), dtype=complex)
+        out = np.zeros((panels, rho_nodes.size, width), dtype=complex)
         for ks in radius_batches(panels, cols):
             nk = np.array(lengths[ks])
             cos_psi, weights = _quarter_turn(nk, cols)
@@ -518,7 +573,7 @@ def _direct_sums(spectrum, bundle: KernelParams, rho_nodes: np.ndarray, lengths:
             # each column's sums over the nodes, then columns n - m and m:
             # bin n/2, where they meet, is taken from m
             res = np.matmul(g.transpose(1, 3, 0, 2), spec).view(complex)
-            out[:, ks, n - cols + 1:] = res[:, :0:-1, :, 1].transpose(0, 2, 1)
+            out[:, ks, width - cols + 1:] = res[:, :0:-1, :, 1].transpose(0, 2, 1)
             out[:, ks, :cols] = res[..., 0].transpose(0, 2, 1)
         return out
 
@@ -563,10 +618,12 @@ def olct_forward(field, params: OffsetParams, grid: PolarGrid, *,
     direct sums over a quarter turn of azimuths, output radii in batches of
     a few matrix products, with no kernel FFT.  Those orders are m <= B for
     a field read from its profiles.  Any other field takes, on each batch of
-    radial panels, the columns of one FFT of its values that are left after
+    radial panels, the columns of the FFT of its values that are left after
     dropping the longest run of top columns whose summed magnitude is at
-    most 1e-14 of the largest column's.  Everything runs on the calling
-    thread, so the result is the same for any CPU count.
+    most 1e-14 of the largest column's; it is evaluated and transformed in
+    blocks of whole panels of at most 2^16 points, so it is called once per
+    block.  Memory follows those columns, not the azimuth rule.  Everything
+    runs on the calling thread, so the result is the same for any CPU count.
     """
     _check_positive("r_max", r_max)
     rho_max = float(grid.rho.max()) if grid.rho.size else 0.0

@@ -59,7 +59,9 @@ def test_zeros_negative_count_rejected(capsys):
                                            ("k_max = -1", "k_max must be >= 0, got -1"),
                                            ("j_spec = 0", "j_spec must be >= 1, got 0"),
                                            ("n_values =",
-                                            "n_values must hold one or more entries >= 1, got ()")])
+                                            "n_values must hold one or more entries >= 1, got ()"),
+                                           ("tau1 = nan", "tau1 must be finite, got nan"),
+                                           ("eta2 = inf", "eta2 must be finite, got inf")])
 def test_verify_rejects_config_in_one_line(tmp_path, capsys, line, message):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(FAST_CONFIG + line + "\n")

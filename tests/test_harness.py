@@ -1,5 +1,6 @@
 """Sweep harness: determinism, failure accumulation, budgets."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -70,6 +71,13 @@ def test_config_rejects_what_it_cannot_run():
         for bad in ("0", "-1", "nan", "inf"):
             with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
                 ExperimentConfig.from_text(f"{key} = {bad}\n")
+    # a non-finite offset ran two suites before it failed, naming no key
+    for key in ("tau1", "tau2", "eta1", "eta2"):
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(ValueError, match=f"{key} must be finite, got"):
+                ExperimentConfig.from_text(f"{key} = {bad}\n")
+    with pytest.raises(ValueError, match="eta2 must be finite, got nan"):
+        ExperimentConfig(eta=(0.1, math.nan))
     with pytest.raises(ValueError, match="support_radius = 0.5 is too small: corollary1 grid"):
         ExperimentConfig.from_text("support_radius = 0.5\n")
     # the highest order's first zero decides: 8 leaves zeros for order 0

@@ -16,6 +16,22 @@ def test_determinant_enforced():
         KernelParams(1.0, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("args, message", [
+    # a NaN entry passed the determinant test, whose comparison is False
+    ((math.nan, 1.0, 0.0, 1.0), "a must be finite, got nan"),
+    ((1.0, math.inf, 0.0, 1.0), "b must be finite, got inf"),
+    ((1.0, 1.0, math.nan, 1.0), "c must be finite, got nan"),
+    ((1.0, 1.0, 0.0, -math.inf), "d must be finite, got -inf"),
+    # the offsets took no part in any check
+    ((1.0, 1.0, 0.0, 1.0, (math.nan, 0.4)), r"tau must be finite, got \(nan, 0.4\)"),
+    ((1.0, 1.0, 0.0, 1.0, (0.3, 0.4), (0.1, math.inf)), r"eta must be finite, got \(0.1, inf\)"),
+])
+def test_non_finite_entries_refused(args, message):
+    for bundle in (KernelParams, OffsetParams):
+        with pytest.raises(ValueError, match=message):
+            bundle(*args)
+
+
 def test_b_sign():
     with pytest.raises(ValueError):
         OffsetParams(0.0, -1.0, 1.0, 0.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from polar_olct import (
+    KernelParams,
     OffsetParams,
     SampleGrid,
     SampleSet,
@@ -342,6 +343,15 @@ def test_four_modes_take_one_recurrence_per_sampling_and_reconstruction(rot, lct
 def test_grid_validation(rot):
     with pytest.raises(ValueError, match="unknown grid mode"):
         SampleGrid("bogus", rot, 1.0, 1, {0: np.array([1.0])})
+    # the abscissae b z / omega assume b > 0: under b = -1 corollary1 gave
+    # -0.120, -0.276, ... and theorem2 -2.405, ... with no error
+    negative_b = KernelParams(0.0, -1.0, 1.0, 0.0)
+    for grid in (lambda: SampleGrid.theorem1(negative_b, 1.0, 1, 2),
+                 lambda: SampleGrid.theorem2(negative_b, 1.0, 0, 2),
+                 lambda: SampleGrid.corollary1(negative_b, 20.0, 0, 1.0),
+                 lambda: SampleGrid.corollary2(negative_b, 20.0, 0, 1.0)):
+        with pytest.raises(ValueError, match=r"grid needs b > 0, got b = -1.0"):
+            grid()
 
 
 @pytest.mark.parametrize("factory, args, kwargs, message", [

@@ -581,6 +581,9 @@ def test_adaptive_jump_hits_depth_cap(lct):
     with pytest.raises(QuadratureAccuracyError, match="unresolved") as exc:
         olct_forward(step, lct, PolarGrid(np.array([0.5, 1.0]), 8), r_max=5.0)
     assert exc.value.value.shape == exc.value.refined.shape == (2, 512)
+    # the estimate is the kept deviations of the unresolved panels
+    estimate = exc.value.refined - exc.value.value
+    assert np.all(np.isfinite(estimate)) and np.any(estimate != 0.0)
 
 
 class PointCounter:
@@ -635,22 +638,29 @@ def test_field_is_evaluated_on_the_calling_thread(offset_params, monkeypatch):
     assert not started and threading.active_count() == threads
 
 
-def test_kernel_allocation_peak(lct):
-    # the batch of field values is allocated once the field has returned,
-    # and only the columns of the field's band are taken from its FFT: a
-    # quad_chirped-sized call peaks at 35.1 MiB traced, where a buffer
-    # filled from the field's result took 47.1 MiB.  The peak is the
-    # field's own: its result and the batch's copy, or the field's two
-    # temporaries, each as large as the batch.  The bound is 7 % above it
-    f = chirped_gaussian(10.0, *CHIRP_COEFFS)
-    olct_forward(f, lct, CHIRP_GRID, r_max=80.0)
+def traced_peak(call):
+    """The traced allocation peak of call(), in MiB, after a first call has
+    filled the caches."""
+    call()
     tracemalloc.start()
     try:
-        olct_forward(f, lct, CHIRP_GRID, r_max=80.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-    assert peak < 37.6 * 2 ** 20
+
+
+def test_kernel_allocation_peak(lct):
+    # the field is sampled in blocks of at most 2^16 points, of which only
+    # the kernel's columns are kept, the panel sums are as wide as those
+    # columns, and the deviations are measured a block of panels at a
+    # time: a quad_chirped-sized call peaks at 12.0 MiB traced, where
+    # sampling each batch whole, full-width sums and one measured deviation
+    # per level took 35.1 MiB.  The peak is the kept columns of the largest
+    # batch (6.3 MiB) with one block of the field's temporaries.  The bound
+    # is 7 % above it
+    f = chirped_gaussian(10.0, *CHIRP_COEFFS)
+    assert traced_peak(lambda: olct_forward(f, lct, CHIRP_GRID, r_max=80.0)) < 12.9
 
 
 class _OwnEvaluate(PolarField):
@@ -716,23 +726,72 @@ def test_polar_field_spectrum_from_its_profiles(rot, lct, offset_params, monkeyp
 def test_profile_spectrum_allocation_peak(lct):
     # a quad_smooth-sized transform (omega = 4, K = 2, 20 x 20 outputs,
     # r_max = 60, 520 azimuths) of a synthesized field, from its profiles,
-    # allocates no batch of field values on every azimuth: 4.45 MiB traced,
-    # where the same field as a plain callable takes 5.62 MiB.  The batches
-    # of radii keep the kernel's work arrays small: all radii at once
-    # peaked at 5.67 MiB, and per-radius kernel FFTs at 4.97-5.08 MiB
+    # allocates no batch of field values on every azimuth, and its panel
+    # sums hold its 2 B + 1 = 5 columns: 1.48 MiB traced, where the same
+    # field as a plain callable takes 5.08 MiB.  With full-width sums and
+    # one measured deviation per level it took 4.45 MiB
     field = synthesize(random_spectrum(4.0, 2, 3, seed=109), lct)
     grid = PolarGrid(4.0 * np.linspace(0.02, 0.9, 20), 20)
-    peaks = []
-    for f in (field, field.evaluate):
-        olct_forward(f, lct, grid, r_max=60.0)
-        tracemalloc.start()
-        try:
-            olct_forward(f, lct, grid, r_max=60.0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [traced_peak(lambda: olct_forward(f, lct, grid, r_max=60.0))
+             for f in (field, field.evaluate)]
     assert peaks[0] < 0.8 * peaks[1]
-    assert peaks[0] < 4.97 * 2 ** 20
+    assert peaks[0] < 1.6
+
+
+def test_spectral_grid_forward_allocation_peak(rot):
+    # the forward of verify's roundtrip_olct row: a band-1 field on a
+    # 96-radius spectral grid, 512 azimuths.  Each deviation block is one
+    # panel's 96 x 512 outputs, and the sums hold 3 columns: 2.49 MiB
+    # traced, where full-width sums and one measured deviation per level
+    # took 21.0 MiB.  The bound is 7 % above it
+    field = synthesize(random_spectrum(1.0, 1, 3, seed=10), rot)
+    grid = spectral_grid(rot, 1.0, n_radial=96, n_phi=64)
+    assert traced_peak(lambda: olct_forward(field, rot, grid, r_max=60.0)) < 2.7
+
+
+def test_blocks_leave_the_transform_unchanged(lct, offset_params, monkeypatch):
+    # the field is sampled and the deviations are measured in blocks; one
+    # panel per block and a whole batch per block give the default's bits.
+    # A synthesized field under a spatial offset is sampled too
+    cases = ((chirped_gaussian(10.0, *CHIRP_COEFFS), lct, CHIRP_GRID, 80.0),
+             (synthesize(random_spectrum(1.0, 2, 3, seed=11), offset_params), offset_params,
+              PolarGrid(np.linspace(0.05, 0.9, 6), 8), 30.0))
+    for field, params, grid, r_max in cases:
+        want = olct_forward(field, params, grid, r_max=r_max).values
+        for block in (1, 2 ** 40):
+            monkeypatch.setattr(transforms, "_BLOCK", block)
+            got = olct_forward(field, params, grid, r_max=r_max).values
+            monkeypatch.undo()
+            assert np.array_equal(got, want), (type(field).__name__, block)
+
+
+def test_panel_sums_hold_the_columns_the_field_reaches(lct, monkeypatch):
+    # the panel sums hold bins m < C and n - m, 2 C - 1 columns: C = B + 1
+    # for a field read from its profiles, and the kernel's top column
+    # (268 // 2 + 1 = 135 here) for any other field, so 269 of 512; all n
+    # where the kernel takes every azimuth
+    widths = []
+    panel_quadrature = transforms._panel_quadrature
+
+    def spy(sums, *args, **kwargs):
+        def counted(lo, half):
+            out = sums(lo, half)
+            widths.append(out.shape[-1])
+            return out
+
+        return panel_quadrature(counted, *args, **kwargs)
+
+    monkeypatch.setattr(transforms, "_panel_quadrature", spy)
+    field = synthesize(random_spectrum(1.0, 2, 3, seed=11), lct)
+    olct_forward(field, lct, PolarGrid(np.linspace(0.05, 0.9, 6), 8), r_max=30.0)
+    assert widths and set(widths) == {5}
+    widths.clear()
+    olct_forward(chirped_gaussian(10.0, *CHIRP_COEFFS), lct, CHIRP_GRID, r_max=80.0)
+    assert widths and set(widths) == {269}
+    widths.clear()
+    monkeypatch.setattr(transforms, "_kernel_length", lambda t, n, band: n)
+    olct_forward(chirped_gaussian(10.0, *CHIRP_COEFFS), lct, CHIRP_GRID, r_max=80.0)
+    assert widths and set(widths) == {512}
 
 
 def test_radial_only_field_broadcasts(lct, offset_params):
