@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-    polar-olct zeros       --order 0 --count 20 --format csv
+    polar-olct zeros       --order 0 --count 20
     polar-olct transform   --params p.txt --spectrum s.csv --out F.csv
     polar-olct synth       --spectrum s.csv --params p.txt --out f.csv
     polar-olct reconstruct --mode theorem2 --params p.txt --spectrum s.csv
@@ -34,25 +34,20 @@ class _RefusedOption(Exception):
     pass
 
 
-def _checked(option: str, convert, check, **bounds):
+def _checked(option: str, convert, check):
     """An argparse type= for `option`: convert(text), which `check(option,
-    value, **bounds)` must accept (_check_count, _check_positive or
-    _check_msum); text that does not convert is argparse's own error."""
+    value)` must accept (_check_count or _check_positive); text that does
+    not convert is argparse's own error."""
     def parse(text):
         value = convert(text)
         try:
-            check(option, value, **bounds)
+            check(option, value)
         except ValueError as exc:
             raise _RefusedOption(exc) from None
         return value
 
     parse.__name__ = convert.__name__
     return parse
-
-
-def _check_msum(option: str, value: int) -> None:
-    if value < -1:
-        raise ValueError(f"{option} must be -1 (auto) or a non-negative integer, got {value!r}")
 
 
 def _add_common(p):
@@ -69,12 +64,7 @@ def _emit(text, out):
 
 def _cmd_zeros(args) -> int:
     table = ZeroTable.for_order(args.order, args.count)
-    lines = ["j,z"] if args.format == "csv" else []
-    for j, z in enumerate(table.zeros[: args.count], start=1):
-        if args.format == "csv":
-            lines.append(f"{j},{z:.15g}")
-        else:
-            lines.append(f"{j} {z:.15g}")
+    lines = ["j,z"] + [f"{j},{z:.15g}" for j, z in enumerate(table.zeros[: args.count], start=1)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -86,15 +76,10 @@ def _load(args):
 
 
 def _cmd_transform(args) -> int:
-    params, spectrum, field = _load(args)
+    params, _, field = _load(args)
     rho = np.linspace(args.rho_max / args.n_rho, args.rho_max, args.n_rho)
     grid = tr.PolarGrid(rho, args.n_phi)
-    if args.route == "quadrature":
-        result = tr.olct_forward(field, params, grid, r_max=args.r_max)
-        values = result.values
-    else:
-        coeffs = {n: field.coefficients[n] for n in spectrum.coefficients}
-        values = tr.olct_series(coeffs, params, grid, r_max=args.r_max).values
+    values = tr.olct_forward(field, params, grid, r_max=args.r_max).values
     RH, PH = np.meshgrid(grid.rho, grid.phi, indexing="ij")
     out = args.out or "transform.csv"
     files.write_transform_csv(out, RH, PH, values)
@@ -121,23 +106,14 @@ def _probe_counts(text: str) -> tuple:
     return int(parts[0]), int(parts[1])
 
 
-def _grid_order(args, spectrum) -> int:
-    # --order, which a fixed-order spectrum sets by default and must match
-    if spectrum.order_map != "fixed":
-        return args.order or 0
-    if args.order not in (None, spectrum.fixed_order):
-        raise ValueError(f"--order {args.order} differs from the spectrum's fixed_order "
-                         f"{spectrum.fixed_order}")
-    return spectrum.fixed_order
-
-
 def _cmd_reconstruct(args) -> int:
     nr, nt = _probe_counts(args.probes)
     params, spectrum, field = _load(args)
     omega = spectrum.omega
     k_max = spectrum.k_max
-    order = _grid_order(args, spectrum)
-    m_sum = args.msum if args.msum >= 0 else sp.default_m_sum(params, omega, 10.0)
+    # the one radial order of theorem 2 and corollary 2 is the spectrum's
+    order = spectrum.radial_order(0)
+    m_sum = sp.default_m_sum(params, omega)
     if args.mode in ("theorem1", "theorem2"):
         grid = (sp.SampleGrid.theorem1(params, omega, k_max, args.zeros)
                 if args.mode == "theorem1" else
@@ -221,7 +197,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("zeros", help="positive zeros of the order-v Bessel function")
     p.add_argument("--order", type=float, default=0.0)
     p.add_argument("--count", type=_checked("--count", int, _check_count), default=10)
-    p.add_argument("--format", choices=("csv", "plain"), default="csv")
     _add_common(p)
     p.set_defaults(fn=_cmd_zeros)
 
@@ -232,7 +207,6 @@ def main(argv=None) -> int:
     p.add_argument("--n-rho", type=_checked("--n-rho", int, _check_count), default=16)
     p.add_argument("--n-phi", type=_checked("--n-phi", int, _check_count), default=16)
     p.add_argument("--r-max", type=_checked("--r-max", float, _check_positive), default=40.0)
-    p.add_argument("--route", choices=("quadrature", "order_n"), default="quadrature")
     _add_common(p)
     p.set_defaults(fn=_cmd_transform)
 
@@ -252,11 +226,6 @@ def main(argv=None) -> int:
     p.add_argument("--spectrum", required=True)
     p.add_argument("--zeros", type=_checked("--zeros", int, _check_count), default=10, metavar="N",
                    help="grid resolution (N^2 zeros per order)")
-    p.add_argument("--msum", type=_checked("--msum", int, _check_msum), default=-1,
-                   help="side-order truncation; -1 = auto")
-    p.add_argument("--order", type=_checked("--order", int, _check_count, least=0), default=None,
-                   help="fixed order for theorem2/corollary2 (default: a fixed-order "
-                        "spectrum's own, else 0)")
     p.add_argument("--probes", default="20x20")
     p.add_argument("--support-radius", type=_checked("--support-radius", float, _check_positive),
                    default=400.0)

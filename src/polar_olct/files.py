@@ -47,7 +47,10 @@ def read_params_file(path) -> OffsetParams:
     if unknown:
         raise ValueError(f"unknown params key(s) {unknown}; expected {', '.join(_PARAMS_KEYS)}")
     def f(key, default=0.0):
-        return float(kv.get(key, default))
+        try:
+            return float(kv.get(key, default))
+        except ValueError as exc:
+            raise ValueError(f"{path}: params key {key!r}: {exc}") from None
     return OffsetParams(f("a"), f("b", 1.0), f("c"), f("d"),
                         (f("tau1"), f("tau2")), (f("eta1"), f("eta2")))
 

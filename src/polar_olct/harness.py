@@ -45,6 +45,8 @@ _TOLERANCES = {
 }
 # the bundle of the chirped rows and of the corollary grids
 _LCT = OffsetParams(1.0, 2.0, -0.25, 0.5)
+# the band limit of the field-domain sampling rows and complexity grids
+_OMEGA = math.pi
 
 
 @dataclass(frozen=True)
@@ -52,11 +54,9 @@ class ExperimentConfig:
     """Sweep configuration; flat key=value text maps 1:1 onto the fields."""
 
     seed: int = 20240801
-    omega: float = math.pi
     k_max: int = 2
     j_spec: int = 3
     n_values: tuple = (10, 20, 40)
-    theorem2_order: int = 0
     probe_grid: int = 20
     tau: tuple = (0.3, 0.4)
     eta: tuple = (0.1, -0.2)
@@ -71,6 +71,9 @@ class ExperimentConfig:
         if not self.n_values or min(self.n_values) < 1:
             raise ValueError(f"n_values must hold one or more entries >= 1, "
                              f"got {self.n_values!r}")
+        # numpy's refusal of a negative seed names neither key nor option
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.draws < 1:
             raise ValueError(f"draws must be >= 1, got {self.draws!r}")
         # j_spec = 0 synthesizes zero fields, whose rows would pass vacuously
@@ -78,9 +81,7 @@ class ExperimentConfig:
             raise ValueError(f"j_spec must be >= 1, got {self.j_spec!r}")
         if self.k_max < 0:
             raise ValueError(f"k_max must be >= 0, got {self.k_max!r}")
-        if self.theorem2_order < 0:
-            raise ValueError(f"theorem2_order must be >= 0, got {self.theorem2_order!r}")
-        for key in ("omega", "r_max", "support_radius"):
+        for key in ("r_max", "support_radius"):
             _check_positive(key, getattr(self, key))
         # a non-finite offset would fail only in the offset rows, after the
         # suites before them
@@ -109,9 +110,9 @@ class ExperimentConfig:
                 raise ValueError(f"config key {key!r}: {exc}") from None
 
         for key, val in kv.items():
-            if key in ("seed", "k_max", "j_spec", "theorem2_order", "probe_grid", "draws"):
+            if key in ("seed", "k_max", "j_spec", "probe_grid", "draws"):
                 kwargs[key] = num(key, int, val)
-            elif key in ("omega", "r_max", "support_radius"):
+            elif key in ("r_max", "support_radius"):
                 kwargs[key] = num(key, float, val)
             elif key == "n_values":
                 kwargs[key] = tuple(num(key, int, x) for x in val.split(",") if x.strip())
@@ -376,7 +377,7 @@ def run_reduction_suite(config: ExperimentConfig) -> SweepResult:
 
 
 def _sampling_rows(sweep, config, params):
-    omega = config.omega
+    omega = _OMEGA
     n_values = sorted(config.n_values)
     n_min, n_max = n_values[0], n_values[-1]
     tol = _TOLERANCES["reconstruction"]
@@ -385,11 +386,10 @@ def _sampling_rows(sweep, config, params):
     for mode in ("theorem1", "theorem2"):
         order_map = "per_order" if mode == "theorem1" else "fixed"
         spec = sy.random_spectrum(omega, config.k_max, config.j_spec, seed=config.seed + 6,
-                                  order_map=order_map, fixed_order=config.theorem2_order)
+                                  order_map=order_map)
         fb_field = sy.synthesize(spec, params)
         weights = {n: 0.5 + 0.4j if n else 1.0 for n in range(-config.k_max, config.k_max + 1)}
-        sonine = sy.synthesize_sonine(weights, params, omega, order_map=order_map,
-                                      fixed_order=config.theorem2_order)
+        sonine = sy.synthesize_sonine(weights, params, omega, order_map=order_map)
         # the grid's smallest last zero is that of angular order 0's radial order
         zmin = ZeroTable.for_order(spec.radial_order(0), n_min * n_min).zeros[n_min * n_min - 1]
         r_hi = 0.9 * params.b * zmin / omega
@@ -400,8 +400,7 @@ def _sampling_rows(sweep, config, params):
             for n_res in n_values:
                 grid = (sp.SampleGrid.theorem1(params, omega, config.k_max, n_res)
                         if mode == "theorem1" else
-                        sp.SampleGrid.theorem2(params, omega, config.k_max, n_res,
-                                               order=config.theorem2_order))
+                        sp.SampleGrid.theorem2(params, omega, config.k_max, n_res))
                 samples = sp.sample_field(fld, grid)
                 rec, dt = _timed(sp.reconstruct_field, samples, mode, params, 0, R, TH)
                 err = _rel_err(rec, truth)
@@ -422,8 +421,7 @@ def _corollary_grid(config, mode):
     # the spectrum-domain grid of a corollary row: band limit 1 under _LCT
     if mode == "corollary1":
         return sp.SampleGrid.corollary1(_LCT, config.support_radius, config.k_max, 1.0)
-    return sp.SampleGrid.corollary2(_LCT, config.support_radius, config.k_max, 1.0,
-                                    order=config.theorem2_order)
+    return sp.SampleGrid.corollary2(_LCT, config.support_radius, config.k_max, 1.0)
 
 
 def _corollary_rows(sweep, config):
@@ -436,7 +434,7 @@ def _corollary_rows(sweep, config):
     for mode in ("corollary1", "corollary2"):
         order_map = "per_order" if mode == "corollary1" else "fixed"
         spec = sy.random_spectrum(omega, config.k_max, config.j_spec, seed=config.seed + 7,
-                                  order_map=order_map, fixed_order=config.theorem2_order)
+                                  order_map=order_map)
         fld = sy.synthesize(spec, _LCT)
         truth = fld.spectrum_values(RH, PH)
         samples = sp.sample_field(fld.spectrum_values, _corollary_grid(config, mode))
@@ -466,8 +464,8 @@ def run_complexity_sweep(config: ExperimentConfig) -> SweepResult:
             sweep.add(f"count_ratio_K{k}_N{n}", ratio, None,
                       passed=ratio == 2 * k + 1,
                       note=f"counts {c1}/{c2}")
-            g1 = sp.SampleGrid.theorem1(params, config.omega, k, n)
-            g2 = sp.SampleGrid.theorem2(params, config.omega, k, n)
+            g1 = sp.SampleGrid.theorem1(params, _OMEGA, k, n)
+            g2 = sp.SampleGrid.theorem2(params, _OMEGA, k, n)
             zero_field = lambda r, theta: np.zeros(np.broadcast(r, theta).shape, complex)
             s1, dt1 = _timed(sp.sample_field, zero_field, g1)
             s2, dt2 = _timed(sp.sample_field, zero_field, g2)
@@ -495,11 +493,10 @@ def run_offset_investigation(config: ExperimentConfig) -> SweepResult:
                            ("strict", tr.olct_series(coeffs, params, grid, r_max=30.0).values)):
         sweep.add(f"offset_series_{kernel}", _rel_err(series, fw.values), None,
                   passed=True, note="reported")
-    m_sum = sp.default_m_sum(params, omega, 10.0)
-    grid_t2 = sp.SampleGrid.theorem2(params, omega, config.k_max, config.n_values[0],
-                                     order=config.theorem2_order)
+    m_sum = sp.default_m_sum(params, omega)
+    grid_t2 = sp.SampleGrid.theorem2(params, omega, config.k_max, config.n_values[0])
     spec2 = sy.random_spectrum(omega, config.k_max, config.j_spec, seed=config.seed + 9,
-                               order_map="fixed", fixed_order=config.theorem2_order)
+                               order_map="fixed")
     fld2 = sy.synthesize(spec2, params)
     samples = sp.sample_field(fld2, grid_t2)
     r_hi = 0.9 * float(grid_t2.alphas(0)[-1])

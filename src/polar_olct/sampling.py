@@ -118,12 +118,13 @@ def _theta_matrix(r, jr, alphas, zeros, params, omega, taylor):
     return -2.0 * (mu2 + al) * quotient / (jnext[:, None] * (al + r + 2.0 * mu2))
 
 
-def default_m_sum(params: OffsetParams, omega: float, r_max: float) -> int:
-    """Side-order truncation: 0 without offsets, else scale/b plus margin."""
+def default_m_sum(params: OffsetParams, omega: float) -> int:
+    """Side-order truncation: 0 without offsets, else mu max(10, omega)/b
+    plus a margin of 20."""
     mu = max(params.mu1, params.mu2)
     if mu == 0.0:
         return 0
-    return int(math.ceil(mu * max(r_max, omega) / params.b)) + 20
+    return int(math.ceil(mu * max(10.0, omega) / params.b)) + 20
 
 
 def _zero_series(coeffs, alphas, zeros, order, jr, params, omega, m_sum, r, mu_r, mu_om):

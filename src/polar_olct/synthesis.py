@@ -349,8 +349,7 @@ def synthesize_sonine(weights: dict, params: OffsetParams, omega: float, *,
 
 
 def random_spectrum(omega: float, k_max: int, j_spec: int, seed: int, *,
-                    order_map: str = "per_order", fixed_order: int = 0,
-                    hermitian: bool = False) -> FourierBesselSpectrum:
+                    order_map: str = "per_order", fixed_order: int = 0) -> FourierBesselSpectrum:
     """Seeded random coefficients from the unit disk.
 
     For j_spec >= 2 the last coefficient of each order is chosen so the
@@ -369,13 +368,7 @@ def random_spectrum(omega: float, k_max: int, j_spec: int, seed: int, *,
         return eps
 
     coeffs = {}
-    orders = range(0, k_max + 1) if hermitian else range(-k_max, k_max + 1)
-    for n in orders:
+    for n in range(-k_max, k_max + 1):
         eps = (rng.uniform(-1, 1, j_spec) + 1j * rng.uniform(-1, 1, j_spec)) / math.sqrt(2.0)
-        if hermitian and n == 0:
-            eps = eps.real.astype(complex)
         coeffs[n] = flatten(eps, _radial_order(order_map, fixed_order, n))
-    if hermitian:
-        for n in range(1, k_max + 1):
-            coeffs[-n] = np.conj(coeffs[n])
     return FourierBesselSpectrum(omega, k_max, coeffs, order_map, fixed_order)

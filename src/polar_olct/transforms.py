@@ -185,6 +185,10 @@ class PolarGrid:
         rho = np.atleast_1d(np.asarray(self.rho, dtype=float))
         if not np.all(np.isfinite(rho)):
             raise ValueError(f"PolarGrid: rho must be finite, got {rho[~np.isfinite(rho)][0]!r}")
+        if np.any(rho < 0):
+            # a negative radius would give _kernel_length a negative t, and
+            # olct_forward zeros there in place of its values
+            raise ValueError(f"PolarGrid: rho must be >= 0, got {float(rho[rho < 0][0])!r}")
         if rho.size and np.any(np.diff(rho) <= 0):
             raise ValueError("radial nodes must be strictly increasing")
         object.__setattr__(self, "rho", rho)
@@ -207,6 +211,7 @@ def spectral_grid(params: OffsetParams, omega: float, *, n_radial: int = 256,
     """Quadrature grid covering the spectral support of an omega-bandlimited
     field under `params`, with a 5 % margin: the offset tau translates the
     support disk, so its reach is omega + mu1."""
+    _check_positive("omega", omega)
     rho, w = radial_rule(1.05 * (omega + params.mu1), _check_count("n_radial", n_radial))
     return PolarGrid(rho, n_phi, rho_weights=w)
 

@@ -24,9 +24,9 @@ def offset_params():
 @pytest.fixture(scope="session")
 def make_field():
     def factory(params, omega=1.0, k_max=1, j_spec=3, seed=3,
-                order_map="per_order", fixed_order=0, hermitian=False):
+                order_map="per_order", fixed_order=0):
         spec = random_spectrum(omega, k_max, j_spec, seed=seed, order_map=order_map,
-                               fixed_order=fixed_order, hermitian=hermitian)
+                               fixed_order=fixed_order)
         return synthesize(spec, params)
     return factory
 

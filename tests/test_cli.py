@@ -28,8 +28,7 @@ def inputs(tmp_path):
 
 def test_zeros_csv(tmp_path, capsys):
     out = tmp_path / "z.csv"
-    assert main(["zeros", "--order", "0", "--count", "3", "--format", "csv",
-                 "--out", str(out)]) == 0
+    assert main(["zeros", "--order", "0", "--count", "3", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "j,z"
     assert lines[1] == "1,2.40482555769577"
@@ -39,8 +38,7 @@ def test_zeros_csv(tmp_path, capsys):
 def test_zeros_high_order_against_scipy(tmp_path):
     jn_zeros = pytest.importorskip("scipy.special").jn_zeros
     out = tmp_path / "z40.csv"
-    assert main(["zeros", "--order", "40", "--count", "200", "--format", "csv",
-                 "--out", str(out)]) == 0
+    assert main(["zeros", "--order", "40", "--count", "200", "--out", str(out)]) == 0
     rows = out.read_text().strip().splitlines()[1:]
     z = np.array([float(row.split(",")[1]) for row in rows])
     assert z.shape == (200,)
@@ -61,6 +59,7 @@ def test_zeros_negative_count_rejected(capsys):
                                            ("n_values =",
                                             "n_values must hold one or more entries >= 1, got ()"),
                                            ("tau1 = nan", "tau1 must be finite, got nan"),
+                                           ("seed = -1", "seed must be >= 0, got -1"),
                                            ("eta2 = inf", "eta2 must be finite, got inf")])
 def test_verify_rejects_config_in_one_line(tmp_path, capsys, line, message):
     cfg = tmp_path / "cfg.txt"
@@ -69,6 +68,27 @@ def test_verify_rejects_config_in_one_line(tmp_path, capsys, line, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"polar-olct: error: {message}\n"
+
+
+def test_verify_names_a_negative_seed(capsys):
+    # numpy's "expected non-negative integer" named neither seed nor option
+    assert main(["verify", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "polar-olct: error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [["zeros", "--format", "plain"],
+                                  ["transform", "--route", "order_n"],
+                                  ["reconstruct", "--mode", "theorem1", "--msum", "0"],
+                                  ["reconstruct", "--mode", "theorem2", "--order", "0"]])
+def test_removed_options_are_argparse_errors(inputs, argv):
+    params, spectrum, _ = inputs
+    if argv[0] != "zeros":
+        argv = argv + ["--params", str(params), "--spectrum", str(spectrum)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_zeros_stdout(capsys):
@@ -93,36 +113,6 @@ def test_transform_and_synth(tmp_path, inputs, capsys):
     assert len(out2.read_text().strip().splitlines()) == 21
 
 
-def test_transform_series_route(tmp_path, inputs):
-    params, spectrum, _ = inputs
-    out = tmp_path / "Fs.csv"
-    rc = main(["transform", "--params", str(params), "--spectrum", str(spectrum),
-               "--n-rho", "3", "--n-phi", "8", "--r-max", "30",
-               "--route", "order_n", "--out", str(out)])
-    assert rc == 0
-    assert len(out.read_text().strip().splitlines()) == 25
-
-
-def test_transform_series_route_with_offsets(tmp_path, inputs):
-    _, spectrum, _ = inputs
-    params = tmp_path / "offset_params.txt"
-    params.write_text("a = 1\nb = 1\nc = 0\nd = 1\ntau1 = 0.3\ntau2 = 0.4\n"
-                      "eta1 = 0.1\neta2 = -0.2\n")
-    values = {}
-    for route in ("quadrature", "order_n"):
-        out = tmp_path / f"F_{route}.csv"
-        assert main(["transform", "--params", str(params), "--spectrum", str(spectrum),
-                     "--n-rho", "4", "--n-phi", "8", "--r-max", "30",
-                     "--route", route, "--out", str(out)]) == 0
-        data = np.loadtxt(out, delimiter=",", skiprows=1)
-        values[route] = data[:, 2] + 1j * data[:, 3]
-    truth = values["quadrature"]
-    assert np.max(np.abs(values["order_n"] - truth)) <= 1e-6 * np.max(np.abs(truth))
-    with pytest.raises(SystemExit):
-        main(["transform", "--params", str(params), "--spectrum", str(spectrum),
-              "--route", "order_2n"])
-
-
 def test_reconstruct_field_mode(tmp_path, inputs, capsys):
     params, _, spectrum = inputs
     out = tmp_path / "report.csv"
@@ -140,25 +130,21 @@ def test_reconstruct_field_mode(tmp_path, inputs, capsys):
 
 def test_reconstruct_order_follows_a_fixed_order_spectrum(tmp_path, inputs, capsys):
     # --order 3 on a fixed_order = 0 spectrum printed max_rel_err=3.104e+00
-    # and exited 0.  The default is the spectrum's own order, here 1
+    # and exited 0.  The grid's order is the spectrum's own, here 1
     params, _, _ = inputs
     spectrum = tmp_path / "spectrum_order1.csv"
     write_spectrum_csv(spectrum, random_spectrum(1.0, 1, 2, seed=2, order_map="fixed",
                                                  fixed_order=1))
     argv = ["reconstruct", "--mode", "theorem2", "--params", str(params),
             "--spectrum", str(spectrum), "--zeros", "4", "--probes", "5x5",
-            "--out", str(tmp_path / "report.csv")]
-    for order in ([], ["--order", "1"]):
-        assert main(argv + order) == 0
-        err = float(capsys.readouterr().out.split("max_rel_err=")[1])
-        assert err < 1e-6
+            "--support-radius", "150", "--out", str(tmp_path / "report.csv")]
+    # corollary2 reads 8.1e-7 at support radius 150, as in
+    # test_reconstruct_spectrum_mode; the default 400 truncates to 1.2e-6
     for mode in ("theorem2", "corollary2"):
         argv[2] = mode
-        assert main(argv + ["--order", "3"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("polar-olct: error: --order 3 differs from the spectrum's "
-                                "fixed_order 1\n")
+        assert main(argv) == 0
+        err = float(capsys.readouterr().out.split("max_rel_err=")[1])
+        assert err < 1e-6
 
 
 def test_reconstruct_spectrum_mode(tmp_path, inputs):
@@ -191,10 +177,6 @@ def test_reconstruct_rejects_probes_in_one_line(inputs, capsys, probes):
      "corollary1 grid holds no zeros for order 0"),
     (["transform", "--n-rho", "0"], "--n-rho must be a positive integer, got 0"),
     (["transform", "--n-phi", "0"], "--n-phi must be a positive integer, got 0"),
-    (["reconstruct", "--mode", "theorem1", "--msum", "-5"],
-     "--msum must be -1 (auto) or a non-negative integer, got -5"),
-    (["reconstruct", "--mode", "theorem2", "--order", "-1"],
-     "--order must be a non-negative integer, got -1"),
 ])
 def test_empty_grids_rejected_in_one_line(inputs, capsys, argv, message):
     # each ran to exit 0 on a grid with no samples, or died with a traceback

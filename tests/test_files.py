@@ -39,6 +39,15 @@ def test_params_file_rejects_unknown_keys(tmp_path, line):
         read_params_file(path)
 
 
+def test_params_file_bad_value_names_file_and_key(tmp_path):
+    # "could not convert string to float: 'x'" named neither
+    path = tmp_path / "p.txt"
+    path.write_text("a = x\nb = 1\nc = -1\nd = 0\n")
+    with pytest.raises(ValueError, match=r"p.txt: params key 'a': could not convert string "
+                                         r"to float: 'x'"):
+        read_params_file(path)
+
+
 def test_spectrum_csv_roundtrip(tmp_path):
     spec = random_spectrum(1.0, 2, 3, seed=5)
     path = tmp_path / "s.csv"

@@ -47,7 +47,10 @@ def test_config_rejects_what_it_cannot_run():
                       ("n_values =\n", "n_values"),
                       ("n_values = 0\n", "n_values"),
                       ("n_values = 10, -2\n", "n_values"),
-                      ("draws = 0\n", "draws")):
+                      ("draws = 0\n", "draws"),
+                      # the band limit and theorem 2's order are fixed, not keys
+                      ("omega = 1.0\n", "omega"),
+                      ("theorem2_order = 1\n", "theorem2_order")):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_text(text)
     with pytest.raises(TypeError, match="tolerances"):
@@ -57,17 +60,17 @@ def test_config_rejects_what_it_cannot_run():
     with pytest.raises(ValueError, match="n_values"):
         ExperimentConfig(n_values=())
     # j_spec = 0 synthesizes zero fields, whose rows would pass vacuously,
-    # k_max < 0 and theorem2_order < 0 would fail only mid-run, and a
-    # value that does not parse names its key
+    # k_max < 0 would fail only mid-run, a seed < 0 got numpy's message,
+    # and a value that does not parse names its key
     for text, key in (("j_spec = 0\n", "j_spec"), ("k_max = -1\n", "k_max"),
-                      ("theorem2_order = -1\n", "theorem2_order"), ("seed = 7.5\n", "seed")):
+                      ("seed = -1\n", "seed must be >= 0"), ("seed = 7.5\n", "seed")):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_text(text)
     # a non-finite or non-positive scale is refused when the config is
     # built, and so is a support radius that leaves a corollary grid without
     # zeros: support_radius = 0.5 ran the suites before the corollary rows
     # and then exited on "corollary1 grid holds no zeros for order 0"
-    for key in ("omega", "r_max", "support_radius"):
+    for key in ("r_max", "support_radius"):
         for bad in ("0", "-1", "nan", "inf"):
             with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
                 ExperimentConfig.from_text(f"{key} = {bad}\n")

@@ -189,8 +189,8 @@ def test_reconstruction_rejects_grid_zeros_that_are_not_zeros(rot):
 
 
 def test_default_m_sum(rot, offset_params):
-    assert default_m_sum(rot, 1.0, 10.0) == 0
-    m = default_m_sum(offset_params, 1.0, 10.0)
+    assert default_m_sum(rot, 1.0) == 0
+    m = default_m_sum(offset_params, 1.0)
     assert m >= 20 and m == int(np.ceil(max(offset_params.mu1, offset_params.mu2) * 10.0)) + 20
 
 

@@ -163,8 +163,13 @@ def test_single_term_against_inverse_hankel_quadrature(rot, scipy_hankel):
 
 
 def test_hermitian_spectrum_gives_real_field(rot):
-    spec = random_spectrum(1.0, 2, 3, seed=31, hermitian=True)
-    f = synthesize(spec, rot)
+    # c_{-n} = conj(c_n) and a real c_0 make every f_{-n} the conjugate of f_n
+    rng = np.random.default_rng(31)
+    coeffs = {0: rng.uniform(-1, 1, 3).astype(complex)}
+    for n in (1, 2):
+        coeffs[n] = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+        coeffs[-n] = np.conj(coeffs[n])
+    f = synthesize(FourierBesselSpectrum(1.0, 2, coeffs), rot)
     rng = np.random.default_rng(0)
     r = rng.uniform(0.0, 4.0, 50)
     t = rng.uniform(-np.pi, np.pi, 50)

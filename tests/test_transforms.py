@@ -430,6 +430,25 @@ def test_polar_grid_azimuth_count_checked(lct):
     assert olct_forward(gauss, lct, grid, r_max=5.0, n_radial=32).values.shape == (1, 8)
 
 
+def test_polar_grid_refuses_negative_radii():
+    # rho = -1 at r_max = 40 gave _kernel_length a negative t, and
+    # olct_forward returned 0 there in place of 4 e^{-2}
+    with pytest.raises(ValueError, match=r"rho must be >= 0, got -1.0$"):
+        PolarGrid([-1.0, -0.5, 1.0], 8)
+    rot = OffsetParams(0.0, 1.0, -1.0, 0.0)
+    grid = PolarGrid([0.0, 1.0], 8)
+    values = olct_forward(lambda r, t: np.exp(-r * r / 8.0), rot, grid, r_max=40.0).values
+    assert np.allclose(values, 4.0 * np.exp(-2.0 * grid.rho[:, None] ** 2), rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("omega", [-0.1, 0.0, math.nan])
+def test_spectral_grid_checks_omega(omega):
+    # -0.1 under tau = (0.3, 0.4) built a rule on [0, 0.42], and 0 raised
+    # "radial nodes must be strictly increasing"
+    with pytest.raises(ValueError, match="omega must be finite and positive"):
+        spectral_grid(OffsetParams(1.0, 1.0, 0.0, 1.0, (0.3, 0.4)), omega)
+
+
 def chirped_gaussian(s, c0, c1):
     return lambda r, th: np.exp(-r * r / (2.0 * s * s)) * (c0 + c1 * (r / s) * np.exp(1j * th))
 
